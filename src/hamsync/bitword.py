@@ -17,10 +17,6 @@ from .errors import ContractError
 
 MAX_WORD_BITS = 1 << 20
 
-# 8-byte little-endian bit length, then ceil(n/8) payload bytes, LSB-first
-# within each byte.
-_LEN_HEADER_BYTES = 8
-
 
 @dataclass(frozen=True, slots=True)
 class Word:
@@ -67,24 +63,6 @@ class Word:
                 raise ContractError("bits must be 0 or 1")
             value |= b << i
         return cls(value, len(bits))
-
-    def to_bytes(self) -> bytes:
-        header = self.n.to_bytes(_LEN_HEADER_BYTES, "little")
-        payload = self.value.to_bytes((self.n + 7) // 8, "little")
-        return header + payload
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Word":
-        if len(raw) < _LEN_HEADER_BYTES:
-            raise ContractError("serialized word shorter than its length header")
-        n = int.from_bytes(raw[:_LEN_HEADER_BYTES], "little")
-        nbytes = (n + 7) // 8
-        if len(raw) != _LEN_HEADER_BYTES + nbytes:
-            raise ContractError("serialized word has wrong payload size")
-        value = int.from_bytes(raw[_LEN_HEADER_BYTES:], "little")
-        if value >> n:
-            raise ContractError("serialized word has nonzero padding bits")
-        return cls(value, n)
 
 
 @dataclass(frozen=True, slots=True)

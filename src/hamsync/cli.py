@@ -76,8 +76,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         transport=args.transport,
         listen=args.listen,
         connect=args.connect,
-        out=args.out,
-        fmt=args.format,
         params=params,
     )
     rows = run_experiment(cfg)

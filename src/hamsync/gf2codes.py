@@ -67,11 +67,6 @@ def _rref(masks: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     return rows, pivot_cols
 
 
-def rank(m: BitMatrix) -> int:
-    _, pivots = _rref(m.row_masks, m.cols)
-    return len(pivots)
-
-
 class AffineSolver:
     """Prepared solver for H t = b with a fixed H: the row operations that
     reduce H are recorded once and replayed on each right-hand side."""
@@ -104,17 +99,6 @@ class AffineSolver:
         return t
 
 
-def solve_affine(h: BitMatrix, b: Word) -> Optional[Word]:
-    """Solve H t = b over GF(2) by Gaussian elimination, free variables zero.
-
-    Returns None exactly when the system is inconsistent.
-    """
-    if b.n != h.rows:
-        raise ContractError(f"rhs has {b.n} bits, matrix has {h.rows} rows")
-    t = AffineSolver(h).solve(b.value)
-    return None if t is None else Word(t, h.cols)
-
-
 @dataclass(frozen=True, slots=True)
 class LinearCode:
     """[n, k] binary linear code given by a full-row-rank parity-check matrix.
@@ -145,10 +129,6 @@ class LinearCode:
     def check_positions(self) -> tuple[int, ...]:
         msg = set(self.message_positions)
         return tuple(c for c in range(self.n) if c not in msg)
-
-    @property
-    def systematic_prefix(self) -> bool:
-        return self.message_positions == tuple(range(self.k))
 
 
 def code_from_parity(row_masks: Sequence[int], n: int) -> LinearCode:
@@ -274,35 +254,3 @@ def hamming_7_4() -> LinearCode:
                 mask |= 1 << c
         rows.append(mask)
     return code_from_parity(tuple(rows), 7)
-
-
-def bitmatrix_to_bytes(m: BitMatrix) -> bytes:
-    """8-byte little-endian row and column counts, then the entries packed
-    row-major, LSB-first, in one contiguous bit stream."""
-    acc = 0
-    for r, mask in enumerate(m.row_masks):
-        acc |= mask << (r * m.cols)
-    total_bits = m.rows * m.cols
-    return (
-        m.rows.to_bytes(8, "little")
-        + m.cols.to_bytes(8, "little")
-        + acc.to_bytes((total_bits + 7) // 8, "little")
-    )
-
-
-def bitmatrix_from_bytes(raw: bytes) -> BitMatrix:
-    if len(raw) < 16:
-        raise ContractError("serialized matrix shorter than its header")
-    rows = int.from_bytes(raw[:8], "little")
-    cols = int.from_bytes(raw[8:16], "little")
-    if rows < 1 or cols < 1:
-        raise ContractError("serialized matrix has empty dimensions")
-    total_bits = rows * cols
-    if len(raw) != 16 + (total_bits + 7) // 8:
-        raise ContractError("serialized matrix has wrong payload size")
-    acc = int.from_bytes(raw[16:], "little")
-    if acc >> total_bits:
-        raise ContractError("serialized matrix has nonzero padding bits")
-    col_mask = (1 << cols) - 1
-    masks = tuple((acc >> (r * cols)) & col_mask for r in range(rows))
-    return BitMatrix(rows, cols, masks)

@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain
 from random import Random
 from typing import Any, Callable, Iterator, Optional
 
@@ -28,30 +28,20 @@ from .bitword import (
     random_word_within,
 )
 from .errors import ContractError
-from .gf2codes import hamming_7_4, min_distance, random_linear_code
-from .hashing import multi_nba_alice, multi_nba_bob, nba_alice, nba_bob
-from .probproto import (
-    INNER_MAX_K,
-    ProbParams,
-    composite_alice,
-    composite_bob,
-    next_prime_at_least,
-    one_round_prob_alice,
-    one_round_prob_bob,
-)
+from .gf2codes import hamming_7_4, random_linear_code
+from .hashing import multi_nba_parties, nba_parties
+from .probproto import ProbParams, composite_parties, one_round_prob_parties
 from .syncdet import (
-    brute_alice,
-    brute_bob,
-    build_greedy_coloring,
-    coloring_alice,
-    coloring_bob,
-    listdec_alice,
-    listdec_bob,
-    syndrome_alice,
-    syndrome_bob,
+    SyncInstance,
+    _nonzero_masks_up_to_weight,
+    brute_parties,
+    coloring_parties,
+    listdec_parties,
+    syndrome_parties,
 )
 from .transport import (
     RECV,
+    Party,
     Role,
     outcome_from_party_run,
     run_party,
@@ -73,18 +63,17 @@ class ExperimentConfig:
     transport: str = "loopback"
     listen: Optional[str] = None
     connect: Optional[str] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
     params: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class TrialCase:
-    """One protocol run: the word Bob must recover plus fresh party factories."""
+    """One protocol run: the word Bob must recover plus both parties, not yet
+    started.  Each side of a TCP run drives only its own party."""
 
     truth: Word
-    alice: Callable[[], Any]
-    bob: Callable[[], Any]
+    alice: Party
+    bob: Party
 
 
 @dataclass(frozen=True)
@@ -119,39 +108,43 @@ REPORT_FIELDS = (
 )
 
 
-def _masks_up_to_weight(n: int, r: int) -> tuple[int, ...]:
-    masks = []
-    for weight in range(r + 1):
-        for positions in combinations(range(n), weight):
-            m = 0
-            for p in positions:
-                m |= 1 << p
-            masks.append(m)
-    return tuple(masks)
-
-
-def _sync_cases(cfg: ExperimentConfig, n: int, bounds: Bounds, root: Random, make) -> Iterator[TrialCase]:
+def _sync_cases(cfg: ExperimentConfig, bounds: Bounds, root: Random, parties) -> Iterator[TrialCase]:
     """Promise-pair instances: either every (x, y) with d <= radius, or
-    `trials` sampled ones.  make(x, y, alice_seed, bob_seed) -> TrialCase."""
-    r = bounds.radius
+    `trials` sampled ones.  parties(instance, alice_seed) returns the
+    protocol's (alice, bob) pair.  A Bob seed is drawn per trial to keep the
+    seed order fixed; no promise protocol's Bob draws from it."""
+    n, r = bounds.n, bounds.radius
     if cfg.exhaustive:
         if n > 20 or (1 << n) * ball_volume(r, n) > _EXHAUSTIVE_LIMIT:
             raise ContractError("exhaustive sweep exceeds the enumeration budget")
-        masks = _masks_up_to_weight(n, r)
+        masks = (0,) + _nonzero_masks_up_to_weight(n, r)
         for xv in range(1 << n):
             for mask in masks:
                 sa = root.getrandbits(64)
-                sb = root.getrandbits(64)
-                yield make(Word(xv, n), Word(xv ^ mask, n), sa, sb)
+                root.getrandbits(64)
+                inst = SyncInstance(Word(xv, n), Word(xv ^ mask, n), bounds)
+                yield TrialCase(inst.x, *parties(inst, sa))
     else:
         for _ in range(cfg.trials):
             si = root.getrandbits(64)
             sa = root.getrandbits(64)
-            sb = root.getrandbits(64)
-            inst = Random(si)
-            y = Word(inst.getrandbits(n), n)
-            x = random_word_within(y, r, inst)
-            yield make(x, y, sa, sb)
+            root.getrandbits(64)
+            rng = Random(si)
+            y = Word(rng.getrandbits(n), n)
+            inst = SyncInstance(random_word_within(y, r, rng), y, bounds)
+            yield TrialCase(inst.x, *parties(inst, sa))
+
+
+def _identification_draws(cfg: ExperimentConfig, root: Random) -> Iterator[tuple[Random, int]]:
+    """Per trial, the generator that draws Bob's set and Alice's words, and
+    Bob's seed.  Alice's seed is drawn and unused: her half draws nothing."""
+    if cfg.exhaustive:
+        raise ContractError("identification runs have no promise pairs to enumerate")
+    for _ in range(cfg.trials):
+        si = root.getrandbits(64)
+        root.getrandbits(64)
+        sb = root.getrandbits(64)
+        yield Random(si), sb
 
 
 def _distinct_words(inst: Random, n: int, k: int) -> list[Word]:
@@ -165,13 +158,9 @@ def _distinct_words(inst: Random, n: int, k: int) -> list[Word]:
     return words
 
 
-def _no_exhaustive(cfg: ExperimentConfig) -> None:
-    if cfg.exhaustive:
-        raise ContractError("identification runs have no promise pairs to enumerate")
-
-
 # ---------------------------------------------------------------------------
-# per-protocol case builders
+# per-protocol case builders; every precondition is checked by the
+# protocol's own parties function
 
 
 def _naive_alice(x: Word):
@@ -184,139 +173,63 @@ def _naive_bob():
     return msg, {}
 
 
-def _build_naive(cfg, n, bounds, params, root):
-    def make(x, y, sa, sb):
-        return TrialCase(x, lambda: _naive_alice(x), lambda: _naive_bob())
-
-    return _sync_cases(cfg, n, bounds, root, make)
+def _build_naive(cfg, bounds, params, root):
+    return _sync_cases(cfg, bounds, root, lambda inst, sa: (_naive_alice(inst.x), _naive_bob()))
 
 
-def _build_brute(cfg, n, bounds, params, root):
+def _build_brute(cfg, bounds, params, root):
     code = hamming_7_4()
-    if n != code.k:
-        raise ContractError(f"this runner transfers {code.k}-bit files; got n={n}")
-    r = bounds.radius
-    if min_distance(code) < 2 * r + 1:
-        raise ContractError(f"code does not uniquely correct {r} errors")
-
-    def make(x, y, sa, sb):
-        return TrialCase(x, lambda: brute_alice(code, x), lambda: brute_bob(code, y, r))
-
-    return _sync_cases(cfg, n, bounds, root, make)
+    return _sync_cases(cfg, bounds, root, lambda inst, sa: brute_parties(code, inst))
 
 
-def _build_syndrome(cfg, n, bounds, params, root):
+def _build_syndrome(cfg, bounds, params, root):
     code = hamming_7_4()
-    if n != code.n:
-        raise ContractError(f"this runner syncs {code.n}-bit words; got n={n}")
-    r = bounds.radius
-    if min_distance(code) < 2 * r + 1:
-        raise ContractError(f"code does not uniquely correct {r} errors")
-
-    def make(x, y, sa, sb):
-        return TrialCase(x, lambda: syndrome_alice(code, x), lambda: syndrome_bob(code, y, r))
-
-    return _sync_cases(cfg, n, bounds, root, make)
+    return _sync_cases(cfg, bounds, root, lambda inst, sa: syndrome_parties(code, inst))
 
 
-def _build_listdec(cfg, n, bounds, params, root):
-    radius = params["radius"] if params["radius"] is not None else bounds.radius
-    if radius < bounds.radius:
-        raise ContractError("list radius must cover the promise radius")
-    code = random_linear_code(n, params["code_k"], root)
-
-    def make(x, y, sa, sb):
-        return TrialCase(x, lambda: listdec_alice(code, x), lambda: listdec_bob(code, radius, y))
-
-    return _sync_cases(cfg, n, bounds, root, make)
+def _build_listdec(cfg, bounds, params, root):
+    radius = bounds.radius if params["radius"] is None else params["radius"]
+    code = random_linear_code(bounds.n, params["code_k"], root)
+    return _sync_cases(cfg, bounds, root, lambda inst, sa: listdec_parties(code, radius, inst))
 
 
-def _build_coloring(cfg, n, bounds, params, root):
-    r = bounds.radius
-    build_greedy_coloring(n, min(2 * r, n))  # validates the scale, warms the cache
-
-    def make(x, y, sa, sb):
-        return TrialCase(x, lambda: coloring_alice(n, r, x), lambda: coloring_bob(n, r, y))
-
-    return _sync_cases(cfg, n, bounds, root, make)
+def _build_coloring(cfg, bounds, params, root):
+    return _sync_cases(cfg, bounds, root, lambda inst, sa: coloring_parties(inst))
 
 
-def _build_nba(cfg, n, bounds, params, root):
-    _no_exhaustive(cfg)
-    k = params["k"]
-    if k < 1:
-        raise ContractError("need at least one candidate word")
-    for _ in range(cfg.trials):
-        si = root.getrandbits(64)
-        root.getrandbits(64)  # alice seed, unused: the exchange is deterministic
-        root.getrandbits(64)  # bob seed, unused
-        inst = Random(si)
+def _build_nba(cfg, bounds, params, root):
+    n, k = bounds.n, params["k"]
+    for inst, _sb in _identification_draws(cfg, root):
         words = _distinct_words(inst, n, k)
-        x = words[inst.randrange(k)]
-        yield TrialCase(
-            x,
-            lambda x=x: nba_alice(x),
-            lambda ws=tuple(words): nba_bob(ws, n),
-        )
+        # An empty set has no member to draw; nba_parties rejects it.
+        x = words[inst.randrange(k)] if words else None
+        yield TrialCase(x, *nba_parties(x, words, n))
 
 
-def _build_multinba(cfg, n, bounds, params, root):
-    _no_exhaustive(cfg)
-    k, l = params["k"], params["l"]
-    if not 1 <= l <= k:
-        raise ContractError("need 1 <= l <= k")
-    for _ in range(cfg.trials):
-        si = root.getrandbits(64)
-        root.getrandbits(64)  # alice seed, unused
-        sb = root.getrandbits(64)
-        inst = Random(si)
+def _build_multinba(cfg, bounds, params, root):
+    n, k, l = bounds.n, params["k"], params["l"]
+    for inst, sb in _identification_draws(cfg, root):
         words = _distinct_words(inst, n, k)
-        xs = inst.sample(words, l)
-        truth = pack_fields([(w.value, n) for w in xs])
-        yield TrialCase(
-            truth,
-            lambda xs=tuple(xs), k=k: multi_nba_alice(xs, k),
-            lambda ws=tuple(words), sb=sb: multi_nba_bob(ws, n, l, Random(sb)),
-        )
+        # l outside [0, k] cannot be drawn; multi_nba_parties rejects it.
+        xs = inst.sample(words, l) if 0 <= l <= k else []
+        alice, bob = multi_nba_parties(xs, words, n, Random(sb))
+        yield TrialCase(pack_fields([(w.value, n) for w in xs]), alice, bob)
 
 
-def _build_problist(cfg, n, bounds, params, root):
-    radius = params["radius"] if params["radius"] is not None else bounds.radius
-    if radius < bounds.radius:
-        raise ContractError("list radius must cover the promise radius")
+def _build_problist(cfg, bounds, params, root):
+    radius = bounds.radius if params["radius"] is None else params["radius"]
     oversample, list_cap = params["oversample"], params["list_cap"]
-    code = random_linear_code(n, params["code_k"], root)
+    code = random_linear_code(bounds.n, params["code_k"], root)
 
-    def make(x, y, sa, sb):
-        return TrialCase(
-            x,
-            lambda: one_round_prob_alice(code, x, oversample, list_cap, Random(sa)),
-            lambda: one_round_prob_bob(code, radius, y, oversample, list_cap),
-        )
+    def parties(inst, sa):
+        return one_round_prob_parties(code, radius, inst, oversample, Random(sa), list_cap=list_cap)
 
-    return _sync_cases(cfg, n, bounds, root, make)
+    return _sync_cases(cfg, bounds, root, parties)
 
 
-def _build_smith(cfg, n, bounds, params, root):
-    pp = ProbParams(
-        k=params["k"], s=params["s"], delta=params["delta"], inner_dim=params["inner_dim"]
-    )
-    if pp.delta >= Fraction(1, 2) - bounds.alpha:
-        raise ContractError("need delta < 1/2 - alpha")
-    if pp.k > INNER_MAX_K:
-        raise ContractError(f"per-block decoding is capped at k <= {INNER_MAX_K}")
-    m = -(-next_prime_at_least(n) // pp.k)
-    if (1 << pp.k) <= m + pp.s:
-        raise ContractError("field too small for the block count plus extras")
-
-    def make(x, y, sa, sb):
-        return TrialCase(
-            x,
-            lambda: composite_alice(x, pp, Random(sa)),
-            lambda: composite_bob(y, pp),
-        )
-
-    return _sync_cases(cfg, n, bounds, root, make)
+def _build_smith(cfg, bounds, params, root):
+    pp = ProbParams(**params)
+    return _sync_cases(cfg, bounds, root, lambda inst, sa: composite_parties(inst, pp, Random(sa)))
 
 
 @dataclass(frozen=True)
@@ -378,14 +291,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     if unknown:
         raise ContractError(f"parameters not used by {cfg.protocol}: {sorted(unknown)}")
     params = {**spec.default_params, **cfg.params}
-    root = Random(cfg.seed)
-    cases = spec.build(cfg, n, bounds, params, root)
+    cases = spec.build(cfg, bounds, params, Random(cfg.seed))
+    # Build the first case now, so bad parameters fail before a socket opens.
+    cases = chain([next(cases)], cases)
     start = time.monotonic()
 
     if cfg.transport == "loopback":
         if cfg.listen or cfg.connect:
             raise ContractError("listen/connect only apply to the tcp transport")
-        pairs = ((case, run_protocol(case.alice(), case.bob())) for case in cases)
+        pairs = ((case, run_protocol(case.alice, case.bob)) for case in cases)
         return [_aggregate(cfg, n, bounds, pairs, start)]
     if cfg.transport != "tcp":
         raise ContractError(f"unknown transport {cfg.transport!r}")
@@ -395,14 +309,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         end = tcp_channel("listen:" + cfg.listen)
         try:
             for case in cases:
-                run_party(case.alice(), Role.ALICE, end)
+                run_party(case.alice, Role.ALICE, end)
         finally:
             end.close()
         return []
     end = tcp_channel("connect:" + cfg.connect)
     try:
         pairs = (
-            (case, outcome_from_party_run(run_party(case.bob(), Role.BOB, end)))
+            (case, outcome_from_party_run(run_party(case.bob, Role.BOB, end)))
             for case in cases
         )
         return [_aggregate(cfg, n, bounds, pairs, start)]

@@ -17,17 +17,11 @@ from typing import Iterable, Sequence
 
 from .bitword import Word, pack_fields, unpack_fields
 from .errors import ContractError, InvariantError, RetryLimitError
-from .transport import RECV, ProtocolOutcome, run_protocol
-
-
-@dataclass(frozen=True, slots=True)
-class PrimeTable:
-    limit: int
-    primes: tuple[int, ...]
+from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 
 @lru_cache(maxsize=None)
-def sieve_primes(limit: int) -> PrimeTable:
+def sieve_primes(limit: int) -> tuple[int, ...]:
     """All primes up to and including limit, by sieve of Eratosthenes."""
     if limit < 2:
         raise ContractError(f"sieve limit must be >= 2, got {limit}")
@@ -36,7 +30,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return PrimeTable(limit, tuple(i for i in range(limit + 1) if flags[i]))
+    return tuple(i for i in range(limit + 1) if flags[i])
 
 
 def is_prime(m: int) -> bool:
@@ -58,12 +52,12 @@ def first_primes(count: int) -> tuple[int, ...]:
     if count < 1:
         raise ContractError("count must be >= 1")
     if count < 6:
-        return sieve_primes(13).primes[:count]
+        return sieve_primes(13)[:count]
     # p_count < count*(ln count + ln ln count); pad and grow if the estimate
     # still falls short.
     limit = int(count * (math.log(count) + math.log(math.log(count))) * 1.2) + 10
     while True:
-        primes = sieve_primes(limit).primes
+        primes = sieve_primes(limit)
         if len(primes) >= count:
             return primes[:count]
         limit = int(limit * 1.3) + 1
@@ -95,7 +89,7 @@ def find_injective_prime(values: Iterable[int], n: int) -> ModHash:
         if not 0 <= x < (1 << n):
             raise ContractError(f"value {x} is not an n-bit word for n={n}")
     bound = max(2, k * k * n)
-    for q in sieve_primes(bound).primes:
+    for q in sieve_primes(bound):
         seen = set()
         for x in vals:
             r = x % q
@@ -212,6 +206,15 @@ def nba_bob(candidates: Sequence[Word], n: int):
     return None, diag
 
 
+def nba_parties(x_alice: Word, y_bob: Iterable[Word], n: int) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for nba_protocol, after its checks."""
+    cands = list(y_bob)
+    _check_candidates(cands, n)
+    if x_alice.n != n:
+        raise ContractError("alice's word must have length n")
+    return nba_alice(x_alice), nba_bob(cands, n)
+
+
 def nba_protocol(x_alice: Word, y_bob: Iterable[Word], n: int) -> ProtocolOutcome:
     """Two-round identification: Bob sends a prime q in exactly
     ceil(log2(k^2*n + 1)) bits, Alice replies with x mod q in the same width.
@@ -220,11 +223,7 @@ def nba_protocol(x_alice: Word, y_bob: Iterable[Word], n: int) -> ProtocolOutcom
     either reports failure (no residue matched) or silently accepts a wrong
     word (a broken promise is undetectable when residues collide).
     """
-    cands = list(y_bob)
-    _check_candidates(cands, n)
-    if x_alice.n != n:
-        raise ContractError("alice's word must have length n")
-    return run_protocol(nba_alice(x_alice), nba_bob(cands, n))
+    return run_protocol(*nba_parties(x_alice, y_bob, n))
 
 
 def _check_candidates(cands: Sequence[Word], n: int) -> None:
@@ -278,6 +277,20 @@ def multi_nba_bob(candidates: Sequence[Word], n: int, l: int, rng: Random):
     }
 
 
+def multi_nba_parties(
+    xs_alice: Sequence[Word], y_bob: Iterable[Word], n: int, rng: Random
+) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for multi_nba_protocol, after its checks."""
+    cands = list(y_bob)
+    _check_candidates(cands, n)
+    xs = list(xs_alice)
+    if not 1 <= len(xs) <= len(cands):
+        raise ContractError("alice needs between 1 and k words")
+    if any(x.n != n for x in xs):
+        raise ContractError("all of alice's words must have length n")
+    return multi_nba_alice(xs, len(cands)), multi_nba_bob(cands, n, len(xs), rng)
+
+
 def multi_nba_protocol(
     xs_alice: Sequence[Word], y_bob: Iterable[Word], n: int, rng: Random
 ) -> ProtocolOutcome:
@@ -289,11 +302,4 @@ def multi_nba_protocol(
     concatenation of the l identified words in Alice's order (low bits
     first); per-word values are in diagnostics.
     """
-    cands = list(y_bob)
-    _check_candidates(cands, n)
-    xs = list(xs_alice)
-    if not xs:
-        raise ContractError("alice needs at least one word")
-    if any(x.n != n for x in xs):
-        raise ContractError("all of alice's words must have length n")
-    return run_protocol(multi_nba_alice(xs, len(cands)), multi_nba_bob(cands, n, len(xs), rng))
+    return run_protocol(*multi_nba_parties(xs_alice, y_bob, n, rng))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional
 
 from .bitword import Word, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
@@ -29,8 +28,8 @@ from .gf2codes import (
 )
 from .gf2k_rs import field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_bound, random_prime_hash
-from .syncdet import SyncInstance, coset_representative
-from .transport import RECV, ProtocolOutcome, run_protocol
+from .syncdet import SyncInstance, _check_list_radius, coset_representative
+from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 INNER_MAX_K = 14  # per-block decoding enumerates 2^inner_dim words of k bits
 
@@ -97,10 +96,6 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     return Word(value, p)
 
 
-def invert_permutation(perm: AffinePermutation, w: Word) -> Word:
-    return apply_permutation(perm.inverse(), w)
-
-
 def block_values(w: Word, k: int) -> list[int]:
     """The word split into ceil(n/k) blocks of k bits, low block first; the
     last block is implicitly zero-padded."""
@@ -160,6 +155,23 @@ def one_round_prob_bob(code: LinearCode, radius: int, y: Word, oversample: int, 
     return Word(matches[0], code.n), diag
 
 
+def one_round_prob_parties(
+    code: LinearCode,
+    radius: int,
+    instance: SyncInstance,
+    oversample: int,
+    rng: Random,
+    *,
+    list_cap: int = 16,
+) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for one_round_prob_sync, after its checks."""
+    _check_list_radius(code, radius, instance)
+    return (
+        one_round_prob_alice(code, instance.x, oversample, list_cap, rng),
+        one_round_prob_bob(code, radius, instance.y, oversample, list_cap),
+    )
+
+
 def one_round_prob_sync(
     code: LinearCode,
     radius: int,
@@ -178,13 +190,8 @@ def one_round_prob_sync(
     from is sized so a collision on any fixed list of at most list_cap words
     has probability at most 1/oversample.
     """
-    if instance.n != code.n:
-        raise ContractError("code block length must equal the instance length")
-    if radius < instance.bounds.radius:
-        raise ContractError("list radius must cover the promise radius")
     return run_protocol(
-        one_round_prob_alice(code, instance.x, oversample, list_cap, rng),
-        one_round_prob_bob(code, radius, instance.y, oversample, list_cap),
+        *one_round_prob_parties(code, radius, instance, oversample, rng, list_cap=list_cap)
     )
 
 
@@ -201,14 +208,12 @@ class ProbParams:
     delta: slack over alpha; blocks differing in >= (alpha+delta)*k
         positions count as dangerous in the analysis.
     inner_dim: dimension of the sampled per-block code.
-    seed: fallback seed for Alice's draws when no generator is supplied.
     """
 
     k: int
     s: int
     delta: Fraction
     inner_dim: int
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -302,9 +307,25 @@ def composite_bob(y: Word, params: ProbParams):
     return Word(unpermuted.value, y.n), diag
 
 
-def composite_prob_sync(
-    instance: SyncInstance, params: ProbParams, rng: Optional[Random] = None
-) -> ProtocolOutcome:
+def composite_parties(
+    instance: SyncInstance, params: ProbParams, rng: Random
+) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for composite_prob_sync, after its checks."""
+    if params.delta >= Fraction(1, 2) - instance.bounds.alpha:
+        raise ContractError("need delta < 1/2 - alpha")
+    if params.k > INNER_MAX_K:
+        raise CapabilityError(f"per-block decoding is capped at k <= {INNER_MAX_K}")
+    if instance.n < 2:
+        raise ContractError("composite sync needs n >= 2")
+    m = -(-next_prime_at_least(instance.n) // params.k)
+    if (1 << params.k) <= m + params.s:
+        raise ContractError(
+            f"field of size 2^{params.k} cannot hold {m} blocks plus {params.s} extras"
+        )
+    return composite_alice(instance.x, params, rng), composite_bob(instance.y, params)
+
+
+def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random) -> ProtocolOutcome:
     """Permute both words with a shared random affine map, sync each k-bit
     block by syndrome plus nearest-codeword choice, then heal the blocks
     that came out wrong with s extra evaluations of the block-interpolating
@@ -320,21 +341,4 @@ def composite_prob_sync(
     wrong-block count to exceed floor(s/2) and the result to still look
     consistent.
     """
-    bounds = instance.bounds
-    if params.delta >= Fraction(1, 2) - bounds.alpha:
-        raise ContractError("need delta < 1/2 - alpha")
-    if params.k > INNER_MAX_K:
-        raise CapabilityError(f"per-block decoding is capped at k <= {INNER_MAX_K}")
-    if instance.n < 2:
-        raise ContractError("composite sync needs n >= 2")
-    p = next_prime_at_least(instance.n)
-    m = -(-p // params.k)
-    if (1 << params.k) <= m + params.s:
-        raise ContractError(
-            f"field of size 2^{params.k} cannot hold {m} blocks plus {params.s} extras"
-        )
-    if rng is None:
-        rng = Random(params.seed)
-    return run_protocol(
-        composite_alice(instance.x, params, rng), composite_bob(instance.y, params)
-    )
+    return run_protocol(*composite_parties(instance, params, rng))

@@ -7,8 +7,10 @@ transfer with unique decoding, syndrome transfer with list decoding plus an
 identification finish, and a small-n coloring oracle that realizes the
 one-round lower bound shape by brute force.
 
-Party generators are exposed separately from the one-call wrappers so the
-same code runs split across two processes over TCP.
+Each protocol's preconditions are checked once, in its ``*_parties``
+function, which returns the (alice, bob) generator pair.  The one-call
+wrapper runs that pair over the loopback; the harness runs the same pair
+over the loopback or splits it across two processes over TCP.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .gf2codes import (
     unique_decode,
 )
 from .hashing import nba_alice, nba_bob
-from .transport import RECV, ProtocolOutcome, run_protocol
+from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 _COLORING_MAX_N = 14
 _COLORING_SCAN_BUDGET = 50_000_000  # vertices times ball volume
@@ -57,6 +59,21 @@ class SyncInstance:
     @property
     def n(self) -> int:
         return self.bounds.n
+
+
+def _unique_radius(code: LinearCode, instance: SyncInstance) -> int:
+    """The promise radius, once the code is known to correct that many errors."""
+    r = instance.bounds.radius
+    if min_distance(code) < 2 * r + 1:
+        raise ContractError(f"code does not uniquely correct {r} errors")
+    return r
+
+
+def _check_list_radius(code: LinearCode, radius: int, instance: SyncInstance) -> None:
+    if instance.n != code.n:
+        raise ContractError("code block length must equal the instance length")
+    if radius < instance.bounds.radius:
+        raise ContractError("list radius must cover the promise radius")
 
 
 def _gather_bits(value: int, positions: tuple[int, ...]) -> int:
@@ -93,6 +110,16 @@ def brute_bob(code: LinearCode, y: Word, radius: int):
     return extract_message(code, z), diag
 
 
+def brute_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for brute_sync, after its checks."""
+    if instance.n != code.k:
+        raise ContractError(
+            f"the file is the code's message block: need n == k, got {instance.n} != {code.k}"
+        )
+    r = _unique_radius(code, instance)
+    return brute_alice(code, instance.x), brute_bob(code, instance.y, r)
+
+
 def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     """One round, n/rate - n bits: Alice's file sits verbatim in the message
     positions of a codeword, so only the check bits travel.
@@ -101,14 +128,7 @@ def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     differs from x, then unique-decodes.  The caller must supply a code whose
     guaranteed correction radius covers the promise.
     """
-    if instance.n != code.k:
-        raise ContractError(
-            f"the file is the code's message block: need n == k, got {instance.n} != {code.k}"
-        )
-    r = instance.bounds.radius
-    if min_distance(code) < 2 * r + 1:
-        raise ContractError(f"code does not uniquely correct {r} errors")
-    return run_protocol(brute_alice(code, instance.x), brute_bob(code, instance.y, r))
+    return run_protocol(*brute_parties(code, instance))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +159,14 @@ def syndrome_bob(code: LinearCode, y: Word, radius: int):
     return y_prime ^ y ^ z, diag
 
 
+def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for syndrome_sync, after its checks."""
+    if instance.n != code.n:
+        raise ContractError("code block length must equal the instance length")
+    r = _unique_radius(code, instance)
+    return syndrome_alice(code, instance.x), syndrome_bob(code, instance.y, r)
+
+
 def syndrome_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     """One round, (1 - rate) * n bits: Alice sends H x.
 
@@ -146,14 +174,7 @@ def syndrome_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     unique-decoding t recovers c, and t xor y xor c is x.  Exact whenever the
     promise holds and the code corrects radius errors.
     """
-    if instance.n != code.n:
-        raise ContractError("code block length must equal the instance length")
-    r = instance.bounds.radius
-    if min_distance(code) < 2 * r + 1:
-        raise ContractError(f"code does not uniquely correct {r} errors")
-    return run_protocol(
-        syndrome_alice(code, instance.x), syndrome_bob(code, instance.y, r)
-    )
+    return run_protocol(*syndrome_parties(code, instance))
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +204,22 @@ def listdec_bob(code: LinearCode, radius: int, y: Word):
     return winner, {**diag, **nba_diag}
 
 
-def listdec_sync(
-    code: LinearCode, radius: int, instance: SyncInstance, rng=None
-) -> ProtocolOutcome:
+def listdec_parties(
+    code: LinearCode, radius: int, instance: SyncInstance
+) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for listdec_sync, after its checks."""
+    _check_list_radius(code, radius, instance)
+    return listdec_alice(code, instance.x), listdec_bob(code, radius, instance.y)
+
+
+def listdec_sync(code: LinearCode, radius: int, instance: SyncInstance) -> ProtocolOutcome:
     """Three rounds: syndrome down, a separating prime back, a residue down.
 
     Bob list-decodes the coset representative to the given radius; the
     candidate words t xor y xor z_i then contain x whenever the promise
-    holds, and the identification exchange picks it out.  rng is accepted
-    for call-shape parity with the randomized protocols; nothing here draws
-    from it.
+    holds, and the identification exchange picks it out.
     """
-    if instance.n != code.n:
-        raise ContractError("code block length must equal the instance length")
-    if radius < instance.bounds.radius:
-        raise ContractError("list radius must cover the promise radius")
-    return run_protocol(
-        listdec_alice(code, instance.x), listdec_bob(code, radius, instance.y)
-    )
+    return run_protocol(*listdec_parties(code, radius, instance))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +293,18 @@ def coloring_bob(n: int, radius: int, y: Word):
     return Word(matches[0], n), diag
 
 
+def coloring_parties(instance: SyncInstance, radius: int | None = None) -> tuple[Party, Party]:
+    """Alice's and Bob's generators for coloring_oracle_sync, after its checks."""
+    n = instance.n
+    r = instance.bounds.radius if radius is None else radius
+    if not 0 <= r <= n:
+        raise ContractError(f"radius must be in [0, {n}]")
+    if hamming_distance(instance.x, instance.y) > r:
+        raise ContractError("instance distance exceeds the oracle radius")
+    build_greedy_coloring(n, min(2 * r, n))  # rejects cubes beyond desk scale
+    return coloring_alice(n, r, instance.x), coloring_bob(n, r, instance.y)
+
+
 def coloring_oracle_sync(instance: SyncInstance, radius: int | None = None) -> ProtocolOutcome:
     """One round, ceil(log2(#colors)) bits: Alice names her word's color.
 
@@ -281,12 +312,4 @@ def coloring_oracle_sync(instance: SyncInstance, radius: int | None = None) -> P
     cannot rule out lies within 2*radius of x, so the color is unambiguous
     inside his ball.  Enumerates the whole cube; desk scale only.
     """
-    r = instance.bounds.radius if radius is None else radius
-    if not 0 <= r <= instance.n:
-        raise ContractError(f"radius must be in [0, {instance.n}]")
-    if hamming_distance(instance.x, instance.y) > r:
-        raise ContractError("instance distance exceeds the oracle radius")
-    return run_protocol(
-        coloring_alice(instance.n, r, instance.x),
-        coloring_bob(instance.n, r, instance.y),
-    )
+    return run_protocol(*coloring_parties(instance, radius))

@@ -56,13 +56,10 @@ def _outgoing(role: Role) -> Direction:
 class Message:
     direction: Direction
     payload: Word
-    round_index: int
 
     def __post_init__(self) -> None:
         if self.payload.n < 1:
             raise ContractError("messages must carry at least one bit")
-        if self.round_index < 1:
-            raise ContractError("round_index is 1-based")
 
 
 @dataclass(frozen=True)
@@ -95,20 +92,6 @@ class ProtocolOutcome:
     def __post_init__(self) -> None:
         if (self.recovered is None) != self.reported_failure:
             raise ContractError("exactly one of recovered / reported_failure must hold")
-
-
-class _RoundCounter:
-    """Assigns 1-based round indices; a round is a maximal same-direction run."""
-
-    def __init__(self) -> None:
-        self._last: Optional[Direction] = None
-        self._round = 0
-
-    def index_for(self, direction: Direction) -> int:
-        if direction is not self._last:
-            self._round += 1
-            self._last = direction
-        return self._round
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +164,16 @@ class _PartyState:
 _DONE = object()
 
 
-def run_protocol(
-    alice: Party,
-    bob: Party,
-    channel: Optional[tuple[LoopbackEnd, LoopbackEnd]] = None,
-) -> ProtocolOutcome:
+def run_protocol(alice: Party, bob: Party) -> ProtocolOutcome:
     """Drive both parties over a loopback channel until Bob finishes.
 
     Raises ProtocolExecutionError on deadlock (both parties waiting with no
     message in flight) or when a party raises.
     """
-    if channel is None:
-        channel = loopback_channel()
-    ends = {Role.ALICE: channel[0], Role.BOB: channel[1]}
+    alice_end, bob_end = loopback_channel()
+    ends = {Role.ALICE: alice_end, Role.BOB: bob_end}
     states = {Role.ALICE: _PartyState(Role.ALICE, alice), Role.BOB: _PartyState(Role.BOB, bob)}
     messages: list[Message] = []
-    rounds = _RoundCounter()
 
     for st in states.values():
         st.advance(None)
@@ -206,8 +183,7 @@ def run_protocol(
         for role in (Role.ALICE, Role.BOB):
             st = states[role]
             if isinstance(st.want, Word):
-                direction = _outgoing(role)
-                messages.append(Message(direction, st.want, rounds.index_for(direction)))
+                messages.append(Message(_outgoing(role), st.want))
                 ends[role].send_bits(st.want)
                 st.advance(None)
                 progressed = True
@@ -256,20 +232,18 @@ def run_party(party: Party, role: Role, end: Any) -> PartyRun:
     conversation: identical on both ends for alternating protocols.
     """
     messages: list[Message] = []
-    rounds = _RoundCounter()
     gen = party
     try:
         want = next(gen)
         while True:
             if isinstance(want, Word):
-                direction = _outgoing(role)
-                messages.append(Message(direction, want, rounds.index_for(direction)))
+                messages.append(Message(_outgoing(role), want))
                 end.send_bits(want)
                 want = next(gen)
             elif want is RECV:
                 w = end.recv_bits()
                 direction = _outgoing(Role.BOB if role is Role.ALICE else Role.ALICE)
-                messages.append(Message(direction, w, rounds.index_for(direction)))
+                messages.append(Message(direction, w))
                 want = gen.send(w)
             else:
                 raise ProtocolExecutionError(
@@ -332,9 +306,6 @@ class TcpEnd:
         raw = self._recv_exact((nbits + 7) // 8)
         value = int.from_bytes(raw, "little") & ((1 << nbits) - 1)
         return Word(value, nbits)
-
-    def has_pending(self) -> bool:  # cooperative driving is loopback-only
-        raise TransportError("TCP ends support blocking receive only; use run_party")
 
     def close(self) -> None:
         try:

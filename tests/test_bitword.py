@@ -68,25 +68,6 @@ def test_word_from_bits_roundtrip():
         assert Word.from_bits(w.bits()) == w
 
 
-def test_word_serialization_roundtrip():
-    rng = random.Random(12)
-    for _ in range(200):
-        n = rng.randint(1, 130)
-        w = Word(rng.getrandbits(n), n)
-        assert Word.from_bytes(w.to_bytes()) == w
-
-
-def test_word_serialization_rejects_padding():
-    raw = bytearray(Word(1, 3).to_bytes())
-    raw[-1] |= 0x08  # set a bit above length 3
-    with pytest.raises(ContractError):
-        Word.from_bytes(bytes(raw))
-    with pytest.raises(ContractError):
-        Word.from_bytes(Word(1, 3).to_bytes() + b"\x00")
-    with pytest.raises(ContractError):
-        Word.from_bytes(b"\x01")
-
-
 def test_hamming_distance_matches_oracle():
     rng = random.Random(13)
     for _ in range(300):

@@ -36,7 +36,7 @@ def injective(q: int, vals) -> bool:
 
 def test_sieve_matches_trial_division():
     table = sieve_primes(500)
-    assert set(table.primes) == {m for m in range(501) if trial_division(m)}
+    assert set(table) == {m for m in range(501) if trial_division(m)}
 
 
 def test_is_prime_matches_trial_division():
@@ -68,7 +68,7 @@ def test_find_injective_prime_is_minimal():
         h = find_injective_prime(vals, n)
         assert h.q <= max(2, k * k * n)
         assert injective(h.q, vals)
-        for q in sieve_primes(h.q).primes:
+        for q in sieve_primes(h.q):
             if q < h.q:
                 assert not injective(q, vals)
 

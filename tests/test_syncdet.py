@@ -184,3 +184,7 @@ def test_coloring_budget_guards():
         build_greedy_coloring(15, 1)
     with pytest.raises(CapabilityError):
         build_greedy_coloring(14, 8)
+    # the oracle raises the same error before either party starts
+    inst = SyncInstance(Word(0, 15), Word(0, 15), Bounds(Fraction(1, 15), 15))
+    with pytest.raises(CapabilityError):
+        coloring_oracle_sync(inst)

@@ -7,7 +7,6 @@ from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
 from hamsync.transport import (
     RECV,
     Direction,
-    Message,
     ProtocolOutcome,
     Role,
     TcpListener,
@@ -43,7 +42,6 @@ def test_pingpong_counts_bits_and_rounds():
     assert t.rounds == 3
     dirs = [m.direction for m in t.messages]
     assert dirs == [Direction.ALICE_TO_BOB, Direction.BOB_TO_ALICE, Direction.ALICE_TO_BOB]
-    assert [m.round_index for m in t.messages] == [1, 2, 3]
     assert not outcome.reported_failure
     # second = (x flip bit0) xor x = e0
     assert outcome.recovered == Word(0b0001, 4)
@@ -131,8 +129,6 @@ def test_outcome_contract():
         ProtocolOutcome(None, False, Transcript(()), {})
     with pytest.raises(ContractError):
         ProtocolOutcome(Word(0, 1), True, Transcript(()), {})
-    with pytest.raises(ContractError):
-        Message(Direction.ALICE_TO_BOB, Word(0, 1), 0)
 
 
 def test_run_party_threads_match_run_protocol():
@@ -209,8 +205,9 @@ def test_tcp_end_is_blocking_only():
     t.start()
     end = tcp_connect("127.0.0.1", listener.port)
     try:
+        # The receive blocks until the peer closes, then fails.
         with pytest.raises(TransportError):
-            end.has_pending()
+            end.recv_bits()
     finally:
         end.close()
         t.join()
