@@ -31,17 +31,6 @@ class Word:
         if not isinstance(self.value, int) or not 0 <= self.value < (1 << self.n):
             raise ContractError("word value does not fit in the declared bit length")
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ContractError(f"bit index {i} outside [0, {self.n})")
-        return (self.value >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.n))
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
     def flip(self, positions: Iterable[int]) -> "Word":
         mask = 0
         for i in positions:
@@ -55,14 +44,11 @@ class Word:
             raise ContractError("xor of words with different lengths")
         return Word(self.value ^ other.value, self.n)
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Word":
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ContractError("bits must be 0 or 1")
-            value |= b << i
-        return cls(value, len(bits))
+
+def exact_fraction(value: Fraction | int | float | str) -> Fraction:
+    """A rate as an exact fraction.  Floats go through their decimal
+    spelling, so 0.15 means 3/20, not the nearest binary fraction."""
+    return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,12 +59,8 @@ class Bounds:
     n: int
 
     def __post_init__(self) -> None:
-        alpha = self.alpha
-        if not isinstance(alpha, Fraction):
-            # Floats go through their decimal spelling so 0.15 means 3/20,
-            # not the nearest binary fraction.
-            alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
-            object.__setattr__(self, "alpha", alpha)
+        alpha = exact_fraction(self.alpha)
+        object.__setattr__(self, "alpha", alpha)
         if not 0 <= alpha <= Fraction(1, 2):
             raise ContractError(f"alpha must be in [0, 1/2], got {alpha}")
         if not 1 <= self.n <= MAX_WORD_BITS:
@@ -127,7 +109,7 @@ def log2_big(x: int) -> float:
 def lower_bound_bits(alpha: Fraction | float, n: int) -> float:
     """log2 of the exact ball volume at radius floor(alpha*n): a floor on the
     bits any one-round deterministic protocol must send."""
-    bounds = Bounds(Fraction(alpha), n)
+    bounds = Bounds(alpha, n)
     return log2_big(ball_volume(bounds.radius, n))
 
 

@@ -16,7 +16,8 @@ from .bitword import Bounds, ball_volume, binary_entropy, log2_big
 from .errors import CapabilityError, ContractError, ProtocolExecutionError, TransportError
 from .harness import PROTOCOLS, ExperimentConfig, emit_report, run_experiment
 
-_PARAM_NAMES = ("k", "code_k", "l", "s", "inner_dim", "radius", "oversample", "list_cap", "delta")
+# Protocol knobs, each with a flag of the same name (dashes for underscores).
+_PARAM_NAMES = sorted({name for spec in PROTOCOLS.values() for name in spec.default_params})
 
 
 def _fraction(text: str) -> Fraction:
@@ -37,9 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, default=100)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--exhaustive", action="store_true", help="enumerate every promise pair instead of sampling")
-    run.add_argument("--transport", choices=("loopback", "tcp"), default="loopback")
-    run.add_argument("--listen", metavar="HOST:PORT", default=None, help="tcp: serve the Alice side")
-    run.add_argument("--connect", metavar="HOST:PORT", default=None, help="tcp: run the Bob side and report")
+    run.add_argument("--listen", metavar="HOST:PORT", default=None, help="serve the Alice side over TCP")
+    run.add_argument("--connect", metavar="HOST:PORT", default=None, help="run the Bob side over TCP and report")
     run.add_argument("--out", default=None, help="write the report to this file")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--k", type=int, default=None, help="candidate-set size (nba, multinba) or block width (smith)")
@@ -73,7 +73,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         exhaustive=args.exhaustive,
-        transport=args.transport,
         listen=args.listen,
         connect=args.connect,
         params=params,

@@ -33,11 +33,6 @@ class BitMatrix:
         if any(not 0 <= m < limit for m in self.row_masks):
             raise ContractError("row mask has bits outside the column range")
 
-    def entry(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise ContractError("matrix index out of range")
-        return (self.row_masks[r] >> c) & 1
-
 
 def mat_vec(m: BitMatrix, x: int) -> int:
     """Product over GF(2): output bit r is the parity of row r AND x."""
@@ -173,7 +168,7 @@ def extract_message(code: LinearCode, codeword: Word) -> Word:
     value = 0
     for i, pos in enumerate(code.message_positions):
         value |= ((codeword.value >> pos) & 1) << i
-    return Word(value, code.k) if code.k else Word(0, 1)
+    return Word(value, code.k)
 
 
 def syndrome(code: LinearCode, x: Word) -> Word:
@@ -183,17 +178,20 @@ def syndrome(code: LinearCode, x: Word) -> Word:
     return Word(mat_vec(code.h, x.value), code.n - code.k)
 
 
-def random_linear_code(n: int, k: int, rng: Random, max_attempts: int = 1000) -> LinearCode:
+_FULL_RANK_ATTEMPTS = 1000
+
+
+def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
     """Uniformly random (n-k) x n parity-check matrix, resampled until it has
     full row rank."""
     if not 1 <= k < n:
         raise ContractError("need 1 <= k < n")
-    for _ in range(max_attempts):
+    for _ in range(_FULL_RANK_ATTEMPTS):
         masks = tuple(rng.getrandbits(n) for _ in range(n - k))
         reduced, pivots = _rref(masks, n)
         if len(pivots) == n - k:
             return code_from_parity(masks, n)
-    raise RetryLimitError(f"no full-rank parity matrix in {max_attempts} samples")
+    raise RetryLimitError(f"no full-rank parity matrix in {_FULL_RANK_ATTEMPTS} samples")
 
 
 @lru_cache(maxsize=128)

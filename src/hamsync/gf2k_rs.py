@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import ContractError
 
-# One fixed irreducible polynomial per supported k (top bit included).
+# One fixed primitive polynomial per supported k (top bit included).
 IRREDUCIBLE: dict[int, int] = {
     2: 0b111,
     3: 0b1011,
@@ -34,32 +34,6 @@ IRREDUCIBLE: dict[int, int] = {
 }
 
 
-def _mul_slow(a: int, b: int, modulus: int, k: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> k:
-            a ^= modulus
-    return acc
-
-
-def _factorize(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 class Field:
     """GF(2^k) with table-based multiplication and inversion."""
 
@@ -72,45 +46,25 @@ class Field:
         self.size = 1 << k
         self.modulus = IRREDUCIBLE[k]
         order = self.size - 1
-        gen = self._find_generator(order)
         exp = [0] * (2 * order)
         log = [0] * self.size
+        # The tables are powers of x, which generates the multiplicative group
+        # exactly when the modulus is primitive.
         x = 1
         for i in range(order):
             exp[i] = x
             exp[i + order] = x
             log[x] = i
-            x = _mul_slow(x, gen, self.modulus, k)
-        if x != 1:
-            raise ContractError(f"polynomial for k={k} is not irreducible")
+            x <<= 1
+            if x >> k:
+                x ^= self.modulus
+        if x != 1 or 1 in exp[1:order]:
+            raise ContractError(f"the modulus for k={k} is not primitive")
         self.exp = exp
         self.log = log
         self.inv_table = [0] * self.size
         for v in range(1, self.size):
             self.inv_table[v] = exp[order - log[v]]
-
-    def _find_generator(self, order: int) -> int:
-        factors = _factorize(order)
-        for g in range(2, self.size):
-            if all(
-                self._pow_slow(g, order // f) != 1 for f in factors
-            ):
-                return g
-        raise ContractError("no multiplicative generator found")
-
-    def _pow_slow(self, base: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = _mul_slow(acc, base, self.modulus, self.k)
-            base = _mul_slow(base, base, self.modulus, self.k)
-            e >>= 1
-        return acc
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -121,16 +75,6 @@ class Field:
         if a == 0:
             raise ContractError("zero has no multiplicative inverse")
         return self.inv_table[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] * e) % (self.size - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +215,7 @@ def interpolate(fld: Field, points: Sequence[tuple[int, int]]) -> list[int]:
             continue
         q = _synthetic_div(fld, master, x)
         denom = poly_eval(fld, q, x)
-        out = poly_add(out, poly_scale(fld, q, fld.div(y, denom)))
+        out = poly_add(out, poly_scale(fld, q, fld.mul(y, fld.inv(denom))))
     return poly_trim(out)
 
 

@@ -43,10 +43,12 @@ from .transport import (
     RECV,
     Party,
     Role,
+    TcpListener,
+    host_port,
     outcome_from_party_run,
     run_party,
     run_protocol,
-    tcp_channel,
+    tcp_connect,
 )
 
 _EXHAUSTIVE_LIMIT = 1_000_000
@@ -60,9 +62,8 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     exhaustive: bool = False
-    transport: str = "loopback"
-    listen: Optional[str] = None
-    connect: Optional[str] = None
+    listen: Optional[str] = None  # HOST:PORT; serve Alice's side over TCP
+    connect: Optional[str] = None  # HOST:PORT; run Bob's side over TCP and report
     params: dict[str, Any] = field(default_factory=dict)
 
 
@@ -148,6 +149,8 @@ def _identification_draws(cfg: ExperimentConfig, root: Random) -> Iterator[tuple
 
 
 def _distinct_words(inst: Random, n: int, k: int) -> list[Word]:
+    if k > 1 << n:
+        raise ContractError(f"cannot draw {k} distinct words of {n} bits")
     seen: set[int] = set()
     words: list[Word] = []
     while len(words) < k:
@@ -274,19 +277,24 @@ def _scalar_diags(diag: dict[str, Any]) -> dict[str, Any]:
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     """Run one configured experiment and aggregate it into a single row.
 
-    Over TCP the listening side plays Alice for every trial and returns no
-    rows; the connecting side plays Bob and reports.  Both sides must be
-    started with identical configurations.
+    With neither listen= nor connect= both parties run in process.  Over
+    TCP the listening side plays Alice for every trial and returns no rows;
+    the connecting side plays Bob and reports.  Both sides must be started
+    with identical configurations.
     """
     if cfg.protocol not in PROTOCOLS:
         known = ", ".join(sorted(PROTOCOLS))
         raise ContractError(f"unknown protocol {cfg.protocol!r}; choose from {known}")
     if cfg.trials < 1:
         raise ContractError("need at least one trial")
+    if cfg.listen and cfg.connect:
+        raise ContractError("give at most one of listen= and connect=")
+    listen = host_port(cfg.listen) if cfg.listen else None
+    connect = host_port(cfg.connect) if cfg.connect else None
     spec = PROTOCOLS[cfg.protocol]
     n = cfg.n if cfg.n is not None else spec.default_n
     alpha = cfg.alpha if cfg.alpha is not None else spec.default_alpha
-    bounds = Bounds(Fraction(alpha), n)
+    bounds = Bounds(alpha, n)
     unknown = set(cfg.params) - set(spec.default_params)
     if unknown:
         raise ContractError(f"parameters not used by {cfg.protocol}: {sorted(unknown)}")
@@ -296,32 +304,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     cases = chain([next(cases)], cases)
     start = time.monotonic()
 
-    if cfg.transport == "loopback":
-        if cfg.listen or cfg.connect:
-            raise ContractError("listen/connect only apply to the tcp transport")
-        pairs = ((case, run_protocol(case.alice, case.bob)) for case in cases)
-        return [_aggregate(cfg, n, bounds, pairs, start)]
-    if cfg.transport != "tcp":
-        raise ContractError(f"unknown transport {cfg.transport!r}")
-    if bool(cfg.listen) == bool(cfg.connect):
-        raise ContractError("tcp transport needs exactly one of listen= or connect=")
-    if cfg.listen:
-        end = tcp_channel("listen:" + cfg.listen)
+    if listen:
+        listener = TcpListener(*listen)
+        try:
+            end = listener.accept()
+        finally:
+            listener.close()
         try:
             for case in cases:
                 run_party(case.alice, Role.ALICE, end)
         finally:
             end.close()
         return []
-    end = tcp_channel("connect:" + cfg.connect)
-    try:
-        pairs = (
-            (case, outcome_from_party_run(run_party(case.bob, Role.BOB, end)))
-            for case in cases
-        )
-        return [_aggregate(cfg, n, bounds, pairs, start)]
-    finally:
-        end.close()
+    if connect:
+        end = tcp_connect(*connect)
+        try:
+            pairs = (
+                (case, outcome_from_party_run(run_party(case.bob, Role.BOB, end)))
+                for case in cases
+            )
+            return [_aggregate(cfg, n, bounds, pairs, start)]
+        finally:
+            end.close()
+    pairs = ((case, run_protocol(case.alice, case.bob)) for case in cases)
+    return [_aggregate(cfg, n, bounds, pairs, start)]
 
 
 def _aggregate(cfg, n, bounds, pairs, start) -> ReportRow:
@@ -330,7 +336,7 @@ def _aggregate(cfg, n, bounds, pairs, start) -> ReportRow:
     diag_first: Optional[dict[str, Any]] = None
     for case, outcome in pairs:
         count += 1
-        if outcome.recovered is not None and outcome.recovered == case.truth:
+        if not outcome.reported_failure and outcome.recovered == case.truth:
             successes += 1
         bits = outcome.transcript.total_bits
         bits_sum += bits

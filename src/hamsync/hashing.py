@@ -63,17 +63,7 @@ def first_primes(count: int) -> tuple[int, ...]:
         limit = int(limit * 1.3) + 1
 
 
-@dataclass(frozen=True, slots=True)
-class ModHash:
-    """x -> x mod q for a prime q."""
-
-    q: int
-
-    def __call__(self, x: int) -> int:
-        return x % self.q
-
-
-def find_injective_prime(values: Iterable[int], n: int) -> ModHash:
+def find_injective_prime(values: Iterable[int], n: int) -> int:
     """Smallest prime q <= max(2, k^2 * n) injective on the given k distinct
     n-bit values.  Such a prime always exists; failing to find one means the
     search itself is broken."""
@@ -97,7 +87,7 @@ def find_injective_prime(values: Iterable[int], n: int) -> ModHash:
                 break
             seen.add(r)
         else:
-            return ModHash(q)
+            return q
     raise InvariantError(f"no injective prime up to {bound} for {k} values of {n} bits")
 
 
@@ -114,8 +104,9 @@ class SecondaryHash:
         return ((self.s * x) % self.v) % (2 * self.k * self.k)
 
     @property
-    def range_size(self) -> int:
-        return 2 * self.k * self.k
+    def width(self) -> int:
+        """Bits of one fingerprint, a value in [0, 2k^2)."""
+        return (2 * self.k * self.k - 1).bit_length()
 
 
 def find_secondary_hash(s_reduced: Iterable[int], v: int, k: int, rng: Random) -> SecondaryHash:
@@ -130,17 +121,10 @@ def find_secondary_hash(s_reduced: Iterable[int], v: int, k: int, rng: Random) -
     for x in vals:
         if not 0 <= x < v:
             raise ContractError("reduced values must lie in [0, v)")
-    rng_range = 2 * k * k
     for _ in range(64 * k):
-        s = rng.randrange(v)
-        seen = set()
-        for x in vals:
-            h = ((s * x) % v) % rng_range
-            if h in seen:
-                break
-            seen.add(h)
-        else:
-            return SecondaryHash(v, s, k)
+        h = SecondaryHash(v, rng.randrange(v), k)
+        if len({h(x) for x in vals}) == k:
+            return h
     raise RetryLimitError(f"no injective secondary hash found in {64 * k} tries")
 
 
@@ -164,8 +148,9 @@ def random_prime_bound(n: int, k: int, a: int) -> int:
     return random_prime_pool(n, k, a)[-1]
 
 
-def random_prime_hash(n: int, k: int, a: int, rng: Random) -> ModHash:
-    return ModHash(rng.choice(random_prime_pool(n, k, a)))
+def random_prime_hash(n: int, k: int, a: int, rng: Random) -> int:
+    """A uniform prime from the pool; x -> x mod q is the hash."""
+    return rng.choice(random_prime_pool(n, k, a))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +176,12 @@ def nba_bob(candidates: Sequence[Word], n: int):
     """Bob's half: publish a prime separating his set, match the residue."""
     cands = sorted(candidates, key=lambda w: w.value)
     k = len(cands)
-    h = find_injective_prime((w.value for w in cands), n)
+    q = find_injective_prime((w.value for w in cands), n)
     width = _nba_width(k, n)
-    yield Word(h.q, width)
+    yield Word(q, width)
     reply = yield RECV
-    matches = [w for w in cands if w.value % h.q == reply.value]
-    diag = {"q": h.q, "set_size": k}
+    matches = [w for w in cands if w.value % q == reply.value]
+    diag = {"q": q, "set_size": k}
     if len(matches) == 1:
         return matches[0], diag
     # Zero matches means the promise was broken; with an injective modulus
@@ -241,26 +226,21 @@ def multi_nba_alice(xs: Sequence[Word], k: int):
     msg = yield RECV
     width_q = msg.n // 2
     q, s = unpack_fields(msg, [width_q, width_q])
-    hash_width = max(1, (2 * k * k - 1).bit_length())
-    fingerprints = [
-        ((((s * (x.value % q)) % q) % (2 * k * k)), hash_width) for x in xs
-    ]
-    yield pack_fields(fingerprints)
+    secondary = SecondaryHash(q, s, k)
+    yield pack_fields([(secondary(x.value % q), secondary.width) for x in xs])
     return None
 
 
 def multi_nba_bob(candidates: Sequence[Word], n: int, l: int, rng: Random):
     cands = sorted(candidates, key=lambda w: w.value)
     k = len(cands)
-    primary = find_injective_prime((w.value for w in cands), n)
-    q = primary.q
+    q = find_injective_prime((w.value for w in cands), n)
     reduced = [w.value % q for w in cands]
     secondary = find_secondary_hash(reduced, q, k, rng)
     width_q = _nba_width(k, n)
     yield pack_fields([(q, width_q), (secondary.s, width_q)])
     reply = yield RECV
-    hash_width = max(1, (2 * k * k - 1).bit_length())
-    values = unpack_fields(reply, [hash_width] * l)
+    values = unpack_fields(reply, [secondary.width] * l)
     table = {secondary(w.value % q): w for w in cands}
     recovered: list[Word] = []
     for v in values:

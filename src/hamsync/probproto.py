@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .bitword import Word, pack_fields, unpack_fields
+from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
 from .gf2codes import (
     AffineSolver,
@@ -51,11 +51,6 @@ class AffinePermutation:
         if not 0 <= self.b < self.p:
             raise ContractError("offset must be in [0, p-1]")
 
-    def image(self, i: int) -> int:
-        if not 0 <= i < self.p:
-            raise ContractError(f"index {i} outside [0, {self.p})")
-        return (self.a * i + self.b) % self.p
-
     def inverse(self) -> "AffinePermutation":
         a_inv = pow(self.a, -1, self.p)
         return AffinePermutation(self.p, a_inv, (-a_inv * self.b) % self.p)
@@ -81,7 +76,7 @@ def sample_permutation(p: int, rng: Random) -> AffinePermutation:
 
 
 def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
-    """Word with bit i equal to w's bit at image(i)."""
+    """Word with bit i equal to w's bit at (a*i + b) mod p."""
     if w.n != perm.p:
         raise ContractError(f"word length {w.n} does not match the modulus {perm.p}")
     value = 0
@@ -128,7 +123,7 @@ def one_round_prob_alice(code: LinearCode, x: Word, oversample: int, list_cap: i
     and x's residue, all packed."""
     h = syndrome(code, x)
     width = random_prime_bound(code.n, list_cap, oversample).bit_length()
-    q = random_prime_hash(code.n, list_cap, oversample, rng).q
+    q = random_prime_hash(code.n, list_cap, oversample, rng)
     yield pack_fields([(h.value, h.n), (q, width), (x.value % q, width)])
     return None
 
@@ -166,6 +161,7 @@ def one_round_prob_parties(
 ) -> tuple[Party, Party]:
     """Alice's and Bob's generators for one_round_prob_sync, after its checks."""
     _check_list_radius(code, radius, instance)
+    random_prime_bound(code.n, list_cap, oversample)  # checks oversample and list_cap
     return (
         one_round_prob_alice(code, instance.x, oversample, list_cap, rng),
         one_round_prob_bob(code, radius, instance.y, oversample, list_cap),
@@ -220,24 +216,27 @@ class ProbParams:
             raise ContractError("block size must be >= 2")
         if self.s < 2:
             raise ContractError("need at least two extra evaluations")
-        delta = self.delta
-        if not isinstance(delta, Fraction):
-            delta = Fraction(str(delta)) if isinstance(delta, float) else Fraction(delta)
-            object.__setattr__(self, "delta", delta)
+        delta = exact_fraction(self.delta)
+        object.__setattr__(self, "delta", delta)
         if not 0 < delta < Fraction(1, 2):
             raise ContractError(f"delta must be in (0, 1/2), got {delta}")
         if not 1 <= self.inner_dim < self.k:
             raise ContractError("inner dimension must be in [1, k)")
 
 
-def sample_inner_code(k: int, dim: int, rng: Random, max_attempts: int = 500) -> LinearCode:
+_INNER_CODE_ATTEMPTS = 500
+
+
+def sample_inner_code(k: int, dim: int, rng: Random) -> LinearCode:
     """Random [k, dim] code resampled until its minimum distance is at least
     3, so blocks that picked up at most one difference decode exactly."""
-    for _ in range(max_attempts):
+    for _ in range(_INNER_CODE_ATTEMPTS):
         code = random_linear_code(k, dim, rng)
         if min_distance(code) >= 3:
             return code
-    raise RetryLimitError(f"no [{k}, {dim}] code of distance >= 3 in {max_attempts} samples")
+    raise RetryLimitError(
+        f"no [{k}, {dim}] code of distance >= 3 in {_INNER_CODE_ATTEMPTS} samples"
+    )
 
 
 def composite_alice(x: Word, params: ProbParams, rng: Random):

@@ -293,23 +293,18 @@ def coloring_bob(n: int, radius: int, y: Word):
     return Word(matches[0], n), diag
 
 
-def coloring_parties(instance: SyncInstance, radius: int | None = None) -> tuple[Party, Party]:
+def coloring_parties(instance: SyncInstance) -> tuple[Party, Party]:
     """Alice's and Bob's generators for coloring_oracle_sync, after its checks."""
-    n = instance.n
-    r = instance.bounds.radius if radius is None else radius
-    if not 0 <= r <= n:
-        raise ContractError(f"radius must be in [0, {n}]")
-    if hamming_distance(instance.x, instance.y) > r:
-        raise ContractError("instance distance exceeds the oracle radius")
+    n, r = instance.n, instance.bounds.radius
     build_greedy_coloring(n, min(2 * r, n))  # rejects cubes beyond desk scale
     return coloring_alice(n, r, instance.x), coloring_bob(n, r, instance.y)
 
 
-def coloring_oracle_sync(instance: SyncInstance, radius: int | None = None) -> ProtocolOutcome:
+def coloring_oracle_sync(instance: SyncInstance) -> ProtocolOutcome:
     """One round, ceil(log2(#colors)) bits: Alice names her word's color.
 
     Words at distance <= 2*radius get distinct colors, and everything Bob
     cannot rule out lies within 2*radius of x, so the color is unambiguous
     inside his ball.  Enumerates the whole cube; desk scale only.
     """
-    return run_protocol(*coloring_parties(instance, radius))
+    return run_protocol(*coloring_parties(instance))

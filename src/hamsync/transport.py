@@ -4,10 +4,11 @@ A party program is a generator.  It yields a Word to transmit, yields the
 RECV sentinel to wait for the peer's next message (which arrives as the value
 of that yield expression), and returns when finished.  Bob's return value is
 a ``(recovered, diagnostics)`` pair with ``recovered`` a Word or None (None
-means reported failure); Alice's return value is an optional diagnostics
-dict.  The same generator runs unchanged over the in-process loopback and
-the framed TCP transport, so transport choice can never change a protocol's
-outcome or its bit count.
+means reported failure).  Alice's return value is ignored: over TCP it never
+reaches Bob's side, so the loopback does not read it either.  The same
+generator runs unchanged over the in-process loopback and the framed TCP
+transport, so transport choice can never change a protocol's outcome, its
+diagnostics or its bit count.
 
 Only payload bits are counted.  Constants both parties know before the run
 (code parameters, hash ranges, field widths) cost nothing; anything sampled
@@ -57,10 +58,6 @@ class Message:
     direction: Direction
     payload: Word
 
-    def __post_init__(self) -> None:
-        if self.payload.n < 1:
-            raise ContractError("messages must carry at least one bit")
-
 
 @dataclass(frozen=True)
 class Transcript:
@@ -85,13 +82,12 @@ class Transcript:
 @dataclass(frozen=True)
 class ProtocolOutcome:
     recovered: Optional[Word]
-    reported_failure: bool
     transcript: Transcript
     diagnostics: dict[str, Any]
 
-    def __post_init__(self) -> None:
-        if (self.recovered is None) != self.reported_failure:
-            raise ContractError("exactly one of recovered / reported_failure must hold")
+    @property
+    def reported_failure(self) -> bool:
+        return self.recovered is None
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +104,8 @@ class LoopbackEnd:
     def send_bits(self, w: Word) -> None:
         self._outbox.put(w)
 
-    def recv_bits(self, timeout: Optional[float] = None) -> Word:
-        try:
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError("timed out waiting for a loopback message") from None
+    def recv_bits(self) -> Word:
+        return self._inbox.get()
 
     def has_pending(self) -> bool:
         return not self._inbox.empty()
@@ -194,12 +187,10 @@ def run_protocol(alice: Party, bob: Party) -> ProtocolOutcome:
             raise ProtocolExecutionError("deadlock: both parties are waiting to receive")
 
     states[Role.ALICE].gen.close()
-    return _build_outcome(states[Role.BOB].result, states[Role.ALICE].result, tuple(messages))
+    return _build_outcome(states[Role.BOB].result, tuple(messages))
 
 
-def _build_outcome(
-    bob_result: Any, alice_result: Any, messages: tuple[Message, ...]
-) -> ProtocolOutcome:
+def _build_outcome(bob_result: Any, messages: tuple[Message, ...]) -> ProtocolOutcome:
     if not (isinstance(bob_result, tuple) and len(bob_result) == 2):
         raise ProtocolExecutionError(
             "bob must return (recovered, diagnostics), got " + repr(bob_result)
@@ -207,15 +198,7 @@ def _build_outcome(
     recovered, diag = bob_result
     if recovered is not None and not isinstance(recovered, Word):
         raise ProtocolExecutionError("bob's recovered value must be a Word or None")
-    diagnostics = dict(diag or {})
-    if isinstance(alice_result, dict):
-        diagnostics = {**alice_result, **diagnostics}
-    return ProtocolOutcome(
-        recovered=recovered,
-        reported_failure=recovered is None,
-        transcript=Transcript(messages),
-        diagnostics=diagnostics,
-    )
+    return ProtocolOutcome(recovered, Transcript(messages), dict(diag or {}))
 
 
 @dataclass(frozen=True)
@@ -259,9 +242,9 @@ def run_party(party: Party, role: Role, end: Any) -> PartyRun:
         raise ProtocolExecutionError(f"{role.value} raised: {exc!r}") from exc
 
 
-def outcome_from_party_run(run: PartyRun, alice_diag: Optional[dict] = None) -> ProtocolOutcome:
+def outcome_from_party_run(run: PartyRun) -> ProtocolOutcome:
     """Build a ProtocolOutcome from Bob's PartyRun (TCP runs)."""
-    return _build_outcome(run.result, alice_diag, run.transcript.messages)
+    return _build_outcome(run.result, run.transcript.messages)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +296,6 @@ class TcpEnd:
         except OSError:
             pass
 
-    def __enter__(self) -> "TcpEnd":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 class TcpListener:
     """Bound listening socket; accept() yields one TcpEnd per connection."""
@@ -349,35 +326,25 @@ class TcpListener:
             pass
 
 
-def tcp_connect(host: str, port: int, attempts: int = 15, delay: float = 0.2) -> TcpEnd:
+_CONNECT_ATTEMPTS = 15
+_CONNECT_DELAY_S = 0.2
+
+
+def tcp_connect(host: str, port: int) -> TcpEnd:
     """Connect with a short retry window so the peer's listener can come up."""
     last: Optional[OSError] = None
-    for _ in range(attempts):
+    for _ in range(_CONNECT_ATTEMPTS):
         try:
             return TcpEnd(socket.create_connection((host, port)))
         except OSError as exc:
             last = exc
-            time.sleep(delay)
+            time.sleep(_CONNECT_DELAY_S)
     raise TransportError(f"cannot connect to {host}:{port}: {last}")
 
 
-def tcp_channel(spec: str) -> TcpEnd:
-    """Open one TCP channel end from a spec string.
-
-    ``"listen:HOST:PORT"`` binds, accepts a single connection, and returns
-    its end; ``"connect:HOST:PORT"`` dials the peer.
-    """
-    try:
-        mode, host, port_text = spec.split(":")
-        port = int(port_text)
-    except ValueError:
-        raise ContractError(f"bad channel spec {spec!r}; want 'listen:HOST:PORT' or 'connect:HOST:PORT'") from None
-    if mode == "listen":
-        listener = TcpListener(host, port)
-        try:
-            return listener.accept()
-        finally:
-            listener.close()
-    if mode == "connect":
-        return tcp_connect(host, port)
-    raise ContractError(f"unknown channel mode {mode!r}")
+def host_port(address: str) -> tuple[str, int]:
+    """Split a ``HOST:PORT`` address; the port must be a number in [0, 65535]."""
+    host, sep, port_text = address.rpartition(":")
+    if sep and port_text.isdecimal() and int(port_text) <= 0xFFFF:
+        return host, int(port_text)
+    raise ContractError(f"bad address {address!r}; want HOST:PORT")

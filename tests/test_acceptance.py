@@ -253,7 +253,7 @@ def test_criterion_07_pairwise_independence():
     p = 7
     maps = [AffinePermutation(p, a, b) for a in range(1, p) for b in range(p)]
     singles_exact = all(
-        sum(1 for m in maps if m.image(i) == u) * p == len(maps)
+        sum(1 for m in maps if (m.a * i + m.b) % p == u) * p == len(maps)
         for i in range(p)
         for u in range(p)
     )
@@ -265,7 +265,9 @@ def test_criterion_07_pairwise_independence():
             for u in range(p):
                 for v in range(p):
                     count = sum(
-                        1 for m in maps if m.image(i) == u and m.image(j) == v
+                        1
+                        for m in maps
+                        if (m.a * i + m.b) % p == u and (m.a * j + m.b) % p == v
                     )
                     if count != (1 if u != v else 0):
                         pairs_exact = False

@@ -21,7 +21,7 @@ from hamsync.errors import ContractError
 
 def distance_oracle(a: Word, b: Word) -> int:
     # Bit-by-bit count, independent of the popcount path under test.
-    return sum(1 for i in range(a.n) if a.bit(i) != b.bit(i))
+    return sum(1 for i in range(a.n) if (a.value >> i) & 1 != (b.value >> i) & 1)
 
 
 def volume_oracle(r: int, n: int) -> int:
@@ -33,10 +33,9 @@ def volume_oracle(r: int, n: int) -> int:
 
 
 def test_word_bit_order():
-    w = Word(0b1011, 4)
-    assert w.bits() == (1, 1, 0, 1)
-    assert [w.bit(i) for i in range(4)] == [1, 1, 0, 1]
-    assert w.weight() == 3
+    # Position i is bit i of the value, low bit first.
+    assert Word(0, 4).flip([0, 1, 3]) == Word(0b1011, 4)
+    assert Word(0, 8).flip([7]).value == 128
 
 
 def test_word_bounds_checked():
@@ -46,8 +45,6 @@ def test_word_bounds_checked():
         Word(-1, 4)
     with pytest.raises(ContractError):
         Word(0, 0)
-    with pytest.raises(ContractError):
-        Word(3, 4).bit(4)
 
 
 def test_word_flip_and_xor():
@@ -58,14 +55,6 @@ def test_word_flip_and_xor():
         w ^ Word(0, 5)
     with pytest.raises(ContractError):
         w.flip([4])
-
-
-def test_word_from_bits_roundtrip():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 70)
-        w = Word(rng.getrandbits(n), n)
-        assert Word.from_bits(w.bits()) == w
 
 
 def test_hamming_distance_matches_oracle():
@@ -126,6 +115,9 @@ def test_bounds_float_alpha_is_decimal():
         Bounds(0.6, 10)
     with pytest.raises(ContractError):
         Bounds(-0.1, 10)
+    # The bound follows the same rule: radius 3, not the radius 2 of the
+    # binary double just below 0.15.
+    assert lower_bound_bits(0.15, 20) == lower_bound_bits(Fraction(3, 20), 20)
 
 
 def test_random_word_within_respects_radius():

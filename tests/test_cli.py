@@ -1,4 +1,6 @@
 import json
+import socket
+import threading
 
 import pytest
 
@@ -63,3 +65,29 @@ def test_bad_arguments_exit_via_argparse():
         main(["run", "--protocol", "bogus"])
     with pytest.raises(SystemExit):
         main(["bounds", "--n", "10", "--alpha", "zebra"])
+
+
+def _row(printed: str) -> str:
+    (line,) = [l for l in printed.splitlines() if l.startswith("listdec ")]
+    return line.rsplit(" wall=", 1)[0]
+
+
+def test_run_over_tcp_matches_loopback(capsys):
+    with socket.socket() as probe:  # a port that is free right now
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    common = ["run", "--protocol", "listdec", "--trials", "10", "--seed", "3"]
+    codes = []
+    listener = threading.Thread(
+        target=lambda: codes.append(main(common + ["--listen", f"127.0.0.1:{port}"])),
+        daemon=True,
+    )
+    listener.start()
+    try:
+        assert main(common + ["--connect", f"127.0.0.1:{port}"]) == 0
+    finally:
+        listener.join(timeout=30)
+    assert codes == [0]
+    tcp_row = _row(capsys.readouterr().out)
+    assert main(common) == 0
+    assert tcp_row == _row(capsys.readouterr().out)

@@ -151,17 +151,20 @@ def test_configuration_errors():
         # 2^14 * Vol(3, 14) is over the enumeration budget
         run_experiment(ExperimentConfig(protocol="listdec", exhaustive=True))
     with pytest.raises(ContractError):
-        run_experiment(ExperimentConfig(protocol="syndrome", transport="tcp"))
+        run_experiment(ExperimentConfig(protocol="syndrome", listen="a:1", connect="b:2"))
+    # Malformed addresses only: a well-formed listen= opens a real listener.
     with pytest.raises(ContractError):
-        run_experiment(
-            ExperimentConfig(
-                protocol="syndrome", transport="tcp", listen="a:1", connect="b:2"
-            )
-        )
+        run_experiment(ExperimentConfig(protocol="syndrome", listen="127.0.0.1"))
     with pytest.raises(ContractError):
-        run_experiment(ExperimentConfig(protocol="syndrome", transport="pigeon"))
+        run_experiment(ExperimentConfig(protocol="syndrome", connect="127.0.0.1:notaport"))
     with pytest.raises(ContractError):
-        run_experiment(ExperimentConfig(protocol="syndrome", listen="127.0.0.1:1"))
+        # more distinct 2-bit words than exist; the sampler used to loop forever
+        run_experiment(ExperimentConfig(protocol="nba", n=2, params={"k": 5}))
+    with pytest.raises(ContractError):
+        run_experiment(ExperimentConfig(protocol="multinba", n=2, params={"k": 5, "l": 1}))
+    with pytest.raises(ContractError):
+        # checked before Alice starts, not inside her generator
+        run_experiment(ExperimentConfig(protocol="problist", params={"oversample": 1}))
     with pytest.raises(ContractError):
         run_experiment(ExperimentConfig(protocol="nba", params={"k": 0}))
     with pytest.raises(ContractError):
@@ -169,6 +172,15 @@ def test_configuration_errors():
     with pytest.raises(CapabilityError):
         # the same error composite_prob_sync raises for a block this wide
         run_experiment(ExperimentConfig(protocol="smith", params={"k": 15}))
+
+
+def test_float_alpha_keeps_its_decimal_value():
+    # 0.15 is 3/20, radius 3 at n=20, not the binary double just below it.
+    row = row_for("listdec", n=20, alpha=0.15, trials=3)
+    exact = row_for("listdec", n=20, alpha=Fraction(3, 20), trials=3)
+    assert row.alpha == "3/20"
+    for name in REPORT_FIELDS:
+        assert getattr(row, name) == getattr(exact, name)
 
 
 def test_emit_report_errors(tmp_path):
@@ -186,14 +198,12 @@ def test_tcp_run_matches_loopback():
 
     def serve():
         listener_rows.append(
-            run_experiment(ExperimentConfig(transport="tcp", listen=spec, **base))
+            run_experiment(ExperimentConfig(listen=spec, **base))
         )
 
     t = threading.Thread(target=serve)
     t.start()
-    tcp_row = run_experiment(
-        ExperimentConfig(transport="tcp", connect=spec, **base)
-    )[0]
+    tcp_row = run_experiment(ExperimentConfig(connect=spec, **base))[0]
     t.join()
     assert listener_rows == [[]]
     loop_row = run_experiment(ExperimentConfig(**base))[0]

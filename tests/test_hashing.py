@@ -54,9 +54,7 @@ def test_first_primes_prefix():
 
 def test_find_injective_prime_smallest_case():
     # 1 and 3 collide mod 2; mod 3 gives residues {1, 2, 0}
-    h = find_injective_prime([1, 2, 3], 4)
-    assert h.q == 3
-    assert h(5) == 2
+    assert find_injective_prime([1, 2, 3], 4) == 3
 
 
 def test_find_injective_prime_is_minimal():
@@ -65,11 +63,11 @@ def test_find_injective_prime_is_minimal():
         n = rng.randint(3, 10)
         k = rng.randint(1, 6)
         vals = rng.sample(range(1 << n), k)
-        h = find_injective_prime(vals, n)
-        assert h.q <= max(2, k * k * n)
-        assert injective(h.q, vals)
-        for q in sieve_primes(h.q):
-            if q < h.q:
+        q_min = find_injective_prime(vals, n)
+        assert q_min <= max(2, k * k * n)
+        assert injective(q_min, vals)
+        for q in sieve_primes(q_min):
+            if q < q_min:
                 assert not injective(q, vals)
 
 
@@ -155,7 +153,8 @@ def test_find_secondary_hash_injective():
         reduced = rng.sample(range(v), k)
         h = find_secondary_hash(reduced, v, k, rng)
         assert len({h(x) for x in reduced}) == k
-        assert h.range_size == 2 * k * k
+        assert all(0 <= h(x) < 2 * k * k for x in reduced)
+        assert h.width == (2 * k * k - 1).bit_length()
 
 
 def test_find_secondary_hash_contracts():

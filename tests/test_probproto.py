@@ -30,11 +30,23 @@ from hamsync.probproto import (
 from hamsync.syncdet import SyncInstance
 
 
+def image(perm: AffinePermutation, i: int) -> int:
+    return (perm.a * i + perm.b) % perm.p
+
+
 def test_affine_permutation_images():
     perm = AffinePermutation(5, 2, 3)
-    assert [perm.image(i) for i in range(5)] == [3, 0, 2, 4, 1]
+    assert [image(perm, i) for i in range(5)] == [3, 0, 2, 4, 1]
     inv = perm.inverse()
-    assert [inv.image(perm.image(i)) for i in range(5)] == list(range(5))
+    assert [image(inv, image(perm, i)) for i in range(5)] == list(range(5))
+    # Bit i of the permuted word is bit (a*i + b) mod p of the input.
+    rng = random.Random(64)
+    for _ in range(50):
+        p = rng.choice([5, 7, 11, 101])
+        perm = sample_permutation(p, rng)
+        w = Word(rng.getrandbits(p), p)
+        out = apply_permutation(perm, w)
+        assert all((out.value >> i) & 1 == (w.value >> image(perm, i)) & 1 for i in range(p))
 
 
 def test_affine_permutation_contracts():
@@ -46,8 +58,6 @@ def test_affine_permutation_contracts():
         AffinePermutation(5, 5, 0)
     with pytest.raises(ContractError):
         AffinePermutation(5, 1, 5)
-    with pytest.raises(ContractError):
-        AffinePermutation(5, 1, 0).image(5)
 
 
 def test_affine_family_exactly_pairwise_independent():
@@ -58,11 +68,11 @@ def test_affine_family_exactly_pairwise_independent():
     maps = [AffinePermutation(p, a, b) for a in range(1, p) for b in range(p)]
     assert len(maps) == p * (p - 1)
     for i in range(p):
-        counts = Counter(m.image(i) for m in maps)
+        counts = Counter(image(m, i) for m in maps)
         assert all(counts[u] * p == len(maps) for u in range(p))
     for i in range(p):
         for j in range(i + 1, p):
-            pair_counts = Counter((m.image(i), m.image(j)) for m in maps)
+            pair_counts = Counter((image(m, i), image(m, j)) for m in maps)
             for u in range(p):
                 for v in range(p):
                     assert pair_counts[(u, v)] == (1 if u != v else 0)
@@ -72,7 +82,7 @@ def test_affine_family_uniform_at_other_primes():
     for p in (5, 11, 13):
         maps = [AffinePermutation(p, a, b) for a in range(1, p) for b in range(p)]
         for i in (0, p - 1):
-            counts = Counter(m.image(i) for m in maps)
+            counts = Counter(image(m, i) for m in maps)
             assert all(counts[u] == p - 1 for u in range(p))
 
 
@@ -84,7 +94,7 @@ def test_apply_invert_roundtrip():
         perm = sample_permutation(p, rng)
         assert apply_permutation(perm.inverse(), apply_permutation(perm, w)) == w
         assert apply_permutation(perm, apply_permutation(perm.inverse(), w)) == w
-        assert apply_permutation(perm, w).weight() == w.weight()
+        assert apply_permutation(perm, w).value.bit_count() == w.value.bit_count()
 
 
 def test_next_prime_at_least():
@@ -268,3 +278,14 @@ def test_composite_parameter_guards():
     with pytest.raises(ContractError):
         # 2^5 field cannot hold ceil(2053/5) blocks plus extras
         composite_prob_sync(inst, ProbParams(5, 64, Fraction(3, 20), 2), random.Random(0))
+
+
+def test_one_round_parameter_guards():
+    # Checked before either party starts, so the caller gets the
+    # ContractError itself, not a ProtocolExecutionError from inside Alice.
+    code = hamming_7_4()
+    inst = SyncInstance(Word(0, 7), Word(0, 7), Bounds(Fraction(1, 7), 7))
+    with pytest.raises(ContractError):
+        one_round_prob_sync(code, 1, inst, 1, random.Random(0))  # oversample < 2
+    with pytest.raises(ContractError):
+        one_round_prob_sync(code, 1, inst, 16, random.Random(0), list_cap=0)

@@ -172,13 +172,6 @@ def test_coloring_zero_radius_sends_nothing():
     assert out.transcript.rounds == 0
 
 
-def test_coloring_oracle_radius_guard():
-    b = Bounds(Fraction(1, 6), 6)
-    inst = SyncInstance(Word(0, 6), Word(1, 6), b)
-    with pytest.raises(ContractError):
-        coloring_oracle_sync(inst, radius=0)  # distance 1 exceeds radius 0
-
-
 def test_coloring_budget_guards():
     with pytest.raises(CapabilityError):
         build_greedy_coloring(15, 1)
