@@ -1,15 +1,21 @@
-"""Arithmetic in GF(2^k) and a polynomial evaluation / correction layer.
+"""Arithmetic in GF(2^k) and a Reed-Solomon redundancy layer over it.
 
 Field elements are plain ints in [0, 2^k); addition is xor and products go
-through exp/log tables.  Polynomials are coefficient lists, low degree first.
-Evaluation points are the field elements in increasing integer order, so a
-block vector of length m lives at points 0..m-1 and redundancy extends it to
-points m..m+s-1.
+through exp/log tables.  Evaluation points are the field elements in
+increasing integer order: m block values are the values at points 0..m-1 of
+the unique polynomial of degree < m through them, and s redundancy values
+are its values at points m..m+s-1.  The m+s values form a Reed-Solomon
+codeword of minimum distance s+1.  rs_correct syndrome-decodes it and
+repairs up to floor(s/2) wrong values anywhere among the m+s; beyond that it
+returns the unique codeword within floor(s/2) of what it got, or None when
+there is none.  Both directions need one field element outside the point
+set, so m + s < 2^k.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Optional, Sequence
 
 from .errors import ContractError
@@ -83,218 +89,169 @@ def field(k: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# polynomials: coefficient lists, low degree first, trailing zeros trimmed
-
-
-def poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def poly_deg(coeffs: Sequence[int]) -> int:
-    return len(coeffs) - 1
-
-
-def poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] ^= c
-    return poly_trim(out)
-
-
-def poly_mul(fld: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    exp, log = fld.exp, fld.log
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        la = log[ca]
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] ^= exp[la + log[cb]]
-    return poly_trim(out)
-
-
-def poly_scale(fld: Field, a: Sequence[int], c: int) -> list[int]:
-    if c == 0:
-        return []
-    exp, log = fld.exp, fld.log
-    lc = log[c]
-    return [exp[log[x] + lc] if x else 0 for x in a]
-
-
-def poly_divmod(fld: Field, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    b = poly_trim(list(b))
-    if not b:
-        raise ContractError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], poly_trim(rem)
-    inv_lead = fld.inv(b[-1])
-    quot = [0] * (len(rem) - db)
-    exp, log = fld.exp, fld.log
-    log_inv = log[inv_lead]
-    for i in range(len(rem) - 1, db - 1, -1):
-        coef = rem[i]
-        if coef == 0:
-            continue
-        factor = exp[log[coef] + log_inv]
-        quot[i - db] = factor
-        lf = log[factor]
-        base = i - db
-        for j, cb in enumerate(b):
-            if cb:
-                rem[base + j] ^= exp[lf + log[cb]]
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_eval(fld: Field, coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    mul = fld.mul
-    for c in reversed(coeffs):
-        acc = mul(acc, x) ^ c
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _master_poly(k: int, npoints: int) -> tuple[int, ...]:
-    """Product of (x - a) over the first npoints field elements a."""
-    fld = field(k)
-    poly = [1]
-    for a in range(npoints):
-        poly = poly_mul(fld, poly, [a, 1])
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
-    """inv of prod_{j != i} (a_i - a_j) for the first npoints field elements."""
-    fld = field(k)
-    weights = []
-    for i in range(npoints):
-        acc = 1
-        for j in range(npoints):
-            if j != i:
-                acc = fld.mul(acc, i ^ j)
-        weights.append(fld.inv(acc))
-    return tuple(weights)
-
-
-def _synthetic_div(fld: Field, coeffs: Sequence[int], a: int) -> list[int]:
-    """coeffs / (x - a), assuming a is a root-free exact divisor is not
-    required: returns the quotient of the division (remainder discarded)."""
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    mul = fld.mul
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[i] ^ mul(acc, a)
-        out[i - 1] = acc
-    return out
-
-
-def interpolate(fld: Field, points: Sequence[tuple[int, int]]) -> list[int]:
-    """Unique polynomial of degree < len(points) through the given points."""
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ContractError("interpolation points must have distinct x")
-    for x, y in points:
-        if not (0 <= x < fld.size and 0 <= y < fld.size):
-            raise ContractError("interpolation points must be field elements")
-    master = [1]
-    for x in xs:
-        master = poly_mul(fld, master, [x, 1])
-    out: list[int] = []
-    for x, y in points:
-        if y == 0:
-            continue
-        q = _synthetic_div(fld, master, x)
-        denom = poly_eval(fld, q, x)
-        out = poly_add(out, poly_scale(fld, q, fld.mul(y, fld.inv(denom))))
-    return poly_trim(out)
-
-
-def _interpolate_consecutive(fld: Field, values: Sequence[int]) -> list[int]:
-    """Interpolation through (i, values[i]) using cached consecutive-point
-    master polynomials and weights."""
-    npoints = len(values)
-    master = list(_master_poly(fld.k, npoints))
-    weights = _barycentric_weights(fld.k, npoints)
-    out: list[int] = []
-    for x, y in enumerate(values):
-        if y == 0:
-            continue
-        q = _synthetic_div(fld, master, x)
-        out = poly_add(out, poly_scale(fld, q, fld.mul(y, weights[x])))
-    return poly_trim(out)
-
-
-# ---------------------------------------------------------------------------
 # evaluation-code redundancy and correction
 
 
-def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
-    """Fit the degree < m polynomial through (i, blocks[i]) and evaluate it at
-    the next s points.  Requires m + s <= 2^k so the points stay distinct."""
-    m = len(blocks)
+def _check_points(fld: Field, m: int, s: int) -> None:
+    """m data points plus s extra points, with a spare field element left over:
+    the decoder shifts every point by m + s, which must not be a point."""
     if m < 1:
         raise ContractError("need at least one block")
     if s < 0:
         raise ContractError("s must be nonnegative")
-    if m + s > fld.size:
-        raise ContractError(f"m + s = {m + s} exceeds the field size {fld.size}")
-    for b in blocks:
-        if not 0 <= b < fld.size:
-            raise ContractError("blocks must be field elements")
-    if s == 0:
-        return []
-    poly = _interpolate_consecutive(fld, blocks)
-    return [poly_eval(fld, poly, a) for a in range(m, m + s)]
+    if m + s >= fld.size:
+        raise ContractError(
+            f"m + s = {m + s} leaves no spare element in the field of size {fld.size}"
+        )
+
+
+def _check_values(fld: Field, values: Sequence[int]) -> None:
+    if values and (min(values) < 0 or max(values) >= fld.size):
+        raise ContractError("values must be field elements")
+
+
+@lru_cache(maxsize=None)
+def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
+    """w_i = 1 / prod_{j != i} (a_i - a_j) over the points a = 0..npoints-1.
+    Shifting every point by the same c leaves the differences, and so the
+    weights, unchanged."""
+    fld = field(k)
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    return tuple(
+        exp[-sum(log[i ^ j] for j in range(npoints) if j != i) % order]
+        for i in range(npoints)
+    )
+
+
+@lru_cache(maxsize=None)
+def _log_master_at_extras(k: int, m: int, s: int) -> tuple[int, ...]:
+    """log M(a) for M(x) = prod_{i < m} (x - i) at the extra points a = m..m+s-1."""
+    fld = field(k)
+    order = fld.size - 1
+    return tuple(sum(fld.log[a ^ i] for i in range(m)) % order for a in range(m, m + s))
+
+
+def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
+    """Values at the points m..m+s-1 of the degree < m polynomial f through
+    (i, blocks[i]), by the barycentric form f(a) = M(a) sum_i w_i b_i / (a - i)."""
+    m = len(blocks)
+    _check_points(fld, m, s)
+    _check_values(fld, blocks)
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    # log(w_i b_i) lifted into [order, 2 order) so that subtracting a log
+    # stays a valid index of the doubled exp table.
+    lifted = [
+        (i, (log[w] + log[b]) % order + order)
+        for i, (w, b) in enumerate(zip(_barycentric_weights(fld.k, m), blocks))
+        if b
+    ]
+    out = []
+    for a, log_master in zip(range(m, m + s), _log_master_at_extras(fld.k, m, s)):
+        acc = reduce(xor, [exp[lt - log[a ^ i]] for i, lt in lifted], 0)
+        out.append(exp[log_master + log[acc]] if acc else 0)
+    return out
+
+
+def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
+    """Shortest LFSR (connection polynomial, low degree first, and its length
+    L) that generates the syndrome sequence."""
+    exp, log = fld.exp, fld.log
+    lam, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    for n, s_n in enumerate(syndromes):
+        disc = s_n
+        for lam_i, s_i in zip(lam[1:], reversed(syndromes[n - length : n])):
+            if lam_i and s_i:
+                disc ^= exp[log[lam_i] + log[s_i]]
+        if disc == 0:
+            shift += 1
+            continue
+        log_coef = log[fld.mul(disc, fld.inv(prev_disc))]
+        new = lam + [0] * (len(prev) + shift - len(lam))
+        for i, p in enumerate(prev):
+            if p:
+                new[i + shift] ^= exp[log_coef + log[p]]
+        if 2 * length <= n:
+            prev, length, prev_disc, shift = lam, n + 1 - length, disc, 1
+        else:
+            shift += 1
+        lam = new
+    return lam[: length + 1], length
+
+
+def _eval_at(fld: Field, coeffs: Sequence[int], log_x: int) -> int:
+    """sum_t coeffs[t] x^t by Horner's rule, at the nonzero x = exp[log_x]."""
+    exp, log = fld.exp, fld.log
+    acc = 0
+    for c in reversed(coeffs):
+        if acc:
+            acc = exp[log[acc] + log_x]
+        acc ^= c
+    return acc
 
 
 def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Optional[list[int]]:
     """Recover the m block values from a corrupted copy plus s redundancy
     values, treating all m+s positions as potentially wrong.
 
-    Decodes to the unique degree < m polynomial whenever the total number of
-    wrong entries is at most floor(s/2); in particular correction is
-    guaranteed when fewer than s/2 of the received blocks are corrupted and
-    the extra values are intact.  Returns None when no such polynomial fits
-    (decode failure is a value, not an exception).
+    Returns the first m values of the unique codeword within floor(s/2) of
+    the m+s given values; in particular correction is guaranteed when fewer
+    than s/2 of the received blocks are corrupted and the extra values are
+    intact.  Returns None when no codeword is that close (decode failure is
+    a value, not an exception).
+
+    The syndromes are S_j = sum_i w_i r_i X_i^j for j < s over all N = m+s
+    points, with the barycentric weights w_i of the N points and the
+    locators X_i = i + N, which are nonzero because N is not a point.
+    Berlekamp-Massey finds the error locator, a scan over the N points its
+    roots, and Forney's formula the values w_i e_i.
     """
     m = len(received)
     s = len(extra)
-    if m < 1:
-        raise ContractError("need at least one received block")
-    n_points = m + s
-    if n_points > fld.size:
-        raise ContractError(f"m + s = {n_points} exceeds the field size {fld.size}")
-    values = list(received) + list(extra)
-    for v in values:
-        if not 0 <= v < fld.size:
-            raise ContractError("values must be field elements")
+    _check_points(fld, m, s)
+    values = [*received, *extra]
+    _check_values(fld, values)
     if s == 0:
         return list(received)
+    n_points = m + s
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    weights = _barycentric_weights(fld.k, n_points)
+    log_loc = [log[i ^ n_points] for i in range(n_points)]
 
-    # Extended-Euclid decoding on (master, interpolant): stop at the first
-    # remainder of degree < (n_points + m) / 2, divide out the multiplier.
-    r0 = list(_master_poly(fld.k, n_points))
-    r1 = _interpolate_consecutive(fld, values)
-    v0: list[int] = []
-    v1: list[int] = [1]
-    threshold = n_points + m
-    while r1 and 2 * poly_deg(r1) >= threshold:
-        q, rem = poly_divmod(fld, r0, r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, poly_add(v0, poly_mul(fld, q, v1))
-    if not v1:
+    # S_j is the xor of w_i r_i X_i^j; every step multiplies each term by X_i.
+    terms = [exp[log[w] + log[r]] for w, r in zip(weights, values) if r]
+    term_locs = [lx for lx, r in zip(log_loc, values) if r]
+    syndromes = []
+    for _ in range(s):
+        syndromes.append(reduce(xor, terms, 0))
+        terms = [exp[log[t] + lx] for t, lx in zip(terms, term_locs)]
+    if not any(syndromes):
+        return list(received)
+
+    lam, length = _berlekamp_massey(fld, syndromes)
+    if 2 * length > s:
         return None
-    f, rem = poly_divmod(fld, r1, v1)
-    if rem or poly_deg(f) >= m:
+    # Position i is wrong exactly when the locator vanishes at 1/X_i.
+    positions = [i for i, lx in enumerate(log_loc) if not _eval_at(fld, lam, order - lx)]
+    if len(positions) != length:
         return None
-    return [poly_eval(fld, f, a) for a in range(m)]
+
+    # Forney: w_i e_i = X_i Omega(1/X_i) / Lambda'(1/X_i), where
+    # Omega = S Lambda mod x^L and Lambda' keeps the odd-degree terms.
+    omega = [
+        reduce(xor, [fld.mul(lam[u], syndromes[t - u]) for u in range(t + 1)], 0)
+        for t in range(length)
+    ]
+    derivative = [c if t % 2 == 0 else 0 for t, c in enumerate(lam[1:])]
+    out = list(received)
+    for i in positions:
+        num = _eval_at(fld, omega, order - log_loc[i])
+        den = _eval_at(fld, derivative, order - log_loc[i])
+        if not num or not den:
+            return None
+        if i < m:
+            out[i] ^= exp[(log_loc[i] + log[num] - log[den] - log[weights[i]]) % order]
+    return out

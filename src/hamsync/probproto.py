@@ -79,16 +79,10 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     """Word with bit i equal to w's bit at (a*i + b) mod p."""
     if w.n != perm.p:
         raise ContractError(f"word length {w.n} does not match the modulus {perm.p}")
-    value = 0
-    wv = w.value
     a, b, p = perm.a, perm.b, perm.p
-    pos = b
-    for i in range(p):
-        value |= ((wv >> pos) & 1) << i
-        pos += a
-        if pos >= p:
-            pos -= p
-    return Word(value, p)
+    bits = format(w.value, f"0{p}b")[::-1]  # bits[i] is bit i
+    gathered = "".join([bits[(a * i + b) % p] for i in range(p)])
+    return Word(int(gathered[::-1], 2), p)
 
 
 def block_values(w: Word, k: int) -> list[int]:
@@ -99,19 +93,6 @@ def block_values(w: Word, k: int) -> list[int]:
     m = -(-w.n // k)
     mask = (1 << k) - 1
     return [(w.value >> (i * k)) & mask for i in range(m)]
-
-
-def dangerous_blocks(
-    xp: Word, yp: Word, perm: AffinePermutation, k: int, threshold_frac
-) -> int:
-    """Number of blocks where the permuted words differ in at least
-    threshold_frac * k positions.  Pad positions are zero on both sides, so
-    they never contribute."""
-    if xp.n != yp.n:
-        raise ContractError("padded words must have equal length")
-    thr = Fraction(threshold_frac) * k
-    diff = apply_permutation(perm, xp ^ yp)
-    return sum(1 for blk in block_values(diff, k) if blk.bit_count() >= thr)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +253,19 @@ def composite_bob(y: Word, params: ProbParams):
     msg2 = yield RECV
     vals = unpack_fields(msg2, [k] * rows + [rows] * m)
     inner = code_from_parity(tuple(vals[:rows]), k)
+    # A block's estimate depends only on its syndrome difference d: the
+    # guessed difference is the solution t of H t = d minus t's nearest
+    # codeword (ties toward the smaller value).  So decode each of the
+    # 2^rows values of d once, not each block.
     solver = AffineSolver(inner.h)
-    estimates = []
-    for blk, syn in zip(yblocks, vals[rows:]):
-        t = solver.solve(syn ^ mat_vec(inner.h, blk))
+    fix = []
+    for d in range(1 << rows):
+        t = solver.solve(d)
         if t is None:
             raise InvariantError("inconsistent block system under a full-rank matrix")
-        z = unique_decode(inner, Word(t, k))
-        estimates.append(t ^ z.value ^ blk)
+        fix.append(t ^ unique_decode(inner, Word(t, k)).value)
+    h = inner.h
+    estimates = [blk ^ fix[syn ^ mat_vec(h, blk)] for blk, syn in zip(yblocks, vals[rows:])]
 
     msg3 = yield RECV
     extra = unpack_fields(msg3, [k] * s)

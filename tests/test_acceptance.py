@@ -1,5 +1,6 @@
 """Acceptance sweep: thirteen end-to-end checks, one per criterion, each
-printing a single pass/fail line with its measurements and wall time."""
+printing a single pass/fail line with its measurements and wall time.
+Criterion 11's dangerous-block count is defined here, beside its own tests."""
 
 import itertools
 import math
@@ -23,10 +24,11 @@ from hamsync.hashing import multi_nba_protocol, nba_protocol
 from hamsync.probproto import (
     AffinePermutation,
     ProbParams,
+    apply_permutation,
+    block_values,
     composite_alice,
     composite_bob,
     composite_prob_sync,
-    dangerous_blocks,
     next_prime_at_least,
     one_round_prob_sync,
     sample_permutation,
@@ -386,6 +388,52 @@ def test_criterion_10_one_round_detection():
         f"{rate:.4f} <= {1 / 16 + 0.03:.4f}, {elapsed:.1f}s",
     )
     assert ok
+
+
+def dangerous_blocks(xp: Word, yp: Word, perm: AffinePermutation, k: int, threshold_frac) -> int:
+    """Number of blocks where the permuted words differ in at least
+    threshold_frac * k positions.  Pad positions are zero on both sides, so
+    they never contribute."""
+    assert xp.n == yp.n
+    thr = Fraction(threshold_frac) * k
+    diff = apply_permutation(perm, xp ^ yp)
+    return sum(1 for blk in block_values(diff, k) if blk.bit_count() >= thr)
+
+
+def test_dangerous_blocks_trivial_cases():
+    p = 13
+    perm = AffinePermutation(p, 3, 7)
+    w = Word(0b1010101010101, p)
+    assert dangerous_blocks(w, w, perm, 4, Fraction(1, 4)) == 0
+    m = -(-p // 4)
+    assert dangerous_blocks(w, w, perm, 4, 0) == m  # zero threshold counts all
+
+
+def test_dangerous_block_tail_bound_where_it_is_confident():
+    # With these parameters the analytic tail bound n/(s k^2 delta^2) is
+    # below 1, so the sampled frequency must respect it.  Here it is zero
+    # outright: s/2 dangerous blocks would need more differing positions
+    # than the pair has.
+    n, k, s = 1024, 32, 64
+    alpha, delta = Fraction(1, 10), Fraction(3, 20)
+    p = next_prime_at_least(n)
+    d = int(alpha * n)
+    bound = n / (s * k * k * float(delta) ** 2)
+    assert bound < 1
+    rng = random.Random(70)
+    y = Word(rng.getrandbits(n), n)
+    x = y.flip(rng.sample(range(n), d))
+    xp, yp = Word(x.value, p), Word(y.value, p)
+    trials = 200
+    hits = 0
+    for _ in range(trials):
+        perm = sample_permutation(p, rng)
+        count = dangerous_blocks(xp, yp, perm, k, alpha + delta)
+        assert count <= -(-p // k)
+        if count >= s // 2:
+            hits += 1
+    se = math.sqrt(bound * (1 - bound) / trials)
+    assert hits / trials <= bound + 3 * se
 
 
 def test_criterion_11_dangerous_block_tail():

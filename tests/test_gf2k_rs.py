@@ -1,23 +1,44 @@
 import itertools
 import random
+from operator import ne
 
 import pytest
 
 from hamsync.errors import ContractError
-from hamsync.gf2k_rs import (
-    IRREDUCIBLE,
-    Field,
-    field,
-    interpolate,
-    poly_add,
-    poly_deg,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_trim,
-    rs_correct,
-    rs_extra_evals,
-)
+from hamsync.gf2k_rs import IRREDUCIBLE, Field, field, rs_correct, rs_extra_evals
+
+# Reference polynomial arithmetic for checking the evaluation layer: coefficient
+# lists, low degree first, and Lagrange interpolation through scalar products.
+
+
+def poly_trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def poly_eval(fld: Field, coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = fld.mul(acc, x) ^ c
+    return acc
+
+
+def interpolate(fld: Field, points) -> list[int]:
+    """Unique polynomial of degree < len(points) through the given points."""
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must have distinct x")
+    out = [0] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [1], 1
+        for xj in xs[:i] + xs[i + 1 :]:
+            # basis * (x - xj), and the basis polynomial's value at xi
+            basis = [hi ^ fld.mul(lo, xj) for hi, lo in zip([0] + basis, basis + [0])]
+            denom = fld.mul(denom, xi ^ xj)
+        scale = fld.mul(yi, fld.inv(denom))
+        out = [o ^ fld.mul(scale, b) for o, b in zip(out, basis)]
+    return poly_trim(out)
 
 
 def slow_mul(a: int, b: int, modulus: int, k: int) -> int:
@@ -89,22 +110,6 @@ def test_missing_and_reducible_moduli_rejected(monkeypatch):
         Field(6)
 
 
-def test_poly_divmod_identity():
-    fld = field(4)
-    rng = random.Random(52)
-    for _ in range(200):
-        a = [rng.randrange(16) for _ in range(rng.randint(0, 8))]
-        b = poly_trim([rng.randrange(16) for _ in range(rng.randint(1, 6))])
-        if not b:
-            continue
-        q, r = poly_divmod(fld, a, b)
-        assert poly_deg(r) < poly_deg(b)
-        recon = poly_add(poly_mul(fld, q, b), r)
-        assert poly_trim(recon) == poly_trim(list(a))
-    with pytest.raises(ContractError):
-        poly_divmod(fld, [1, 2], [0])
-
-
 def test_poly_eval_matches_power_sum():
     fld = field(5)
     rng = random.Random(53)
@@ -126,10 +131,10 @@ def test_interpolate_matches_points():
         xs = rng.sample(range(16), npts)
         pts = [(x, rng.randrange(16)) for x in xs]
         poly = interpolate(fld, pts)
-        assert poly_deg(poly) < npts
+        assert len(poly) <= npts
         for x, y in pts:
             assert poly_eval(fld, poly, x) == y
-    with pytest.raises(ContractError):
+    with pytest.raises(ValueError):
         interpolate(fld, [(1, 2), (1, 3)])
 
 
@@ -148,10 +153,71 @@ def test_extra_evals_of_constant_blocks():
     assert rs_extra_evals(fld, [9, 9, 9, 9], 4) == [9, 9, 9, 9]
     assert rs_extra_evals(fld, [5], 3) == [5, 5, 5]
     assert rs_extra_evals(fld, [1, 2, 3], 0) == []
+    assert rs_extra_evals(fld, [1] * 10, 5) == [1] * 5  # 15 points and a spare
     with pytest.raises(ContractError):
         rs_extra_evals(fld, [1] * 10, 7)  # 17 points in a 16-element field
     with pytest.raises(ContractError):
+        rs_extra_evals(fld, [1] * 10, 6)  # 16 points leave no spare element
+    with pytest.raises(ContractError):
+        rs_correct(fld, [1] * 10, [1] * 6)
+    with pytest.raises(ContractError):
         rs_extra_evals(fld, [16], 1)
+
+
+def test_extra_evals_match_lagrange():
+    for k, max_m in [(3, 6), (4, 12), (8, 40), (11, 40)]:
+        fld = field(k)
+        rng = random.Random(60 + k)
+        for _ in range(20):
+            m = rng.randint(1, max_m)
+            s = rng.randint(0, min(20, fld.size - 1 - m))
+            blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
+            poly = interpolate(fld, list(enumerate(blocks)))
+            expected = [poly_eval(fld, poly, a) for a in range(m, m + s)]
+            assert rs_extra_evals(fld, blocks, s) == expected
+
+
+def _codewords(fld: Field, m: int, n_points: int) -> list[tuple[int, ...]]:
+    """Every evaluation vector (f(0), ..., f(N-1)) with deg f < m."""
+    return [
+        tuple(poly_eval(fld, coeffs, a) for a in range(n_points))
+        for coeffs in itertools.product(range(fld.size), repeat=m)
+    ]
+
+
+def test_rs_correct_matches_brute_force_decoding():
+    # The unique codeword within floor(s/2) of the m+s values, found by
+    # scanning every codeword, or None when no codeword is that close.
+    returned = failed = 0
+    for k, s_values in [(3, range(1, 7)), (4, (1, 2, 3, 5, 8, 12))]:
+        fld = field(k)
+        rng = random.Random(61 + k)
+        for m in (1, 2, 3):
+            for s in s_values:
+                n_points = m + s
+                if n_points >= fld.size:
+                    continue
+                codewords = _codewords(fld, m, n_points)
+                radius = s // 2
+                for kind in ("random", "near", "beyond") * 12:
+                    if kind == "random":
+                        word = [rng.randrange(fld.size) for _ in range(n_points)]
+                    else:
+                        word = list(rng.choice(codewords))
+                        if kind == "near":
+                            errors = rng.randint(0, radius)
+                        else:
+                            errors = min(n_points, rng.randint(radius + 1, radius + 3))
+                        for pos in rng.sample(range(n_points), errors):
+                            word[pos] ^= rng.randrange(1, fld.size)
+                    close = [c for c in codewords if sum(map(ne, c, word)) <= radius]
+                    assert len(close) <= 1  # minimum distance s + 1
+                    expected = list(close[0][:m]) if close else None
+                    assert rs_correct(fld, word[:m], word[m:]) == expected
+                    if kind == "beyond":
+                        returned += expected is not None
+                        failed += expected is None
+    assert returned > 0 and failed > 0
 
 
 def test_rs_correct_clean():

@@ -20,10 +20,7 @@ PACKAGE = ROOT / "src" / "hamsync"
 BENCH = ROOT / "bench"
 
 # Kept without a caller, each for a reason outside the package.
-ALLOWED = {
-    "gf2k_rs.interpolate": "reference interpolation that rs_correct's fuzz test compares against",
-    "probproto.dangerous_blocks": "the dangerous-block count that acceptance criterion 11 measures",
-}
+ALLOWED: dict[str, str] = {}
 
 _TRACER_TABLES = {"FUNCTIONS", "PARTIES", "METHODS"}
 

@@ -1,4 +1,4 @@
-import math
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +21,6 @@ from hamsync.probproto import (
     apply_permutation,
     block_values,
     composite_prob_sync,
-    dangerous_blocks,
     next_prime_at_least,
     one_round_prob_sync,
     sample_inner_code,
@@ -119,42 +118,6 @@ def test_block_values_reassemble():
             assert 0 <= blk < (1 << k)
             acc |= blk << (i * k)
         assert acc == w.value  # padding bits are zero
-
-
-def test_dangerous_blocks_trivial_cases():
-    p = 13
-    perm = AffinePermutation(p, 3, 7)
-    w = Word(0b1010101010101, p)
-    assert dangerous_blocks(w, w, perm, 4, Fraction(1, 4)) == 0
-    m = -(-p // 4)
-    assert dangerous_blocks(w, w, perm, 4, 0) == m  # zero threshold counts all
-
-
-def test_dangerous_block_tail_bound_where_it_is_confident():
-    # With these parameters the analytic tail bound n/(s k^2 delta^2) is
-    # below 1, so the sampled frequency must respect it.  Here it is zero
-    # outright: s/2 dangerous blocks would need more differing positions
-    # than the pair has.
-    n, k, s = 1024, 32, 64
-    alpha, delta = Fraction(1, 10), Fraction(3, 20)
-    p = next_prime_at_least(n)
-    d = int(alpha * n)
-    bound = n / (s * k * k * float(delta) ** 2)
-    assert bound < 1
-    rng = random.Random(70)
-    y = Word(rng.getrandbits(n), n)
-    x = y.flip(rng.sample(range(n), d))
-    xp, yp = Word(x.value, p), Word(y.value, p)
-    trials = 200
-    hits = 0
-    for _ in range(trials):
-        perm = sample_permutation(p, rng)
-        count = dangerous_blocks(xp, yp, perm, k, alpha + delta)
-        assert count <= -(-p // k)
-        if count >= s // 2:
-            hits += 1
-    se = math.sqrt(bound * (1 - bound) / trials)
-    assert hits / trials <= bound + 3 * se
 
 
 def test_one_round_unique_list_always_succeeds():
@@ -266,6 +229,35 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
             checked += 1
             assert out.recovered == x
     assert checked > 0
+
+
+def test_composite_outcomes_pinned():
+    # 300 trials at smith-stress scale, where s = 2 heals one wrong block, so
+    # all three outcomes occur.  The counts and the digest of every recovered
+    # value and diagnostic were captured from the Lagrange/Euclid decoder and
+    # the per-block nearest-codeword search this implementation replaced.
+    n = 512
+    bounds = Bounds(Fraction(1, 32), n)
+    params = ProbParams(k=9, s=2, delta=Fraction(1, 10), inner_dim=5)
+    rng = random.Random(2007)
+    counts = Counter()
+    digest = hashlib.sha256()
+    for _ in range(300):
+        y = Word(rng.getrandbits(n), n)
+        x = y.flip(rng.sample(range(n), bounds.radius))
+        out = composite_prob_sync(SyncInstance(x, y, bounds), params, rng)
+        if out.reported_failure:
+            counts["reported"] += 1
+        elif out.recovered == x:
+            counts["exact"] += 1
+        else:
+            counts["silent"] += 1
+        value = None if out.recovered is None else out.recovered.value
+        digest.update(repr((value, sorted(out.diagnostics.items()))).encode())
+    assert counts == {"exact": 169, "reported": 120, "silent": 11}
+    assert digest.hexdigest() == (
+        "44b869cab5c8d77698a913292bfba8cf09d14559e0fb609eb49c7473aef525b6"
+    )
 
 
 def test_composite_parameter_guards():
