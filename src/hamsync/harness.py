@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain
 from random import Random
@@ -93,20 +93,8 @@ class ReportRow:
     wall_time_s: float  # console only; kept out of files so they stay byte-stable
 
 
-# Emitted column order is frozen; wall_time_s is deliberately absent.
-REPORT_FIELDS = (
-    "protocol",
-    "n",
-    "alpha",
-    "trials",
-    "success_rate",
-    "mean_bits",
-    "max_bits",
-    "rounds",
-    "lower_bound_bits",
-    "entropy_reference_bits",
-    "diagnostics",
-)
+# Report columns in ReportRow's field order; wall_time_s is deliberately absent.
+REPORT_FIELDS = tuple(f.name for f in fields(ReportRow) if f.name != "wall_time_s")
 
 
 def _sync_cases(cfg: ExperimentConfig, bounds: Bounds, root: Random, parties) -> Iterator[TrialCase]:

@@ -19,7 +19,6 @@ from .gf2codes import (
     AffineSolver,
     LinearCode,
     code_from_parity,
-    list_decode_exhaustive,
     mat_vec,
     min_distance,
     random_linear_code,
@@ -28,7 +27,7 @@ from .gf2codes import (
 )
 from .gf2k_rs import field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_bound, random_prime_hash
-from .syncdet import SyncInstance, _check_list_radius, coset_representative
+from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 INNER_MAX_K = 14  # per-block decoding enumerates 2^inner_dim words of k bits
@@ -67,9 +66,8 @@ def next_prime_at_least(n: int) -> int:
 
 
 def sample_permutation(p: int, rng: Random) -> AffinePermutation:
-    """Uniform member of the affine family; a drawn first, then b."""
-    if not is_prime(p):
-        raise ContractError(f"modulus must be prime, got {p}")
+    """Uniform member of the affine family; a drawn first, then b.
+    AffinePermutation rejects a non-prime p."""
     a = rng.randrange(1, p)
     b = rng.randrange(p)
     return AffinePermutation(p, a, b)
@@ -113,10 +111,7 @@ def one_round_prob_bob(code: LinearCode, radius: int, y: Word, oversample: int, 
     msg = yield RECV
     width = random_prime_bound(code.n, list_cap, oversample).bit_length()
     h_val, q, residue = unpack_fields(msg, [code.n - code.k, width, width])
-    y_prime = coset_representative(code, h_val, y)
-    values = sorted(
-        (y_prime ^ y ^ z).value for z in list_decode_exhaustive(code, y_prime, radius)
-    )
+    values = list_candidates(code, h_val, y, radius)
     diag = {"q": q, "list_size": len(values)}
     if not values:
         return None, diag

@@ -148,6 +148,13 @@ def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
     return Word(t, code.n)
 
 
+def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> list[int]:
+    """Sorted values of every word with syndrome h_value within radius of y:
+    t xor y xor z for each z in the list decoding of t to that radius."""
+    y_prime = coset_representative(code, h_value, y)
+    return sorted((y_prime ^ y ^ z).value for z in list_decode_exhaustive(code, y_prime, radius))
+
+
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
     h_msg = yield RECV
     y_prime = coset_representative(code, h_msg.value, y)
@@ -189,10 +196,7 @@ def listdec_alice(code: LinearCode, x: Word):
 
 def listdec_bob(code: LinearCode, radius: int, y: Word):
     h_msg = yield RECV
-    y_prime = coset_representative(code, h_msg.value, y)
-    values = sorted(
-        (y_prime ^ y ^ z).value for z in list_decode_exhaustive(code, y_prime, radius)
-    )
+    values = list_candidates(code, h_msg.value, y, radius)
     diag = {"syndrome_bits": h_msg.n, "list_size": len(values), "candidates": tuple(values)}
     if not values:
         # The promise is broken and the list is empty.  Keep the message

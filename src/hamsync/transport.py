@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from .bitword import Word
+from .bitword import MAX_WORD_BITS, Word
 from .errors import ContractError, ProtocolExecutionError, TransportError
 
 Party = Generator  # yields Word | RECV, receives Word, returns per-role value
@@ -39,23 +39,17 @@ class _RecvSentinel:
 RECV = _RecvSentinel()
 
 
-class Direction(enum.Enum):
-    ALICE_TO_BOB = "a->b"
-    BOB_TO_ALICE = "b->a"
-
-
 class Role(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
 
 
-def _outgoing(role: Role) -> Direction:
-    return Direction.ALICE_TO_BOB if role is Role.ALICE else Direction.BOB_TO_ALICE
+_PEER = {Role.ALICE: Role.BOB, Role.BOB: Role.ALICE}
 
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    direction: Direction
+    sender: Role
     payload: Word
 
 
@@ -74,7 +68,7 @@ class Transcript:
         changes = sum(
             1
             for prev, cur in zip(self.messages, self.messages[1:])
-            if prev.direction is not cur.direction
+            if prev.sender is not cur.sender
         )
         return changes + 1
 
@@ -90,59 +84,47 @@ class ProtocolOutcome:
         return self.recovered is None
 
 
-# ---------------------------------------------------------------------------
-# loopback channel
+@dataclass(frozen=True)
+class PartyRun:
+    result: Any
+    transcript: Transcript
 
 
-class LoopbackEnd:
-    """One end of an in-process duplex channel backed by FIFO queues."""
-
-    def __init__(self, inbox: "queue.Queue[Word]", outbox: "queue.Queue[Word]") -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send_bits(self, w: Word) -> None:
-        self._outbox.put(w)
-
-    def recv_bits(self) -> Word:
-        return self._inbox.get()
-
-    def has_pending(self) -> bool:
-        return not self._inbox.empty()
-
-    def recv_nowait(self) -> Word:
-        return self._inbox.get_nowait()
-
-    def close(self) -> None:
-        pass
-
-
-def loopback_channel() -> tuple[LoopbackEnd, LoopbackEnd]:
-    """Connected (alice_end, bob_end) pair; per-direction FIFO order."""
-    a_to_b: "queue.Queue[Word]" = queue.Queue()
-    b_to_a: "queue.Queue[Word]" = queue.Queue()
-    alice_end = LoopbackEnd(inbox=b_to_a, outbox=a_to_b)
-    bob_end = LoopbackEnd(inbox=a_to_b, outbox=b_to_a)
-    return alice_end, bob_end
+def outcome_from_party_run(run: PartyRun) -> ProtocolOutcome:
+    """Check Bob's return value and build the outcome of his run."""
+    if not (isinstance(run.result, tuple) and len(run.result) == 2):
+        raise ProtocolExecutionError(
+            "bob must return (recovered, diagnostics), got " + repr(run.result)
+        )
+    recovered, diag = run.result
+    if recovered is not None and not isinstance(recovered, Word):
+        raise ProtocolExecutionError("bob's recovered value must be a Word or None")
+    return ProtocolOutcome(recovered, run.transcript, dict(diag or {}))
 
 
 # ---------------------------------------------------------------------------
-# cooperative runner (both parties in one thread)
+# the party stepper both drivers use
+
+_DONE = object()
 
 
 class _PartyState:
+    """One party and what it wants next: a Word to send, RECV, or _DONE.
+
+    The only place that steps a party: it wraps whatever the party raises and
+    rejects any other yield, so both drivers report party faults alike.
+    """
+
     def __init__(self, role: Role, gen: Party) -> None:
         self.role = role
         self.gen = gen
-        self.want: Any = None  # Word to send, RECV, or _DONE
         self.result: Any = None
+        self.advance(None)
 
-    def advance(self, sent: Optional[Word]) -> None:
+    def advance(self, received: Optional[Word]) -> None:
+        """Resume the party with the word it waited for (None after a send)."""
         try:
-            if sent is None:
-                self.want = next(self.gen)
-            else:
-                self.want = self.gen.send(sent)
+            self.want = self.gen.send(received)
         except StopIteration as stop:
             self.want = _DONE
             self.result = stop.value
@@ -154,97 +136,55 @@ class _PartyState:
             )
 
 
-_DONE = object()
-
-
 def run_protocol(alice: Party, bob: Party) -> ProtocolOutcome:
-    """Drive both parties over a loopback channel until Bob finishes.
+    """Drive both parties in this thread, with one FIFO inbox per party,
+    until Bob finishes.
 
     Raises ProtocolExecutionError on deadlock (both parties waiting with no
     message in flight) or when a party raises.
     """
-    alice_end, bob_end = loopback_channel()
-    ends = {Role.ALICE: alice_end, Role.BOB: bob_end}
-    states = {Role.ALICE: _PartyState(Role.ALICE, alice), Role.BOB: _PartyState(Role.BOB, bob)}
+    inbox: dict[Role, "queue.Queue[Word]"] = {Role.ALICE: queue.Queue(), Role.BOB: queue.Queue()}
+    states = (_PartyState(Role.ALICE, alice), _PartyState(Role.BOB, bob))
+    bob_st = states[1]
     messages: list[Message] = []
 
-    for st in states.values():
-        st.advance(None)
-
-    while states[Role.BOB].want is not _DONE:
+    while bob_st.want is not _DONE:
         progressed = False
-        for role in (Role.ALICE, Role.BOB):
-            st = states[role]
+        for st in states:
             if isinstance(st.want, Word):
-                messages.append(Message(_outgoing(role), st.want))
-                ends[role].send_bits(st.want)
+                messages.append(Message(st.role, st.want))
+                inbox[_PEER[st.role]].put(st.want)
                 st.advance(None)
                 progressed = True
-            elif st.want is RECV and ends[role].has_pending():
-                st.advance(ends[role].recv_nowait())
+            elif st.want is RECV and not inbox[st.role].empty():
+                st.advance(inbox[st.role].get_nowait())
                 progressed = True
-        if not progressed and states[Role.BOB].want is not _DONE:
+        if not progressed:
             raise ProtocolExecutionError("deadlock: both parties are waiting to receive")
 
-    states[Role.ALICE].gen.close()
-    return _build_outcome(states[Role.BOB].result, tuple(messages))
+    alice.close()
+    return outcome_from_party_run(PartyRun(bob_st.result, Transcript(tuple(messages))))
 
 
-def _build_outcome(bob_result: Any, messages: tuple[Message, ...]) -> ProtocolOutcome:
-    if not (isinstance(bob_result, tuple) and len(bob_result) == 2):
-        raise ProtocolExecutionError(
-            "bob must return (recovered, diagnostics), got " + repr(bob_result)
-        )
-    recovered, diag = bob_result
-    if recovered is not None and not isinstance(recovered, Word):
-        raise ProtocolExecutionError("bob's recovered value must be a Word or None")
-    return ProtocolOutcome(recovered, Transcript(messages), dict(diag or {}))
+def run_party(party: Party, role: Role, end: TcpEnd) -> PartyRun:
+    """Drive one party against one TcpEnd, blocking on receives.
 
-
-@dataclass(frozen=True)
-class PartyRun:
-    result: Any
-    transcript: Transcript
-
-
-def run_party(party: Party, role: Role, end: Any) -> PartyRun:
-    """Drive one party against one channel end, blocking on receives.
-
-    Used for TCP runs (one party per process or thread) and for threaded
-    loopback runs.  The transcript contains this endpoint's view of the
-    conversation: identical on both ends for alternating protocols.
+    The transcript is this end's view of the conversation: identical on both
+    ends for alternating protocols.  A TransportError from the end reaches
+    the caller as it is.
     """
+    st = _PartyState(role, party)
     messages: list[Message] = []
-    gen = party
-    try:
-        want = next(gen)
-        while True:
-            if isinstance(want, Word):
-                messages.append(Message(_outgoing(role), want))
-                end.send_bits(want)
-                want = next(gen)
-            elif want is RECV:
-                w = end.recv_bits()
-                direction = _outgoing(Role.BOB if role is Role.ALICE else Role.ALICE)
-                messages.append(Message(direction, w))
-                want = gen.send(w)
-            else:
-                raise ProtocolExecutionError(
-                    f"{role.value} yielded {want!r}; parties yield Word or RECV"
-                )
-    except StopIteration as stop:
-        return PartyRun(result=stop.value, transcript=Transcript(tuple(messages)))
-    except TransportError:
-        raise
-    except ProtocolExecutionError:
-        raise
-    except Exception as exc:
-        raise ProtocolExecutionError(f"{role.value} raised: {exc!r}") from exc
-
-
-def outcome_from_party_run(run: PartyRun) -> ProtocolOutcome:
-    """Build a ProtocolOutcome from Bob's PartyRun (TCP runs)."""
-    return _build_outcome(run.result, run.transcript.messages)
+    while st.want is not _DONE:
+        if st.want is RECV:
+            received = end.recv_bits()
+            messages.append(Message(_PEER[role], received))
+        else:
+            received = None
+            messages.append(Message(role, st.want))
+            end.send_bits(st.want)
+        st.advance(received)
+    return PartyRun(st.result, Transcript(tuple(messages)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +224,8 @@ class TcpEnd:
 
     def recv_bits(self) -> Word:
         (nbits,) = _FRAME_HEADER.unpack(self._recv_exact(_FRAME_HEADER.size))
-        if nbits < 1:
-            raise TransportError("received a frame with an empty payload")
+        if not 1 <= nbits <= MAX_WORD_BITS:
+            raise TransportError(f"frame of {nbits} bits is outside [1, {MAX_WORD_BITS}]")
         raw = self._recv_exact((nbits + 7) // 8)
         value = int.from_bytes(raw, "little") & ((1 << nbits) - 1)
         return Word(value, nbits)

@@ -1,23 +1,61 @@
+import socket
+import struct
 import threading
 
 import pytest
 
-from hamsync.bitword import Word
+from hamsync.bitword import MAX_WORD_BITS, Word
 from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
 from hamsync.transport import (
     RECV,
-    Direction,
     ProtocolOutcome,
     Role,
+    TcpEnd,
     TcpListener,
     Transcript,
     host_port,
-    loopback_channel,
     outcome_from_party_run,
     run_party,
     run_protocol,
     tcp_connect,
 )
+
+
+def _socketpair_ends() -> tuple[TcpEnd, TcpEnd]:
+    a_sock, b_sock = socket.socketpair()
+    return TcpEnd(a_sock), TcpEnd(b_sock)
+
+
+def _run_over_tcp(alice, bob):
+    """run_protocol's result from run_party over a socketpair, Alice in a
+    second thread.  A party's own error is raised in preference to the
+    TransportError its peer sees once the failed party's end closes."""
+    a_end, b_end = _socketpair_ends()
+    alice_errors = []
+
+    def serve():
+        try:
+            run_party(alice, Role.ALICE, a_end)
+        except ProtocolExecutionError as exc:
+            alice_errors.append(exc)
+        finally:
+            a_end.close()
+
+    t = threading.Thread(target=serve)
+    t.start()
+    try:
+        return outcome_from_party_run(run_party(bob, Role.BOB, b_end))
+    except TransportError:
+        t.join()
+        if alice_errors:
+            raise alice_errors[0]
+        raise
+    finally:
+        b_end.close()
+        t.join()
+
+
+DRIVERS = (run_protocol, _run_over_tcp)
 
 
 def _alice_pingpong(x: Word):
@@ -40,8 +78,7 @@ def test_pingpong_counts_bits_and_rounds():
     t = outcome.transcript
     assert t.total_bits == 12
     assert t.rounds == 3
-    dirs = [m.direction for m in t.messages]
-    assert dirs == [Direction.ALICE_TO_BOB, Direction.BOB_TO_ALICE, Direction.ALICE_TO_BOB]
+    assert [m.sender for m in t.messages] == [Role.ALICE, Role.BOB, Role.ALICE]
     assert not outcome.reported_failure
     # second = (x flip bit0) xor x = e0
     assert outcome.recovered == Word(0b0001, 4)
@@ -94,8 +131,9 @@ def test_bad_bob_return_rejected():
         got = yield RECV
         return got  # missing diagnostics
 
-    with pytest.raises(ProtocolExecutionError):
-        run_protocol(alice(Word(1, 2)), bob())
+    for drive in DRIVERS:
+        with pytest.raises(ProtocolExecutionError, match="^bob must return"):
+            drive(alice(Word(1, 2)), bob())
 
 
 def test_bad_yield_rejected():
@@ -107,8 +145,9 @@ def test_bad_yield_rejected():
         yield RECV
         return Word(0, 1), {}
 
-    with pytest.raises(ProtocolExecutionError):
-        run_protocol(alice(), bob())
+    for drive in DRIVERS:
+        with pytest.raises(ProtocolExecutionError, match="^alice yielded 7"):
+            drive(alice(), bob())
 
 
 def test_party_exception_wrapped():
@@ -121,8 +160,9 @@ def test_party_exception_wrapped():
         _ = yield RECV
         return got, {}
 
-    with pytest.raises(ProtocolExecutionError):
-        run_protocol(alice(Word(1, 2)), bob())
+    for drive in DRIVERS:
+        with pytest.raises(ProtocolExecutionError, match="^alice raised: ValueError"):
+            drive(alice(Word(1, 2)), bob())
 
 
 def test_outcome_contract():
@@ -135,7 +175,7 @@ def test_run_party_threads_match_run_protocol():
     x = Word(0b0110, 4)
     direct = run_protocol(_alice_pingpong(x), _bob_pingpong())
 
-    a_end, b_end = loopback_channel()
+    a_end, b_end = _socketpair_ends()
     alice_runs = []
 
     def serve():
@@ -143,8 +183,12 @@ def test_run_party_threads_match_run_protocol():
 
     t = threading.Thread(target=serve)
     t.start()
-    bob_run = run_party(_bob_pingpong(), Role.BOB, b_end)
-    t.join()
+    try:
+        bob_run = run_party(_bob_pingpong(), Role.BOB, b_end)
+    finally:
+        t.join()
+        a_end.close()
+        b_end.close()
     threaded = outcome_from_party_run(bob_run)
 
     assert threaded.recovered == direct.recovered
@@ -212,6 +256,31 @@ def test_tcp_end_is_blocking_only():
         end.close()
         t.join()
         listener.close()
+
+
+@pytest.mark.parametrize("nbits", [0, MAX_WORD_BITS + 1, (1 << 32) - 1])
+def test_frame_length_checked_before_payload(nbits):
+    sender, receiver = socket.socketpair()
+    end = TcpEnd(receiver)
+    frame = struct.pack(">I", nbits)
+    if nbits == MAX_WORD_BITS + 1:
+        frame += bytes((nbits + 7) // 8)  # a whole payload, which Word would reject
+
+    def send():
+        try:
+            sender.sendall(frame)
+        except OSError:
+            pass  # the receiver closes without reading the payload
+
+    t = threading.Thread(target=send)
+    t.start()
+    try:
+        with pytest.raises(TransportError, match="outside"):
+            end.recv_bits()
+    finally:
+        end.close()
+        t.join()
+        sender.close()
 
 
 def test_bad_channel_specs():
