@@ -181,17 +181,21 @@ def syndrome(code: LinearCode, x: Word) -> Word:
 _FULL_RANK_ATTEMPTS = 1000
 
 
-def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
-    """Uniformly random (n-k) x n parity-check matrix, resampled until it has
-    full row rank."""
+def random_parity_rows(n: int, k: int, rng: Random) -> tuple[int, ...]:
+    """Uniformly random (n-k) x n parity-check rows, resampled until they
+    have full row rank."""
     if not 1 <= k < n:
         raise ContractError("need 1 <= k < n")
     for _ in range(_FULL_RANK_ATTEMPTS):
         masks = tuple(rng.getrandbits(n) for _ in range(n - k))
-        reduced, pivots = _rref(masks, n)
-        if len(pivots) == n - k:
-            return code_from_parity(masks, n)
+        if len(_rref(masks, n)[1]) == n - k:
+            return masks
     raise RetryLimitError(f"no full-rank parity matrix in {_FULL_RANK_ATTEMPTS} samples")
+
+
+def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
+    """The code of random_parity_rows(n, k, rng)."""
+    return code_from_parity(random_parity_rows(n, k, rng), n)
 
 
 @lru_cache(maxsize=128)

@@ -14,9 +14,12 @@ set, so m + s < 2^k.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import xor
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError
 
@@ -110,6 +113,81 @@ def _check_values(fld: Field, values: Sequence[int]) -> None:
         raise ContractError("values must be field elements")
 
 
+# _BIT_OF[b] maps a byte to its bit b, so bytes.translate turns a byte
+# string of values into a string of 0/1 selectors.
+_BIT_OF = [bytes((v >> b) & 1 for v in range(256)) for b in range(8)]
+
+
+def _lane_array(k: int, init) -> array:
+    """Lanes of one byte (k <= 8) or two, whose bytes are little-endian:
+    init is a list of field elements or the bytes of such lanes."""
+    lanes = array("B" if k <= 8 else "H", init)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def _pack_lanes(k: int, values: Sequence[int]) -> int:
+    """values[i] in lane i of an int, a lane being 8 bits for k <= 8 and 16 above."""
+    return int.from_bytes(_lane_array(k, values).tobytes(), "little")
+
+
+def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: int) -> list[int]:
+    """sum_i values[i] * columns[i] over GF(2^k), where each column packs
+    `lanes` field elements (see _pack_lanes) and a value multiplies every
+    lane of its column.
+
+    Bit b of the values selects the columns xored into a partial sum P_b,
+    and Horner's rule in x joins them, sum_b x^b P_b, with a lane-wise
+    multiply-by-x; only the k partial sums and k - 1 multiplies run as
+    Python steps, each on whole words.
+
+    The three callers cache their columns per size: at (k, m, s) the
+    encoder holds m*s lanes, the syndromes (m+s)*s and the root scan
+    (floor(s/2)+1)*(m+s), two bytes each for k > 8.  At n=2048 (k=11,
+    m=187, s=64) that is 24 + 32 + 17 KB.
+    """
+    k = fld.k
+    step = 1 if k <= 8 else 2
+    raw = _lane_array(k, values).tobytes()
+    partial = [
+        reduce(xor, compress(columns, raw[b >> 3 :: step].translate(_BIT_OF[b & 7])), 0)
+        for b in range(k)
+    ]
+    top = int.from_bytes(b"\x01".ljust(step, b"\x00") * lanes, "little") << (k - 1)
+    reduction = fld.modulus ^ fld.size  # x^k in the field
+    acc = 0
+    for part in reversed(partial):
+        # x * acc per lane: shift, and fold each lane's carried-out top bit back in
+        high = acc & top
+        acc = ((acc ^ high) << 1) ^ (high >> (k - 1)) * reduction ^ part
+    return _lane_array(k, acc.to_bytes(lanes * step, "little")).tolist()
+
+
+def _log_vanishing(fld: Field, npoints: int, xs: Iterable[int]) -> list[int]:
+    """sum over j < npoints, j != x, of log(x - j), for each x in xs.
+
+    [0, npoints) splits into aligned blocks [c, c + 2^t), one per set bit t
+    of npoints.  As j runs over such a block, x - j = x ^ j runs over the
+    aligned block of x ^ c, so the block contributes Q_t((x ^ c) >> t), where
+    Q_t(u) sums the logs of the nonzero elements of [u 2^t, (u+1) 2^t) and
+    Q_t(u) = Q_{t-1}(2u) + Q_{t-1}(2u+1).  That is O(2^k + len(xs) log npoints)
+    table steps, not O(npoints len(xs)).
+    """
+    q = fld.log  # log[0] = 0 leaves out the zero difference j = x
+    sums = [q]
+    for _ in range(npoints.bit_length() - 1):
+        q = [a + b for a, b in zip(q[0::2], q[1::2])]
+        sums.append(q)
+    blocks = [
+        (sums[t], t, npoints >> (t + 1) << (t + 1))
+        for t in range(npoints.bit_length())
+        if npoints >> t & 1
+    ]
+    order = fld.size - 1
+    return [sum(q_t[(x ^ c) >> t] for q_t, t, c in blocks) % order for x in xs]
+
+
 @lru_cache(maxsize=None)
 def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
     """w_i = 1 / prod_{j != i} (a_i - a_j) over the points a = 0..npoints-1.
@@ -117,41 +195,57 @@ def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
     weights, unchanged."""
     fld = field(k)
     order = fld.size - 1
+    return tuple(fld.exp[-v % order] for v in _log_vanishing(fld, npoints, range(npoints)))
+
+
+@lru_cache(maxsize=None)
+def _encoder_columns(k: int, m: int, s: int) -> tuple[int, ...]:
+    """Column i packs the Lagrange basis value L_i(a) = M(a) w_i / (a - i) at
+    the extra points a = m..m+s-1, with M(x) = prod_{j < m} (x - j)."""
+    fld = field(k)
+    order = fld.size - 1
     exp, log = fld.exp, fld.log
+    # -log w_i for i < m, log M(a) for a >= m
+    vanishing = _log_vanishing(fld, m, range(m + s))
     return tuple(
-        exp[-sum(log[i ^ j] for j in range(npoints) if j != i) % order]
-        for i in range(npoints)
+        _pack_lanes(
+            k, [exp[(vanishing[a] - vanishing[i] - log[a ^ i]) % order] for a in range(m, m + s)]
+        )
+        for i in range(m)
     )
 
 
 @lru_cache(maxsize=None)
-def _log_master_at_extras(k: int, m: int, s: int) -> tuple[int, ...]:
-    """log M(a) for M(x) = prod_{i < m} (x - i) at the extra points a = m..m+s-1."""
+def _syndrome_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
+    """Column i packs w_i X_i^j for j < s, with the locator X_i = i + npoints."""
     fld = field(k)
     order = fld.size - 1
-    return tuple(sum(fld.log[a ^ i] for i in range(m)) % order for a in range(m, m + s))
+    exp, log = fld.exp, fld.log
+    return tuple(
+        _pack_lanes(k, [exp[(log[w] + j * log[i ^ npoints]) % order] for j in range(s)])
+        for i, w in enumerate(_barycentric_weights(k, npoints))
+    )
+
+
+@lru_cache(maxsize=None)
+def _root_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
+    """Column t packs X_i^-t over the points i < npoints, for t <= floor(s/2)."""
+    fld = field(k)
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    return tuple(
+        _pack_lanes(k, [exp[-t * log[i ^ npoints] % order] for i in range(npoints)])
+        for t in range(s // 2 + 1)
+    )
 
 
 def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
     """Values at the points m..m+s-1 of the degree < m polynomial f through
-    (i, blocks[i]), by the barycentric form f(a) = M(a) sum_i w_i b_i / (a - i)."""
+    (i, blocks[i]): f(a) = sum_i blocks[i] L_i(a) over the Lagrange basis."""
     m = len(blocks)
     _check_points(fld, m, s)
     _check_values(fld, blocks)
-    order = fld.size - 1
-    exp, log = fld.exp, fld.log
-    # log(w_i b_i) lifted into [order, 2 order) so that subtracting a log
-    # stays a valid index of the doubled exp table.
-    lifted = [
-        (i, (log[w] + log[b]) % order + order)
-        for i, (w, b) in enumerate(zip(_barycentric_weights(fld.k, m), blocks))
-        if b
-    ]
-    out = []
-    for a, log_master in zip(range(m, m + s), _log_master_at_extras(fld.k, m, s)):
-        acc = reduce(xor, [exp[lt - log[a ^ i]] for i, lt in lifted], 0)
-        out.append(exp[log_master + log[acc]] if acc else 0)
-    return out
+    return _lane_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
 
 
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
@@ -213,21 +307,8 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
     _check_points(fld, m, s)
     values = [*received, *extra]
     _check_values(fld, values)
-    if s == 0:
-        return list(received)
     n_points = m + s
-    order = fld.size - 1
-    exp, log = fld.exp, fld.log
-    weights = _barycentric_weights(fld.k, n_points)
-    log_loc = [log[i ^ n_points] for i in range(n_points)]
-
-    # S_j is the xor of w_i r_i X_i^j; every step multiplies each term by X_i.
-    terms = [exp[log[w] + log[r]] for w, r in zip(weights, values) if r]
-    term_locs = [lx for lx, r in zip(log_loc, values) if r]
-    syndromes = []
-    for _ in range(s):
-        syndromes.append(reduce(xor, terms, 0))
-        terms = [exp[log[t] + lx] for t, lx in zip(terms, term_locs)]
+    syndromes = _lane_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
     if not any(syndromes):
         return list(received)
 
@@ -235,7 +316,8 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
     if 2 * length > s:
         return None
     # Position i is wrong exactly when the locator vanishes at 1/X_i.
-    positions = [i for i, lx in enumerate(log_loc) if not _eval_at(fld, lam, order - lx)]
+    at_points = _lane_map(fld, lam, _root_columns(fld.k, n_points, s), n_points)
+    positions = [i for i, v in enumerate(at_points) if not v]
     if len(positions) != length:
         return None
 
@@ -246,12 +328,16 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
         for t in range(length)
     ]
     derivative = [c if t % 2 == 0 else 0 for t, c in enumerate(lam[1:])]
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    weights = _barycentric_weights(fld.k, n_points)
     out = list(received)
     for i in positions:
-        num = _eval_at(fld, omega, order - log_loc[i])
-        den = _eval_at(fld, derivative, order - log_loc[i])
+        log_loc = log[i ^ n_points]
+        num = _eval_at(fld, omega, order - log_loc)
+        den = _eval_at(fld, derivative, order - log_loc)
         if not num or not den:
             return None
         if i < m:
-            out[i] ^= exp[(log_loc[i] + log[num] - log[den] - log[weights[i]]) % order]
+            out[i] ^= exp[(log_loc + log[num] - log[den] - log[weights[i]]) % order]
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
@@ -19,9 +20,7 @@ from .gf2codes import (
     AffineSolver,
     LinearCode,
     code_from_parity,
-    mat_vec,
-    min_distance,
-    random_linear_code,
+    random_parity_rows,
     syndrome,
     unique_decode,
 )
@@ -203,16 +202,45 @@ class ProbParams:
 _INNER_CODE_ATTEMPTS = 500
 
 
+def _parity_columns(row_masks: Sequence[int], k: int) -> list[int]:
+    """Column c of a parity-check matrix as an int whose bit r is row r's bit c."""
+    rows = [format(mask, f"0{k}b") for mask in reversed(row_masks)]  # last row, top bit first
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
+def _distance_at_least_3(row_masks: Sequence[int], k: int) -> bool:
+    """Whether the binary code with these parity-check rows has minimum
+    distance >= 3: a codeword of weight 1 is a zero column of H, and one of
+    weight 2 is a pair of equal columns."""
+    columns = _parity_columns(row_masks, k)
+    return 0 not in columns and len(set(columns)) == k
+
+
 def sample_inner_code(k: int, dim: int, rng: Random) -> LinearCode:
     """Random [k, dim] code resampled until its minimum distance is at least
-    3, so blocks that picked up at most one difference decode exactly."""
+    3, so blocks that picked up at most one difference decode exactly.
+    Each draw is tested on its parity-check rows before a code is built."""
     for _ in range(_INNER_CODE_ATTEMPTS):
-        code = random_linear_code(k, dim, rng)
-        if min_distance(code) >= 3:
-            return code
+        masks = random_parity_rows(k, dim, rng)
+        if _distance_at_least_3(masks, k):
+            return code_from_parity(masks, k)
     raise RetryLimitError(
         f"no [{k}, {dim}] code of distance >= 3 in {_INNER_CODE_ATTEMPTS} samples"
     )
+
+
+def _block_syndromes(row_masks: Sequence[int], value: int, k: int, m: int) -> list[int]:
+    """H times each of the m k-bit blocks of value (block i is bits
+    [ik, ik+k)), bit-sliced: (value >> b) & lanes keeps bit b of every block
+    at the bottom of its lane, and multiplying it by column b of H adds that
+    column to every block with the bit set.  A column is shorter than a
+    lane, so no product spills into the next block."""
+    lanes = ((1 << (m * k)) - 1) // ((1 << k) - 1)  # bit ik for every i < m
+    acc = 0
+    for b, column in enumerate(_parity_columns(row_masks, k)):
+        acc ^= ((value >> b) & lanes) * column
+    mask = (1 << k) - 1
+    return [(acc >> (i * k)) & mask for i in range(m)]
 
 
 def composite_alice(x: Word, params: ProbParams, rng: Random):
@@ -221,12 +249,16 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     p = next_prime_at_least(x.n)
     perm = sample_permutation(p, rng)
     inner = sample_inner_code(params.k, params.inner_dim, rng)
-    blocks = block_values(apply_permutation(perm, Word(x.value, p)), params.k)
+    permuted = apply_permutation(perm, Word(x.value, p))
+    blocks = block_values(permuted, params.k)
     width_p = (p - 1).bit_length()
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
     rows = params.k - params.inner_dim
-    fields = [(mask, params.k) for mask in inner.h.row_masks]
-    fields += [(mat_vec(inner.h, blk), rows) for blk in blocks]
+    masks = inner.h.row_masks
+    fields = [(mask, params.k) for mask in masks]
+    fields += [
+        (syn, rows) for syn in _block_syndromes(masks, permuted.value, params.k, len(blocks))
+    ]
     yield pack_fields(fields)
     extra = rs_extra_evals(field(params.k), blocks, params.s)
     yield pack_fields([(e, params.k) for e in extra])
@@ -242,7 +274,8 @@ def composite_bob(y: Word, params: ProbParams):
     msg1 = yield RECV
     a_val, b_val = unpack_fields(msg1, [width_p, width_p])
     perm = AffinePermutation(p, a_val, b_val)
-    yblocks = block_values(apply_permutation(perm, Word(y.value, p)), k)
+    permuted = apply_permutation(perm, Word(y.value, p))
+    yblocks = block_values(permuted, k)
     m = len(yblocks)
 
     msg2 = yield RECV
@@ -259,8 +292,8 @@ def composite_bob(y: Word, params: ProbParams):
         if t is None:
             raise InvariantError("inconsistent block system under a full-rank matrix")
         fix.append(t ^ unique_decode(inner, Word(t, k)).value)
-    h = inner.h
-    estimates = [blk ^ fix[syn ^ mat_vec(h, blk)] for blk, syn in zip(yblocks, vals[rows:])]
+    ysyns = _block_syndromes(vals[:rows], permuted.value, k, m)
+    estimates = [blk ^ fix[syn ^ ysyn] for blk, syn, ysyn in zip(yblocks, vals[rows:], ysyns)]
 
     msg3 = yield RECV
     extra = unpack_fields(msg3, [k] * s)

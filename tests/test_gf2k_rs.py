@@ -1,11 +1,22 @@
 import itertools
 import random
-from operator import ne
+from functools import reduce
+from operator import ne, xor
 
 import pytest
 
 from hamsync.errors import ContractError
-from hamsync.gf2k_rs import IRREDUCIBLE, Field, field, rs_correct, rs_extra_evals
+from hamsync.gf2k_rs import (
+    IRREDUCIBLE,
+    Field,
+    _barycentric_weights,
+    _lane_map,
+    _root_columns,
+    _syndrome_columns,
+    field,
+    rs_correct,
+    rs_extra_evals,
+)
 
 # Reference polynomial arithmetic for checking the evaluation layer: coefficient
 # lists, low degree first, and Lagrange interpolation through scalar products.
@@ -293,3 +304,105 @@ def test_rs_output_always_agrees_with_majority():
         agree = sum(1 for a, v in enumerate(values) if poly_eval(fld, poly, a) == v)
         assert 2 * agree >= 2 * m + s
     assert returned > 0 and failed > 0
+
+
+# Test-local copies of the per-element loops that the packed-lane kernels
+# replaced: direct products for the weights and M(a), the barycentric sum per
+# extra point, the term-by-term syndrome loop and the Horner root scan.
+
+
+def old_weights(fld: Field, npoints: int) -> list[int]:
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    return [
+        exp[-sum(log[i ^ j] for j in range(npoints) if j != i) % order] for i in range(npoints)
+    ]
+
+
+def old_extra_evals(fld: Field, blocks, s: int) -> list[int]:
+    m = len(blocks)
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    log_master = [sum(log[a ^ i] for i in range(m)) % order for a in range(m, m + s)]
+    lifted = [
+        (i, (log[w] + log[b]) % order + order)
+        for i, (w, b) in enumerate(zip(old_weights(fld, m), blocks))
+        if b
+    ]
+    out = []
+    for a, lm in zip(range(m, m + s), log_master):
+        acc = reduce(xor, [exp[lt - log[a ^ i]] for i, lt in lifted], 0)
+        out.append(exp[lm + log[acc]] if acc else 0)
+    return out
+
+
+def old_syndromes(fld: Field, values, s: int) -> list[int]:
+    n_points = len(values)
+    exp, log = fld.exp, fld.log
+    log_loc = [log[i ^ n_points] for i in range(n_points)]
+    terms = [exp[log[w] + log[r]] for w, r in zip(old_weights(fld, n_points), values) if r]
+    term_locs = [lx for lx, r in zip(log_loc, values) if r]
+    syndromes = []
+    for _ in range(s):
+        syndromes.append(reduce(xor, terms, 0))
+        terms = [exp[log[t] + lx] for t, lx in zip(terms, term_locs)]
+    return syndromes
+
+
+def old_root_scan(fld: Field, lam, n_points: int) -> list[int]:
+    """lam evaluated at 1/X_i for every point i, X_i = i + n_points."""
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    out = []
+    for i in range(n_points):
+        log_x = order - log[i ^ n_points]
+        acc = 0
+        for c in reversed(lam):
+            if acc:
+                acc = exp[log[acc] + log_x]
+            acc ^= c
+        out.append(acc)
+    return out
+
+
+def _kernel_sizes():
+    """(k, m, s): s = 2, full fields (m + s = 2^k - 1) up to k = 8, random
+    sizes, and the composite protocol's default size."""
+    rng = random.Random(90)
+    for k in (3, 4, 5, 8, 11):
+        size = 1 << k
+        yield k, 1, 2
+        if k <= 8:
+            yield k, size - 3, 2
+            yield k, 1, size - 2
+            yield k, size // 2, size - 1 - size // 2
+        for _ in range(3):
+            m = rng.randint(1, min(size - 3, 300))
+            yield k, m, rng.randint(2, min(size - 1 - m, 80))
+    yield 11, 187, 64
+
+
+@pytest.mark.parametrize("k, m, s", list(_kernel_sizes()))
+def test_lane_kernels_match_the_loops_they_replace(k, m, s):
+    fld = field(k)
+    rng = random.Random(k * 1000 + m * 10 + s)
+    n_points = m + s
+    for _ in range(3):
+        blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
+        assert rs_extra_evals(fld, blocks, s) == old_extra_evals(fld, blocks, s)
+        values = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(n_points)]
+        assert _lane_map(fld, values, _syndrome_columns(k, n_points, s), s) == old_syndromes(
+            fld, values, s
+        )
+        lam = [1] + [rng.randrange(fld.size) for _ in range(rng.randint(0, s // 2))]
+        assert _lane_map(fld, lam, _root_columns(k, n_points, s), n_points) == old_root_scan(
+            fld, lam, n_points
+        )
+
+
+def test_barycentric_weights_match_direct_products():
+    for k in range(3, 13):
+        fld = field(k)
+        sizes = {1, 2, 3, (1 << k) - 1} if k <= 9 else {1, 187, 251, 300}
+        for npoints in sorted(sizes):
+            assert list(_barycentric_weights(k, npoints)) == old_weights(fld, npoints)

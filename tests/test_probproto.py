@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from hamsync.bitword import Bounds, Word, random_word_within
-from hamsync.errors import CapabilityError, ContractError
+from hamsync.errors import CapabilityError, ContractError, RetryLimitError
 from hamsync.gf2codes import (
     AffineSolver,
+    BitMatrix,
+    _rref,
+    code_from_parity,
     hamming_7_4,
     mat_vec,
     min_distance,
@@ -18,6 +22,8 @@ from hamsync.gf2codes import (
 from hamsync.probproto import (
     AffinePermutation,
     ProbParams,
+    _block_syndromes,
+    _distance_at_least_3,
     apply_permutation,
     block_values,
     composite_prob_sync,
@@ -177,6 +183,59 @@ def test_sample_inner_code_distance():
         assert min_distance(code) >= 3
 
 
+def test_block_syndromes_match_per_block_products():
+    rng = random.Random(75)
+    for _ in range(200):
+        k = rng.randint(2, 14)
+        rows = rng.randint(1, k - 1)
+        masks = tuple(rng.getrandbits(k) for _ in range(rows))
+        n = rng.randint(1, 300)  # n % k != 0 leaves a zero-padded last block
+        w = Word(rng.getrandbits(n), n)
+        blocks = block_values(w, k)
+        h = BitMatrix(rows, k, masks)
+        assert _block_syndromes(masks, w.value, k, len(blocks)) == [
+            mat_vec(h, blk) for blk in blocks
+        ]
+
+
+@pytest.mark.parametrize("k, rows", [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3)])
+def test_column_test_matches_min_distance(k, rows):
+    # Every full-rank parity-check matrix of this shape, both ways.
+    passed = 0
+    for masks in itertools.product(range(1 << k), repeat=rows):
+        if len(_rref(masks, k)[1]) != rows:
+            continue
+        expected = min_distance(code_from_parity(masks, k)) >= 3
+        assert _distance_at_least_3(masks, k) == expected
+        passed += expected
+    assert passed or (1 << rows) - 1 < k  # some draws pass whenever any can
+
+
+def _old_sample_inner_code(k, dim, rng):
+    """sample_inner_code as it was: build every full-rank draw, then
+    enumerate its codewords for the distance."""
+    for _ in range(500):
+        code = random_linear_code(k, dim, rng)
+        if min_distance(code) >= 3:
+            return code
+    raise RetryLimitError("no code")
+
+
+def test_sample_inner_code_matches_the_old_sampler():
+    for seed in range(200):
+        for k, dim in [(11, 6), (9, 5), (5, 2)]:
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            assert sample_inner_code(k, dim, new_rng) == _old_sample_inner_code(k, dim, old_rng)
+            assert new_rng.getstate() == old_rng.getstate()
+    # No [8, 6] code reaches distance 3: both give up after the same draws.
+    new_rng, old_rng = random.Random(1), random.Random(1)
+    with pytest.raises(RetryLimitError):
+        sample_inner_code(8, 6, new_rng)
+    with pytest.raises(RetryLimitError):
+        _old_sample_inner_code(8, 6, old_rng)
+    assert new_rng.getstate() == old_rng.getstate()
+
+
 def test_composite_identical_words():
     params = ProbParams(k=11, s=64, delta=Fraction(3, 20), inner_dim=6)
     bounds = Bounds(Fraction(1, 20), 2048)
@@ -258,6 +317,53 @@ def test_composite_outcomes_pinned():
     assert digest.hexdigest() == (
         "44b869cab5c8d77698a913292bfba8cf09d14559e0fb609eb49c7473aef525b6"
     )
+
+
+def _composite_transcript_digest(n, alpha, params, trials, seed):
+    """SHA-256 over every message (sender, length, payload), recovered value
+    and diagnostic of `trials` composite runs on promise pairs with exactly
+    floor(alpha n) flips."""
+    bounds = Bounds(alpha, n)
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(trials):
+        y = Word(rng.getrandbits(n), n)
+        x = y.flip(rng.sample(range(n), bounds.radius))
+        out = composite_prob_sync(SyncInstance(x, y, bounds), params, rng)
+        for msg in out.transcript.messages:
+            digest.update(repr((msg.sender.value, msg.payload.n, msg.payload.value)).encode())
+        value = None if out.recovered is None else out.recovered.value
+        digest.update(repr((value, sorted(out.diagnostics.items()))).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, alpha, params, trials, expected",
+    [
+        # the registry defaults, as the smith-2048 benchmark workload runs them
+        (
+            2048,
+            Fraction(1, 20),
+            ProbParams(k=11, s=64, delta=Fraction(3, 20), inner_dim=6),
+            40,
+            "cb030d8042710ae9aee667b1fd7e2be798cfd99f85204ad8cb921521ff75bfd9",
+        ),
+        # the smith-stress parameters, where all three outcomes occur
+        (
+            512,
+            Fraction(1, 32),
+            ProbParams(k=9, s=2, delta=Fraction(1, 10), inner_dim=5),
+            300,
+            "2805361d1a1001730fa11aa2f9b8e9a34ded3665231646e8068ac6944a30b50b",
+        ),
+    ],
+    ids=["smith-2048", "smith-stress"],
+)
+def test_composite_transcripts_pinned(n, alpha, params, trials, expected):
+    # Captured before the RS layer, the block syndromes and the inner-code
+    # sampler moved to packed-lane kernels; any change to Alice's draws or
+    # to a payload bit shows here.
+    assert _composite_transcript_digest(n, alpha, params, trials, 2026) == expected
 
 
 def test_composite_parameter_guards():
