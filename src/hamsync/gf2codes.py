@@ -1,8 +1,9 @@
 """Binary linear codes: parity-check matrices as packed integer rows,
 syndromes, affine solves, random code sampling, and exhaustive decoding.
 
-A matrix row is a Python int whose bit c is the entry in column c, matching
-the Word convention, so a row-times-vector product is one AND and a popcount.
+A matrix is the tuple of its rows, and a row is a Python int whose bit c is
+the entry in column c, matching the Word convention, so a row-times-vector
+product is one AND and a popcount.
 """
 
 from __future__ import annotations
@@ -18,26 +19,10 @@ from .errors import CapabilityError, ContractError, InvariantError, RetryLimitEr
 _DECODE_ENUM_LIMIT = 24  # exhaustive decoding walks 2^k codewords; n capped too
 
 
-@dataclass(frozen=True, slots=True)
-class BitMatrix:
-    rows: int
-    cols: int
-    row_masks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ContractError("matrix dimensions must be positive")
-        if len(self.row_masks) != self.rows:
-            raise ContractError("row count does not match the mask tuple")
-        limit = 1 << self.cols
-        if any(not 0 <= m < limit for m in self.row_masks):
-            raise ContractError("row mask has bits outside the column range")
-
-
-def mat_vec(m: BitMatrix, x: int) -> int:
-    """Product over GF(2): output bit r is the parity of row r AND x."""
+def mat_vec(rows: Sequence[int], x: int) -> int:
+    """Product over GF(2): output bit r is the parity of rows[r] AND x."""
     out = 0
-    for r, mask in enumerate(m.row_masks):
+    for r, mask in enumerate(rows):
         out |= ((mask & x).bit_count() & 1) << r
     return out
 
@@ -66,26 +51,21 @@ class AffineSolver:
     """Prepared solver for H t = b with a fixed H: the row operations that
     reduce H are recorded once and replayed on each right-hand side."""
 
-    def __init__(self, h: BitMatrix) -> None:
-        self.h = h
+    def __init__(self, h: Sequence[int], cols: int) -> None:
         # Augment each row with an identity tag in the high bits; reducing the
         # combined rows yields [R | E] with R = E*H.
-        cols = h.cols
-        tagged = [mask | (1 << (cols + i)) for i, mask in enumerate(h.row_masks)]
-        low_mask = (1 << cols) - 1
+        tagged = [mask | (1 << (cols + i)) for i, mask in enumerate(h)]
         # _rref only pivots on the first `cols` bit positions, so the identity
         # tags in the high bits just record the row operations.
         reduced, pivots = _rref(tagged, cols)
         self.pivot_cols = pivots
-        self.reduced_rows = [row & low_mask for row in reduced]
         self.ops = [row >> cols for row in reduced]
 
     def solve(self, b: int) -> Optional[int]:
         """A solution with every free variable zero, or None if inconsistent."""
         t = 0
-        nrows = len(self.reduced_rows)
-        for i in range(nrows):
-            b_bit = (self.ops[i] & b).bit_count() & 1
+        for i, op in enumerate(self.ops):
+            b_bit = (op & b).bit_count() & 1
             if i < len(self.pivot_cols):
                 if b_bit:
                     t |= 1 << self.pivot_cols[i]
@@ -96,7 +76,8 @@ class AffineSolver:
 
 @dataclass(frozen=True, slots=True)
 class LinearCode:
-    """[n, k] binary linear code given by a full-row-rank parity-check matrix.
+    """[n, k] binary linear code given by a full-row-rank parity-check matrix
+    h, its n - k rows.
 
     g_rows spans the code with g_rows[i] carrying a lone 1 in column
     message_positions[i] among the message columns, so a message embeds at
@@ -108,15 +89,18 @@ class LinearCode:
 
     n: int
     k: int
-    h: BitMatrix
+    h: tuple[int, ...]
     g_rows: tuple[int, ...]
     message_positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.k < self.n:
             raise ContractError("need 1 <= k < n")
-        if self.h.rows != self.n - self.k or self.h.cols != self.n:
-            raise ContractError("parity-check matrix has the wrong shape")
+        if len(self.h) != self.n - self.k:
+            raise ContractError("parity-check matrix needs n - k rows")
+        limit = 1 << self.n
+        if any(not 0 <= row < limit for row in self.h):
+            raise ContractError("parity-check row has bits outside the block length")
         if len(self.g_rows) != self.k or len(self.message_positions) != self.k:
             raise ContractError("generator data does not match k")
 
@@ -144,11 +128,13 @@ def code_from_parity(row_masks: Sequence[int], n: int) -> LinearCode:
             if (row >> f) & 1:
                 w |= 1 << p
         g_rows.append(w)
-    h = BitMatrix(nrows, n, tuple(row_masks))
+    code = LinearCode(
+        n=n, k=k, h=tuple(row_masks), g_rows=tuple(g_rows), message_positions=free_cols
+    )
     for g in g_rows:
-        if mat_vec(h, g):
+        if mat_vec(code.h, g):
             raise InvariantError("generator row is not in the null space")
-    return LinearCode(n=n, k=k, h=h, g_rows=tuple(g_rows), message_positions=free_cols)
+    return code
 
 
 def encode(code: LinearCode, message: Word) -> Word:
@@ -162,13 +148,18 @@ def encode(code: LinearCode, message: Word) -> Word:
     return Word(w, code.n)
 
 
+def gather_bits(value: int, positions: Sequence[int]) -> int:
+    """Bit i of the result is value's bit at positions[i]."""
+    out = 0
+    for i, pos in enumerate(positions):
+        out |= ((value >> pos) & 1) << i
+    return out
+
+
 def extract_message(code: LinearCode, codeword: Word) -> Word:
     if codeword.n != code.n:
         raise ContractError("codeword length mismatch")
-    value = 0
-    for i, pos in enumerate(code.message_positions):
-        value |= ((codeword.value >> pos) & 1) << i
-    return Word(value, code.k)
+    return Word(gather_bits(codeword.value, code.message_positions), code.k)
 
 
 def syndrome(code: LinearCode, x: Word) -> Word:
@@ -211,14 +202,20 @@ def codewords(code: LinearCode) -> tuple[int, ...]:
     return tuple(words)
 
 
-def list_decode_exhaustive(code: LinearCode, y: Word, radius: int) -> list[Word]:
-    """All codewords within the given distance of y, ascending by value."""
+def check_list_decodable(code: LinearCode, radius: int) -> None:
+    """The limits of list_decode_exhaustive, for protocols to check before
+    they run."""
     if code.n > _DECODE_ENUM_LIMIT:
         raise CapabilityError(f"exhaustive decoding is capped at n <= {_DECODE_ENUM_LIMIT}")
-    if y.n != code.n:
-        raise ContractError("word length does not match the code")
     if not 0 <= radius <= code.n:
         raise ContractError("radius must be in [0, n]")
+
+
+def list_decode_exhaustive(code: LinearCode, y: Word, radius: int) -> list[Word]:
+    """All codewords within the given distance of y, ascending by value."""
+    check_list_decodable(code, radius)
+    if y.n != code.n:
+        raise ContractError("word length does not match the code")
     yv = y.value
     return [Word(c, code.n) for c in codewords(code) if (c ^ yv).bit_count() <= radius]
 

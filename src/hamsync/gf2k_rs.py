@@ -44,9 +44,9 @@ IRREDUCIBLE: dict[int, int] = {
 
 
 class Field:
-    """GF(2^k) with table-based multiplication and inversion."""
+    """GF(2^k) with table-based multiplication."""
 
-    __slots__ = ("k", "size", "modulus", "exp", "log", "inv_table")
+    __slots__ = ("k", "size", "modulus", "exp", "log")
 
     def __init__(self, k: int) -> None:
         if k not in IRREDUCIBLE:
@@ -71,19 +71,11 @@ class Field:
             raise ContractError(f"the modulus for k={k} is not primitive")
         self.exp = exp
         self.log = log
-        self.inv_table = [0] * self.size
-        for v in range(1, self.size):
-            self.inv_table[v] = exp[order - log[v]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ContractError("zero has no multiplicative inverse")
-        return self.inv_table[a]
 
 
 @lru_cache(maxsize=None)
@@ -118,18 +110,18 @@ def _check_values(fld: Field, values: Sequence[int]) -> None:
 _BIT_OF = [bytes((v >> b) & 1 for v in range(256)) for b in range(8)]
 
 
-def _lane_array(k: int, init) -> array:
-    """Lanes of one byte (k <= 8) or two, whose bytes are little-endian:
-    init is a list of field elements or the bytes of such lanes."""
-    lanes = array("B" if k <= 8 else "H", init)
+def _lane_array(init) -> array:
+    """Two-byte lanes whose bytes are little-endian: init is a list of field
+    elements or the bytes of such lanes."""
+    lanes = array("H", init)
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
 
 
-def _pack_lanes(k: int, values: Sequence[int]) -> int:
-    """values[i] in lane i of an int, a lane being 8 bits for k <= 8 and 16 above."""
-    return int.from_bytes(_lane_array(k, values).tobytes(), "little")
+def _pack_lanes(values: Sequence[int]) -> int:
+    """values[i] in lane i of an int, a lane being 16 bits."""
+    return int.from_bytes(_lane_array(values).tobytes(), "little")
 
 
 def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: int) -> list[int]:
@@ -144,24 +136,23 @@ def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: 
 
     The three callers cache their columns per size: at (k, m, s) the
     encoder holds m*s lanes, the syndromes (m+s)*s and the root scan
-    (floor(s/2)+1)*(m+s), two bytes each for k > 8.  At n=2048 (k=11,
+    (floor(s/2)+1)*(m+s), two bytes each.  At n=2048 (k=11,
     m=187, s=64) that is 24 + 32 + 17 KB.
     """
     k = fld.k
-    step = 1 if k <= 8 else 2
-    raw = _lane_array(k, values).tobytes()
+    raw = _lane_array(values).tobytes()
     partial = [
-        reduce(xor, compress(columns, raw[b >> 3 :: step].translate(_BIT_OF[b & 7])), 0)
+        reduce(xor, compress(columns, raw[b >> 3 :: 2].translate(_BIT_OF[b & 7])), 0)
         for b in range(k)
     ]
-    top = int.from_bytes(b"\x01".ljust(step, b"\x00") * lanes, "little") << (k - 1)
+    top = int.from_bytes(b"\x01\x00" * lanes, "little") << (k - 1)
     reduction = fld.modulus ^ fld.size  # x^k in the field
     acc = 0
     for part in reversed(partial):
         # x * acc per lane: shift, and fold each lane's carried-out top bit back in
         high = acc & top
         acc = ((acc ^ high) << 1) ^ (high >> (k - 1)) * reduction ^ part
-    return _lane_array(k, acc.to_bytes(lanes * step, "little")).tolist()
+    return _lane_array(acc.to_bytes(lanes * 2, "little")).tolist()
 
 
 def _log_vanishing(fld: Field, npoints: int, xs: Iterable[int]) -> list[int]:
@@ -209,7 +200,7 @@ def _encoder_columns(k: int, m: int, s: int) -> tuple[int, ...]:
     vanishing = _log_vanishing(fld, m, range(m + s))
     return tuple(
         _pack_lanes(
-            k, [exp[(vanishing[a] - vanishing[i] - log[a ^ i]) % order] for a in range(m, m + s)]
+            [exp[(vanishing[a] - vanishing[i] - log[a ^ i]) % order] for a in range(m, m + s)]
         )
         for i in range(m)
     )
@@ -222,7 +213,7 @@ def _syndrome_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
     order = fld.size - 1
     exp, log = fld.exp, fld.log
     return tuple(
-        _pack_lanes(k, [exp[(log[w] + j * log[i ^ npoints]) % order] for j in range(s)])
+        _pack_lanes([exp[(log[w] + j * log[i ^ npoints]) % order] for j in range(s)])
         for i, w in enumerate(_barycentric_weights(k, npoints))
     )
 
@@ -234,7 +225,7 @@ def _root_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
     order = fld.size - 1
     exp, log = fld.exp, fld.log
     return tuple(
-        _pack_lanes(k, [exp[-t * log[i ^ npoints] % order] for i in range(npoints)])
+        _pack_lanes([exp[-t * log[i ^ npoints] % order] for i in range(npoints)])
         for t in range(s // 2 + 1)
     )
 
@@ -251,6 +242,7 @@ def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
     """Shortest LFSR (connection polynomial, low degree first, and its length
     L) that generates the syndrome sequence."""
+    order = fld.size - 1
     exp, log = fld.exp, fld.log
     lam, prev = [1], [1]
     length, shift, prev_disc = 0, 1, 1
@@ -262,7 +254,7 @@ def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], 
         if disc == 0:
             shift += 1
             continue
-        log_coef = log[fld.mul(disc, fld.inv(prev_disc))]
+        log_coef = (log[disc] - log[prev_disc]) % order
         new = lam + [0] * (len(prev) + shift - len(lam))
         for i, p in enumerate(prev):
             if p:

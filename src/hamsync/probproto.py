@@ -216,14 +216,14 @@ def _distance_at_least_3(row_masks: Sequence[int], k: int) -> bool:
     return 0 not in columns and len(set(columns)) == k
 
 
-def sample_inner_code(k: int, dim: int, rng: Random) -> LinearCode:
-    """Random [k, dim] code resampled until its minimum distance is at least
-    3, so blocks that picked up at most one difference decode exactly.
-    Each draw is tested on its parity-check rows before a code is built."""
+def sample_inner_code(k: int, dim: int, rng: Random) -> tuple[int, ...]:
+    """Parity-check rows of a random [k, dim] code, resampled until its
+    minimum distance is at least 3, so blocks that picked up at most one
+    difference decode exactly."""
     for _ in range(_INNER_CODE_ATTEMPTS):
         masks = random_parity_rows(k, dim, rng)
         if _distance_at_least_3(masks, k):
-            return code_from_parity(masks, k)
+            return masks
     raise RetryLimitError(
         f"no [{k}, {dim}] code of distance >= 3 in {_INNER_CODE_ATTEMPTS} samples"
     )
@@ -248,13 +248,12 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     matrix with all block syndromes, then the extra evaluations."""
     p = next_prime_at_least(x.n)
     perm = sample_permutation(p, rng)
-    inner = sample_inner_code(params.k, params.inner_dim, rng)
+    masks = sample_inner_code(params.k, params.inner_dim, rng)
     permuted = apply_permutation(perm, Word(x.value, p))
     blocks = block_values(permuted, params.k)
     width_p = (p - 1).bit_length()
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
     rows = params.k - params.inner_dim
-    masks = inner.h.row_masks
     fields = [(mask, params.k) for mask in masks]
     fields += [
         (syn, rows) for syn in _block_syndromes(masks, permuted.value, params.k, len(blocks))
@@ -285,7 +284,7 @@ def composite_bob(y: Word, params: ProbParams):
     # guessed difference is the solution t of H t = d minus t's nearest
     # codeword (ties toward the smaller value).  So decode each of the
     # 2^rows values of d once, not each block.
-    solver = AffineSolver(inner.h)
+    solver = AffineSolver(inner.h, k)
     fix = []
     for d in range(1 << rows):
         t = solver.solve(d)

@@ -24,8 +24,10 @@ from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
     AffineSolver,
     LinearCode,
+    check_list_decodable,
     encode,
     extract_message,
+    gather_bits,
     list_decode_exhaustive,
     mat_vec,
     min_distance,
@@ -74,13 +76,7 @@ def _check_list_radius(code: LinearCode, radius: int, instance: SyncInstance) ->
         raise ContractError("code block length must equal the instance length")
     if radius < instance.bounds.radius:
         raise ContractError("list radius must cover the promise radius")
-
-
-def _gather_bits(value: int, positions: tuple[int, ...]) -> int:
-    out = 0
-    for i, pos in enumerate(positions):
-        out |= ((value >> pos) & 1) << i
-    return out
+    check_list_decodable(code, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def brute_alice(code: LinearCode, x: Word):
     """Encode the whole file and transmit only the check positions."""
     cw = encode(code, x)
     checks = code.check_positions
-    yield Word(_gather_bits(cw.value, checks), len(checks))
+    yield Word(gather_bits(cw.value, checks), len(checks))
     return None
 
 
@@ -142,7 +138,7 @@ def syndrome_alice(code: LinearCode, x: Word):
 
 def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
     """Any t with H t = H x + H y; t equals (x xor y) up to a codeword."""
-    t = AffineSolver(code.h).solve(h_value ^ mat_vec(code.h, y.value))
+    t = AffineSolver(code.h, code.n).solve(h_value ^ mat_vec(code.h, y.value))
     if t is None:
         raise InvariantError("inconsistent system under a full-row-rank parity check")
     return Word(t, code.n)

@@ -192,6 +192,15 @@ def run_party(party: Party, role: Role, end: TcpEnd) -> PartyRun:
 
 _FRAME_HEADER = struct.Struct(">I")  # payload bit count, big-endian
 
+# Seconds one send or receive may wait on the peer before it fails with
+# TransportError, so a stalled peer cannot hang a run.  Generous on purpose:
+# a receive also waits out the peer's longest single step, and within the
+# package's limits that is Alice's RS encode at k = 14 with m = s = 8191
+# (about 17 s at 250 ns per column lane, measured at m = 4000, s = 400 on a
+# 2-vCPU machine) or Bob listing the 2^23 codewords of an n = 24 code
+# (about 2 s there).
+_IO_TIMEOUT_S = 60.0
+
 
 class TcpEnd:
     """Channel end over a connected socket; frames are a 4-byte big-endian
@@ -199,6 +208,7 @@ class TcpEnd:
     bits in the last byte are ignored on receive."""
 
     def __init__(self, sock: socket.socket) -> None:
+        sock.settimeout(_IO_TIMEOUT_S)
         self._sock = sock
 
     def send_bits(self, w: Word) -> None:
@@ -256,7 +266,6 @@ class TcpListener:
             conn, _addr = self._sock.accept()
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
-        conn.settimeout(None)
         return TcpEnd(conn)
 
     def close(self) -> None:

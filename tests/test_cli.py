@@ -1,10 +1,12 @@
+import argparse
 import json
 import socket
 import threading
 
 import pytest
 
-from hamsync.cli import main
+from hamsync.cli import _PARAM_NAMES, _build_parser, main
+from hamsync.harness import PROTOCOLS
 
 
 def test_run_writes_report(tmp_path, capsys):
@@ -35,6 +37,24 @@ def test_run_protocol_flags_reach_the_registry(capsys):
     printed = capsys.readouterr().out
     assert "trials=12" in printed
     assert "success_rate=1.0" in printed
+
+
+def test_every_protocol_parameter_has_a_flag():
+    # _cmd_run reads one attribute per registry parameter; a parameter
+    # without a flag would make every run fail with AttributeError.
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    run_flags = {a.dest: a for a in subparsers.choices["run"]._actions}
+    general = {
+        "help", "protocol", "n", "alpha", "trials", "seed", "exhaustive",
+        "listen", "connect", "out", "format",
+    }
+    assert set(run_flags) - general == set(_PARAM_NAMES)
+    for spec in PROTOCOLS.values():
+        for name, default in spec.default_params.items():
+            if default is not None:
+                assert run_flags[name].type(str(default)) == default
 
 
 def test_run_rejects_misdirected_parameter(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from hamsync.bitword import Word
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
     AffineSolver,
-    BitMatrix,
     code_from_parity,
     codewords,
     encode,
@@ -21,12 +21,12 @@ from hamsync.gf2codes import (
 )
 
 
-def mat_vec_oracle(m: BitMatrix, x: int) -> int:
+def mat_vec_oracle(rows: tuple[int, ...], cols: int, x: int) -> int:
     out = 0
-    for r in range(m.rows):
+    for r, mask in enumerate(rows):
         acc = 0
-        for c in range(m.cols):
-            acc ^= (m.row_masks[r] >> c) & (x >> c) & 1
+        for c in range(cols):
+            acc ^= (mask >> c) & (x >> c) & 1
         out |= acc << r
     return out
 
@@ -43,9 +43,9 @@ def test_mat_vec_matches_oracle():
     for _ in range(100):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 12)
-        m = BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+        h = tuple(rng.getrandbits(cols) for _ in range(rows))
         x = rng.getrandbits(cols)
-        assert mat_vec(m, x) == mat_vec_oracle(m, x)
+        assert mat_vec(h, x) == mat_vec_oracle(h, cols, x)
 
 
 def test_rank_matches_span_size():
@@ -66,13 +66,24 @@ def test_rank_matches_span_size():
     assert seen == {True, False}
 
 
-def test_bitmatrix_contracts():
+def test_parity_check_contracts():
+    # LinearCode's checks, through dataclasses.replace, and code_from_parity's
+    code = hamming_7_4()
+    # no rows
     with pytest.raises(ContractError):
-        BitMatrix(0, 3, ())
+        dataclasses.replace(code, h=())
     with pytest.raises(ContractError):
-        BitMatrix(2, 3, (1,))
+        code_from_parity((), 3)
+    # the wrong row count
     with pytest.raises(ContractError):
-        BitMatrix(1, 3, (8,))
+        dataclasses.replace(code, h=code.h[:2])
+    with pytest.raises(ContractError):
+        code_from_parity((0b001, 0b010, 0b100), 3)
+    # a bit outside the block length
+    with pytest.raises(ContractError):
+        dataclasses.replace(code, h=(code.h[0] | 1 << 7, *code.h[1:]))
+    with pytest.raises(ContractError):
+        code_from_parity((0b1001,), 3)
 
 
 def test_affine_solver_matches_exhaustive():
@@ -80,8 +91,8 @@ def test_affine_solver_matches_exhaustive():
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 7)
-        h = BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
-        solver = AffineSolver(h)
+        h = tuple(rng.getrandbits(cols) for _ in range(rows))
+        solver = AffineSolver(h, cols)
         for b in range(1 << rows):
             solutions = [t for t in range(1 << cols) if mat_vec(h, t) == b]
             t = solver.solve(b)
@@ -182,7 +193,7 @@ def test_random_linear_code_shape():
         k = rng.randint(1, n - 1)
         code = random_linear_code(n, k, rng)
         assert (code.n, code.k) == (n, k)
-        assert rank_oracle(code.h.row_masks) == n - k
+        assert rank_oracle(code.h) == n - k
         assert len(code.g_rows) == k
         for g in code.g_rows:
             assert mat_vec(code.h, g) == 0

@@ -174,6 +174,15 @@ def test_configuration_errors():
         run_experiment(ExperimentConfig(protocol="smith", params={"k": 15}))
 
 
+@pytest.mark.parametrize("protocol", ["listdec", "problist"])
+def test_list_decoding_limits_fail_before_the_run(protocol):
+    # The parties' own errors, raised before a trial runs or a socket opens.
+    with pytest.raises(ContractError):
+        run_experiment(ExperimentConfig(protocol=protocol, trials=2, params={"radius": 15}))
+    with pytest.raises(CapabilityError):
+        run_experiment(ExperimentConfig(protocol=protocol, n=30, alpha=Fraction(1, 10), trials=2))
+
+
 def test_float_alpha_keeps_its_decimal_value():
     # 0.15 is 3/20, radius 3 at n=20, not the binary double just below it.
     row = row_for("listdec", n=20, alpha=0.15, trials=3)

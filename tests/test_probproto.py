@@ -10,7 +10,6 @@ from hamsync.bitword import Bounds, Word, random_word_within
 from hamsync.errors import CapabilityError, ContractError, RetryLimitError
 from hamsync.gf2codes import (
     AffineSolver,
-    BitMatrix,
     _rref,
     code_from_parity,
     hamming_7_4,
@@ -28,6 +27,7 @@ from hamsync.probproto import (
     block_values,
     composite_prob_sync,
     next_prime_at_least,
+    one_round_prob_parties,
     one_round_prob_sync,
     sample_inner_code,
     sample_permutation,
@@ -178,7 +178,7 @@ def test_prob_params_contracts():
 def test_sample_inner_code_distance():
     rng = random.Random(73)
     for k, dim in [(11, 6), (9, 5), (5, 1)]:
-        code = sample_inner_code(k, dim, rng)
+        code = code_from_parity(sample_inner_code(k, dim, rng), k)
         assert (code.n, code.k) == (k, dim)
         assert min_distance(code) >= 3
 
@@ -192,9 +192,8 @@ def test_block_syndromes_match_per_block_products():
         n = rng.randint(1, 300)  # n % k != 0 leaves a zero-padded last block
         w = Word(rng.getrandbits(n), n)
         blocks = block_values(w, k)
-        h = BitMatrix(rows, k, masks)
         assert _block_syndromes(masks, w.value, k, len(blocks)) == [
-            mat_vec(h, blk) for blk in blocks
+            mat_vec(masks, blk) for blk in blocks
         ]
 
 
@@ -225,7 +224,8 @@ def test_sample_inner_code_matches_the_old_sampler():
     for seed in range(200):
         for k, dim in [(11, 6), (9, 5), (5, 2)]:
             new_rng, old_rng = random.Random(seed), random.Random(seed)
-            assert sample_inner_code(k, dim, new_rng) == _old_sample_inner_code(k, dim, old_rng)
+            old = _old_sample_inner_code(k, dim, old_rng)
+            assert sample_inner_code(k, dim, new_rng) == old.h
             assert new_rng.getstate() == old_rng.getstate()
     # No [8, 6] code reaches distance 3: both give up after the same draws.
     new_rng, old_rng = random.Random(1), random.Random(1)
@@ -274,10 +274,10 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
         replay = random.Random(200 + seed)
         p = next_prime_at_least(2048)
         perm = sample_permutation(p, replay)
-        inner = sample_inner_code(params.k, params.inner_dim, replay)
+        inner = code_from_parity(sample_inner_code(params.k, params.inner_dim, replay), params.k)
         xb = block_values(apply_permutation(perm, Word(x.value, p)), params.k)
         yb = block_values(apply_permutation(perm, Word(y.value, p)), params.k)
-        solver = AffineSolver(inner.h)
+        solver = AffineSolver(inner.h, params.k)
         wrong = 0
         for xv, yv in zip(xb, yb):
             t = solver.solve(mat_vec(inner.h, xv) ^ mat_vec(inner.h, yv))
@@ -387,3 +387,15 @@ def test_one_round_parameter_guards():
         one_round_prob_sync(code, 1, inst, 1, random.Random(0))  # oversample < 2
     with pytest.raises(ContractError):
         one_round_prob_sync(code, 1, inst, 16, random.Random(0), list_cap=0)
+
+
+def test_one_round_parties_check_the_list_decoding_limits():
+    # Rejected before either party starts, not inside Bob's first step.
+    code = hamming_7_4()
+    inst = SyncInstance(Word(0, 7), Word(0, 7), Bounds(Fraction(1, 7), 7))
+    with pytest.raises(ContractError):
+        one_round_prob_parties(code, 8, inst, 16, random.Random(0))  # radius above n
+    code = random_linear_code(30, 5, random.Random(1))
+    inst = SyncInstance(Word(0, 30), Word(0, 30), Bounds(Fraction(1, 10), 30))
+    with pytest.raises(CapabilityError):
+        one_round_prob_parties(code, 3, inst, 16, random.Random(0))  # too long to enumerate

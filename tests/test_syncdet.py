@@ -14,6 +14,7 @@ from hamsync.syncdet import (
     coset_representative,
     listdec_alice,
     listdec_bob,
+    listdec_parties,
     listdec_sync,
     syndrome_alice,
     syndrome_bob,
@@ -140,6 +141,19 @@ def test_listdec_radius_must_cover_promise():
     inst = SyncInstance(Word(0, 10), Word(0, 10), Bounds(Fraction(2, 10), 10))
     with pytest.raises(ContractError):
         listdec_sync(code, 1, inst)
+
+
+def test_listdec_parties_check_the_list_decoding_limits():
+    # Rejected before either party starts, not inside Bob's first step.
+    rng = random.Random(65)
+    code = random_linear_code(14, 5, rng)
+    inst = SyncInstance(Word(0, 14), Word(0, 14), Bounds(Fraction(3, 14), 14))
+    with pytest.raises(ContractError):
+        listdec_parties(code, 15, inst)  # radius above n
+    code = random_linear_code(30, 5, rng)
+    inst = SyncInstance(Word(0, 30), Word(0, 30), Bounds(Fraction(1, 10), 30))
+    with pytest.raises(CapabilityError):
+        listdec_parties(code, 3, inst)  # too long to enumerate
 
 
 def test_coloring_is_proper():

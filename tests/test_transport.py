@@ -1,9 +1,11 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
+from hamsync import transport
 from hamsync.bitword import MAX_WORD_BITS, Word
 from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
 from hamsync.transport import (
@@ -281,6 +283,26 @@ def test_frame_length_checked_before_payload(nbits):
         end.close()
         t.join()
         sender.close()
+
+
+def test_stalled_peer_times_out(monkeypatch):
+    monkeypatch.setattr(transport, "_IO_TIMEOUT_S", 0.2)
+    silent, receiver = socket.socketpair()
+    end = TcpEnd(receiver)
+    # Should the receive block anyway, a frame arrives after 5 s, so the
+    # test fails instead of hanging.
+    late = threading.Timer(5.0, silent.sendall, (struct.pack(">I", 1) + b"\x01",))
+    late.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            end.recv_bits()
+        assert time.monotonic() - start < 5.0
+    finally:
+        late.cancel()
+        late.join(timeout=10)
+        end.close()
+        silent.close()
 
 
 def test_bad_channel_specs():
