@@ -27,7 +27,7 @@ from .errors import (
     RetryLimitError,
     TransportError,
 )
-from .gf2codes import LinearCode, code_from_parity, hamming_7_4, random_linear_code
+from .gf2codes import LinearCode, hamming_7_4, random_linear_code
 from .harness import ExperimentConfig, ReportRow, emit_report, run_experiment
 from .hashing import multi_nba_protocol, nba_protocol
 from .probproto import ProbParams, composite_prob_sync, one_round_prob_sync
@@ -61,7 +61,6 @@ __all__ = [
     "ball_volume",
     "binary_entropy",
     "brute_sync",
-    "code_from_parity",
     "coloring_oracle_sync",
     "composite_prob_sync",
     "emit_report",

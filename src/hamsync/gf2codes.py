@@ -8,7 +8,7 @@ product is one AND and a popcount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
@@ -76,65 +76,54 @@ class AffineSolver:
 
 @dataclass(frozen=True, slots=True)
 class LinearCode:
-    """[n, k] binary linear code given by a full-row-rank parity-check matrix
-    h, its n - k rows.
+    """[n, k] binary linear code given by its parity-check rows h, which must
+    be independent; k = n - len(h).
 
     g_rows spans the code with g_rows[i] carrying a lone 1 in column
     message_positions[i] among the message columns, so a message embeds at
     message_positions and the remaining check_positions are determined.  When
     message_positions == (0..k-1) the generator is systematic in the strict
     first-k-columns sense; otherwise the tuple records the column role
-    assignment that a permutation would normalize.
+    assignment that a permutation would normalize.  All three are derived
+    from h, so equality and hashing cover (n, h) only.
     """
 
     n: int
-    k: int
     h: tuple[int, ...]
-    g_rows: tuple[int, ...]
-    message_positions: tuple[int, ...]
+    k: int = field(init=False, compare=False)
+    g_rows: tuple[int, ...] = field(init=False, compare=False)
+    message_positions: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k < self.n:
-            raise ContractError("need 1 <= k < n")
-        if len(self.h) != self.n - self.k:
-            raise ContractError("parity-check matrix needs n - k rows")
+        h = tuple(self.h)
+        if not 1 <= len(h) < self.n:
+            raise ContractError("need between 1 and n-1 parity rows")
         limit = 1 << self.n
-        if any(not 0 <= row < limit for row in self.h):
+        if any(not 0 <= row < limit for row in h):
             raise ContractError("parity-check row has bits outside the block length")
-        if len(self.g_rows) != self.k or len(self.message_positions) != self.k:
-            raise ContractError("generator data does not match k")
+        reduced, pivots = _rref(h, self.n)
+        if len(pivots) != len(h):
+            raise ContractError("parity rows are linearly dependent")
+        pivot_set = set(pivots)
+        free_cols = tuple(c for c in range(self.n) if c not in pivot_set)
+        g_rows = []
+        for f in free_cols:
+            w = 1 << f
+            for row, p in zip(reduced, pivots):
+                if (row >> f) & 1:
+                    w |= 1 << p
+            if mat_vec(h, w):
+                raise InvariantError("generator row is not in the null space")
+            g_rows.append(w)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", self.n - len(h))
+        object.__setattr__(self, "g_rows", tuple(g_rows))
+        object.__setattr__(self, "message_positions", free_cols)
 
     @property
     def check_positions(self) -> tuple[int, ...]:
         msg = set(self.message_positions)
         return tuple(c for c in range(self.n) if c not in msg)
-
-
-def code_from_parity(row_masks: Sequence[int], n: int) -> LinearCode:
-    """Build a LinearCode from parity-check rows, which must be independent."""
-    nrows = len(row_masks)
-    if not 1 <= nrows < n:
-        raise ContractError("need between 1 and n-1 parity rows")
-    reduced, pivots = _rref(row_masks, n)
-    if len(pivots) != nrows:
-        raise ContractError("parity rows are linearly dependent")
-    k = n - nrows
-    pivot_set = set(pivots)
-    free_cols = tuple(c for c in range(n) if c not in pivot_set)
-    g_rows = []
-    for f in free_cols:
-        w = 1 << f
-        for row, p in zip(reduced, pivots):
-            if (row >> f) & 1:
-                w |= 1 << p
-        g_rows.append(w)
-    code = LinearCode(
-        n=n, k=k, h=tuple(row_masks), g_rows=tuple(g_rows), message_positions=free_cols
-    )
-    for g in g_rows:
-        if mat_vec(code.h, g):
-            raise InvariantError("generator row is not in the null space")
-    return code
 
 
 def encode(code: LinearCode, message: Word) -> Word:
@@ -186,7 +175,7 @@ def random_parity_rows(n: int, k: int, rng: Random) -> tuple[int, ...]:
 
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
     """The code of random_parity_rows(n, k, rng)."""
-    return code_from_parity(random_parity_rows(n, k, rng), n)
+    return LinearCode(n, random_parity_rows(n, k, rng))
 
 
 @lru_cache(maxsize=128)
@@ -252,4 +241,4 @@ def hamming_7_4() -> LinearCode:
             if ((c + 1) >> j) & 1:
                 mask |= 1 << c
         rows.append(mask)
-    return code_from_parity(tuple(rows), 7)
+    return LinearCode(7, rows)

@@ -19,7 +19,6 @@ from .errors import CapabilityError, ContractError, InvariantError, RetryLimitEr
 from .gf2codes import (
     AffineSolver,
     LinearCode,
-    code_from_parity,
     random_parity_rows,
     syndrome,
     unique_decode,
@@ -197,6 +196,11 @@ class ProbParams:
             raise ContractError(f"delta must be in (0, 1/2), got {delta}")
         if not 1 <= self.inner_dim < self.k:
             raise ContractError("inner dimension must be in [1, k)")
+        # Distance >= 3 needs k distinct nonzero parity-check columns of
+        # k - inner_dim bits, and there are only 2^(k - inner_dim) - 1 of
+        # them; otherwise sample_inner_code fails inside the first trial.
+        if self.k >= 1 << (self.k - self.inner_dim):
+            raise ContractError(f"no [{self.k}, {self.inner_dim}] code has distance >= 3")
 
 
 _INNER_CODE_ATTEMPTS = 500
@@ -279,7 +283,7 @@ def composite_bob(y: Word, params: ProbParams):
 
     msg2 = yield RECV
     vals = unpack_fields(msg2, [k] * rows + [rows] * m)
-    inner = code_from_parity(tuple(vals[:rows]), k)
+    inner = LinearCode(k, vals[:rows])
     # A block's estimate depends only on its syndrome difference d: the
     # guessed difference is the solution t of H t = d minus t's nearest
     # codeword (ties toward the smaller value).  So decode each of the
@@ -291,7 +295,7 @@ def composite_bob(y: Word, params: ProbParams):
         if t is None:
             raise InvariantError("inconsistent block system under a full-rank matrix")
         fix.append(t ^ unique_decode(inner, Word(t, k)).value)
-    ysyns = _block_syndromes(vals[:rows], permuted.value, k, m)
+    ysyns = _block_syndromes(inner.h, permuted.value, k, m)
     estimates = [blk ^ fix[syn ^ ysyn] for blk, syn, ysyn in zip(yblocks, vals[rows:], ysyns)]
 
     msg3 = yield RECV

@@ -282,9 +282,13 @@ _CONNECT_DELAY_S = 0.2
 def tcp_connect(host: str, port: int) -> TcpEnd:
     """Connect with a short retry window so the peer's listener can come up."""
     last: Optional[OSError] = None
+    # Without a timeout an attempt against an address that never answers
+    # waits out the kernel's SYN retries (minutes each), so the attempts
+    # share _IO_TIMEOUT_S between them.
+    timeout = _IO_TIMEOUT_S / _CONNECT_ATTEMPTS
     for _ in range(_CONNECT_ATTEMPTS):
         try:
-            return TcpEnd(socket.create_connection((host, port)))
+            return TcpEnd(socket.create_connection((host, port), timeout=timeout))
         except OSError as exc:
             last = exc
             time.sleep(_CONNECT_DELAY_S)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from hamsync.bitword import Word
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
     AffineSolver,
-    code_from_parity,
+    LinearCode,
+    _rref,
     codewords,
     encode,
     extract_message,
@@ -49,7 +51,7 @@ def test_mat_vec_matches_oracle():
 
 
 def test_rank_matches_span_size():
-    # code_from_parity counts pivots: it accepts exactly the full-rank rows.
+    # LinearCode counts pivots: it accepts exactly the full-rank rows.
     rng = random.Random(32)
     seen = set()
     for _ in range(100):
@@ -59,31 +61,31 @@ def test_rank_matches_span_size():
         full_rank = rank_oracle(masks) == rows
         seen.add(full_rank)
         if full_rank:
-            assert code_from_parity(masks, cols).k == cols - rows
+            assert LinearCode(cols, masks).k == cols - rows
         else:
             with pytest.raises(ContractError):
-                code_from_parity(masks, cols)
+                LinearCode(cols, masks)
     assert seen == {True, False}
 
 
 def test_parity_check_contracts():
-    # LinearCode's checks, through dataclasses.replace, and code_from_parity's
+    # LinearCode's checks, directly and through dataclasses.replace
     code = hamming_7_4()
     # no rows
     with pytest.raises(ContractError):
         dataclasses.replace(code, h=())
     with pytest.raises(ContractError):
-        code_from_parity((), 3)
-    # the wrong row count
+        LinearCode(3, ())
+    # as many rows as columns, which leaves no message bit
     with pytest.raises(ContractError):
-        dataclasses.replace(code, h=code.h[:2])
+        dataclasses.replace(code, h=tuple(1 << c for c in range(7)))
     with pytest.raises(ContractError):
-        code_from_parity((0b001, 0b010, 0b100), 3)
+        LinearCode(3, (0b001, 0b010, 0b100))
     # a bit outside the block length
     with pytest.raises(ContractError):
         dataclasses.replace(code, h=(code.h[0] | 1 << 7, *code.h[1:]))
     with pytest.raises(ContractError):
-        code_from_parity((0b1001,), 3)
+        LinearCode(3, (0b1001,))
 
 
 def test_affine_solver_matches_exhaustive():
@@ -102,11 +104,72 @@ def test_affine_solver_matches_exhaustive():
                 assert t is None
 
 
-def test_code_from_parity_rejects_dependent_rows():
+def test_linear_code_rejects_dependent_rows():
     with pytest.raises(ContractError):
-        code_from_parity((0b101, 0b101), 3)
+        LinearCode(3, (0b101, 0b101))
     with pytest.raises(ContractError):
-        code_from_parity((0b0011, 0b0110, 0b0101), 4)
+        LinearCode(4, (0b0011, 0b0110, 0b0101))
+
+
+def _old_code_from_parity(row_masks, n):
+    """The constructor LinearCode replaced, returning (k, g_rows,
+    message_positions) as it built them."""
+    nrows = len(row_masks)
+    if not 1 <= nrows < n:
+        raise ContractError("need between 1 and n-1 parity rows")
+    reduced, pivots = _rref(row_masks, n)
+    if len(pivots) != nrows:
+        raise ContractError("parity rows are linearly dependent")
+    pivot_set = set(pivots)
+    free_cols = tuple(c for c in range(n) if c not in pivot_set)
+    g_rows = []
+    for f in free_cols:
+        w = 1 << f
+        for row, p in zip(reduced, pivots):
+            if (row >> f) & 1:
+                w |= 1 << p
+        g_rows.append(w)
+    return n - nrows, tuple(g_rows), free_cols
+
+
+def _assert_same_code(masks, n, enumerate_codewords):
+    try:
+        old = _old_code_from_parity(masks, n)
+    except ContractError:
+        with pytest.raises(ContractError):
+            LinearCode(n, masks)
+        return False
+    code = LinearCode(n, masks)
+    assert (code.k, code.g_rows, code.message_positions) == old
+    if enumerate_codewords:
+        words = [0]
+        for g in old[1]:
+            words += [w ^ g for w in words]
+        assert codewords(code) == tuple(sorted(words))
+    return True
+
+
+@pytest.mark.parametrize("n, rows", [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3)])
+def test_linear_code_derives_what_the_old_constructor_built(n, rows):
+    # Every row set of the small shapes, dependent ones included.
+    built = [
+        _assert_same_code(masks, n, True)
+        for masks in itertools.product(range(1 << n), repeat=rows)
+    ]
+    assert any(built) and not all(built)
+
+
+def test_linear_code_matches_the_old_constructor_on_random_rows():
+    rng = random.Random(42)
+    dependent = 0
+    for _ in range(300):
+        n = rng.randint(2, 24)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, n - 1))]
+        if len(masks) > 2 and rng.random() < 0.25:
+            masks[-1] = masks[0] ^ masks[1]
+        # codewords() spans 2^k words, so only the small-k codes enumerate
+        dependent += not _assert_same_code(tuple(masks), n, n - len(masks) <= 12)
+    assert dependent
 
 
 def test_hamming_7_4_frozen_facts():
@@ -181,7 +244,7 @@ def test_unique_decode_is_nearest():
 
 
 def test_unique_decode_tie_breaks_low():
-    code = code_from_parity((0b11,), 2)  # codewords {00, 11}
+    code = LinearCode(2, (0b11,))  # codewords {00, 11}
     assert unique_decode(code, Word(0b01, 2)) == Word(0, 2)
     assert unique_decode(code, Word(0b10, 2)) == Word(0, 2)
 

@@ -183,6 +183,17 @@ def test_list_decoding_limits_fail_before_the_run(protocol):
         run_experiment(ExperimentConfig(protocol=protocol, n=30, alpha=Fraction(1, 10), trials=2))
 
 
+@pytest.mark.parametrize("connect", [None, "127.0.0.1:1"])
+def test_smith_inner_code_shape_fails_before_the_run(connect):
+    # No [8, 6] code has distance 3; the sampler used to give up inside
+    # Alice's first trial, and over TCP only after the socket opened.
+    cfg = ExperimentConfig(
+        protocol="smith", n=64, trials=1, params={"k": 8, "inner_dim": 6, "s": 4}, connect=connect
+    )
+    with pytest.raises(ContractError, match="distance"):
+        run_experiment(cfg)
+
+
 def test_float_alpha_keeps_its_decimal_value():
     # 0.15 is 3/20, radius 3 at n=20, not the binary double just below it.
     row = row_for("listdec", n=20, alpha=0.15, trials=3)

@@ -10,8 +10,8 @@ from hamsync.bitword import Bounds, Word, random_word_within
 from hamsync.errors import CapabilityError, ContractError, RetryLimitError
 from hamsync.gf2codes import (
     AffineSolver,
+    LinearCode,
     _rref,
-    code_from_parity,
     hamming_7_4,
     mat_vec,
     min_distance,
@@ -173,12 +173,19 @@ def test_prob_params_contracts():
         ProbParams(11, 64, 0.5, 6)
     with pytest.raises(ContractError):
         ProbParams(11, 64, 0.15, 11)
+    # 8 distinct nonzero columns of 2 bits do not exist: no [8, 6] code has
+    # distance 3, while [7, 4] (the Hamming code) is the largest of 3 rows.
+    with pytest.raises(ContractError, match="distance"):
+        ProbParams(8, 64, 0.15, 6)
+    with pytest.raises(ContractError, match="distance"):
+        ProbParams(8, 64, 0.15, 5)
+    assert ProbParams(7, 64, 0.15, 4).inner_dim == 4
 
 
 def test_sample_inner_code_distance():
     rng = random.Random(73)
     for k, dim in [(11, 6), (9, 5), (5, 1)]:
-        code = code_from_parity(sample_inner_code(k, dim, rng), k)
+        code = LinearCode(k, sample_inner_code(k, dim, rng))
         assert (code.n, code.k) == (k, dim)
         assert min_distance(code) >= 3
 
@@ -204,7 +211,7 @@ def test_column_test_matches_min_distance(k, rows):
     for masks in itertools.product(range(1 << k), repeat=rows):
         if len(_rref(masks, k)[1]) != rows:
             continue
-        expected = min_distance(code_from_parity(masks, k)) >= 3
+        expected = min_distance(LinearCode(k, masks)) >= 3
         assert _distance_at_least_3(masks, k) == expected
         passed += expected
     assert passed or (1 << rows) - 1 < k  # some draws pass whenever any can
@@ -274,7 +281,7 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
         replay = random.Random(200 + seed)
         p = next_prime_at_least(2048)
         perm = sample_permutation(p, replay)
-        inner = code_from_parity(sample_inner_code(params.k, params.inner_dim, replay), params.k)
+        inner = LinearCode(params.k, sample_inner_code(params.k, params.inner_dim, replay))
         xb = block_values(apply_permutation(perm, Word(x.value, p)), params.k)
         yb = block_values(apply_permutation(perm, Word(y.value, p)), params.k)
         solver = AffineSolver(inner.h, params.k)

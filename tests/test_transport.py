@@ -305,6 +305,44 @@ def test_stalled_peer_times_out(monkeypatch):
         silent.close()
 
 
+def test_connect_to_a_silent_listener_times_out(monkeypatch):
+    monkeypatch.setattr(transport, "_IO_TIMEOUT_S", 0.4)
+    monkeypatch.setattr(transport, "_CONNECT_ATTEMPTS", 2)
+    monkeypatch.setattr(transport, "_CONNECT_DELAY_S", 0.05)
+    # A listener whose one queue slot holds an unaccepted connection drops
+    # further SYNs, so a connect without a timeout waits out the kernel's
+    # SYN retries.
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)
+    port = listener.getsockname()[1]
+    filler = socket.create_connection(("127.0.0.1", port), timeout=5)
+    result = []
+
+    def connect():
+        try:
+            result.append(tcp_connect("127.0.0.1", port))
+        except TransportError as exc:
+            result.append(exc)
+
+    # A daemon thread with a join timeout, so a blocking connect fails the
+    # test instead of hanging it.
+    t = threading.Thread(target=connect, daemon=True)
+    start = time.monotonic()
+    t.start()
+    t.join(timeout=5)
+    try:
+        assert not t.is_alive(), "tcp_connect still blocked after 5 s"
+        assert time.monotonic() - start < 2.0
+        assert len(result) == 1 and isinstance(result[0], TransportError)
+    finally:
+        for item in result:
+            if isinstance(item, TcpEnd):
+                item.close()
+        filler.close()
+        listener.close()
+
+
 def test_bad_channel_specs():
     assert host_port("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert host_port(":0") == ("", 0)
