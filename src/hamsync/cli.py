@@ -61,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.listen and args.out:
+        raise ContractError("--listen writes no report; give --out on the connecting side")
     params = {}
     for name in _PARAM_NAMES:
         value = getattr(args, name)

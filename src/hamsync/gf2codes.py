@@ -161,21 +161,28 @@ def syndrome(code: LinearCode, x: Word) -> Word:
 _FULL_RANK_ATTEMPTS = 1000
 
 
-def random_parity_rows(n: int, k: int, rng: Random) -> tuple[int, ...]:
-    """Uniformly random (n-k) x n parity-check rows, resampled until they
-    have full row rank."""
+def rank(masks: Sequence[int]) -> int:
+    """Rank over GF(2) of these bit vectors.  Each basis vector lacks the top bits
+    of the earlier ones, so min(v, v ^ b) clears b's top bit and no earlier one."""
+    basis: list[int] = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
+    """The code of uniformly random (n-k) x n parity-check rows, resampled
+    until they have full row rank."""
     if not 1 <= k < n:
         raise ContractError("need 1 <= k < n")
     for _ in range(_FULL_RANK_ATTEMPTS):
         masks = tuple(rng.getrandbits(n) for _ in range(n - k))
-        if len(_rref(masks, n)[1]) == n - k:
-            return masks
+        if rank(masks) == n - k:
+            return LinearCode(n, masks)
     raise RetryLimitError(f"no full-rank parity matrix in {_FULL_RANK_ATTEMPTS} samples")
-
-
-def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
-    """The code of random_parity_rows(n, k, rng)."""
-    return LinearCode(n, random_parity_rows(n, k, rng))
 
 
 @lru_cache(maxsize=128)

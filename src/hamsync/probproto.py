@@ -19,7 +19,7 @@ from .errors import CapabilityError, ContractError, InvariantError, RetryLimitEr
 from .gf2codes import (
     AffineSolver,
     LinearCode,
-    random_parity_rows,
+    rank,
     syndrome,
     unique_decode,
 )
@@ -177,7 +177,8 @@ class ProbParams:
     s: extra polynomial evaluations; up to floor(s/2) wrong blocks heal.
     delta: slack over alpha; blocks differing in >= (alpha+delta)*k
         positions count as dangerous in the analysis.
-    inner_dim: dimension of the sampled per-block code.
+    inner_dim: dimension of the per-block code, drawn each trial as k
+        distinct nonzero parity-check columns of k - inner_dim bits.
     """
 
     k: int
@@ -198,7 +199,7 @@ class ProbParams:
             raise ContractError("inner dimension must be in [1, k)")
         # Distance >= 3 needs k distinct nonzero parity-check columns of
         # k - inner_dim bits, and there are only 2^(k - inner_dim) - 1 of
-        # them; otherwise sample_inner_code fails inside the first trial.
+        # them.  sample_inner_code can draw every shape that passes.
         if self.k >= 1 << (self.k - self.inner_dim):
             raise ContractError(f"no [{self.k}, {self.inner_dim}] code has distance >= 3")
 
@@ -206,42 +207,32 @@ class ProbParams:
 _INNER_CODE_ATTEMPTS = 500
 
 
-def _parity_columns(row_masks: Sequence[int], k: int) -> list[int]:
-    """Column c of a parity-check matrix as an int whose bit r is row r's bit c."""
-    rows = [format(mask, f"0{k}b") for mask in reversed(row_masks)]  # last row, top bit first
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """Int c < width has bit r equal to bit c of masks[r]: columns from rows, or back."""
+    rows = [format(mask, f"0{width}b") for mask in reversed(masks)]  # last mask, top bit first
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def _distance_at_least_3(row_masks: Sequence[int], k: int) -> bool:
-    """Whether the binary code with these parity-check rows has minimum
-    distance >= 3: a codeword of weight 1 is a zero column of H, and one of
-    weight 2 is a pair of equal columns."""
-    columns = _parity_columns(row_masks, k)
-    return 0 not in columns and len(set(columns)) == k
-
-
-def sample_inner_code(k: int, dim: int, rng: Random) -> tuple[int, ...]:
-    """Parity-check rows of a random [k, dim] code, resampled until its
-    minimum distance is at least 3, so blocks that picked up at most one
-    difference decode exactly."""
+def sample_inner_code(k: int, dim: int, rng: Random) -> list[int]:
+    """Parity-check columns of a uniformly random full-rank [k, dim] code of
+    distance >= 3, so blocks with at most one difference decode exactly.
+    That distance holds exactly when the columns are distinct and nonzero, so
+    they are one draw of k from the 2^(k-dim) - 1, redrawn if they do not span."""
     for _ in range(_INNER_CODE_ATTEMPTS):
-        masks = random_parity_rows(k, dim, rng)
-        if _distance_at_least_3(masks, k):
-            return masks
-    raise RetryLimitError(
-        f"no [{k}, {dim}] code of distance >= 3 in {_INNER_CODE_ATTEMPTS} samples"
-    )
+        columns = rng.sample(range(1, 1 << (k - dim)), k)
+        if rank(columns) == k - dim:
+            return columns
+    raise RetryLimitError(f"no full-rank [{k}, {dim}] code in {_INNER_CODE_ATTEMPTS} samples")
 
 
-def _block_syndromes(row_masks: Sequence[int], value: int, k: int, m: int) -> list[int]:
-    """H times each of the m k-bit blocks of value (block i is bits
-    [ik, ik+k)), bit-sliced: (value >> b) & lanes keeps bit b of every block
-    at the bottom of its lane, and multiplying it by column b of H adds that
-    column to every block with the bit set.  A column is shorter than a
-    lane, so no product spills into the next block."""
+def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> list[int]:
+    """H times each of the m k-bit blocks of value (block i is bits [ik, ik+k)),
+    bit-sliced over H's columns: (value >> b) & lanes keeps bit b of every block
+    at the bottom of its lane, and column b times that adds the column to every
+    block with the bit set; a column is shorter than a lane, so none spills."""
     lanes = ((1 << (m * k)) - 1) // ((1 << k) - 1)  # bit ik for every i < m
     acc = 0
-    for b, column in enumerate(_parity_columns(row_masks, k)):
+    for b, column in enumerate(columns):
         acc ^= ((value >> b) & lanes) * column
     mask = (1 << k) - 1
     return [(acc >> (i * k)) & mask for i in range(m)]
@@ -252,17 +243,15 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     matrix with all block syndromes, then the extra evaluations."""
     p = next_prime_at_least(x.n)
     perm = sample_permutation(p, rng)
-    masks = sample_inner_code(params.k, params.inner_dim, rng)
+    columns = sample_inner_code(params.k, params.inner_dim, rng)
     permuted = apply_permutation(perm, Word(x.value, p))
     blocks = block_values(permuted, params.k)
     width_p = (p - 1).bit_length()
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
     rows = params.k - params.inner_dim
-    fields = [(mask, params.k) for mask in masks]
-    fields += [
-        (syn, rows) for syn in _block_syndromes(masks, permuted.value, params.k, len(blocks))
-    ]
-    yield pack_fields(fields)
+    syns = _block_syndromes(columns, permuted.value, params.k, len(blocks))
+    matrix = [(row, params.k) for row in _transpose(columns, rows)]
+    yield pack_fields(matrix + [(syn, rows) for syn in syns])
     extra = rs_extra_evals(field(params.k), blocks, params.s)
     yield pack_fields([(e, params.k) for e in extra])
     return None
@@ -295,7 +284,7 @@ def composite_bob(y: Word, params: ProbParams):
         if t is None:
             raise InvariantError("inconsistent block system under a full-rank matrix")
         fix.append(t ^ unique_decode(inner, Word(t, k)).value)
-    ysyns = _block_syndromes(inner.h, permuted.value, k, m)
+    ysyns = _block_syndromes(_transpose(inner.h, k), permuted.value, k, m)
     estimates = [blk ^ fix[syn ^ ysyn] for blk, syn, ysyn in zip(yblocks, vals[rows:], ysyns)]
 
     msg3 = yield RECV

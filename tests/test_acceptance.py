@@ -390,6 +390,27 @@ def test_criterion_10_one_round_detection():
     assert ok
 
 
+def test_criterion_10_companion_detects_collisions():
+    # Criterion 10's pool is so large that no run collides, so its detection
+    # path goes untested.  A pool factor of 2 with room for a list of 2 makes
+    # collisions common; each must still be reported, never a wrong word.
+    rng = random.Random(1010)
+    code = random_linear_code(14, 5, rng)
+    bounds = Bounds(Fraction(3, 14), 14)
+    undetected = detected = 0
+    for _ in range(2000):
+        y = Word(rng.getrandbits(14), 14)
+        x = y.flip(rng.sample(range(14), 3))
+        out = one_round_prob_sync(code, 3, SyncInstance(x, y, bounds), 2, rng, list_cap=2)
+        if out.reported_failure:
+            detected += 1
+            assert out.diagnostics["hash_collision"]
+        elif out.recovered != x:
+            undetected += 1
+    assert detected > 0
+    assert undetected == 0
+
+
 def dangerous_blocks(xp: Word, yp: Word, perm: AffinePermutation, k: int, threshold_frac) -> int:
     """Number of blocks where the permuted words differ in at least
     threshold_frac * k positions.  Pad positions are zero on both sides, so

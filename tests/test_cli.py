@@ -87,6 +87,24 @@ def test_bad_arguments_exit_via_argparse():
         main(["bounds", "--n", "10", "--alpha", "zebra"])
 
 
+def test_listen_rejects_out_before_opening_a_socket(tmp_path, capsys):
+    # The listening side returns no rows, so --out would write nothing.  A
+    # listener would block in accept, so the run gets a thread and a timeout.
+    out = tmp_path / "row.csv"
+    codes = []
+    run = threading.Thread(
+        target=lambda: codes.append(
+            main(["run", "--protocol", "syndrome", "--listen", "127.0.0.1:0", "--out", str(out)])
+        ),
+        daemon=True,
+    )
+    run.start()
+    run.join(timeout=10)
+    assert codes == [2]
+    assert "connecting side" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _row(printed: str) -> str:
     (line,) = [l for l in printed.splitlines() if l.startswith("listdec ")]
     return line.rsplit(" wall=", 1)[0]

@@ -18,6 +18,7 @@ from hamsync.gf2codes import (
     mat_vec,
     min_distance,
     random_linear_code,
+    rank,
     syndrome,
     unique_decode,
 )
@@ -247,6 +248,34 @@ def test_unique_decode_tie_breaks_low():
     code = LinearCode(2, (0b11,))  # codewords {00, 11}
     assert unique_decode(code, Word(0b01, 2)) == Word(0, 2)
     assert unique_decode(code, Word(0b10, 2)) == Word(0, 2)
+
+
+def test_rank_matches_oracle():
+    rng = random.Random(38)
+    for _ in range(300):
+        width = rng.randint(1, 8)  # narrow, so many sets are dependent
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 10))]
+        assert rank(masks) == rank_oracle(masks)
+        assert rank(masks) == len(_rref(masks, width)[1])
+    assert rank([]) == 0
+    assert rank([0, 0]) == 0
+    assert rank([0b110, 0b011, 0b101]) == 2
+    assert rank([0b001, 0b011, 0b111]) == 3
+
+
+def test_random_linear_code_draws_as_before():
+    # The listdec and problist codes, and so their reports, depend on these
+    # exact draws: n - k rows of getrandbits(n) per try until full rank.
+    n, k = 6, 4  # two rows of 6 bits are often dependent
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        code = random_linear_code(n, k, rng)
+        while True:
+            masks = tuple(ref.getrandbits(n) for _ in range(n - k))
+            if len(_rref(masks, n)[1]) == n - k:
+                break
+        assert code.h == masks
+        assert rng.getstate() == ref.getstate()
 
 
 def test_random_linear_code_shape():

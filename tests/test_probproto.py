@@ -1,28 +1,32 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hamsync import probproto
 from hamsync.bitword import Bounds, Word, random_word_within
 from hamsync.errors import CapabilityError, ContractError, RetryLimitError
 from hamsync.gf2codes import (
     AffineSolver,
     LinearCode,
-    _rref,
     hamming_7_4,
     mat_vec,
     min_distance,
     random_linear_code,
+    rank,
     unique_decode,
 )
+from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.probproto import (
+    INNER_MAX_K,
     AffinePermutation,
     ProbParams,
     _block_syndromes,
-    _distance_at_least_3,
+    _transpose,
     apply_permutation,
     block_values,
     composite_prob_sync,
@@ -182,12 +186,68 @@ def test_prob_params_contracts():
     assert ProbParams(7, 64, 0.15, 4).inner_dim == 4
 
 
+def _inner_code(k, dim, rng):
+    """The LinearCode of one sample_inner_code draw."""
+    return LinearCode(k, _transpose(sample_inner_code(k, dim, rng), k - dim))
+
+
 def test_sample_inner_code_distance():
+    # Every shape ProbParams accepts can be drawn.  The old sampler drew
+    # whole row sets and gave up after 500 of them, which [13, 9] and
+    # [14, 10] always did and [7, 4] often did.
     rng = random.Random(73)
-    for k, dim in [(11, 6), (9, 5), (5, 1)]:
-        code = LinearCode(k, sample_inner_code(k, dim, rng))
-        assert (code.n, code.k) == (k, dim)
-        assert min_distance(code) >= 3
+    shapes = 0
+    for k in range(2, INNER_MAX_K + 1):
+        for dim in range(1, k):
+            try:
+                ProbParams(k, 64, Fraction(1, 10), dim)
+            except ContractError:
+                continue
+            shapes += 1
+            code = _inner_code(k, dim, rng)
+            assert (code.n, code.k, len(code.h)) == (k, dim, k - dim)
+            assert min_distance(code) >= 3
+    assert shapes == 60
+
+
+def test_sample_inner_code_draws_at_a_seed_the_old_sampler_gave_up_on():
+    # The old sampler raised RetryLimitError here after 500 draws of [9, 5]
+    # row sets (smith-stress's shape) without one of distance 3.
+    code = _inner_code(9, 5, random.Random(2633507))
+    assert min_distance(code) >= 3
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"k": 7, "inner_dim": 4, "s": 4},
+        {"k": 13, "inner_dim": 9, "s": 4},
+        {"k": 14, "inner_dim": 10, "s": 4},
+    ],
+    ids=["7-4", "13-9", "14-10"],
+)
+def test_smith_runs_at_shapes_the_old_sampler_could_not_draw(params):
+    # Each of these raised ProtocolExecutionError from inside Alice with the
+    # old sampler.
+    cfg = ExperimentConfig(
+        protocol="smith", n=64, alpha=Fraction(1, 32), trials=20, seed=1, params=params
+    )
+    (row,) = run_experiment(cfg)
+    assert row.trials == 20
+
+
+def test_sample_inner_code_support():
+    # Four distinct nonzero columns of 3 bits always span, so at [4, 1]
+    # every one of the 7*6*5*4 column orders is a valid draw, and the draw
+    # is uniform over them.
+    valid = [cols for cols in itertools.permutations(range(1, 8), 4) if rank(cols) == 3]
+    assert len(valid) == 840
+    rng = random.Random(78)
+    per_order = 40
+    counts = Counter(tuple(sample_inner_code(4, 1, rng)) for _ in range(840 * per_order))
+    assert set(counts) == set(valid)
+    chi2 = sum((c - per_order) ** 2 / per_order for c in counts.values())
+    assert chi2 < 839 + 5 * math.sqrt(2 * 839)  # 839 degrees of freedom, 5 sd
 
 
 def test_block_syndromes_match_per_block_products():
@@ -199,48 +259,25 @@ def test_block_syndromes_match_per_block_products():
         n = rng.randint(1, 300)  # n % k != 0 leaves a zero-padded last block
         w = Word(rng.getrandbits(n), n)
         blocks = block_values(w, k)
-        assert _block_syndromes(masks, w.value, k, len(blocks)) == [
+        assert _block_syndromes(_transpose(masks, k), w.value, k, len(blocks)) == [
             mat_vec(masks, blk) for blk in blocks
         ]
 
 
 @pytest.mark.parametrize("k, rows", [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3)])
 def test_column_test_matches_min_distance(k, rows):
-    # Every full-rank parity-check matrix of this shape, both ways.
+    # sample_inner_code rests on this equivalence: a code has distance >= 3
+    # exactly when its parity-check columns are distinct and nonzero.
+    # Checked on every full-rank parity-check matrix of this shape.
     passed = 0
     for masks in itertools.product(range(1 << k), repeat=rows):
-        if len(_rref(masks, k)[1]) != rows:
+        if rank(masks) != rows:
             continue
-        expected = min_distance(LinearCode(k, masks)) >= 3
-        assert _distance_at_least_3(masks, k) == expected
-        passed += expected
+        columns = [sum(((mask >> c) & 1) << r for r, mask in enumerate(masks)) for c in range(k)]
+        distinct_nonzero = 0 not in columns and len(set(columns)) == k
+        assert distinct_nonzero == (min_distance(LinearCode(k, masks)) >= 3)
+        passed += distinct_nonzero
     assert passed or (1 << rows) - 1 < k  # some draws pass whenever any can
-
-
-def _old_sample_inner_code(k, dim, rng):
-    """sample_inner_code as it was: build every full-rank draw, then
-    enumerate its codewords for the distance."""
-    for _ in range(500):
-        code = random_linear_code(k, dim, rng)
-        if min_distance(code) >= 3:
-            return code
-    raise RetryLimitError("no code")
-
-
-def test_sample_inner_code_matches_the_old_sampler():
-    for seed in range(200):
-        for k, dim in [(11, 6), (9, 5), (5, 2)]:
-            new_rng, old_rng = random.Random(seed), random.Random(seed)
-            old = _old_sample_inner_code(k, dim, old_rng)
-            assert sample_inner_code(k, dim, new_rng) == old.h
-            assert new_rng.getstate() == old_rng.getstate()
-    # No [8, 6] code reaches distance 3: both give up after the same draws.
-    new_rng, old_rng = random.Random(1), random.Random(1)
-    with pytest.raises(RetryLimitError):
-        sample_inner_code(8, 6, new_rng)
-    with pytest.raises(RetryLimitError):
-        _old_sample_inner_code(8, 6, old_rng)
-    assert new_rng.getstate() == old_rng.getstate()
 
 
 def test_composite_identical_words():
@@ -281,7 +318,7 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
         replay = random.Random(200 + seed)
         p = next_prime_at_least(2048)
         perm = sample_permutation(p, replay)
-        inner = LinearCode(params.k, sample_inner_code(params.k, params.inner_dim, replay))
+        inner = _inner_code(params.k, params.inner_dim, replay)
         xb = block_values(apply_permutation(perm, Word(x.value, p)), params.k)
         yb = block_values(apply_permutation(perm, Word(y.value, p)), params.k)
         solver = AffineSolver(inner.h, params.k)
@@ -297,18 +334,17 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
     assert checked > 0
 
 
-def test_composite_outcomes_pinned():
-    # 300 trials at smith-stress scale, where s = 2 heals one wrong block, so
-    # all three outcomes occur.  The counts and the digest of every recovered
-    # value and diagnostic were captured from the Lagrange/Euclid decoder and
-    # the per-block nearest-codeword search this implementation replaced.
+def _composite_outcomes(trials=300, seed=2007):
+    """Outcome counts and a SHA-256 of every recovered value and diagnostic
+    of `trials` runs at smith-stress scale, where s = 2 heals one wrong
+    block, so all three outcomes occur."""
     n = 512
     bounds = Bounds(Fraction(1, 32), n)
     params = ProbParams(k=9, s=2, delta=Fraction(1, 10), inner_dim=5)
-    rng = random.Random(2007)
+    rng = random.Random(seed)
     counts = Counter()
     digest = hashlib.sha256()
-    for _ in range(300):
+    for _ in range(trials):
         y = Word(rng.getrandbits(n), n)
         x = y.flip(rng.sample(range(n), bounds.radius))
         out = composite_prob_sync(SyncInstance(x, y, bounds), params, rng)
@@ -320,9 +356,16 @@ def test_composite_outcomes_pinned():
             counts["silent"] += 1
         value = None if out.recovered is None else out.recovered.value
         digest.update(repr((value, sorted(out.diagnostics.items()))).encode())
-    assert counts == {"exact": 169, "reported": 120, "silent": 11}
-    assert digest.hexdigest() == (
-        "44b869cab5c8d77698a913292bfba8cf09d14559e0fb609eb49c7473aef525b6"
+    return counts, digest.hexdigest()
+
+
+def test_composite_outcomes_pinned():
+    # Captured when the inner code became one draw of k distinct nonzero
+    # parity-check columns; the old sampler's pin is checked below.
+    counts, digest = _composite_outcomes()
+    assert counts == {"exact": 175, "reported": 119, "silent": 6}
+    assert digest == (
+        "f238373233ae45623e4eb5c9e5b7bc4f6b03b7449054919c54d5c0c614a4fc66"
     )
 
 
@@ -344,33 +387,59 @@ def _composite_transcript_digest(n, alpha, params, trials, seed):
     return digest.hexdigest()
 
 
+# (n, alpha, params, trials) per benchmark size, seeded with 2026
+_TRANSCRIPT_CASES = {
+    # the registry defaults, as the smith-2048 benchmark workload runs them
+    "smith-2048": (
+        2048, Fraction(1, 20), ProbParams(k=11, s=64, delta=Fraction(3, 20), inner_dim=6), 40
+    ),
+    # the smith-stress parameters, where all three outcomes occur
+    "smith-stress": (
+        512, Fraction(1, 32), ProbParams(k=9, s=2, delta=Fraction(1, 10), inner_dim=5), 300
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "n, alpha, params, trials, expected",
+    "case, expected",
     [
-        # the registry defaults, as the smith-2048 benchmark workload runs them
-        (
-            2048,
-            Fraction(1, 20),
-            ProbParams(k=11, s=64, delta=Fraction(3, 20), inner_dim=6),
-            40,
-            "cb030d8042710ae9aee667b1fd7e2be798cfd99f85204ad8cb921521ff75bfd9",
-        ),
-        # the smith-stress parameters, where all three outcomes occur
-        (
-            512,
-            Fraction(1, 32),
-            ProbParams(k=9, s=2, delta=Fraction(1, 10), inner_dim=5),
-            300,
-            "2805361d1a1001730fa11aa2f9b8e9a34ded3665231646e8068ac6944a30b50b",
-        ),
+        ("smith-2048", "c4719d925828f1c10d0fa1aead44cfe8896006568dd805f2c61c204b608bad97"),
+        ("smith-stress", "6a8fe260b174e6b6c399739882519b52ac673f4e04191f47dc665b4640015fee"),
     ],
     ids=["smith-2048", "smith-stress"],
 )
-def test_composite_transcripts_pinned(n, alpha, params, trials, expected):
-    # Captured before the RS layer, the block syndromes and the inner-code
-    # sampler moved to packed-lane kernels; any change to Alice's draws or
-    # to a payload bit shows here.
-    assert _composite_transcript_digest(n, alpha, params, trials, 2026) == expected
+def test_composite_transcripts_pinned(case, expected):
+    # Captured when the inner code became one draw of k distinct nonzero
+    # parity-check columns; any change to Alice's draws or to a payload bit
+    # shows here.
+    assert _composite_transcript_digest(*_TRANSCRIPT_CASES[case], 2026) == expected
+
+
+def _old_sample_inner_code(k, dim, rng):
+    """sample_inner_code before the column draw: random full-rank row sets,
+    each built into a code and kept once its distance reaches 3, with the
+    accepted code's parity-check columns returned."""
+    for _ in range(500):
+        code = random_linear_code(k, dim, rng)
+        if min_distance(code) >= 3:
+            return _transpose(code.h, k)
+    raise RetryLimitError("no code")
+
+
+def test_old_sampler_reproduces_the_old_pins(monkeypatch):
+    # The pins above moved only because the inner code is drawn differently
+    # (from the same distribution): with the old sampler patched back in,
+    # every transcript, outcome and diagnostic is the one pinned before.
+    monkeypatch.setattr(probproto, "sample_inner_code", _old_sample_inner_code)
+    counts, digest = _composite_outcomes()
+    assert counts == {"exact": 169, "reported": 120, "silent": 11}
+    assert digest == "44b869cab5c8d77698a913292bfba8cf09d14559e0fb609eb49c7473aef525b6"
+    assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-2048"], 2026) == (
+        "cb030d8042710ae9aee667b1fd7e2be798cfd99f85204ad8cb921521ff75bfd9"
+    )
+    assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-stress"], 2026) == (
+        "2805361d1a1001730fa11aa2f9b8e9a34ded3665231646e8068ac6944a30b50b"
+    )
 
 
 def test_composite_parameter_guards():
