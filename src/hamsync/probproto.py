@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from random import Random
 from typing import Sequence
 
@@ -72,13 +73,40 @@ def sample_permutation(p: int, rng: Random) -> AffinePermutation:
 
 
 def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
-    """Word with bit i equal to w's bit at (a*i + b) mod p."""
+    """Word with bit i equal to w's bit at (a*i + b) mod p, gathered in
+    strided slices rather than bit by bit.
+
+    Take a step 0 < c < p and e = a*c mod p, signed into (-p/2, p/2].  The
+    outputs r, r + c, r + 2c, ... of residue class r < c read the inputs
+    (a*r + b) mod p stepping by e, so the class is one slice bits[i:stop:e]
+    of the bit string per stretch between wraps past p, and all of it lands
+    in out[r::c] in one assignment.  That is about c + |e| slices in all;
+    the c <= isqrt(p) + 1 minimising c + |e| keeps it within 2*sqrt(p) + 1,
+    since by Dirichlet's approximation theorem some c <= sqrt(p) has
+    |e| <= sqrt(p).
+    """
     if w.n != perm.p:
         raise ContractError(f"word length {w.n} does not match the modulus {perm.p}")
     a, b, p = perm.a, perm.b, perm.p
-    bits = format(w.value, f"0{p}b")[::-1]  # bits[i] is bit i
-    gathered = "".join([bits[(a * i + b) % p] for i in range(p)])
-    return Word(int(gathered[::-1], 2), p)
+    bits = format(w.value, f"0{p}b").encode()[::-1]  # bits[i] is bit i
+    c, e = min(
+        ((c, (a * c + p // 2) % p - p // 2) for c in range(1, min(isqrt(p) + 2, p))),
+        key=lambda step: step[0] + abs(step[1]),
+    )
+    out = bytearray(p)
+    for r in range(c):
+        left = (p - 1 - r) // c + 1  # outputs r, r + c, ... below p
+        i = (a * r + b) % p
+        runs = []
+        while left:
+            room = p - i if e > 0 else i + 1  # inputs i, i + e, ... before the wrap
+            n = min(left, -(-room // abs(e)))
+            stop = i + n * e
+            runs.append(bits[i : stop if stop >= 0 else None : e])
+            left -= n
+            i = stop % p
+        out[r::c] = b"".join(runs)
+    return Word(int(out[::-1], 2), p)
 
 
 def block_values(w: Word, k: int) -> list[int]:
@@ -238,6 +266,31 @@ def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> list
     return [(acc >> (i * k)) & mask for i in range(m)]
 
 
+def _fix_table(inner: LinearCode, columns: Sequence[int]) -> dict[int, int]:
+    """Guessed block difference for every syndrome difference d: the solution
+    t of H t = d minus t's nearest codeword (ties toward the smaller value),
+    i.e. a lightest word of syndrome d.  A block's estimate depends on d
+    alone, so each d is decoded once, not each block.
+
+    d = 0 gives 0.  A column that is nonzero and appears once is the syndrome
+    of its lone weight-1 word, the unique lightest word of that syndrome, so
+    its nearest codeword is unique too and no tie rule applies.  Only the
+    other syndromes are solved and decoded.
+    """
+    fix = {0: 0}
+    for j, column in enumerate(columns):
+        if column and columns.count(column) == 1:
+            fix[column] = 1 << j
+    solver = AffineSolver(inner.h, inner.n)
+    for d in range(1 << len(inner.h)):
+        if d not in fix:
+            t = solver.solve(d)
+            if t is None:
+                raise InvariantError("inconsistent block system under a full-rank matrix")
+            fix[d] = t ^ unique_decode(inner, Word(t, inner.n)).value
+    return fix
+
+
 def composite_alice(x: Word, params: ProbParams, rng: Random):
     """Three messages, one direction: the permutation, then the inner-code
     matrix with all block syndromes, then the extra evaluations."""
@@ -273,18 +326,9 @@ def composite_bob(y: Word, params: ProbParams):
     msg2 = yield RECV
     vals = unpack_fields(msg2, [k] * rows + [rows] * m)
     inner = LinearCode(k, vals[:rows])
-    # A block's estimate depends only on its syndrome difference d: the
-    # guessed difference is the solution t of H t = d minus t's nearest
-    # codeword (ties toward the smaller value).  So decode each of the
-    # 2^rows values of d once, not each block.
-    solver = AffineSolver(inner.h, k)
-    fix = []
-    for d in range(1 << rows):
-        t = solver.solve(d)
-        if t is None:
-            raise InvariantError("inconsistent block system under a full-rank matrix")
-        fix.append(t ^ unique_decode(inner, Word(t, k)).value)
-    ysyns = _block_syndromes(_transpose(inner.h, k), permuted.value, k, m)
+    columns = _transpose(inner.h, k)
+    fix = _fix_table(inner, columns)
+    ysyns = _block_syndromes(columns, permuted.value, k, m)
     estimates = [blk ^ fix[syn ^ ysyn] for blk, syn, ysyn in zip(yblocks, vals[rows:], ysyns)]
 
     msg3 = yield RECV

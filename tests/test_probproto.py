@@ -26,6 +26,7 @@ from hamsync.probproto import (
     AffinePermutation,
     ProbParams,
     _block_syndromes,
+    _fix_table,
     _transpose,
     apply_permutation,
     block_values,
@@ -104,6 +105,43 @@ def test_apply_invert_roundtrip():
         assert apply_permutation(perm.inverse(), apply_permutation(perm, w)) == w
         assert apply_permutation(perm, apply_permutation(perm.inverse(), w)) == w
         assert apply_permutation(perm, w).value.bit_count() == w.value.bit_count()
+
+
+def _gather_bit_by_bit(perm, w):
+    """The gather apply_permutation replaced: one character per bit."""
+    a, b, p = perm.a, perm.b, perm.p
+    bits = format(w.value, f"0{p}b")[::-1]  # bits[i] is bit i
+    gathered = "".join([bits[(a * i + b) % p] for i in range(p)])
+    return Word(int(gathered[::-1], 2), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+def test_strided_gather_matches_bit_by_bit_for_every_map(p):
+    # Word t has bit i equal to bit t of i, so together the words spell out
+    # the input index each output bit reads, and equality on all of them
+    # pins the whole map.  p = 2 is where a step c = p would leave e = 0.
+    planes = [Word(sum(((i >> t) & 1) << i for i in range(p)), p) for t in range(p.bit_length())]
+    for a in range(1, p):
+        for b in range(p):
+            perm = AffinePermutation(p, a, b)
+            for w in planes:
+                assert apply_permutation(perm, w) == _gather_bit_by_bit(perm, w)
+
+
+@pytest.mark.parametrize("p", [2053, 32771])
+def test_strided_gather_matches_bit_by_bit_on_random_maps(p):
+    rng = random.Random(p)
+    words = [0, (1 << p) - 1, 1 << (p - 1)]  # zero, all ones, top bit only
+    maps = [(1, 0), (p - 1, 0), (1, p - 1), (p - 1, p - 1)]
+    cases = [(a, b, v) for a, b in maps for v in words]
+    cases += [(rng.randrange(1, p), rng.randrange(p), rng.choice(words)) for _ in range(20)]
+    cases += [(rng.choice([1, p - 1]), rng.randrange(p), rng.getrandbits(p)) for _ in range(20)]
+    cases += [(rng.randrange(1, p), 0, rng.getrandbits(p)) for _ in range(20)]
+    cases += [(rng.randrange(1, p), rng.randrange(p), rng.getrandbits(p)) for _ in range(150)]
+    assert len(cases) >= 200
+    for a, b, v in cases:
+        perm, w = AffinePermutation(p, a, b), Word(v, p)
+        assert apply_permutation(perm, w) == _gather_bit_by_bit(perm, w)
 
 
 def test_next_prime_at_least():
@@ -280,6 +318,68 @@ def test_column_test_matches_min_distance(k, rows):
     assert passed or (1 << rows) - 1 < k  # some draws pass whenever any can
 
 
+def _fix_by_full_decoding(inner):
+    """Solve and decode every syndrome difference, as Bob once did."""
+    solver = AffineSolver(inner.h, inner.n)
+    fix = {}
+    for d in range(1 << len(inner.h)):
+        t = solver.solve(d)
+        fix[d] = t ^ unique_decode(inner, Word(t, inner.n)).value
+    return fix
+
+
+def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch):
+    # Distinct nonzero columns leave 2^rows - 1 - k syndromes to decode.
+    decoded = []
+
+    def counting_decode(code, y):
+        decoded.append(y)
+        return unique_decode(code, y)
+
+    monkeypatch.setattr(probproto, "unique_decode", counting_decode)
+    rng = random.Random(79)
+    shapes = 0
+    for k in range(2, 12):
+        for dim in range(1, k):
+            try:
+                ProbParams(k, 64, Fraction(1, 10), dim)
+            except ContractError:
+                continue
+            shapes += 1
+            for _ in range(3):
+                columns = sample_inner_code(k, dim, rng)
+                inner = LinearCode(k, _transpose(columns, k - dim))
+                decoded.clear()
+                assert _fix_table(inner, columns) == _fix_by_full_decoding(inner)
+                assert len(decoded) == (1 << (k - dim)) - 1 - k
+    assert shapes == 33
+
+
+def test_fix_table_short_cuts_only_unique_nonzero_columns():
+    # With a zero or a repeated column the code has distance < 3, and a
+    # syndrome shared by two weight-1 words goes to the tie rule.
+    rng = random.Random(80)
+    cases = [
+        (3, [1, 2, 4, 0, 3, 3]),
+        (2, [1, 1, 2, 2]),
+        (2, [0, 1, 2, 0]),
+        (3, [3, 1, 2, 3, 0, 5, 4]),
+    ]
+    while len(cases) < 300:
+        rows = rng.randint(1, 4)
+        columns = [rng.randrange(1 << rows) for _ in range(rng.randint(rows + 1, 11))]
+        if 0 in columns or len(set(columns)) < len(columns):
+            cases.append((rows, columns))
+    checked = 0
+    for rows, columns in cases:
+        if rank(columns) < rows:
+            continue
+        inner = LinearCode(len(columns), _transpose(columns, rows))
+        assert _fix_table(inner, columns) == _fix_by_full_decoding(inner)
+        checked += 1
+    assert checked >= 200
+
+
 def test_composite_identical_words():
     params = ProbParams(k=11, s=64, delta=Fraction(3, 20), inner_dim=6)
     bounds = Bounds(Fraction(1, 20), 2048)
@@ -332,6 +432,27 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
             checked += 1
             assert out.recovered == x
     assert checked > 0
+
+
+def test_composite_round_trips_at_n_2_15():
+    # Exactly floor(alpha*n) = 163 flips over 2731 blocks of 12 bits leave a
+    # handful of blocks with two or more, well within floor(s/2) = 32.
+    n = 1 << 15
+    params = ProbParams(k=12, s=64, delta=Fraction(1, 10), inner_dim=8)
+    bounds = Bounds(Fraction(1, 200), n)
+    p = next_prime_at_least(n)
+    m = -(-p // params.k)
+    rows = params.k - params.inner_dim
+    bits = 2 * (p - 1).bit_length() + rows * (params.k + m) + params.s * params.k
+    assert bits == 11772
+    for seed in range(5):
+        rng = random.Random(300 + seed)
+        y = Word(rng.getrandbits(n), n)
+        x = Word(y.value ^ sum(1 << i for i in rng.sample(range(n), bounds.radius)), n)
+        assert (x.value ^ y.value).bit_count() == 163
+        out = composite_prob_sync(SyncInstance(x, y, bounds), params, random.Random(400 + seed))
+        assert out.recovered == x
+        assert out.transcript.total_bits == bits
 
 
 def _composite_outcomes(trials=300, seed=2007):
