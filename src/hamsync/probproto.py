@@ -9,22 +9,21 @@ harness measures the achieved rates against the analytic bounds.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, combinations
 from math import isqrt
+from operator import xor
 from random import Random
 from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
-from .gf2codes import (
-    AffineSolver,
-    LinearCode,
-    rank,
-    syndrome,
-    unique_decode,
-)
-from .gf2k_rs import field, rs_correct, rs_extra_evals
+from .gf2codes import AffineSolver, LinearCode, rank, syndrome
+from .gf2k_rs import _LANE_BITS, _lane_array, _pack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_bound, random_prime_hash
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
@@ -48,10 +47,6 @@ class AffinePermutation:
             raise ContractError("multiplier must be in [1, p-1]")
         if not 0 <= self.b < self.p:
             raise ContractError("offset must be in [0, p-1]")
-
-    def inverse(self) -> "AffinePermutation":
-        a_inv = pow(self.a, -1, self.p)
-        return AffinePermutation(self.p, a_inv, (-a_inv * self.b) % self.p)
 
 
 def next_prime_at_least(n: int) -> int:
@@ -109,14 +104,71 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     return Word(int(out[::-1], 2), p)
 
 
+@lru_cache(maxsize=None)
+def _relane_steps(count: int, src: int, dst: int) -> tuple[tuple[int, int], ...]:
+    """(mask, shift) per step of _relane, for count fields going from a
+    spacing of src bits to one of dst bits.
+
+    Spreading to the wider spacing takes one step per bit j of the field
+    index, top bit first: before step j, the fields sit in groups of 2^(j+1)
+    at the narrow spacing, the groups at the wide one, and the upper half of
+    each group moves up by 2^j times the difference of the spacings.  That
+    half is one run of 2^j narrow fields, so a step's mask is one run
+    repeated once per group, a multiple of a repunit, cut off after the last
+    field.  Narrowing runs the same steps backwards, from the moved places.
+    """
+    if src == dst:
+        return ()
+    narrow, wide = sorted((src, dst))
+    steps = []
+    for j in reversed(range((count - 1).bit_length())):
+        half = 1 << j
+        period = 2 * half * wide
+        groups = -(-count // (2 * half))
+        run = ((1 << (half * narrow)) - 1) << (half * narrow)
+        mask = run * (((1 << (period * groups)) - 1) // ((1 << period) - 1))
+        last = count - 1
+        end = (last >> (j + 1) << (j + 1)) * wide + (last & (2 * half - 1)) * narrow + narrow
+        steps.append((mask & ((1 << end) - 1), half * (wide - narrow)))
+    if src > dst:
+        return tuple((mask << shift, shift) for mask, shift in reversed(steps))
+    return tuple(steps)
+
+
+def _relane(value: int, count: int, src: int, dst: int) -> int:
+    """value's count fields of src bits (field i at bit i*src) moved to a
+    spacing of dst bits, in about log2(count) masked shifts of the whole
+    int.  Each field must fit in min(src, dst) bits, and value may have no
+    bits above its last field."""
+    if src < dst:
+        for mask, shift in _relane_steps(count, src, dst):
+            moving = value & mask
+            value ^= moving ^ (moving << shift)
+    else:
+        for mask, shift in _relane_steps(count, src, dst):
+            moving = value & mask
+            value ^= moving ^ (moving >> shift)
+    return value
+
+
+# array typecode per item size in bits
+_LANE_TYPECODE = {array(code).itemsize * 8: code for code in "BHILQ"}
+
+
+def _split(value: int, count: int, width: int) -> list[int]:
+    """value's count fields of width <= 64 bits, low field first: relaned to
+    the narrowest array item that holds a field, then read as an array."""
+    lane = min(bits for bits in _LANE_TYPECODE if bits >= width)
+    raw = _relane(value, count, width, lane).to_bytes(count * lane // 8, "little")
+    return _lane_array(raw, _LANE_TYPECODE[lane]).tolist()
+
+
 def block_values(w: Word, k: int) -> list[int]:
     """The word split into ceil(n/k) blocks of k bits, low block first; the
     last block is implicitly zero-padded."""
-    if k < 1:
-        raise ContractError("block size must be >= 1")
-    m = -(-w.n // k)
-    mask = (1 << k) - 1
-    return [(w.value >> (i * k)) & mask for i in range(m)]
+    if not 1 <= k <= 64:
+        raise ContractError(f"block size must be in [1, 64], got {k}")
+    return _split(w.value, -(-w.n // k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -253,87 +305,125 @@ def sample_inner_code(k: int, dim: int, rng: Random) -> list[int]:
     raise RetryLimitError(f"no full-rank [{k}, {dim}] code in {_INNER_CODE_ATTEMPTS} samples")
 
 
-def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> list[int]:
+def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> int:
     """H times each of the m k-bit blocks of value (block i is bits [ik, ik+k)),
-    bit-sliced over H's columns: (value >> b) & lanes keeps bit b of every block
-    at the bottom of its lane, and column b times that adds the column to every
-    block with the bit set; a column is shorter than a lane, so none spills."""
+    packed with syndrome i in bits [ik, ik+k), bit-sliced over H's columns:
+    (value >> b) & lanes keeps bit b of every block at the bottom of its
+    lane, and column b times that adds the column to every block with the
+    bit set; a column is shorter than a lane, so none spills."""
     lanes = ((1 << (m * k)) - 1) // ((1 << k) - 1)  # bit ik for every i < m
     acc = 0
     for b, column in enumerate(columns):
         acc ^= ((value >> b) & lanes) * column
-    mask = (1 << k) - 1
-    return [(acc >> (i * k)) & mask for i in range(m)]
+    return acc
 
 
 def _fix_table(inner: LinearCode, columns: Sequence[int]) -> dict[int, int]:
     """Guessed block difference for every syndrome difference d: the solution
     t of H t = d minus t's nearest codeword (ties toward the smaller value),
     i.e. a lightest word of syndrome d.  A block's estimate depends on d
-    alone, so each d is decoded once, not each block.
+    alone, so each d is settled once, not each block.
 
-    d = 0 gives 0.  A column that is nonzero and appears once is the syndrome
-    of its lone weight-1 word, the unique lightest word of that syndrome, so
-    its nearest codeword is unique too and no tie rule applies.  Only the
-    other syndromes are solved and decoded.
+    Words are enumerated by weight, lightest first, until every syndrome is
+    settled.  A syndrome first reached by one word takes that word: it is
+    the only lightest word, so t minus it is the unique nearest codeword.
+    One first reached by several words takes the w that minimises the
+    codeword t ^ w, which is the tie rule, and only such a syndrome is
+    solved for t.  d = 0 gives 0, and a column that is nonzero and appears
+    once gives its weight-1 word.
     """
     fix = {0: 0}
-    for j, column in enumerate(columns):
-        if column and columns.count(column) == 1:
-            fix[column] = 1 << j
-    solver = AffineSolver(inner.h, inner.n)
-    for d in range(1 << len(inner.h)):
-        if d not in fix:
-            t = solver.solve(d)
-            if t is None:
-                raise InvariantError("inconsistent block system under a full-rank matrix")
-            fix[d] = t ^ unique_decode(inner, Word(t, inner.n)).value
+    solver = None
+    bit_columns = [(1 << j, column) for j, column in enumerate(columns)]
+    for weight in range(1, len(columns) + 1):
+        if len(fix) == 1 << len(inner.h):
+            return fix
+        lightest = defaultdict(list)
+        for combo in combinations(bit_columns, weight):
+            word = d = 0
+            for bit, column in combo:
+                word |= bit
+                d ^= column
+            if d not in fix:
+                lightest[d].append(word)
+        for d, words in lightest.items():
+            if len(words) == 1:
+                fix[d] = words[0]
+            else:
+                solver = solver or AffineSolver(inner.h, inner.n)
+                fix[d] = min(words, key=solver.solve(d).__xor__)
+    if len(fix) != 1 << len(inner.h):
+        raise InvariantError("the parity-check columns do not span the syndromes")
     return fix
+
+
+def _checked_length(msg: Word, bits: int) -> int:
+    """msg's value, once its length is the expected one."""
+    if msg.n != bits:
+        raise ContractError(f"expected a {bits}-bit message, got {msg.n} bits")
+    return msg.value
+
+
+def _unpermuted(perm: AffinePermutation, diff: int) -> int:
+    """The value w with apply_permutation(perm, w) = diff, for a p-bit diff
+    with few set bits: bit j of diff moves to bit (a*j + b) mod p, and only
+    the set bits are walked.
+
+    In the binary string s of diff, s[i] is bit p - 1 - i, and bit j lands
+    at string index p - 1 - (a*j + b) mod p of the output.  With j = p-1-i
+    that index is (a*i + a - b - 1) mod p, and the i of the set bits are the
+    running sums of the lengths of s.split("1"), plus one each, less one.
+    """
+    a, b, p = perm.a, perm.b, perm.p
+    s = format(diff, f"0{p}b")
+    out = bytearray(b"0" * p)
+    for c in accumulate(map((1).__add__, map(len, s.split("1")[:-1]))):
+        out[(a * c - b - 1) % p] = 49  # ord("1"), at i = c - 1
+    return int(out, 2)
 
 
 def composite_alice(x: Word, params: ProbParams, rng: Random):
     """Three messages, one direction: the permutation, then the inner-code
     matrix with all block syndromes, then the extra evaluations."""
+    k, s = params.k, params.s
+    rows = k - params.inner_dim
     p = next_prime_at_least(x.n)
+    m = -(-p // k)
     perm = sample_permutation(p, rng)
-    columns = sample_inner_code(params.k, params.inner_dim, rng)
+    columns = sample_inner_code(k, params.inner_dim, rng)
     permuted = apply_permutation(perm, Word(x.value, p))
-    blocks = block_values(permuted, params.k)
     width_p = (p - 1).bit_length()
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
-    rows = params.k - params.inner_dim
-    syns = _block_syndromes(columns, permuted.value, params.k, len(blocks))
-    matrix = [(row, params.k) for row in _transpose(columns, rows)]
-    yield pack_fields(matrix + [(syn, rows) for syn in syns])
-    extra = rs_extra_evals(field(params.k), blocks, params.s)
-    yield pack_fields([(e, params.k) for e in extra])
+    matrix = sum(row << (r * k) for r, row in enumerate(_transpose(columns, rows)))
+    syns = _relane(_block_syndromes(columns, permuted.value, k, m), m, k, rows)
+    yield Word(matrix | syns << (rows * k), rows * (k + m))
+    extra = rs_extra_evals(field(k), block_values(permuted, k), s)
+    yield Word(_relane(_pack_lanes(extra), s, _LANE_BITS, k), s * k)
     return None
 
 
 def composite_bob(y: Word, params: ProbParams):
-    p = next_prime_at_least(y.n)
     k, s = params.k, params.s
     rows = k - params.inner_dim
+    p = next_prime_at_least(y.n)
+    m = -(-p // k)
     width_p = (p - 1).bit_length()
 
     msg1 = yield RECV
     a_val, b_val = unpack_fields(msg1, [width_p, width_p])
     perm = AffinePermutation(p, a_val, b_val)
-    permuted = apply_permutation(perm, Word(y.value, p))
-    yblocks = block_values(permuted, k)
-    m = len(yblocks)
+    permuted = apply_permutation(perm, Word(y.value, p)).value
 
-    msg2 = yield RECV
-    vals = unpack_fields(msg2, [k] * rows + [rows] * m)
-    inner = LinearCode(k, vals[:rows])
+    msg2 = _checked_length((yield RECV), rows * (k + m))
+    inner = LinearCode(k, _split(msg2 & ((1 << (rows * k)) - 1), rows, k))
     columns = _transpose(inner.h, k)
     fix = _fix_table(inner, columns)
-    ysyns = _block_syndromes(columns, permuted.value, k, m)
-    estimates = [blk ^ fix[syn ^ ysyn] for blk, syn, ysyn in zip(yblocks, vals[rows:], ysyns)]
+    sent = _relane(msg2 >> (rows * k), m, rows, k)
+    diffs = _split(sent ^ _block_syndromes(columns, permuted, k, m), m, k)
+    estimates = list(map(xor, _split(permuted, m, k), map(fix.__getitem__, diffs)))
 
-    msg3 = yield RECV
-    extra = unpack_fields(msg3, [k] * s)
-    fixed = rs_correct(field(k), estimates, extra)
+    msg3 = _checked_length((yield RECV), s * k)
+    fixed = rs_correct(field(k), estimates, _split(msg3, s, k))
     diag = {
         "p": p,
         "block_count": m,
@@ -341,19 +431,19 @@ def composite_bob(y: Word, params: ProbParams):
         "matrix_bits": rows * k,
         "syndrome_bits": rows * m,
         "nba_bits": 0,
-        "rs_bits": msg3.n,
+        "rs_bits": s * k,
     }
     if fixed is None:
         return None, {**diag, "rs_failure": True}
-    acc = 0
-    for i, blk in enumerate(fixed):
-        acc |= blk << (i * k)
-    if acc >> p:
+    corrected = _relane(_pack_lanes(fixed), m, _LANE_BITS, k)
+    if corrected >> p:
         return None, {**diag, "padding_violation": True}
-    unpermuted = apply_permutation(perm.inverse(), Word(acc, p))
-    if unpermuted.value >> y.n:
+    # A bit permutation is linear over xor, so x is y plus the inverse image
+    # of what the correction changed in y's permuted word.
+    flips = _unpermuted(perm, corrected ^ permuted)
+    if flips >> y.n:
         return None, {**diag, "padding_violation": True}
-    return Word(unpermuted.value, y.n), diag
+    return Word(y.value ^ flips, y.n), diag
 
 
 def composite_parties(

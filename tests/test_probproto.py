@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from hamsync import probproto
-from hamsync.bitword import Bounds, Word, random_word_within
+from hamsync import gf2codes, probproto
+from hamsync.bitword import Bounds, Word, pack_fields, random_word_within, unpack_fields
 from hamsync.errors import CapabilityError, ContractError, RetryLimitError
 from hamsync.gf2codes import (
     AffineSolver,
@@ -20,6 +20,7 @@ from hamsync.gf2codes import (
     rank,
     unique_decode,
 )
+from hamsync.gf2k_rs import field, rs_correct, rs_extra_evals
 from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.probproto import (
     INNER_MAX_K,
@@ -27,9 +28,13 @@ from hamsync.probproto import (
     ProbParams,
     _block_syndromes,
     _fix_table,
+    _relane,
     _transpose,
+    _unpermuted,
     apply_permutation,
     block_values,
+    composite_alice,
+    composite_bob,
     composite_prob_sync,
     next_prime_at_least,
     one_round_prob_parties,
@@ -38,16 +43,22 @@ from hamsync.probproto import (
     sample_permutation,
 )
 from hamsync.syncdet import SyncInstance
+from hamsync.transport import RECV
 
 
 def image(perm: AffinePermutation, i: int) -> int:
     return (perm.a * i + perm.b) % perm.p
 
 
+def inverse(perm: AffinePermutation) -> AffinePermutation:
+    a_inv = pow(perm.a, -1, perm.p)
+    return AffinePermutation(perm.p, a_inv, (-a_inv * perm.b) % perm.p)
+
+
 def test_affine_permutation_images():
     perm = AffinePermutation(5, 2, 3)
     assert [image(perm, i) for i in range(5)] == [3, 0, 2, 4, 1]
-    inv = perm.inverse()
+    inv = inverse(perm)
     assert [image(inv, image(perm, i)) for i in range(5)] == list(range(5))
     # Bit i of the permuted word is bit (a*i + b) mod p of the input.
     rng = random.Random(64)
@@ -102,8 +113,8 @@ def test_apply_invert_roundtrip():
     for _ in range(100):
         w = Word(rng.getrandbits(p), p)
         perm = sample_permutation(p, rng)
-        assert apply_permutation(perm.inverse(), apply_permutation(perm, w)) == w
-        assert apply_permutation(perm, apply_permutation(perm.inverse(), w)) == w
+        assert apply_permutation(inverse(perm), apply_permutation(perm, w)) == w
+        assert apply_permutation(perm, apply_permutation(inverse(perm), w)) == w
         assert apply_permutation(perm, w).value.bit_count() == w.value.bit_count()
 
 
@@ -166,6 +177,77 @@ def test_block_values_reassemble():
             assert 0 <= blk < (1 << k)
             acc |= blk << (i * k)
         assert acc == w.value  # padding bits are zero
+
+
+def _blocks_by_shifts(value, count, k):
+    """The per-field shift loop that block_values replaced."""
+    return [(value >> (i * k)) & ((1 << k) - 1) for i in range(count)]
+
+
+def _relane_by_fields(value, count, src, dst):
+    return sum(v << (i * dst) for i, v in enumerate(_blocks_by_shifts(value, count, src)))
+
+
+def _relane_shapes():
+    """(count, src, dst) for every relayout smith makes at an accepted shape
+    with k <= 14 and n in {7, 100, 512, 2048}, with s in {2, 64} where the
+    field holds it, and counts 1, 2 and 3 at each width pair."""
+    shapes = set()
+    for n in (7, 100, 512, 2048):
+        p = next_prime_at_least(n)
+        for k in range(2, INNER_MAX_K + 1):
+            for dim in range(1, k):
+                try:
+                    ProbParams(k, 64, Fraction(1, 10), dim)
+                except ContractError:
+                    continue
+                m, rows = -(-p // k), k - dim
+                lane = 8 if k <= 8 else 16
+                counts = [1, 2, 3, m, rows] + [s for s in (2, 64) if m + s < 1 << k]
+                for src, dst in ((k, rows), (k, lane), (k, 16)):
+                    shapes.update((count, src, dst) for count in counts)
+    return sorted(shapes)
+
+
+def test_relane_matches_the_field_loop_both_ways():
+    rng = random.Random(81)
+    shapes = _relane_shapes()
+    assert len(shapes) > 500
+    for count, src, dst in shapes:
+        narrow = min(src, dst)
+        for fields in (
+            [(1 << narrow) - 1] * count,
+            [rng.getrandbits(narrow) for _ in range(count)],
+        ):
+            value = sum(v << (i * src) for i, v in enumerate(fields))
+            moved = _relane(value, count, src, dst)
+            assert moved == _relane_by_fields(value, count, src, dst)
+            assert _relane(moved, count, dst, src) == value
+
+
+def test_block_values_match_the_shift_loop():
+    rng = random.Random(82)
+    for k in (1, 2, 9, 11, 16, 32):
+        for n in (1, k - 1, k, k + 1, 7, 100, 2053, rng.randint(1, 3000)):
+            if n < 1:
+                continue
+            for value in (0, (1 << n) - 1, rng.getrandbits(n)):
+                assert block_values(Word(value, n), k) == _blocks_by_shifts(value, -(-n // k), k)
+    for k in (0, 65):
+        with pytest.raises(ContractError):
+            block_values(Word(1, 8), k)
+
+
+def test_sparse_unpermute_matches_the_inverse_gather():
+    rng = random.Random(83)
+    for p in (2, 3, 13, 101, 2053):
+        for _ in range(30):
+            perm = sample_permutation(p, rng)
+            diffs = [0, 1, 1 << (p - 1), (1 << p) - 1, rng.getrandbits(p)]
+            diffs.append(sum(1 << i for i in rng.sample(range(p), min(p, 5))))
+            for diff in diffs:
+                gathered = apply_permutation(inverse(perm), Word(diff, p))
+                assert _unpermuted(perm, diff) == gathered.value
 
 
 def test_one_round_unique_list_always_succeeds():
@@ -297,7 +379,8 @@ def test_block_syndromes_match_per_block_products():
         n = rng.randint(1, 300)  # n % k != 0 leaves a zero-padded last block
         w = Word(rng.getrandbits(n), n)
         blocks = block_values(w, k)
-        assert _block_syndromes(_transpose(masks, k), w.value, k, len(blocks)) == [
+        packed = _block_syndromes(_transpose(masks, k), w.value, k, len(blocks))
+        assert block_values(Word(packed, len(blocks) * k), k) == [
             mat_vec(masks, blk) for blk in blocks
         ]
 
@@ -328,15 +411,38 @@ def _fix_by_full_decoding(inner):
     return fix
 
 
+def _tied_syndromes(columns):
+    """The syndromes with two or more lightest words, over all 2^k words."""
+    lightest = {}
+    for word in range(1 << len(columns)):
+        d = 0
+        for j, column in enumerate(columns):
+            if (word >> j) & 1:
+                d ^= column
+        weight = word.bit_count()
+        best = lightest.get(d, (weight, 0))
+        if weight <= best[0]:
+            lightest[d] = (weight, best[1] + 1 if weight == best[0] else 1)
+    return sorted(d for d, (_, count) in lightest.items() if count > 1)
+
+
 def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch):
-    # Distinct nonzero columns leave 2^rows - 1 - k syndromes to decode.
-    decoded = []
+    # The table settles syndromes by weight without decoding, and it solves
+    # for t once per syndrome with two or more lightest words, and for no
+    # other syndrome.
+    def no_decode(code, y):
+        raise AssertionError("the fix table decoded a word")
 
-    def counting_decode(code, y):
-        decoded.append(y)
-        return unique_decode(code, y)
+    monkeypatch.setattr(gf2codes, "unique_decode", no_decode)
+    assert not hasattr(probproto, "unique_decode")
+    solved = []
+    solve = AffineSolver.solve
 
-    monkeypatch.setattr(probproto, "unique_decode", counting_decode)
+    def recording_solve(self, b):
+        solved.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(AffineSolver, "solve", recording_solve)
     rng = random.Random(79)
     shapes = 0
     for k in range(2, 12):
@@ -349,9 +455,10 @@ def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch):
             for _ in range(3):
                 columns = sample_inner_code(k, dim, rng)
                 inner = LinearCode(k, _transpose(columns, k - dim))
-                decoded.clear()
-                assert _fix_table(inner, columns) == _fix_by_full_decoding(inner)
-                assert len(decoded) == (1 << (k - dim)) - 1 - k
+                solved.clear()
+                fix = _fix_table(inner, columns)
+                assert sorted(solved) == _tied_syndromes(columns)
+                assert fix == _fix_by_full_decoding(inner)
     assert shapes == 33
 
 
@@ -432,6 +539,151 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
             checked += 1
             assert out.recovered == x
     assert checked > 0
+
+
+def _packed_messages(perm, columns, blocks, params):
+    """Smith's three messages as pack_fields builds them from per-block
+    fields: the map, the matrix rows and each block's syndrome, the extras."""
+    k, rows = params.k, params.k - params.inner_dim
+    width_p = (perm.p - 1).bit_length()
+    matrix = _transpose(columns, rows)
+    syndromes = [(mat_vec(matrix, blk), rows) for blk in blocks]
+    return [
+        pack_fields([(perm.a, width_p), (perm.b, width_p)]),
+        pack_fields([(row, k) for row in matrix] + syndromes),
+        pack_fields([(e, k) for e in rs_extra_evals(field(k), blocks, params.s)]),
+    ]
+
+
+_SHAPES = [
+    (7, ProbParams(k=3, s=2, delta=Fraction(1, 10), inner_dim=1)),
+    (100, ProbParams(k=8, s=4, delta=Fraction(1, 10), inner_dim=4)),
+    (512, ProbParams(k=9, s=2, delta=Fraction(1, 10), inner_dim=5)),
+    (2048, ProbParams(k=11, s=64, delta=Fraction(3, 20), inner_dim=6)),
+    (2048, ProbParams(k=14, s=16, delta=Fraction(1, 10), inner_dim=10)),
+]
+
+
+def test_alice_messages_equal_pack_fields_of_the_same_fields():
+    for n, params in _SHAPES:
+        for seed in range(3):
+            x = Word(random.Random(seed).getrandbits(n), n)
+            sent = list(composite_alice(x, params, random.Random(500 + seed)))
+            replay = random.Random(500 + seed)
+            p = next_prime_at_least(n)
+            perm = sample_permutation(p, replay)
+            columns = sample_inner_code(params.k, params.inner_dim, replay)
+            permuted = apply_permutation(perm, Word(x.value, p)).value
+            blocks = _blocks_by_shifts(permuted, -(-p // params.k), params.k)
+            assert sent == _packed_messages(perm, columns, blocks, params)
+
+
+def _bob(y, params, messages):
+    """composite_bob's (recovered, diagnostics) on these messages."""
+    bob = composite_bob(y, params)
+    assert next(bob) is RECV
+    for msg in messages[:-1]:
+        assert bob.send(msg) is RECV
+    with pytest.raises(StopIteration) as stop:
+        bob.send(messages[-1])
+    return stop.value.value
+
+
+def _reference_bob(y, params, messages):
+    """Bob as he was before the lanes: per-field unpacking, a fully decoded
+    fix table, per-block syndromes, reassembly and the inverse gather."""
+    k, s = params.k, params.s
+    rows = k - params.inner_dim
+    p = next_prime_at_least(y.n)
+    width_p = (p - 1).bit_length()
+    perm = AffinePermutation(p, *unpack_fields(messages[0], [width_p, width_p]))
+    permuted = apply_permutation(perm, Word(y.value, p)).value
+    m = -(-p // k)
+    vals = unpack_fields(messages[1], [k] * rows + [rows] * m)
+    inner = LinearCode(k, vals[:rows])
+    fix = _fix_by_full_decoding(inner)
+    yblocks = _blocks_by_shifts(permuted, m, k)
+    estimates = [
+        blk ^ fix[syn ^ mat_vec(inner.h, blk)] for blk, syn in zip(yblocks, vals[rows:])
+    ]
+    fixed = rs_correct(field(k), estimates, unpack_fields(messages[2], [k] * s))
+    diag = {
+        "p": p,
+        "block_count": m,
+        "stage1_bits": messages[0].n,
+        "matrix_bits": rows * k,
+        "syndrome_bits": rows * m,
+        "nba_bits": 0,
+        "rs_bits": messages[2].n,
+    }
+    if fixed is None:
+        return None, {**diag, "rs_failure": True}
+    acc = 0
+    for i, blk in enumerate(fixed):
+        acc |= blk << (i * k)
+    if acc >> p:
+        return None, {**diag, "padding_violation": True}
+    unpermuted = apply_permutation(inverse(perm), Word(acc, p))
+    if unpermuted.value >> y.n:
+        return None, {**diag, "padding_violation": True}
+    return Word(unpermuted.value, y.n), diag
+
+
+def _outcome(x, recovered, diag):
+    """"x", or the failure flags Bob set, or "wrong word"."""
+    if recovered == x:
+        return "x"
+    sizes = {"p", "block_count", "stage1_bits", "matrix_bits", "syndrome_bits", "nba_bits", "rs_bits"}
+    return " ".join(sorted(diag.keys() - sizes)) or "wrong word"
+
+
+def test_bob_failure_paths_match_the_reference():
+    # n = 2048 pads to p = 2053 and 187 blocks of 11 bits, so bits 2053..2056
+    # are block padding and 2048..2052 are permutation padding.
+    n, params = _SHAPES[3]
+    p, m, k = 2053, 187, params.k
+    rng = random.Random(84)
+    outcomes = Counter()
+    for _ in range(4):
+        y = Word(rng.getrandbits(n), n)
+        perm = sample_permutation(p, rng)
+        columns = sample_inner_code(k, params.inner_dim, rng)
+        x = y.flip(rng.sample(range(n), 102))
+        permuted = apply_permutation(perm, Word(y.value, p)).value
+        padded = Word(y.value | 1 << rng.randrange(n, p), p)
+        cases = {
+            "x": apply_permutation(perm, Word(x.value, p)).value,
+            "bit above p": permuted ^ (1 << rng.randrange(p, m * k)),
+            "bit in [n, p)": apply_permutation(perm, padded).value,
+        }
+        for name, value in cases.items():
+            messages = _packed_messages(perm, columns, _blocks_by_shifts(value, m, k), params)
+            recovered, diag = _bob(y, params, messages)
+            assert (recovered, diag) == _reference_bob(y, params, messages)
+            outcomes[name, _outcome(x, recovered, diag)] += 1
+        messages[2] = Word(rng.getrandbits(params.s * k), params.s * k)
+        recovered, diag = _bob(y, params, messages)
+        assert (recovered, diag) == _reference_bob(y, params, messages)
+        outcomes["garbage extras", _outcome(x, recovered, diag)] += 1
+    assert outcomes == {
+        ("x", "x"): 4,
+        ("bit above p", "padding_violation"): 4,
+        ("bit in [n, p)", "padding_violation"): 4,
+        ("garbage extras", "rs_failure"): 4,
+    }
+
+
+def test_bob_rejects_messages_of_the_wrong_length():
+    n, params = _SHAPES[2]
+    x = Word(random.Random(85).getrandbits(n), n)
+    messages = list(composite_alice(x, params, random.Random(86)))
+    assert _bob(x, params, messages) == _reference_bob(x, params, messages)
+    for i in (1, 2):
+        for extra_bits in (-1, 1):
+            wrong = list(messages)
+            wrong[i] = Word(messages[i].value >> max(0, -extra_bits), messages[i].n + extra_bits)
+            with pytest.raises(ContractError):
+                _bob(x, params, wrong)
 
 
 def test_composite_round_trips_at_n_2_15():
