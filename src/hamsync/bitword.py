@@ -47,8 +47,12 @@ class Word:
 
 def exact_fraction(value: Fraction | int | float | str) -> Fraction:
     """A rate as an exact fraction.  Floats go through their decimal
-    spelling, so 0.15 means 3/20, not the nearest binary fraction."""
-    return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    spelling, so 0.15 means 3/20, not the nearest binary fraction.  Anything
+    that is not a finite rational number raises ContractError."""
+    try:
+        return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ContractError(f"not a rational number: {value!r}") from exc
 
 
 @dataclass(frozen=True, slots=True)

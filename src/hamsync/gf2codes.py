@@ -79,13 +79,13 @@ class LinearCode:
     """[n, k] binary linear code given by its parity-check rows h, which must
     be independent; k = n - len(h).
 
-    g_rows spans the code with g_rows[i] carrying a lone 1 in column
-    message_positions[i] among the message columns, so a message embeds at
-    message_positions and the remaining check_positions are determined.  When
-    message_positions == (0..k-1) the generator is systematic in the strict
-    first-k-columns sense; otherwise the tuple records the column role
-    assignment that a permutation would normalize.  All three are derived
-    from h, so equality and hashing cover (n, h) only.
+    h is reduced once, into the AffineSolver kept as `solver`.  Its free
+    columns are message_positions, and g_rows[i] = solver.solve(column f of
+    H) | 1 << f with f = message_positions[i] carries a lone 1 in column f
+    among them, so a message embeds at message_positions and the remaining
+    check_positions are determined.  When message_positions == (0..k-1) the
+    generator is systematic in the strict first-k-columns sense.  All of this
+    is derived from h, so equality and hashing cover (n, h) only.
     """
 
     n: int
@@ -93,6 +93,7 @@ class LinearCode:
     k: int = field(init=False, compare=False)
     g_rows: tuple[int, ...] = field(init=False, compare=False)
     message_positions: tuple[int, ...] = field(init=False, compare=False)
+    solver: AffineSolver = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         h = tuple(self.h)
@@ -101,24 +102,20 @@ class LinearCode:
         limit = 1 << self.n
         if any(not 0 <= row < limit for row in h):
             raise ContractError("parity-check row has bits outside the block length")
-        reduced, pivots = _rref(h, self.n)
-        if len(pivots) != len(h):
+        solver = AffineSolver(h, self.n)
+        if len(solver.pivot_cols) != len(h):
             raise ContractError("parity rows are linearly dependent")
-        pivot_set = set(pivots)
+        pivot_set = set(solver.pivot_cols)
         free_cols = tuple(c for c in range(self.n) if c not in pivot_set)
-        g_rows = []
-        for f in free_cols:
-            w = 1 << f
-            for row, p in zip(reduced, pivots):
-                if (row >> f) & 1:
-                    w |= 1 << p
-            if mat_vec(h, w):
-                raise InvariantError("generator row is not in the null space")
-            g_rows.append(w)
+        # H (t + e_f) = 0 exactly when H t is column f of H.
+        g_rows = tuple(solver.solve(mat_vec(h, 1 << f)) | 1 << f for f in free_cols)
+        if any(mat_vec(h, w) for w in g_rows):
+            raise InvariantError("generator row is not in the null space")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "k", self.n - len(h))
-        object.__setattr__(self, "g_rows", tuple(g_rows))
+        object.__setattr__(self, "g_rows", g_rows)
         object.__setattr__(self, "message_positions", free_cols)
+        object.__setattr__(self, "solver", solver)
 
     @property
     def check_positions(self) -> tuple[int, ...]:

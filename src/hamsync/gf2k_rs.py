@@ -110,17 +110,16 @@ def _check_values(fld: Field, values: Sequence[int]) -> None:
 _BIT_OF = [bytes((v >> b) & 1 for v in range(256)) for b in range(8)]
 
 
-def _lane_array(init, typecode: str = "H") -> array:
-    """Lanes of the typecode's item size (two bytes by default) whose bytes
-    are little-endian: init is a list of lane values or the bytes of such
-    lanes."""
-    lanes = array(typecode, init)
+def _lane_array(init) -> array:
+    """Lanes of two bytes, little-endian: init is a list of lane values or
+    the bytes of such lanes."""
+    lanes = array("H", init)
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
 
 
-_LANE_BITS = 16  # lane width of _pack_lanes and of _lane_array's default
+_LANE_BITS = 16  # lane width of _lane_array and _pack_lanes
 
 
 def _pack_lanes(values: Sequence[int]) -> int:

@@ -9,7 +9,6 @@ harness measures the achieved rates against the analytic bounds.
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,13 +21,15 @@ from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
-from .gf2codes import AffineSolver, LinearCode, rank, syndrome
+from .gf2codes import LinearCode, rank, syndrome
 from .gf2k_rs import _LANE_BITS, _lane_array, _pack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_bound, random_prime_hash
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
-INNER_MAX_K = 14  # per-block decoding enumerates 2^inner_dim words of k bits
+# Caps k, so that Bob's fix table enumerates at most 2^k words for its
+# 2^(k - inner_dim) syndromes, and every field fits the RS layer's lanes.
+INNER_MAX_K = 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,24 +152,11 @@ def _relane(value: int, count: int, src: int, dst: int) -> int:
     return value
 
 
-# array typecode per item size in bits
-_LANE_TYPECODE = {array(code).itemsize * 8: code for code in "BHILQ"}
-
-
 def _split(value: int, count: int, width: int) -> list[int]:
-    """value's count fields of width <= 64 bits, low field first: relaned to
-    the narrowest array item that holds a field, then read as an array."""
-    lane = min(bits for bits in _LANE_TYPECODE if bits >= width)
-    raw = _relane(value, count, width, lane).to_bytes(count * lane // 8, "little")
-    return _lane_array(raw, _LANE_TYPECODE[lane]).tolist()
-
-
-def block_values(w: Word, k: int) -> list[int]:
-    """The word split into ceil(n/k) blocks of k bits, low block first; the
-    last block is implicitly zero-padded."""
-    if not 1 <= k <= 64:
-        raise ContractError(f"block size must be in [1, 64], got {k}")
-    return _split(w.value, -(-w.n // k), k)
+    """value's count fields of width <= _LANE_BITS bits, low field first:
+    relaned to the RS layer's lanes, then read as an array."""
+    raw = _relane(value, count, width, _LANE_BITS).to_bytes(count * _LANE_BITS // 8, "little")
+    return _lane_array(raw).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,6 @@ def _fix_table(inner: LinearCode, columns: Sequence[int]) -> dict[int, int]:
     once gives its weight-1 word.
     """
     fix = {0: 0}
-    solver = None
     bit_columns = [(1 << j, column) for j, column in enumerate(columns)]
     for weight in range(1, len(columns) + 1):
         if len(fix) == 1 << len(inner.h):
@@ -350,8 +337,7 @@ def _fix_table(inner: LinearCode, columns: Sequence[int]) -> dict[int, int]:
             if len(words) == 1:
                 fix[d] = words[0]
             else:
-                solver = solver or AffineSolver(inner.h, inner.n)
-                fix[d] = min(words, key=solver.solve(d).__xor__)
+                fix[d] = min(words, key=inner.solver.solve(d).__xor__)
     if len(fix) != 1 << len(inner.h):
         raise InvariantError("the parity-check columns do not span the syndromes")
     return fix
@@ -397,7 +383,7 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     matrix = sum(row << (r * k) for r, row in enumerate(_transpose(columns, rows)))
     syns = _relane(_block_syndromes(columns, permuted.value, k, m), m, k, rows)
     yield Word(matrix | syns << (rows * k), rows * (k + m))
-    extra = rs_extra_evals(field(k), block_values(permuted, k), s)
+    extra = rs_extra_evals(field(k), _split(permuted.value, m, k), s)
     yield Word(_relane(_pack_lanes(extra), s, _LANE_BITS, k), s * k)
     return None
 

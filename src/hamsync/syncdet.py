@@ -22,7 +22,6 @@ from itertools import combinations
 from .bitword import Bounds, Word, ball_volume, hamming_distance
 from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
-    AffineSolver,
     LinearCode,
     check_list_decodable,
     encode,
@@ -138,7 +137,7 @@ def syndrome_alice(code: LinearCode, x: Word):
 
 def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
     """Any t with H t = H x + H y; t equals (x xor y) up to a codeword."""
-    t = AffineSolver(code.h, code.n).solve(h_value ^ mat_vec(code.h, y.value))
+    t = code.solver.solve(h_value ^ mat_vec(code.h, y.value))
     if t is None:
         raise InvariantError("inconsistent system under a full-row-rank parity check")
     return Word(t, code.n)

@@ -25,7 +25,6 @@ from hamsync.probproto import (
     AffinePermutation,
     ProbParams,
     apply_permutation,
-    block_values,
     composite_alice,
     composite_bob,
     composite_prob_sync,
@@ -418,7 +417,9 @@ def dangerous_blocks(xp: Word, yp: Word, perm: AffinePermutation, k: int, thresh
     assert xp.n == yp.n
     thr = Fraction(threshold_frac) * k
     diff = apply_permutation(perm, xp ^ yp)
-    return sum(1 for blk in block_values(diff, k) if blk.bit_count() >= thr)
+    mask = (1 << k) - 1
+    blocks = ((diff.value >> i) & mask for i in range(0, diff.n, k))
+    return sum(1 for blk in blocks if blk.bit_count() >= thr)
 
 
 def test_dangerous_blocks_trivial_cases():

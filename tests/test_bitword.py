@@ -120,6 +120,22 @@ def test_bounds_float_alpha_is_decimal():
     assert lower_bound_bits(0.15, 20) == lower_bound_bits(Fraction(3, 20), 20)
 
 
+MALFORMED_RATES = [
+    ("abc", ValueError),
+    (float("nan"), ValueError),
+    (float("inf"), ValueError),
+    ("1/0", ZeroDivisionError),
+    (None, TypeError),
+]
+
+
+@pytest.mark.parametrize("alpha, cause", MALFORMED_RATES)
+def test_bounds_rejects_a_malformed_alpha(alpha, cause):
+    with pytest.raises(ContractError) as info:
+        Bounds(alpha, 10)
+    assert isinstance(info.value.__cause__, cause)
+
+
 def test_random_word_within_respects_radius():
     rng = random.Random(14)
     for _ in range(300):

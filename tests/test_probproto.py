@@ -29,10 +29,10 @@ from hamsync.probproto import (
     _block_syndromes,
     _fix_table,
     _relane,
+    _split,
     _transpose,
     _unpermuted,
     apply_permutation,
-    block_values,
     composite_alice,
     composite_bob,
     composite_prob_sync,
@@ -164,13 +164,13 @@ def test_next_prime_at_least():
         next_prime_at_least(1)
 
 
-def test_block_values_reassemble():
+def test_split_blocks_reassemble():
     rng = random.Random(66)
     for _ in range(100):
         n = rng.randint(1, 60)
         k = rng.randint(1, 12)
         w = Word(rng.getrandbits(n), n)
-        blocks = block_values(w, k)
+        blocks = _split(w.value, -(-n // k), k)
         assert len(blocks) == -(-n // k)
         acc = 0
         for i, blk in enumerate(blocks):
@@ -180,7 +180,7 @@ def test_block_values_reassemble():
 
 
 def _blocks_by_shifts(value, count, k):
-    """The per-field shift loop that block_values replaced."""
+    """The per-field shift loop that _split replaced."""
     return [(value >> (i * k)) & ((1 << k) - 1) for i in range(count)]
 
 
@@ -202,9 +202,8 @@ def _relane_shapes():
                 except ContractError:
                     continue
                 m, rows = -(-p // k), k - dim
-                lane = 8 if k <= 8 else 16
                 counts = [1, 2, 3, m, rows] + [s for s in (2, 64) if m + s < 1 << k]
-                for src, dst in ((k, rows), (k, lane), (k, 16)):
+                for src, dst in ((k, rows), (k, 16)):
                     shapes.update((count, src, dst) for count in counts)
     return sorted(shapes)
 
@@ -225,17 +224,15 @@ def test_relane_matches_the_field_loop_both_ways():
             assert _relane(moved, count, dst, src) == value
 
 
-def test_block_values_match_the_shift_loop():
+def test_split_matches_the_shift_loop():
     rng = random.Random(82)
-    for k in (1, 2, 9, 11, 16, 32):
+    for k in (1, 2, 9, 11, 14, 16):
         for n in (1, k - 1, k, k + 1, 7, 100, 2053, rng.randint(1, 3000)):
             if n < 1:
                 continue
+            count = -(-n // k)
             for value in (0, (1 << n) - 1, rng.getrandbits(n)):
-                assert block_values(Word(value, n), k) == _blocks_by_shifts(value, -(-n // k), k)
-    for k in (0, 65):
-        with pytest.raises(ContractError):
-            block_values(Word(1, 8), k)
+                assert _split(value, count, k) == _blocks_by_shifts(value, count, k)
 
 
 def test_sparse_unpermute_matches_the_inverse_gather():
@@ -304,6 +301,22 @@ def test_prob_params_contracts():
     with pytest.raises(ContractError, match="distance"):
         ProbParams(8, 64, 0.15, 5)
     assert ProbParams(7, 64, 0.15, 4).inner_dim == 4
+
+
+@pytest.mark.parametrize(
+    "delta, cause",
+    [
+        ("abc", ValueError),
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        ("1/0", ZeroDivisionError),
+        (None, TypeError),
+    ],
+)
+def test_prob_params_rejects_a_malformed_delta(delta, cause):
+    with pytest.raises(ContractError) as info:
+        ProbParams(11, 64, delta, 6)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def _inner_code(k, dim, rng):
@@ -378,9 +391,9 @@ def test_block_syndromes_match_per_block_products():
         masks = tuple(rng.getrandbits(k) for _ in range(rows))
         n = rng.randint(1, 300)  # n % k != 0 leaves a zero-padded last block
         w = Word(rng.getrandbits(n), n)
-        blocks = block_values(w, k)
+        blocks = _split(w.value, -(-n // k), k)
         packed = _block_syndromes(_transpose(masks, k), w.value, k, len(blocks))
-        assert block_values(Word(packed, len(blocks) * k), k) == [
+        assert _split(packed, len(blocks), k) == [
             mat_vec(masks, blk) for blk in blocks
         ]
 
@@ -526,8 +539,9 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
         p = next_prime_at_least(2048)
         perm = sample_permutation(p, replay)
         inner = _inner_code(params.k, params.inner_dim, replay)
-        xb = block_values(apply_permutation(perm, Word(x.value, p)), params.k)
-        yb = block_values(apply_permutation(perm, Word(y.value, p)), params.k)
+        m = -(-p // params.k)
+        xb = _split(apply_permutation(perm, Word(x.value, p)).value, m, params.k)
+        yb = _split(apply_permutation(perm, Word(y.value, p)).value, m, params.k)
         solver = AffineSolver(inner.h, params.k)
         wrong = 0
         for xv, yv in zip(xb, yb):
@@ -684,6 +698,20 @@ def test_bob_rejects_messages_of_the_wrong_length():
             wrong[i] = Word(messages[i].value >> max(0, -extra_bits), messages[i].n + extra_bits)
             with pytest.raises(ContractError):
                 _bob(x, params, wrong)
+
+
+def test_bob_rejects_dependent_matrix_rows():
+    # Message 2 starts with the inner code's rows, k bits each; a copy of
+    # row 0 in place of row 1 keeps the length but not the rank.
+    n, params = _SHAPES[2]
+    k = params.k
+    x = Word(random.Random(87).getrandbits(n), n)
+    messages = list(composite_alice(x, params, random.Random(88)))
+    row0 = messages[1].value & ((1 << k) - 1)
+    value = messages[1].value & ~(((1 << k) - 1) << k) | row0 << k
+    messages[1] = Word(value, messages[1].n)
+    with pytest.raises(ContractError, match="dependent"):
+        _bob(x, params, messages)
 
 
 def test_composite_round_trips_at_n_2_15():

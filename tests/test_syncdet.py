@@ -5,7 +5,15 @@ import pytest
 
 from hamsync.bitword import Bounds, Word, ball_volume, random_word_within
 from hamsync.errors import CapabilityError, ContractError
-from hamsync.gf2codes import hamming_7_4, mat_vec, random_linear_code, syndrome
+from hamsync.gf2codes import (
+    AffineSolver,
+    LinearCode,
+    hamming_7_4,
+    mat_vec,
+    random_linear_code,
+    syndrome,
+)
+from hamsync.probproto import one_round_prob_sync
 from hamsync.syncdet import (
     SyncInstance,
     brute_sync,
@@ -195,3 +203,26 @@ def test_coloring_budget_guards():
     inst = SyncInstance(Word(0, 15), Word(0, 15), Bounds(Fraction(1, 15), 15))
     with pytest.raises(CapabilityError):
         coloring_oracle_sync(inst)
+
+
+def test_protocols_reuse_the_code_solver(monkeypatch):
+    # A code reduces its rows once; no trial on it builds another solver.
+    built = []
+    init = AffineSolver.__init__
+
+    def counting_init(self, h, cols):
+        built.append(cols)
+        init(self, h, cols)
+
+    monkeypatch.setattr(AffineSolver, "__init__", counting_init)
+    code = LinearCode(7, hamming_7_4().h)
+    assert built == [7]
+    bounds = Bounds(Fraction(1, 7), 7)
+    rng = random.Random(64)
+    for _ in range(50):
+        y = Word(rng.getrandbits(7), 7)
+        inst = SyncInstance(random_word_within(y, 1, rng), y, bounds)
+        assert syndrome_sync(code, inst).recovered == inst.x
+        assert listdec_sync(code, 1, inst).recovered == inst.x
+        assert one_round_prob_sync(code, 1, inst, 16, rng).recovered == inst.x
+    assert built == [7]
