@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from random import Random
 from typing import Iterable, Sequence
 
@@ -30,7 +31,7 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return tuple(compress(range(limit + 1), flags))
 
 
 def is_prime(m: int) -> bool:

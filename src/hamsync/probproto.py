@@ -9,25 +9,24 @@ harness measures the achieved rates against the analytic bounds.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import isqrt
 from operator import xor
 from random import Random
 from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
-from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
+from .errors import CapabilityError, ContractError, RetryLimitError
 from .gf2codes import LinearCode, rank, syndrome
 from .gf2k_rs import _LANE_BITS, _lane_array, _pack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_bound, random_prime_hash
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
-# Caps k, so that Bob's fix table enumerates at most 2^k words for its
+# Caps k, so that Bob's fix table walks at most 2^k - 1 words for its
 # 2^(k - inner_dim) syndromes, and every field fits the RS layer's lanes.
 INNER_MAX_K = 14
 
@@ -306,41 +305,37 @@ def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> int:
     return acc
 
 
-def _fix_table(inner: LinearCode, columns: Sequence[int]) -> dict[int, int]:
-    """Guessed block difference for every syndrome difference d: the solution
-    t of H t = d minus t's nearest codeword (ties toward the smaller value),
-    i.e. a lightest word of syndrome d.  A block's estimate depends on d
-    alone, so each d is settled once, not each block.
+@lru_cache(maxsize=None)
+def _weight_walk(k: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero k-bit words, lightest first and increasing within a
+    weight, as (word, place in the walk of the word less its lowest set bit
+    (the zero word is place 0), index of that bit)."""
+    words = [0] + sorted(range(1, 1 << k), key=int.bit_count)
+    place = {word: i for i, word in enumerate(words)}
+    return tuple((w, place[w & (w - 1)], (w & -w).bit_length() - 1) for w in words[1:])
 
-    Words are enumerated by weight, lightest first, until every syndrome is
-    settled.  A syndrome first reached by one word takes that word: it is
-    the only lightest word, so t minus it is the unique nearest codeword.
-    One first reached by several words takes the w that minimises the
-    codeword t ^ w, which is the tie rule, and only such a syndrome is
-    solved for t.  d = 0 gives 0, and a column that is nonzero and appears
-    once gives its weight-1 word.
+
+def _fix_table(columns: Sequence[int], rows: int) -> dict[int, int]:
+    """Guessed block difference for each of the 2^rows syndrome differences
+    d: the first word of the weight walk with syndrome d, i.e. its lightest
+    word, ties toward the smaller one.  Each d is settled once, not each block.
+
+    That is the nearest-codeword rule, ties toward the smaller codeword:
+    two words of one syndrome differ by a nonzero codeword, whose top bit's
+    column depends on lower ones, so the pivot-only solution t of H t = d
+    is 0 there and t ^ w orders like w.  The walk stops once every d is
+    reached; if some never is, the received rows are dependent.
     """
     fix = {0: 0}
-    bit_columns = [(1 << j, column) for j, column in enumerate(columns)]
-    for weight in range(1, len(columns) + 1):
-        if len(fix) == 1 << len(inner.h):
-            return fix
-        lightest = defaultdict(list)
-        for combo in combinations(bit_columns, weight):
-            word = d = 0
-            for bit, column in combo:
-                word |= bit
-                d ^= column
-            if d not in fix:
-                lightest[d].append(word)
-        for d, words in lightest.items():
-            if len(words) == 1:
-                fix[d] = words[0]
-            else:
-                fix[d] = min(words, key=inner.solver.solve(d).__xor__)
-    if len(fix) != 1 << len(inner.h):
-        raise InvariantError("the parity-check columns do not span the syndromes")
-    return fix
+    syndromes = [0]  # of the words walked so far, by place
+    for word, rest, low in _weight_walk(len(columns)):
+        d = syndromes[rest] ^ columns[low]
+        syndromes.append(d)
+        if d not in fix:
+            fix[d] = word
+            if len(fix) == 1 << rows:
+                return fix
+    raise ContractError("the matrix rows are linearly dependent")
 
 
 def _checked_length(msg: Word, bits: int) -> int:
@@ -401,9 +396,8 @@ def composite_bob(y: Word, params: ProbParams):
     permuted = apply_permutation(perm, Word(y.value, p)).value
 
     msg2 = _checked_length((yield RECV), rows * (k + m))
-    inner = LinearCode(k, _split(msg2 & ((1 << (rows * k)) - 1), rows, k))
-    columns = _transpose(inner.h, k)
-    fix = _fix_table(inner, columns)
+    columns = _transpose(_split(msg2 & ((1 << (rows * k)) - 1), rows, k), k)
+    fix = _fix_table(columns, rows)
     sent = _relane(msg2 >> (rows * k), m, rows, k)
     diffs = _split(sent ^ _block_syndromes(columns, permuted, k, m), m, k)
     estimates = list(map(xor, _split(permuted, m, k), map(fix.__getitem__, diffs)))

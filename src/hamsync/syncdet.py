@@ -259,21 +259,25 @@ def build_greedy_coloring(n: int, d: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _color_width(colors: tuple[int, ...]) -> int:
-    return max(colors).bit_length()
+@lru_cache(maxsize=16)
+def _color_count(n: int, d: int) -> int:
+    """Colors build_greedy_coloring(n, d) uses, counted once, not per trial."""
+    return max(build_greedy_coloring(n, d)) + 1
 
 
 def coloring_alice(n: int, radius: int, x: Word):
-    colors = build_greedy_coloring(n, min(2 * radius, n))
-    width = _color_width(colors)
+    d = min(2 * radius, n)
+    width = (_color_count(n, d) - 1).bit_length()
     if width:
-        yield Word(colors[x.value], width)
+        yield Word(build_greedy_coloring(n, d)[x.value], width)
     return None
 
 
 def coloring_bob(n: int, radius: int, y: Word):
-    colors = build_greedy_coloring(n, min(2 * radius, n))
-    width = _color_width(colors)
+    d = min(2 * radius, n)
+    colors = build_greedy_coloring(n, d)
+    n_colors = _color_count(n, d)
+    width = (n_colors - 1).bit_length()
     if width:
         msg = yield RECV
         target = msg.value
@@ -284,7 +288,7 @@ def coloring_bob(n: int, radius: int, y: Word):
         for m in (0,) + _nonzero_masks_up_to_weight(y.n, radius)
         if colors[y.value ^ m] == target
     ]
-    diag = {"n_colors": max(colors) + 1, "color_bits": width}
+    diag = {"n_colors": n_colors, "color_bits": width}
     if not matches:
         return None, diag
     if len(matches) > 1:

@@ -398,20 +398,50 @@ def test_block_syndromes_match_per_block_products():
         ]
 
 
-@pytest.mark.parametrize("k, rows", [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3)])
+_SMALL_SHAPES = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3)]
+
+
+def _full_rank_row_sets(k, rows):
+    return [masks for masks in itertools.product(range(1 << k), repeat=rows) if rank(masks) == rows]
+
+
+@pytest.mark.parametrize("k, rows", _SMALL_SHAPES)
 def test_column_test_matches_min_distance(k, rows):
     # sample_inner_code rests on this equivalence: a code has distance >= 3
     # exactly when its parity-check columns are distinct and nonzero.
     # Checked on every full-rank parity-check matrix of this shape.
     passed = 0
-    for masks in itertools.product(range(1 << k), repeat=rows):
-        if rank(masks) != rows:
-            continue
+    for masks in _full_rank_row_sets(k, rows):
         columns = [sum(((mask >> c) & 1) << r for r, mask in enumerate(masks)) for c in range(k)]
         distinct_nonzero = 0 not in columns and len(set(columns)) == k
         assert distinct_nonzero == (min_distance(LinearCode(k, masks)) >= 3)
         passed += distinct_nonzero
     assert passed or (1 << rows) - 1 < k  # some draws pass whenever any can
+
+
+def _assert_top_bits_are_free(code):
+    pivots = set(code.solver.pivot_cols)
+    for c in gf2codes.codewords(code):
+        if c:
+            assert c.bit_length() - 1 not in pivots
+
+
+@pytest.mark.parametrize("k, rows", _SMALL_SHAPES)
+def test_codeword_top_bits_are_never_pivots(k, rows):
+    # The fix table's tie rule rests on this: a nonzero codeword's top bit
+    # is a column that depends on lower ones, so it is a free column, the
+    # solver's t is 0 there, and the smaller codeword t ^ w is t ^ (the
+    # smaller word w).
+    for masks in _full_rank_row_sets(k, rows):
+        _assert_top_bits_are_free(LinearCode(k, masks))
+
+
+def test_codeword_top_bits_are_never_pivots_on_random_codes():
+    rng = random.Random(81)
+    for n in range(2, 15):
+        for k in range(1, n):
+            for _ in range(3):
+                _assert_top_bits_are_free(random_linear_code(n, k, rng))
 
 
 def _fix_by_full_decoding(inner):
@@ -424,30 +454,9 @@ def _fix_by_full_decoding(inner):
     return fix
 
 
-def _tied_syndromes(columns):
-    """The syndromes with two or more lightest words, over all 2^k words."""
-    lightest = {}
-    for word in range(1 << len(columns)):
-        d = 0
-        for j, column in enumerate(columns):
-            if (word >> j) & 1:
-                d ^= column
-        weight = word.bit_count()
-        best = lightest.get(d, (weight, 0))
-        if weight <= best[0]:
-            lightest[d] = (weight, best[1] + 1 if weight == best[0] else 1)
-    return sorted(d for d, (_, count) in lightest.items() if count > 1)
-
-
-def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch):
-    # The table settles syndromes by weight without decoding, and it solves
-    # for t once per syndrome with two or more lightest words, and for no
-    # other syndrome.
-    def no_decode(code, y):
-        raise AssertionError("the fix table decoded a word")
-
-    monkeypatch.setattr(gf2codes, "unique_decode", no_decode)
-    assert not hasattr(probproto, "unique_decode")
+@pytest.fixture
+def solves(monkeypatch):
+    """Every right-hand side AffineSolver.solve is called with."""
     solved = []
     solve = AffineSolver.solve
 
@@ -456,6 +465,17 @@ def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch):
         return solve(self, b)
 
     monkeypatch.setattr(AffineSolver, "solve", recording_solve)
+    return solved
+
+
+def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch, solves):
+    # The table settles every syndrome by the weight walk, solving and
+    # decoding nothing.
+    def no_decode(code, y):
+        raise AssertionError("the fix table decoded a word")
+
+    monkeypatch.setattr(gf2codes, "unique_decode", no_decode)
+    assert not hasattr(probproto, "unique_decode")
     rng = random.Random(79)
     shapes = 0
     for k in range(2, 12):
@@ -467,37 +487,43 @@ def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch):
             shapes += 1
             for _ in range(3):
                 columns = sample_inner_code(k, dim, rng)
-                inner = LinearCode(k, _transpose(columns, k - dim))
-                solved.clear()
-                fix = _fix_table(inner, columns)
-                assert sorted(solved) == _tied_syndromes(columns)
-                assert fix == _fix_by_full_decoding(inner)
+                fix = _fix_table(columns, k - dim)
+                assert solves == []
+                assert fix == _fix_by_full_decoding(LinearCode(k, _transpose(columns, k - dim)))
+                solves.clear()
     assert shapes == 33
 
 
-def test_fix_table_short_cuts_only_unique_nonzero_columns():
-    # With a zero or a repeated column the code has distance < 3, and a
-    # syndrome shared by two weight-1 words goes to the tie rule.
+def test_fix_table_takes_the_smaller_word_with_zero_or_repeated_columns(solves):
+    # With a zero or a repeated column the code has distance < 3, and two
+    # weight-1 words can share a syndrome; the smaller one takes it.  A set
+    # of columns that does not span the syndromes comes from dependent rows.
     rng = random.Random(80)
     cases = [
         (3, [1, 2, 4, 0, 3, 3]),
         (2, [1, 1, 2, 2]),
         (2, [0, 1, 2, 0]),
         (3, [3, 1, 2, 3, 0, 5, 4]),
+        (3, [1, 2, 3, 0, 1]),
     ]
     while len(cases) < 300:
         rows = rng.randint(1, 4)
         columns = [rng.randrange(1 << rows) for _ in range(rng.randint(rows + 1, 11))]
         if 0 in columns or len(set(columns)) < len(columns):
             cases.append((rows, columns))
-    checked = 0
+    checked = dependent = 0
     for rows, columns in cases:
         if rank(columns) < rows:
+            with pytest.raises(ContractError, match="dependent"):
+                _fix_table(columns, rows)
+            dependent += 1
             continue
-        inner = LinearCode(len(columns), _transpose(columns, rows))
-        assert _fix_table(inner, columns) == _fix_by_full_decoding(inner)
+        fix = _fix_table(columns, rows)
+        assert solves == []
+        assert fix == _fix_by_full_decoding(LinearCode(len(columns), _transpose(columns, rows)))
+        solves.clear()
         checked += 1
-    assert checked >= 200
+    assert checked >= 200 and dependent >= 10
 
 
 def test_composite_identical_words():
@@ -814,6 +840,115 @@ def test_composite_transcripts_pinned(case, expected):
     # parity-check columns; any change to Alice's draws or to a payload bit
     # shows here.
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES[case], 2026) == expected
+
+
+def _flip_positions(pattern, n, r, rng):
+    """r distinct positions in [0, n): uniform, one run of consecutive
+    positions, or every c-th bit for pattern "stride-c", from a random start."""
+    if pattern == "uniform":
+        return rng.sample(range(n), r)
+    step = 1 if pattern == "burst" else int(pattern.removeprefix("stride-"))
+    start = rng.randrange(n - step * (r - 1))
+    return range(start, start + step * r, step)
+
+
+def _pattern_outcomes(case, pattern, trials, seed):
+    """Outcome counts and a SHA-256 of every recovered value and diagnostic
+    of `trials` composite runs with exactly floor(alpha n) flips in this
+    pattern."""
+    n, alpha, params, _ = _TRANSCRIPT_CASES[case]
+    bounds = Bounds(alpha, n)
+    rng = random.Random(seed)
+    counts = Counter()
+    digest = hashlib.sha256()
+    for _ in range(trials):
+        y = Word(rng.getrandbits(n), n)
+        x = y.flip(_flip_positions(pattern, n, bounds.radius, rng))
+        assert (x.value ^ y.value).bit_count() == bounds.radius
+        out = composite_prob_sync(SyncInstance(x, y, bounds), params, rng)
+        if out.reported_failure:
+            counts["reported"] += 1
+        elif out.recovered == x:
+            counts["exact"] += 1
+        else:
+            counts["silent"] += 1
+        value = None if out.recovered is None else out.recovered.value
+        digest.update(repr((value, sorted(out.diagnostics.items()))).encode())
+    return counts, digest.hexdigest()
+
+
+# case, pattern, trials: (exact, reported, silent), digest
+_PATTERN_PINS = {
+    ("smith-2048", "uniform", 150): (
+        (150, 0, 0), "6bae50699da6360436a7bd2d9e94e5a6fbbce78bc27b0cc580b4038670c04dbf"
+    ),
+    ("smith-2048", "burst", 150): (
+        (147, 3, 0), "f0b600afb4d934fdf58311d0e8d0ec707130a99e5a7ce29f7ced70ef8161ca46"
+    ),
+    ("smith-2048", "stride-2", 150): (
+        (148, 2, 0), "650dd18da4b183778d82b02415b1e3a45a02b01db2a5a794819666efc674bc07"
+    ),
+    ("smith-2048", "stride-11", 150): (
+        (144, 6, 0), "5550bbe9c630a59706f19295963c6174b708d953a3d6d5ad5def20e70c98159e"
+    ),
+    ("smith-stress", "uniform", 300): (
+        (170, 109, 21), "8640ddf9d76300ccfba8e835a05644472224f67f4054a2c41ce65d4879a8246a"
+    ),
+    ("smith-stress", "burst", 300): (
+        (234, 60, 6), "0bfd35d07c0574f377367b11664675e71fa1c8dd0ac144142f4b840e086df332"
+    ),
+    ("smith-stress", "stride-2", 300): (
+        (244, 48, 8), "285b7660b15412fb35ee789b8f8b4fdc93747ded5b03d02c7c5746c3ff1eb2d3"
+    ),
+    ("smith-stress", "stride-11", 300): (
+        (226, 64, 10), "08b557cde3559915e88d6fc3cd02d8ef9b9747112f4e4a27895165adccf63f97"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", _PATTERN_PINS, ids=[f"{case}-{pattern}" for case, pattern, _ in _PATTERN_PINS]
+)
+def test_composite_flip_patterns_pinned(key):
+    # Bursts and strides put several flips in one block, where the fix
+    # table's ties decide the estimate.  Stride 11 is smith-2048's block
+    # size, so before the permutation every flip sits at one offset of its
+    # own block.  Captured before the fix table's tie rule became "the
+    # smaller word".
+    (exact, reported, silent), expected = _PATTERN_PINS[key]
+    counts, digest = _pattern_outcomes(*key, seed=2039)
+    assert (counts["exact"], counts["reported"], counts["silent"]) == (exact, reported, silent)
+    assert digest == expected
+
+
+@pytest.mark.parametrize("case", _TRANSCRIPT_CASES)
+def test_smith_builds_no_code_and_no_solver(monkeypatch, case):
+    # Bob's fix table comes from the received columns alone: no trial
+    # reduces the rows into a LinearCode or an AffineSolver.
+    built = Counter()
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            built[cls.__name__] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(AffineSolver, "__init__")
+    counting(LinearCode, "__post_init__")
+    LinearCode(3, (1, 2))
+    assert built == {"AffineSolver": 1, "LinearCode": 1}  # the counters count
+    built.clear()
+    n, alpha, params, _ = _TRANSCRIPT_CASES[case]
+    bounds = Bounds(alpha, n)
+    rng = random.Random(2040)
+    for _ in range(50):
+        y = Word(rng.getrandbits(n), n)
+        x = y.flip(rng.sample(range(n), bounds.radius))
+        composite_prob_sync(SyncInstance(x, y, bounds), params, rng)
+    assert built == {}
 
 
 def _old_sample_inner_code(k, dim, rng):
