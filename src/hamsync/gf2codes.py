@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bitword import Word
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
@@ -49,7 +49,9 @@ def _rref(masks: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
 
 class AffineSolver:
     """Prepared solver for H t = b with a fixed H: the row operations that
-    reduce H are recorded once and replayed on each right-hand side."""
+    reduce H are recorded once and replayed on each right-hand side.  H must
+    have independent rows, which LinearCode checks before it builds one, so
+    every b has a solution."""
 
     def __init__(self, h: Sequence[int], cols: int) -> None:
         # Augment each row with an identity tag in the high bits; reducing the
@@ -61,16 +63,11 @@ class AffineSolver:
         self.pivot_cols = pivots
         self.ops = [row >> cols for row in reduced]
 
-    def solve(self, b: int) -> Optional[int]:
-        """A solution with every free variable zero, or None if inconsistent."""
+    def solve(self, b: int) -> int:
+        """The solution with every free variable zero."""
         t = 0
-        for i, op in enumerate(self.ops):
-            b_bit = (op & b).bit_count() & 1
-            if i < len(self.pivot_cols):
-                if b_bit:
-                    t |= 1 << self.pivot_cols[i]
-            elif b_bit:
-                return None  # zero row of H with a nonzero rhs
+        for op, c in zip(self.ops, self.pivot_cols):
+            t |= ((op & b).bit_count() & 1) << c
         return t
 
 
@@ -205,10 +202,9 @@ def check_list_decodable(code: LinearCode, radius: int) -> None:
 
 
 def list_decode_exhaustive(code: LinearCode, y: Word, radius: int) -> list[Word]:
-    """All codewords within the given distance of y, ascending by value."""
-    check_list_decodable(code, radius)
-    if y.n != code.n:
-        raise ContractError("word length does not match the code")
+    """All codewords within the given distance of y, ascending by value.
+    Relies on check_list_decodable(code, radius) and y.n == code.n, which the
+    list protocols check at entry (syncdet._check_list_radius)."""
     yv = y.value
     return [Word(c, code.n) for c in codewords(code) if (c ^ yv).bit_count() <= radius]
 

@@ -10,6 +10,11 @@ repairs up to floor(s/2) wrong values anywhere among the m+s; beyond that it
 returns the unique codeword within floor(s/2) of what it got, or None when
 there is none.  Both directions need one field element outside the point
 set, so m + s < 2^k.
+
+Neither direction checks its arguments.  Its one caller, the composite
+protocol, refuses m + s >= 2^k in composite_parties before a run starts,
+and cuts every value it passes from a k-bit field, so each is a field
+element.
 """
 
 from __future__ import annotations
@@ -85,24 +90,6 @@ def field(k: int) -> Field:
 
 # ---------------------------------------------------------------------------
 # evaluation-code redundancy and correction
-
-
-def _check_points(fld: Field, m: int, s: int) -> None:
-    """m data points plus s extra points, with a spare field element left over:
-    the decoder shifts every point by m + s, which must not be a point."""
-    if m < 1:
-        raise ContractError("need at least one block")
-    if s < 0:
-        raise ContractError("s must be nonnegative")
-    if m + s >= fld.size:
-        raise ContractError(
-            f"m + s = {m + s} leaves no spare element in the field of size {fld.size}"
-        )
-
-
-def _check_values(fld: Field, values: Sequence[int]) -> None:
-    if values and (min(values) < 0 or max(values) >= fld.size):
-        raise ContractError("values must be field elements")
 
 
 # _BIT_OF[b] maps a byte to its bit b, so bytes.translate turns a byte
@@ -235,11 +222,9 @@ def _root_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
 
 def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
     """Values at the points m..m+s-1 of the degree < m polynomial f through
-    (i, blocks[i]): f(a) = sum_i blocks[i] L_i(a) over the Lagrange basis."""
-    m = len(blocks)
-    _check_points(fld, m, s)
-    _check_values(fld, blocks)
-    return _lane_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
+    (i, blocks[i]): f(a) = sum_i blocks[i] L_i(a) over the Lagrange basis.
+    Relies on 1 <= m, m + s < 2^k and field-element blocks (module docstring)."""
+    return _lane_map(fld, blocks, _encoder_columns(fld.k, len(blocks), s), s)
 
 
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
@@ -296,12 +281,11 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
     locators X_i = i + N, which are nonzero because N is not a point.
     Berlekamp-Massey finds the error locator, a scan over the N points its
     roots, and Forney's formula the values w_i e_i.
+    Relies on 1 <= m, m + s < 2^k and field-element values (module docstring).
     """
     m = len(received)
     s = len(extra)
-    _check_points(fld, m, s)
     values = [*received, *extra]
-    _check_values(fld, values)
     n_points = m + s
     syndromes = _lane_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
     if not any(syndromes):

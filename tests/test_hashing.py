@@ -1,22 +1,29 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from hamsync.bitword import Word
-from hamsync.errors import ContractError
+from hamsync import hashing
+from hamsync.bitword import Bounds, Word, random_word_within
+from hamsync.errors import CapabilityError, ContractError
+from hamsync.gf2codes import random_linear_code
+from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.hashing import (
     SecondaryHash,
     find_injective_prime,
     find_secondary_hash,
     first_primes,
     is_prime,
+    multi_nba_parties,
     multi_nba_protocol,
+    nba_parties,
     nba_protocol,
     random_prime_bound,
     random_prime_pool,
     sieve_primes,
 )
+from hamsync.syncdet import SyncInstance, listdec_sync
 
 
 def trial_division(m: int) -> bool:
@@ -58,10 +65,11 @@ def test_find_injective_prime_smallest_case():
 
 
 def test_find_injective_prime_is_minimal():
+    # Small sets, then sets whose q crosses several of the doubling sieves.
     rng = random.Random(21)
-    for _ in range(100):
-        n = rng.randint(3, 10)
-        k = rng.randint(1, 6)
+    for n_low, n_high, k_high in [(3, 10, 6)] * 100 + [(8, 16, 60)] * 60:
+        n = rng.randint(n_low, n_high)
+        k = rng.randint(1, k_high)
         vals = rng.sample(range(1 << n), k)
         q_min = find_injective_prime(vals, n)
         assert q_min <= max(2, k * k * n)
@@ -71,13 +79,28 @@ def test_find_injective_prime_is_minimal():
                 assert not injective(q, vals)
 
 
-def test_find_injective_prime_contracts():
+def test_injective_prime_sieves_follow_the_prime(monkeypatch):
+    limits = []
+    sieve = hashing.sieve_primes
+    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: limits.append(limit) or sieve(limit))
+    vals = random.Random(7).sample(range(1 << 16), 200)
+    assert find_injective_prime(vals, 16) == 3877
+    # The bound is 200^2 * 16 = 640,000; only powers of two up to 2q are sieved.
+    assert max(limits) <= 4096
+    assert all(limit & (limit - 1) == 0 for limit in limits)
+
+
+def test_identification_parties_refuse_bad_candidate_sets():
+    # find_injective_prime relies on k >= 1 distinct n-bit values; Bob's
+    # words are refused where they enter, before either party starts.
+    x = Word(1, 4)
+    for words in ([], [x, x], [x, Word(1, 5)]):
+        with pytest.raises(ContractError):
+            nba_parties(x, words, 4)
+        with pytest.raises(ContractError):
+            multi_nba_parties([x], words, 4, random.Random(0))
     with pytest.raises(ContractError):
-        find_injective_prime([], 4)
-    with pytest.raises(ContractError):
-        find_injective_prime([1, 1], 4)
-    with pytest.raises(ContractError):
-        find_injective_prime([16], 4)
+        Word(16, 4)  # a value wider than n is no word at all
 
 
 def test_nba_bit_budget_frozen():
@@ -157,14 +180,43 @@ def test_find_secondary_hash_injective():
         assert h.width == (2 * k * k - 1).bit_length()
 
 
-def test_find_secondary_hash_contracts():
+def test_prime_searches_get_what_they_rely_on(monkeypatch):
+    # Neither search checks its arguments: every caller, nba, multinba and
+    # listdec, hands it what the hashing module docstring says it relies on.
+    primes, secondaries = [], []
+    find_prime, find_secondary = hashing.find_injective_prime, hashing.find_secondary_hash
+
+    def record_prime(values, n):
+        primes.append((tuple(values), n))
+        return find_prime(primes[-1][0], n)
+
+    def record_secondary(reduced, v, k, rng):
+        secondaries.append((tuple(reduced), v, k))
+        return find_secondary(reduced, v, k, rng)
+
+    monkeypatch.setattr(hashing, "find_injective_prime", record_prime)
+    monkeypatch.setattr(hashing, "find_secondary_hash", record_secondary)
     rng = random.Random(28)
-    with pytest.raises(ContractError):
-        find_secondary_hash([1, 2, 3], 11, 4, rng)
-    with pytest.raises(ContractError):
-        find_secondary_hash([1, 2, 3, 4], 12, 4, rng)
-    with pytest.raises(ContractError):
-        find_secondary_hash([1, 2, 3, 11], 11, 4, rng)
+    for _ in range(100):
+        n = rng.randint(1, 24)
+        k = rng.randint(1, min(8, 1 << n))
+        words = [Word(v, n) for v in rng.sample(range(1 << n), k)]
+        nba_protocol(words[0], words, n)
+        multi_nba_protocol(rng.sample(words, rng.randint(1, k)), words, n, rng)
+    for n in (8, 12):
+        bounds = Bounds(Fraction(1, 4), n)
+        code = random_linear_code(n, n // 2, rng)
+        for _ in range(5):
+            y = Word(rng.getrandbits(n), n)
+            x = random_word_within(y, bounds.radius, rng)
+            listdec_sync(code, bounds.radius, SyncInstance(x, y, bounds))
+    assert len(primes) == 210 and len(secondaries) == 100
+    for values, n in primes:
+        assert values and len(set(values)) == len(values)
+        assert all(0 <= v < 1 << n for v in values)
+    for reduced, v, k in secondaries:
+        assert len(reduced) == k == len(set(reduced))
+        assert is_prime(v) and all(0 <= x < v for x in reduced)
 
 
 def test_multi_nba_bit_budget_frozen():
@@ -204,3 +256,16 @@ def test_random_prime_pool_is_prime_prefix():
     assert random_prime_bound(14, 4, 2) == pool[-1]
     with pytest.raises(ContractError):
         random_prime_pool(14, 4, 1)
+
+
+def test_prime_pool_budget_refuses_before_it_sieves(monkeypatch):
+    # 100000 * 14 * 16^2 primes would be a sieve of about 9.8e9 bytes.
+    monkeypatch.setattr(hashing, "first_primes", lambda count: ("pool of", count))
+    build = random_prime_pool.__wrapped__  # past the cache, which keeps the stub out
+    assert build(1, 1, 1 << 20) == ("pool of", 1 << 20)
+    with pytest.raises(CapabilityError):
+        build(1, 1, (1 << 20) + 1)
+    with pytest.raises(CapabilityError):
+        random_prime_pool(14, 16, 100_000)
+    with pytest.raises(CapabilityError):
+        run_experiment(ExperimentConfig(protocol="problist", params={"oversample": 100_000}))

@@ -35,6 +35,7 @@ from hamsync.probproto import (
     apply_permutation,
     composite_alice,
     composite_bob,
+    composite_parties,
     composite_prob_sync,
     next_prime_at_least,
     one_round_prob_parties,
@@ -988,6 +989,45 @@ def test_composite_parameter_guards():
     with pytest.raises(ContractError):
         # 2^5 field cannot hold ceil(2053/5) blocks plus extras
         composite_prob_sync(inst, ProbParams(5, 64, Fraction(3, 20), 2), random.Random(0))
+    # The RS layer needs a spare field element: at n = p = 37 and k = 4 there
+    # are m = 10 blocks, so s = 5 leaves one element of GF(16) spare and
+    # s = 6 leaves none.
+    bounds = Bounds(Fraction(1, 37), 37)
+    x = Word(random.Random(1).getrandbits(37), 37)
+    inst = SyncInstance(x, x.flip([3]), bounds)
+    out = composite_prob_sync(inst, ProbParams(4, 5, Fraction(1, 10), 1), random.Random(0))
+    assert out.recovered == x
+    with pytest.raises(ContractError, match="cannot hold"):
+        composite_parties(inst, ProbParams(4, 6, Fraction(1, 10), 1), random.Random(0))
+
+
+def test_rs_layer_gets_what_it_relies_on(monkeypatch):
+    # rs_extra_evals and rs_correct check nothing; smith hands them 1 <= m,
+    # m + s < 2^k and k-bit values, here up to the field's last spare element.
+    calls = []  # (k, m, s, every value passed)
+
+    def encode(fld, blocks, s):
+        calls.append((fld.k, len(blocks), s, list(blocks)))
+        return rs_extra_evals(fld, blocks, s)
+
+    def correct(fld, received, extra):
+        calls.append((fld.k, len(received), len(extra), [*received, *extra]))
+        return rs_correct(fld, received, extra)
+
+    monkeypatch.setattr(probproto, "rs_extra_evals", encode)
+    monkeypatch.setattr(probproto, "rs_correct", correct)
+    rng = random.Random(9)
+    for n, k, s, inner_dim in [(2, 3, 2, 1), (37, 4, 5, 1), (100, 8, 200, 4), (512, 9, 2, 5)]:
+        bounds = Bounds(Fraction(1, 32), n)
+        params = ProbParams(k, s, Fraction(1, 10), inner_dim)
+        for _ in range(3):
+            y = Word(rng.getrandbits(n), n)
+            inst = SyncInstance(random_word_within(y, bounds.radius, rng), y, bounds)
+            composite_prob_sync(inst, params, rng)
+    assert len(calls) == 24
+    for k, m, s, values in calls:
+        assert 1 <= m and m + s < 1 << k
+        assert all(0 <= v < 1 << k for v in values)
 
 
 def test_one_round_parameter_guards():
