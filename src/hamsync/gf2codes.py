@@ -156,15 +156,8 @@ _FULL_RANK_ATTEMPTS = 1000
 
 
 def rank(masks: Sequence[int]) -> int:
-    """Rank over GF(2) of these bit vectors.  Each basis vector lacks the top bits
-    of the earlier ones, so min(v, v ^ b) clears b's top bit and no earlier one."""
-    basis: list[int] = []
-    for v in masks:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
+    """Rank over GF(2) of these bit vectors: the pivot count of their reduced form."""
+    return len(_rref(masks, max(masks, default=0).bit_length())[1])
 
 
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:

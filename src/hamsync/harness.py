@@ -26,6 +26,7 @@ from .bitword import (
     lower_bound_bits,
     pack_fields,
     random_word_within,
+    unpack_fields,
 )
 from .errors import ContractError
 from .gf2codes import hamming_7_4, random_linear_code
@@ -159,13 +160,15 @@ def _naive_alice(x: Word):
     return None
 
 
-def _naive_bob():
-    msg = yield RECV
-    return msg, {}
+def _naive_bob(n: int):
+    (x,) = unpack_fields((yield RECV), [n])
+    return Word(x, n), {}
 
 
 def _build_naive(cfg, bounds, params, root):
-    return _sync_cases(cfg, bounds, root, lambda inst, sa: (_naive_alice(inst.x), _naive_bob()))
+    return _sync_cases(
+        cfg, bounds, root, lambda inst, sa: (_naive_alice(inst.x), _naive_bob(inst.n))
+    )
 
 
 def _build_brute(cfg, bounds, params, root):

@@ -54,23 +54,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def first_primes(count: int) -> tuple[int, ...]:
-    """The first `count` primes."""
-    if count < 1:
-        raise ContractError("count must be >= 1")
-    if count < 6:
-        return sieve_primes(13)[:count]
-    # p_count < count*(ln count + ln ln count); pad and grow if the estimate
-    # still falls short.
-    limit = int(count * (math.log(count) + math.log(math.log(count))) * 1.2) + 10
-    while True:
-        primes = sieve_primes(limit)
-        if len(primes) >= count:
-            return primes[:count]
-        limit = int(limit * 1.3) + 1
-
-
 def _primes_in_doubling_sieves() -> Iterator[int]:
     """Every prime in increasing order, sieved up to 64, 128, 256, ..., so a
     search that stops at q sieves up to at most max(64, 2q), and sieve_primes
@@ -86,15 +69,28 @@ def find_injective_prime(values: Iterable[int], n: int) -> int:
     """Smallest prime q <= max(2, k^2 * n) injective on the given k distinct
     n-bit values.  Such a prime always exists; failing to find one means the
     search itself is broken.  Relies on k >= 1 distinct n-bit values (module
-    docstring).  The sieve grows with q, not with the bound."""
+    docstring).  The sieve grows with q, not with the bound, and primes
+    below k are skipped.
+
+    Each q scans the values in one fixed stride order, a step near k/phi
+    coprime to k, not in the order given: values below q never collide mod
+    q, so a scan of sorted values (listdec_bob's list is sorted) would meet
+    its first repeated residue only after every value below q.
+    """
     vals = tuple(values)
     k = len(vals)
+    stride = round(k * 0.618)
+    while math.gcd(stride, k) != 1:
+        stride += 1
+    scan = [vals[i * stride % k] for i in range(k)]
     bound = max(2, k * k * n)
     for q in _primes_in_doubling_sieves():
         if q > bound:
             break
+        if q < k:
+            continue
         seen = set()
-        for x in vals:
+        for x in scan:
             r = x % q
             if r in seen:
                 break
@@ -136,13 +132,15 @@ def find_secondary_hash(s_reduced: Iterable[int], v: int, k: int, rng: Random) -
 
 
 # Primes a pool may hold: 18 times problist's default pool (16 * 14 * 16^2),
-# and a sieve of about 20 MB.
+# and a sieve of about 17 MB.
 _PRIME_POOL_BUDGET = 1 << 20
 
 
 @lru_cache(maxsize=None)
 def random_prime_pool(n: int, k: int, a: int) -> tuple[int, ...]:
     """The first a*n*k^2 primes: the pool random_prime_hash draws from.
+    Both parties derive it from public parameters, so its largest prime
+    fixes the fingerprint width in advance.
 
     The pool's largest prime is the smallest bound A with at least a*n*k^2
     primes below it, so a uniform draw collides on any fixed k-set of n-bit
@@ -155,12 +153,12 @@ def random_prime_pool(n: int, k: int, a: int) -> tuple[int, ...]:
     count = a * n * k * k
     if count > _PRIME_POOL_BUDGET:
         raise CapabilityError(f"a pool of {count} primes is over the {_PRIME_POOL_BUDGET} budget")
-    return first_primes(count)
-
-
-def random_prime_bound(n: int, k: int, a: int) -> int:
-    """Largest prime in the pool; public, so fingerprint widths are pre-agreed."""
-    return random_prime_pool(n, k, a)[-1]
+    # Rosser's theorem: p_count < count*(ln count + ln ln count) for count >= 6.
+    limit = 13 if count < 6 else int(count * (math.log(count) + math.log(math.log(count)))) + 1
+    primes = sieve_primes(limit)
+    if len(primes) < count:
+        raise InvariantError(f"sieve up to {limit} holds fewer than {count} primes")
+    return primes[:count]
 
 
 def random_prime_hash(n: int, k: int, a: int, rng: Random) -> int:
@@ -189,13 +187,12 @@ def nba_alice(x: Word):
 
 def nba_bob(candidates: Sequence[Word], n: int):
     """Bob's half: publish a prime separating his set, match the residue."""
-    cands = sorted(candidates, key=lambda w: w.value)
-    k = len(cands)
-    q = find_injective_prime((w.value for w in cands), n)
+    k = len(candidates)
+    q = find_injective_prime((w.value for w in candidates), n)
     width = _nba_width(k, n)
     yield Word(q, width)
-    reply = yield RECV
-    matches = [w for w in cands if w.value % q == reply.value]
+    (residue,) = unpack_fields((yield RECV), [width])
+    matches = [w for w in candidates if w.value % q == residue]
     diag = {"q": q, "set_size": k}
     if len(matches) == 1:
         return matches[0], diag
@@ -238,25 +235,23 @@ def _check_candidates(cands: Sequence[Word], n: int) -> None:
 def multi_nba_alice(xs: Sequence[Word], k: int):
     """Alice's half when she holds several words from Bob's set: one packed
     reply carrying a short secondary-hash fingerprint per word."""
-    msg = yield RECV
-    width_q = msg.n // 2
-    q, s = unpack_fields(msg, [width_q, width_q])
+    width_q = _nba_width(k, xs[0].n)
+    q, s = unpack_fields((yield RECV), [width_q, width_q])
     secondary = SecondaryHash(q, s, k)
     yield pack_fields([(secondary(x.value % q), secondary.width) for x in xs])
     return None
 
 
 def multi_nba_bob(candidates: Sequence[Word], n: int, l: int, rng: Random):
-    cands = sorted(candidates, key=lambda w: w.value)
-    k = len(cands)
-    q = find_injective_prime((w.value for w in cands), n)
-    reduced = [w.value % q for w in cands]
+    k = len(candidates)
+    q = find_injective_prime((w.value for w in candidates), n)
+    reduced = [w.value % q for w in candidates]
     secondary = find_secondary_hash(reduced, q, k, rng)
     width_q = _nba_width(k, n)
     yield pack_fields([(q, width_q), (secondary.s, width_q)])
     reply = yield RECV
     values = unpack_fields(reply, [secondary.width] * l)
-    table = {secondary(w.value % q): w for w in cands}
+    table = {secondary(w.value % q): w for w in candidates}
     recovered: list[Word] = []
     for v in values:
         w = table.get(v)

@@ -22,13 +22,18 @@ from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, RetryLimitError
 from .gf2codes import LinearCode, rank, syndrome
 from .gf2k_rs import _LANE_BITS, _lane_array, _pack_lanes, field, rs_correct, rs_extra_evals
-from .hashing import is_prime, random_prime_bound, random_prime_hash
+from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 # Caps k, so that Bob's fix table walks at most 2^k - 1 words for its
 # 2^(k - inner_dim) syndromes, and every field fits the RS layer's lanes.
 INNER_MAX_K = 14
+
+# Caps (m + s) * s for m blocks and s extras: the lanes of the RS layer's
+# largest cached table, its syndrome columns.  At the cap one shape's tables
+# take about 13 MB and 0.6 s to build (k = 14, s = 64, 2 vCPUs).
+_RS_LANE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +171,7 @@ def one_round_prob_alice(code: LinearCode, x: Word, oversample: int, list_cap: i
     """Single message: syndrome, a random prime from the pre-agreed pool,
     and x's residue, all packed."""
     h = syndrome(code, x)
-    width = random_prime_bound(code.n, list_cap, oversample).bit_length()
+    width = random_prime_pool(code.n, list_cap, oversample)[-1].bit_length()
     q = random_prime_hash(code.n, list_cap, oversample, rng)
     yield pack_fields([(h.value, h.n), (q, width), (x.value % q, width)])
     return None
@@ -174,7 +179,7 @@ def one_round_prob_alice(code: LinearCode, x: Word, oversample: int, list_cap: i
 
 def one_round_prob_bob(code: LinearCode, radius: int, y: Word, oversample: int, list_cap: int):
     msg = yield RECV
-    width = random_prime_bound(code.n, list_cap, oversample).bit_length()
+    width = random_prime_pool(code.n, list_cap, oversample)[-1].bit_length()
     h_val, q, residue = unpack_fields(msg, [code.n - code.k, width, width])
     values = list_candidates(code, h_val, y, radius)
     diag = {"q": q, "list_size": len(values)}
@@ -202,7 +207,7 @@ def one_round_prob_parties(
 ) -> tuple[Party, Party]:
     """Alice's and Bob's generators for one_round_prob_sync, after its checks."""
     _check_list_radius(code, radius, instance)
-    random_prime_bound(code.n, list_cap, oversample)  # checks oversample and list_cap
+    random_prime_pool(code.n, list_cap, oversample)  # checks oversample and list_cap
     return (
         one_round_prob_alice(code, instance.x, oversample, list_cap, rng),
         one_round_prob_bob(code, radius, instance.y, oversample, list_cap),
@@ -338,13 +343,6 @@ def _fix_table(columns: Sequence[int], rows: int) -> dict[int, int]:
     raise ContractError("the matrix rows are linearly dependent")
 
 
-def _checked_length(msg: Word, bits: int) -> int:
-    """msg's value, once its length is the expected one."""
-    if msg.n != bits:
-        raise ContractError(f"expected a {bits}-bit message, got {msg.n} bits")
-    return msg.value
-
-
 def _unpermuted(perm: AffinePermutation, diff: int) -> int:
     """The value w with apply_permutation(perm, w) = diff, for a p-bit diff
     with few set bits: bit j of diff moves to bit (a*j + b) mod p, and only
@@ -395,15 +393,15 @@ def composite_bob(y: Word, params: ProbParams):
     perm = AffinePermutation(p, a_val, b_val)
     permuted = apply_permutation(perm, Word(y.value, p)).value
 
-    msg2 = _checked_length((yield RECV), rows * (k + m))
-    columns = _transpose(_split(msg2 & ((1 << (rows * k)) - 1), rows, k), k)
+    matrix, syns = unpack_fields((yield RECV), [rows * k, rows * m])
+    columns = _transpose(_split(matrix, rows, k), k)
     fix = _fix_table(columns, rows)
-    sent = _relane(msg2 >> (rows * k), m, rows, k)
+    sent = _relane(syns, m, rows, k)
     diffs = _split(sent ^ _block_syndromes(columns, permuted, k, m), m, k)
     estimates = list(map(xor, _split(permuted, m, k), map(fix.__getitem__, diffs)))
 
-    msg3 = _checked_length((yield RECV), s * k)
-    fixed = rs_correct(field(k), estimates, _split(msg3, s, k))
+    (extra,) = unpack_fields((yield RECV), [s * k])
+    fixed = rs_correct(field(k), estimates, _split(extra, s, k))
     diag = {
         "p": p,
         "block_count": m,
@@ -440,6 +438,10 @@ def composite_parties(
     if (1 << params.k) <= m + params.s:
         raise ContractError(
             f"field of size 2^{params.k} cannot hold {m} blocks plus {params.s} extras"
+        )
+    if (m + params.s) * params.s > _RS_LANE_BUDGET:
+        raise CapabilityError(
+            f"(m + s) * s = {(m + params.s) * params.s} RS lanes is over the {_RS_LANE_BUDGET} budget"
         )
     return composite_alice(instance.x, params, rng), composite_bob(instance.y, params)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .bitword import Bounds, Word, ball_volume, hamming_distance
+from .bitword import Bounds, Word, ball_volume, hamming_distance, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
     LinearCode,
@@ -92,11 +92,12 @@ def brute_alice(code: LinearCode, x: Word):
 
 def brute_bob(code: LinearCode, y: Word, radius: int):
     msg = yield RECV
+    (checks,) = unpack_fields(msg, [code.n - code.k])
     composed = 0
     for i, pos in enumerate(code.message_positions):
         composed |= ((y.value >> i) & 1) << pos
     for i, pos in enumerate(code.check_positions):
-        composed |= ((msg.value >> i) & 1) << pos
+        composed |= ((checks >> i) & 1) << pos
     received = Word(composed, code.n)
     z = unique_decode(code, received)
     diag = {"check_bits": msg.n, "decode_distance": hamming_distance(received, z)}
@@ -149,7 +150,8 @@ def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> lis
 
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
     h_msg = yield RECV
-    y_prime = coset_representative(code, h_msg.value, y)
+    (h_value,) = unpack_fields(h_msg, [code.n - code.k])
+    y_prime = coset_representative(code, h_value, y)
     z = unique_decode(code, y_prime)
     weight = hamming_distance(y_prime, z)
     diag = {"syndrome_bits": h_msg.n, "decoded_difference_weight": weight}
@@ -188,7 +190,8 @@ def listdec_alice(code: LinearCode, x: Word):
 
 def listdec_bob(code: LinearCode, radius: int, y: Word):
     h_msg = yield RECV
-    values = list_candidates(code, h_msg.value, y, radius)
+    (h_value,) = unpack_fields(h_msg, [code.n - code.k])
+    values = list_candidates(code, h_value, y, radius)
     diag = {"syndrome_bits": h_msg.n, "list_size": len(values), "candidates": tuple(values)}
     if not values:
         # The promise is broken and the list is empty.  Keep the message
@@ -276,8 +279,7 @@ def coloring_bob(n: int, radius: int, y: Word):
     n_colors = _color_count(n, d)
     width = (n_colors - 1).bit_length()
     if width:
-        msg = yield RECV
-        target = msg.value
+        (target,) = unpack_fields((yield RECV), [width])
     else:
         target = 0
     matches = [

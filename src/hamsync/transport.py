@@ -195,10 +195,10 @@ _FRAME_HEADER = struct.Struct(">I")  # payload bit count, big-endian
 # Seconds one send or receive may wait on the peer before it fails with
 # TransportError, so a stalled peer cannot hang a run.  Generous on purpose:
 # a receive also waits out the peer's longest single step, and within the
-# package's limits that is Alice's RS encode at k = 14 with m = s = 8191
-# (about 17 s at 250 ns per column lane, measured at m = 4000, s = 400 on a
-# 2-vCPU machine) or Bob listing the 2^23 codewords of an n = 24 code
-# (about 2 s there).
+# package's limits that is Bob listing the 2^23 codewords of an n = 24 code
+# (about 2 s on a 2-vCPU machine).  Smith's largest, at its RS budget, is
+# Bob's correction at k = 14 with m = 16319 blocks and s = 64 extras (about
+# 0.6 s there, tables included).
 _IO_TIMEOUT_S = 60.0
 
 

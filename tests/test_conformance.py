@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from hamsync.bitword import MAX_WORD_BITS
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.harness import PROTOCOLS, ExperimentConfig, run_experiment
 from hamsync.hashing import _PRIME_POOL_BUDGET
-from hamsync.probproto import INNER_MAX_K, next_prime_at_least
+from hamsync.probproto import _RS_LANE_BUDGET, INNER_MAX_K, next_prime_at_least
 
 HALF = Fraction(1, 2)
 STEP = Fraction(1, 64)  # how far below 0 the low alpha edge lies
@@ -114,10 +115,10 @@ def _smith(draw, pushed):
     inner_dim = _value(
         draw, pushed, "inner_dim", st.integers(1, max(1, most_dim)), [0, most_dim, most_dim + 1]
     )
-    spare = 2**k - -(-next_prime_at_least(max(n, 2)) // k)  # field elements after the m blocks
-    # s runs up to the field's edge only while the RS layer's cached columns,
-    # about 2 (m + s) s bytes, stay small.
-    s_edges = [1, 2] + ([spare - 1, spare] if spare <= 1 << 10 else [])
+    m = -(-next_prime_at_least(max(n, 2)) // k)
+    spare = 2**k - m  # field elements after the m blocks
+    budget_s = (isqrt(m * m + 4 * _RS_LANE_BUDGET) - m) // 2  # the last s with (m + s) s inside
+    s_edges = [1, 2, spare - 1, spare, budget_s, budget_s + 1]
     s = _value(draw, pushed, "s", st.integers(2, max(2, min(70, spare - 1))), s_edges)
     hi = HALF - max(alpha, Fraction(0))
     delta = _value(

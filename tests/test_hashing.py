@@ -6,20 +6,18 @@ import pytest
 
 from hamsync import hashing
 from hamsync.bitword import Bounds, Word, random_word_within
-from hamsync.errors import CapabilityError, ContractError
+from hamsync.errors import CapabilityError, ContractError, InvariantError
 from hamsync.gf2codes import random_linear_code
 from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.hashing import (
     SecondaryHash,
     find_injective_prime,
     find_secondary_hash,
-    first_primes,
     is_prime,
     multi_nba_parties,
     multi_nba_protocol,
     nba_parties,
     nba_protocol,
-    random_prime_bound,
     random_prime_pool,
     sieve_primes,
 )
@@ -51,14 +49,6 @@ def test_is_prime_matches_trial_division():
         assert is_prime(m) == trial_division(m)
 
 
-def test_first_primes_prefix():
-    ps = first_primes(100)
-    assert len(ps) == 100
-    assert ps[:8] == (2, 3, 5, 7, 11, 13, 17, 19)
-    assert ps[99] == 541
-    assert first_primes(10) == ps[:10]
-
-
 def test_find_injective_prime_smallest_case():
     # 1 and 3 collide mod 2; mod 3 gives residues {1, 2, 0}
     assert find_injective_prime([1, 2, 3], 4) == 3
@@ -72,6 +62,7 @@ def test_find_injective_prime_is_minimal():
         k = rng.randint(1, k_high)
         vals = rng.sample(range(1 << n), k)
         q_min = find_injective_prime(vals, n)
+        assert find_injective_prime(sorted(vals), n) == q_min  # the order callers use
         assert q_min <= max(2, k * k * n)
         assert injective(q_min, vals)
         for q in sieve_primes(q_min):
@@ -88,6 +79,37 @@ def test_injective_prime_sieves_follow_the_prime(monkeypatch):
     # The bound is 200^2 * 16 = 640,000; only powers of two up to 2q are sieved.
     assert max(limits) <= 4096
     assert all(limit & (limit - 1) == 0 for limit in limits)
+
+
+class _CountedInt(int):
+    """An int that counts the residues taken of it."""
+
+    residues = 0
+
+    def __mod__(self, q):
+        _CountedInt.residues += 1
+        return int(self) % q
+
+
+def test_injective_prime_scan_meets_collisions_early(monkeypatch):
+    # listdec at n = 16, alpha = 1/2, code_k = 15 hands the search 19,624
+    # sorted candidates.  A scan in that order passes every value below q
+    # before a repeat: 50,531,729 residues to reach q = 65,407 from the
+    # first prime above k.  The stride order takes 2,478,270.
+    searched = []
+    find = hashing.find_injective_prime
+    # 65,537 is a prime above every 16-bit value, so injective on any of them.
+    monkeypatch.setattr(
+        hashing, "find_injective_prime", lambda values, n: searched.append(tuple(values)) or 65_537
+    )
+    params = {"code_k": 15}
+    cfg = ExperimentConfig("listdec", n=16, alpha=Fraction(1, 2), trials=1, seed=1, params=params)
+    run_experiment(cfg)
+    (values,) = searched
+    assert len(values) == 19_624 and list(values) == sorted(values)
+    _CountedInt.residues = 0
+    assert find([_CountedInt(v) for v in values], 16) == 65_407
+    assert _CountedInt.residues < 3_000_000
 
 
 def test_identification_parties_refuse_bad_candidate_sets():
@@ -250,22 +272,32 @@ def test_multi_nba_random_sets():
 
 
 def test_random_prime_pool_is_prime_prefix():
-    pool = random_prime_pool(14, 4, 2)
-    assert len(pool) == 2 * 14 * 16
-    assert pool == first_primes(len(pool))
-    assert random_prime_bound(14, 4, 2) == pool[-1]
+    # Every pool size up to 1,000 is the first that many primes.  A pool
+    # holds a*n*k^2 >= 2 primes, since a >= 2.
+    reference = tuple(m for m in range(7920) if trial_division(m))
+    assert len(reference) == 1000
+    build = random_prime_pool.__wrapped__  # past the cache, which would keep 999 pools
+    for count in range(2, 1001):
+        assert build(1, 1, count) == reference[:count]
+    assert random_prime_pool(14, 4, 2) == reference[: 2 * 14 * 16]
     with pytest.raises(ContractError):
         random_prime_pool(14, 4, 1)
 
 
 def test_prime_pool_budget_refuses_before_it_sieves(monkeypatch):
-    # 100000 * 14 * 16^2 primes would be a sieve of about 9.8e9 bytes.
-    monkeypatch.setattr(hashing, "first_primes", lambda count: ("pool of", count))
+    # 100000 * 14 * 16^2 primes would be a sieve of about 8e9 bytes.
+    limits = []
+    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: limits.append(limit) or range(limit))
     build = random_prime_pool.__wrapped__  # past the cache, which keeps the stub out
-    assert build(1, 1, 1 << 20) == ("pool of", 1 << 20)
+    assert len(build(1, 1, 1 << 20)) == 1 << 20
+    assert limits == [17_293_287]  # Rosser's bound on the 2^20-th prime, 16,290,047
     with pytest.raises(CapabilityError):
         build(1, 1, (1 << 20) + 1)
     with pytest.raises(CapabilityError):
         random_prime_pool(14, 16, 100_000)
     with pytest.raises(CapabilityError):
         run_experiment(ExperimentConfig(protocol="problist", params={"oversample": 100_000}))
+    assert len(limits) == 1
+    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: (2, 3))
+    with pytest.raises(InvariantError):
+        build(1, 1, 3)

@@ -999,6 +999,17 @@ def test_composite_parameter_guards():
     assert out.recovered == x
     with pytest.raises(ContractError, match="cannot hold"):
         composite_parties(inst, ProbParams(4, 6, Fraction(1, 10), 1), random.Random(0))
+    # The RS layer's largest column table holds (m + s) s lanes, at most
+    # 2^20: at n = 64 (p = 67) and k = 12 there are m = 6 blocks, so s = 1021
+    # is the last s inside.  s = 2000 would take about 0.9 s and 26 MB.
+    bounds = Bounds(Fraction(1, 64), 64)
+    x = Word(random.Random(2).getrandbits(64), 64)
+    inst = SyncInstance(x, x.flip([5]), bounds)
+    out = composite_prob_sync(inst, ProbParams(12, 1021, Fraction(1, 10), 8), random.Random(0))
+    assert out.recovered == x
+    for s in (1022, 2000):
+        with pytest.raises(CapabilityError, match="budget"):
+            composite_parties(inst, ProbParams(12, s, Fraction(1, 10), 8), random.Random(0))
 
 
 def test_rs_layer_gets_what_it_relies_on(monkeypatch):

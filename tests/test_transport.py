@@ -2,12 +2,14 @@ import socket
 import struct
 import threading
 import time
+from random import Random
 
 import pytest
 
 from hamsync import transport
-from hamsync.bitword import MAX_WORD_BITS, Word
+from hamsync.bitword import MAX_WORD_BITS, Bounds, Word
 from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
+from hamsync.harness import PROTOCOLS, ExperimentConfig
 from hamsync.transport import (
     RECV,
     ProtocolOutcome,
@@ -38,7 +40,7 @@ def _run_over_tcp(alice, bob):
     def serve():
         try:
             run_party(alice, Role.ALICE, a_end)
-        except ProtocolExecutionError as exc:
+        except (ProtocolExecutionError, TransportError) as exc:
             alice_errors.append(exc)
         finally:
             a_end.close()
@@ -165,6 +167,61 @@ def test_party_exception_wrapped():
     for drive in DRIVERS:
         with pytest.raises(ProtocolExecutionError, match="^alice raised: ValueError"):
             drive(alice(Word(1, 2)), bob())
+
+
+def _resized(party, index: int, extra_bits: int):
+    """party, with its index-th message one bit longer or one bit shorter."""
+    received, sent = None, 0
+    while True:
+        try:
+            want = party.send(received)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(want, Word):
+            if sent == index:
+                want = Word(want.value >> max(0, -extra_bits), want.n + extra_bits)
+            sent += 1
+        received = yield want
+
+
+# (protocol, the party whose message is resized, which of its messages, the
+# party that must reject it): one case per message a party receives, at the
+# protocol's default parameters.  nba's Alice answers in the width of Bob's
+# prime by design, so Bob rejects her answer to a resized prime.
+A, B = Role.ALICE, Role.BOB
+_RECEIPTS = [
+    ("naive", A, 0, B),
+    ("brute", A, 0, B),
+    ("syndrome", A, 0, B),
+    ("listdec", A, 0, B),
+    ("listdec", B, 0, B),
+    ("listdec", A, 1, B),
+    ("coloring", A, 0, B),
+    ("nba", B, 0, B),
+    ("nba", A, 0, B),
+    ("multinba", B, 0, A),
+    ("multinba", A, 0, B),
+    ("problist", A, 0, B),
+    ("smith", A, 0, B),
+    ("smith", A, 1, B),
+    ("smith", A, 2, B),
+]
+
+
+@pytest.mark.parametrize("protocol, sender, index, receiver", _RECEIPTS)
+def test_every_receiver_checks_the_length_of_what_it_gets(protocol, sender, index, receiver):
+    spec = PROTOCOLS[protocol]
+    cfg = ExperimentConfig(protocol, trials=1)
+    bounds = Bounds(spec.default_alpha, spec.default_n)
+    for drive in DRIVERS:
+        case = next(spec.build(cfg, bounds, spec.default_params, Random(0)))
+        assert drive(case.alice, case.bob).recovered == case.truth
+        for extra_bits in (-1, 1):
+            case = next(spec.build(cfg, bounds, spec.default_params, Random(0)))
+            parties = {A: case.alice, B: case.bob}
+            parties[sender] = _resized(parties[sender], index, extra_bits)
+            with pytest.raises(ProtocolExecutionError, match=f"^{receiver.value} raised"):
+                drive(parties[A], parties[B])
 
 
 def test_outcome_contract():
