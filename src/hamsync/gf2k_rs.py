@@ -77,11 +77,6 @@ class Field:
         self.exp = exp
         self.log = log
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
 
 @lru_cache(maxsize=None)
 def field(k: int) -> Field:
@@ -124,10 +119,11 @@ def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: 
     multiply-by-x; only the k partial sums and k - 1 multiplies run as
     Python steps, each on whole words.
 
-    The three callers cache their columns per size: at (k, m, s) the
-    encoder holds m*s lanes, the syndromes (m+s)*s and the root scan
-    (floor(s/2)+1)*(m+s), two bytes each.  At n=2048 (k=11,
-    m=187, s=64) that is 24 + 32 + 17 KB.
+    The encoder, the syndromes and the root scan cache their columns per
+    size: at (k, m, s) the encoder holds m*s lanes, the syndromes (m+s)*s
+    and the root scan (floor(s/2)+1)*(m+s), two bytes each.  At n=2048
+    (k=11, m=187, s=64) that is 24 + 32 + 17 KB.  Berlekamp-Massey cuts
+    its columns from the syndromes on each call.
     """
     k = fld.k
     raw = _lane_array(values).tobytes()
@@ -229,18 +225,36 @@ def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
 
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
     """Shortest LFSR (connection polynomial, low degree first, and its length
-    L) that generates the syndrome sequence."""
+    L) that generates the syndrome sequence.
+
+    A step whose discrepancy is 0 leaves the polynomial as it is.  So once
+    2L <= n and step n's discrepancy is 0, one _lane_map over the polynomial
+    gives the discrepancy sum_u lambda_u S_{j-u} of every later step j, its
+    column u cut from the packed syndromes by a shift and a mask.  The loop
+    stops if all are 0, and otherwise resumes at the first nonzero one.
+    """
     order = fld.size - 1
     exp, log = fld.exp, fld.log
+    count = len(syndromes)
     lam, prev = [1], [1]
     length, shift, prev_disc = 0, 1, 1
-    for n, s_n in enumerate(syndromes):
-        disc = s_n
+    n = 0
+    while n < count:
+        disc = syndromes[n]
         for lam_i, s_i in zip(lam[1:], reversed(syndromes[n - length : n])):
             if lam_i and s_i:
                 disc ^= exp[log[lam_i] + log[s_i]]
         if disc == 0:
-            shift += 1
+            skip = 1
+            if 2 * length <= n < count - 1:
+                later = count - 1 - n
+                mask = (1 << (later * _LANE_BITS)) - 1
+                packed = _pack_lanes(syndromes)
+                columns = [packed >> ((n + 1 - u) * _LANE_BITS) & mask for u in range(length + 1)]
+                discs = _lane_map(fld, lam[: length + 1], columns, later)
+                skip += next((j for j, d in enumerate(discs) if d), later)
+            shift += skip
+            n += skip
             continue
         log_coef = (log[disc] - log[prev_disc]) % order
         new = lam + [0] * (len(prev) + shift - len(lam))
@@ -252,6 +266,7 @@ def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], 
         else:
             shift += 1
         lam = new
+        n += 1
     return lam[: length + 1], length
 
 
@@ -279,8 +294,15 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
     The syndromes are S_j = sum_i w_i r_i X_i^j for j < s over all N = m+s
     points, with the barycentric weights w_i of the N points and the
     locators X_i = i + N, which are nonzero because N is not a point.
-    Berlekamp-Massey finds the error locator, a scan over the N points its
-    roots, and Forney's formula the values w_i e_i.
+    Berlekamp-Massey finds the error locator Lambda of length L, a scan over
+    the N points its roots, and Forney's formula the values w_i e_i.  The
+    syndromes and the root scan are one _lane_map each.  Berlekamp-Massey
+    takes its steps one at a time, O(L) table steps each, until 2L <= n and
+    a discrepancy is 0, then checks every later step in one _lane_map, one
+    more for each nonzero discrepancy it resumes at.  Forney takes O(L^2)
+    table steps: Omega's L coefficients, and at each root a Horner
+    evaluation of Omega and of Lambda', which in characteristic 2 is
+    Lambda's odd half over x, a polynomial in x^2 of about L/2 terms.
     Relies on 1 <= m, m + s < 2^k and field-element values (module docstring).
     """
     m = len(received)
@@ -301,20 +323,22 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
         return None
 
     # Forney: w_i e_i = X_i Omega(1/X_i) / Lambda'(1/X_i), where
-    # Omega = S Lambda mod x^L and Lambda' keeps the odd-degree terms.
-    omega = [
-        reduce(xor, [fld.mul(lam[u], syndromes[t - u]) for u in range(t + 1)], 0)
-        for t in range(length)
-    ]
-    derivative = [c if t % 2 == 0 else 0 for t, c in enumerate(lam[1:])]
+    # Omega = S Lambda mod x^L and Lambda'(x) = sum_j lambda_{2j+1} x^(2j).
     order = fld.size - 1
     exp, log = fld.exp, fld.log
+    omega = [0] * length
+    for u, c in enumerate(lam[:length]):
+        if c:
+            for t, s_t in enumerate(syndromes[: length - u], u):
+                if s_t:
+                    omega[t] ^= exp[log[c] + log[s_t]]
+    odd = lam[1::2]
     weights = _barycentric_weights(fld.k, n_points)
     out = list(received)
     for i in positions:
         log_loc = log[i ^ n_points]
         num = _eval_at(fld, omega, order - log_loc)
-        den = _eval_at(fld, derivative, order - log_loc)
+        den = _eval_at(fld, odd, -2 * log_loc % order)
         if not num or not den:
             return None
         if i < m:

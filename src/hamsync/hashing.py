@@ -178,11 +178,18 @@ def nba_alice(x: Word):
     """Alice's half: wait for the modulus, answer with her residue.
 
     The reply reuses the width of the received message, so no length
-    negotiation is needed.
+    negotiation is needed.  A modulus below 2 is refused: 0 has no residues
+    and 1 maps every word to 0.
     """
     q_msg = yield RECV
-    yield Word(x.value % q_msg.value, q_msg.n)
+    yield Word(x.value % _checked_modulus(q_msg.value), q_msg.n)
     return None
+
+
+def _checked_modulus(q: int) -> int:
+    if q < 2:
+        raise ContractError(f"the modulus from bob must be >= 2, got {q}")
+    return q
 
 
 def nba_bob(candidates: Sequence[Word], n: int):
@@ -234,10 +241,11 @@ def _check_candidates(cands: Sequence[Word], n: int) -> None:
 
 def multi_nba_alice(xs: Sequence[Word], k: int):
     """Alice's half when she holds several words from Bob's set: one packed
-    reply carrying a short secondary-hash fingerprint per word."""
+    reply carrying a short secondary-hash fingerprint per word.  A modulus
+    below 2 is refused, as in nba_alice."""
     width_q = _nba_width(k, xs[0].n)
     q, s = unpack_fields((yield RECV), [width_q, width_q])
-    secondary = SecondaryHash(q, s, k)
+    secondary = SecondaryHash(_checked_modulus(q), s, k)
     yield pack_fields([(secondary(x.value % q), secondary.width) for x in xs])
     return None
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import isqrt
 from operator import xor
 from random import Random
 from typing import Sequence
@@ -72,41 +70,59 @@ def sample_permutation(p: int, rng: Random) -> AffinePermutation:
     return AffinePermutation(p, a, b)
 
 
-def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
-    """Word with bit i equal to w's bit at (a*i + b) mod p, gathered in
-    strided slices rather than bit by bit.
+def _gather_plan(a: int, p: int) -> tuple[int, int, int]:
+    """(c, e, R) for apply_permutation: the step c with e = a*c mod p signed,
+    the first among the convergents and semiconvergents of a/p with
+    |e| <= K*c for K = min(64, max(4, 2^17 // p)), and the copies R of the
+    input that each class's slice needs, 1 + ceil(ceil(p/c) |e| / p).
 
-    Take a step 0 < c < p and e = a*c mod p, signed into (-p/2, p/2].  The
-    outputs r, r + c, r + 2c, ... of residue class r < c read the inputs
-    (a*r + b) mod p stepping by e, so the class is one slice bits[i:stop:e]
-    of the bit string per stretch between wraps past p, and all of it lands
-    in out[r::c] in one assignment.  That is about c + |e| slices in all;
-    the c <= isqrt(p) + 1 minimising c + |e| keeps it within 2*sqrt(p) + 1,
-    since by Dirichlet's approximation theorem some c <= sqrt(p) has
-    |e| <= sqrt(p).
+    The walk keeps a step (c0, e0) with e0 > 0 and one (c1, e1) with e1 < 0,
+    from (1, a) and (1, a - p), with c0 |e1| + c1 e0 = p.  The one with the
+    larger |e| takes the other on up to floor(|e| / |e'|) times, and one
+    division finds the first of those steps within K, so there is one turn
+    per partial quotient of a/p.  While both steps miss K, p > 2K c0 c1, so
+    c <= ceil(p / (2K)), and then R <= K + 2.
+    """
+    ratio = min(64, max(4, (1 << 17) // p))
+    pos, neg = (1, a), (1, a - p)
+    c, e = pos if 2 * a <= p else neg
+    while abs(e) > ratio * c:
+        (c0, e0), (dc, de) = (pos, neg) if pos[1] > -neg[1] else (neg, pos)
+        i = min(abs(e0) // abs(de), -(-(abs(e0) - ratio * c0) // (abs(de) + ratio * dc)))
+        c, e = c0 + i * dc, e0 + i * de
+        if e > 0:
+            pos = (c, e)
+        else:
+            neg = (c, e)
+    span = -(-p // c) * abs(e)  # ceil(p/c) |e|, the farthest a class walks
+    return c, e, 1 + -(-span // p)
+
+
+def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
+    """Word with bit i equal to w's bit at (a*i + b) mod p, gathered in c
+    strided slices of a periodic copy rather than bit by bit.
+
+    On w's binary string, whose place j holds bit p - 1 - j, the output has
+    at place j the input's place (a*j + a - b - 1) mod p.  With a step c and
+    e = a*c mod p, signed, the output places r, r + c, ... of class r < c
+    read the input places from (a*r + a - b - 1) mod p on, stepping by e.
+    In R copies of the string in a row, started in the last copy when e < 0,
+    that is one slice ext[i : i + cnt*e : e] without a wrap, so the gather
+    takes c slices.  _gather_plan bounds the work at c <= ceil(p / (2K))
+    slices and R*p <= (K + 2)*p bytes copied, K = min(64, max(4, 2^17 // p)):
+    at most 17 slices and 133,445 bytes at p = 2053.
     """
     if w.n != perm.p:
         raise ContractError(f"word length {w.n} does not match the modulus {perm.p}")
-    a, b, p = perm.a, perm.b, perm.p
-    bits = format(w.value, f"0{p}b").encode()[::-1]  # bits[i] is bit i
-    c, e = min(
-        ((c, (a * c + p // 2) % p - p // 2) for c in range(1, min(isqrt(p) + 2, p))),
-        key=lambda step: step[0] + abs(step[1]),
-    )
+    a, p = perm.a, perm.p
+    c, e, copies = _gather_plan(a, p)
+    ext = format(w.value, f"0{p}b").encode() * copies
+    offset = 0 if e > 0 else (copies - 1) * p
     out = bytearray(p)
     for r in range(c):
-        left = (p - 1 - r) // c + 1  # outputs r, r + c, ... below p
-        i = (a * r + b) % p
-        runs = []
-        while left:
-            room = p - i if e > 0 else i + 1  # inputs i, i + e, ... before the wrap
-            n = min(left, -(-room // abs(e)))
-            stop = i + n * e
-            runs.append(bits[i : stop if stop >= 0 else None : e])
-            left -= n
-            i = stop % p
-        out[r::c] = b"".join(runs)
-    return Word(int(out[::-1], 2), p)
+        i = (a * (r + 1) - perm.b - 1) % p + offset
+        out[r::c] = ext[i : i + ((p - 1 - r) // c + 1) * e : e]
+    return Word(int(out, 2), p)
 
 
 @lru_cache(maxsize=None)
@@ -343,24 +359,6 @@ def _fix_table(columns: Sequence[int], rows: int) -> dict[int, int]:
     raise ContractError("the matrix rows are linearly dependent")
 
 
-def _unpermuted(perm: AffinePermutation, diff: int) -> int:
-    """The value w with apply_permutation(perm, w) = diff, for a p-bit diff
-    with few set bits: bit j of diff moves to bit (a*j + b) mod p, and only
-    the set bits are walked.
-
-    In the binary string s of diff, s[i] is bit p - 1 - i, and bit j lands
-    at string index p - 1 - (a*j + b) mod p of the output.  With j = p-1-i
-    that index is (a*i + a - b - 1) mod p, and the i of the set bits are the
-    running sums of the lengths of s.split("1"), plus one each, less one.
-    """
-    a, b, p = perm.a, perm.b, perm.p
-    s = format(diff, f"0{p}b")
-    out = bytearray(b"0" * p)
-    for c in accumulate(map((1).__add__, map(len, s.split("1")[:-1]))):
-        out[(a * c - b - 1) % p] = 49  # ord("1"), at i = c - 1
-    return int(out, 2)
-
-
 def composite_alice(x: Word, params: ProbParams, rng: Random):
     """Three messages, one direction: the permutation, then the inner-code
     matrix with all block syndromes, then the extra evaluations."""
@@ -418,7 +416,9 @@ def composite_bob(y: Word, params: ProbParams):
         return None, {**diag, "padding_violation": True}
     # A bit permutation is linear over xor, so x is y plus the inverse image
     # of what the correction changed in y's permuted word.
-    flips = _unpermuted(perm, corrected ^ permuted)
+    a_inv = pow(a_val, -1, p)
+    inverse = AffinePermutation(p, a_inv, -a_inv * b_val % p)
+    flips = apply_permutation(inverse, Word(corrected ^ permuted, p)).value
     if flips >> y.n:
         return None, {**diag, "padding_violation": True}
     return Word(y.value ^ flips, y.n), diag

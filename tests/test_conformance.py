@@ -1,5 +1,6 @@
-"""Conformance property (a): every protocol refuses parameters outside its
-limits before a party takes a step.
+"""Conformance properties.  (a): every protocol refuses parameters outside
+its limits before a party takes a step.  (c), for smith: the transcript's
+bit count equals the closed form in composite_prob_sync's terms.
 
 For each of the nine protocols, n, alpha and the protocol's parameters are
 drawn inside their limits, or with one of them pushed to an edge: the last
@@ -15,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import isqrt
+from random import Random
 from unittest import mock
 
 import pytest
@@ -22,11 +24,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamsync import transport
-from hamsync.bitword import MAX_WORD_BITS
+from hamsync.bitword import MAX_WORD_BITS, Bounds, Word
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.harness import PROTOCOLS, ExperimentConfig, run_experiment
 from hamsync.hashing import _PRIME_POOL_BUDGET
-from hamsync.probproto import _RS_LANE_BUDGET, INNER_MAX_K, next_prime_at_least
+from hamsync.probproto import (
+    _RS_LANE_BUDGET,
+    INNER_MAX_K,
+    ProbParams,
+    composite_prob_sync,
+    next_prime_at_least,
+)
+from hamsync.syncdet import SyncInstance
 
 HALF = Fraction(1, 2)
 STEP = Fraction(1, 64)  # how far below 0 the low alpha edge lies
@@ -170,3 +179,24 @@ def test_limits_are_refused_before_a_party_steps(protocol, pushed, data):
             assert steps == []
         else:
             assert rows[0].trials == 2
+
+
+@given(data=st.data())
+def test_smith_sends_its_closed_form_bit_count(data):
+    # (n, k, inner_dim, s) inside composite_parties' limits: distance 3 needs
+    # 2^(k - inner_dim) > k, and m + s < 2^k; at these sizes (m + s) s stays
+    # far inside the RS budget.
+    k = data.draw(st.integers(3, INNER_MAX_K))
+    inner_dim = data.draw(st.integers(1, k - k.bit_length()))
+    n = data.draw(st.integers(2, min(600, k * (2**k - 3) // 2)))
+    p = next_prime_at_least(n)
+    m = -(-p // k)
+    s = data.draw(st.integers(2, min(70, 2**k - 1 - m)))
+    seed = data.draw(st.integers(0, 1 << 16))
+    rng = Random(seed)
+    y = Word(rng.getrandbits(n), n)
+    x = y.flip(rng.sample(range(n), n // 10))
+    params = ProbParams(k, s, Fraction(1, 4), inner_dim)
+    out = composite_prob_sync(SyncInstance(x, y, Bounds(Fraction(1, 10), n)), params, rng)
+    bits = 2 * (p - 1).bit_length() + (k - inner_dim) * (k + m) + s * k
+    assert out.transcript.total_bits == bits

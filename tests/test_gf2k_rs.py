@@ -10,6 +10,7 @@ from hamsync.gf2k_rs import (
     IRREDUCIBLE,
     Field,
     _barycentric_weights,
+    _berlekamp_massey,
     _lane_map,
     _root_columns,
     _syndrome_columns,
@@ -20,6 +21,13 @@ from hamsync.gf2k_rs import (
 
 # Reference polynomial arithmetic for checking the evaluation layer: coefficient
 # lists, low degree first, and Lagrange interpolation through scalar products.
+
+
+def mul(fld: Field, a: int, b: int) -> int:
+    """The product a*b, through the log and exp tables."""
+    if a == 0 or b == 0:
+        return 0
+    return fld.exp[fld.log[a] + fld.log[b]]
 
 
 def inv(fld: Field, a: int) -> int:
@@ -36,7 +44,7 @@ def poly_trim(coeffs: list[int]) -> list[int]:
 def poly_eval(fld: Field, coeffs, x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
-        acc = fld.mul(acc, x) ^ c
+        acc = mul(fld, acc, x) ^ c
     return acc
 
 
@@ -50,10 +58,10 @@ def interpolate(fld: Field, points) -> list[int]:
         basis, denom = [1], 1
         for xj in xs[:i] + xs[i + 1 :]:
             # basis * (x - xj), and the basis polynomial's value at xi
-            basis = [hi ^ fld.mul(lo, xj) for hi, lo in zip([0] + basis, basis + [0])]
-            denom = fld.mul(denom, xi ^ xj)
-        scale = fld.mul(yi, inv(fld, denom))
-        out = [o ^ fld.mul(scale, b) for o, b in zip(out, basis)]
+            basis = [hi ^ mul(fld, lo, xj) for hi, lo in zip([0] + basis, basis + [0])]
+            denom = mul(fld, denom, xi ^ xj)
+        scale = mul(fld, yi, inv(fld, denom))
+        out = [o ^ mul(fld, scale, b) for o, b in zip(out, basis)]
     return poly_trim(out)
 
 
@@ -78,7 +86,7 @@ def test_tables_match_slow_multiplication():
         for _ in range(300):
             a = rng.randrange(fld.size)
             b = rng.randrange(fld.size)
-            assert fld.mul(a, b) == slow_mul(a, b, fld.modulus, k)
+            assert mul(fld, a, b) == slow_mul(a, b, fld.modulus, k)
 
 
 def test_field_axioms_sampled():
@@ -87,12 +95,12 @@ def test_field_axioms_sampled():
         rng = random.Random(51)
         for _ in range(200):
             a, b, c = (rng.randrange(fld.size) for _ in range(3))
-            assert fld.mul(a, b) == fld.mul(b, a)
-            assert fld.mul(a, fld.mul(b, c)) == fld.mul(fld.mul(a, b), c)
-            assert fld.mul(a, b ^ c) == fld.mul(a, b) ^ fld.mul(a, c)
-            assert fld.mul(a, 1) == a
+            assert mul(fld, a, b) == mul(fld, b, a)
+            assert mul(fld, a, mul(fld, b, c)) == mul(fld, mul(fld, a, b), c)
+            assert mul(fld, a, b ^ c) == mul(fld, a, b) ^ mul(fld, a, c)
+            assert mul(fld, a, 1) == a
             if a:
-                assert fld.mul(a, inv(fld, a)) == 1
+                assert mul(fld, a, inv(fld, a)) == 1
 
 
 def test_generator_spans_all_nonzero():
@@ -103,7 +111,7 @@ def test_generator_spans_all_nonzero():
         x = 1
         for _ in range(fld.size - 1):
             seen.add(x)
-            x = fld.mul(x, g)
+            x = mul(fld, x, g)
         assert x == 1
         assert len(seen) == fld.size - 1
 
@@ -113,7 +121,7 @@ def test_all_moduli_build():
         fld = field(k)
         assert fld.size == 1 << k
         top = fld.size - 1
-        assert fld.mul(top, inv(fld, top)) == 1
+        assert mul(fld, top, inv(fld, top)) == 1
 
 
 def test_missing_and_reducible_moduli_rejected(monkeypatch):
@@ -132,8 +140,8 @@ def test_poly_eval_matches_power_sum():
         x = rng.randrange(32)
         acc, power = 0, 1
         for c in coeffs:
-            acc ^= fld.mul(c, power)
-            power = fld.mul(power, x)
+            acc ^= mul(fld, c, power)
+            power = mul(fld, power, x)
         assert poly_eval(fld, coeffs, x) == acc
 
 
@@ -403,3 +411,83 @@ def test_barycentric_weights_match_direct_products():
         sizes = {1, 2, 3, (1 << k) - 1} if k <= 9 else {1, 187, 251, 300}
         for npoints in sorted(sizes):
             assert list(_barycentric_weights(k, npoints)) == old_weights(fld, npoints)
+
+
+def old_berlekamp_massey(fld: Field, syndromes):
+    """The per-step loop _berlekamp_massey batches the settled tail of:
+    (lambda, L), and each step's discrepancy and L before the step."""
+    order = fld.size - 1
+    exp, log = fld.exp, fld.log
+    lam, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    steps = []
+    for n, s_n in enumerate(syndromes):
+        disc = s_n
+        for lam_i, s_i in zip(lam[1:], reversed(syndromes[n - length : n])):
+            if lam_i and s_i:
+                disc ^= exp[log[lam_i] + log[s_i]]
+        steps.append((disc, length))
+        if disc == 0:
+            shift += 1
+            continue
+        log_coef = (log[disc] - log[prev_disc]) % order
+        new = lam + [0] * (len(prev) + shift - len(lam))
+        for i, p in enumerate(prev):
+            if p:
+                new[i + shift] ^= exp[log_coef + log[p]]
+        if 2 * length <= n:
+            prev, length, prev_disc, shift = lam, n + 1 - length, disc, 1
+        else:
+            shift += 1
+        lam = new
+    return (lam[: length + 1], length), steps
+
+
+def _resumes(steps) -> bool:
+    """Whether a step n with 2L <= n and discrepancy 0, where the batch
+    starts, is followed by a nonzero discrepancy, where the loop resumes."""
+    settled = [n for n, (disc, length) in enumerate(steps) if not disc and 2 * length <= n]
+    return bool(settled) and any(disc for disc, _ in steps[settled[0] + 1 :])
+
+
+def _bm_sequences(k: int, s: int, rng: random.Random):
+    """Syndrome sequences of length s over GF(2^k): all zero; random, dense
+    and sparse; the syndromes of a codeword with errors within, at and
+    beyond floor(s/2), where m + s < 2^k leaves room for one; and an LFSR's
+    output with a later term changed, where the batch sees the change."""
+    size = 1 << k
+    yield [0] * s
+    yield [rng.randrange(size) for _ in range(s)]
+    yield [rng.choice([0, 0, 0, rng.randrange(size)]) for _ in range(s)]
+    room = size - 1 - s
+    if room >= 1:
+        fld = field(k)
+        for _ in range(2):
+            m = rng.randint(1, min(room, 200))
+            for errors in (1, s // 2, s // 2 + 1, min(m + s, s // 2 + 5)):
+                values = [rng.randrange(size) for _ in range(m)]
+                values += rs_extra_evals(fld, values, s)
+                for pos in rng.sample(range(m + s), min(errors, m + s)):
+                    values[pos] ^= rng.randrange(1, size)
+                yield _lane_map(fld, values, _syndrome_columns(k, m + s, s), s)
+    for length in range(s // 2):
+        taps = [rng.randrange(size) for _ in range(length)]
+        seq = [rng.randrange(1, size) for _ in range(length)]
+        while len(seq) < s:
+            seq.append(reduce(xor, (mul(field(k), t, seq[-1 - i]) for i, t in enumerate(taps)), 0))
+        seq[rng.randrange(min(s - 1, 2 * length + 1), s)] ^= rng.randrange(1, size)
+        yield seq
+
+
+@pytest.mark.parametrize("k", [4, 5, 8, 11])
+@pytest.mark.parametrize("s", [2, 4, 64])
+def test_berlekamp_massey_matches_the_per_step_loop(k, s):
+    fld = field(k)
+    rng = random.Random(k * 100 + s)
+    resumed = 0
+    for _ in range(4):
+        for seq in _bm_sequences(k, s, rng):
+            expected, steps = old_berlekamp_massey(fld, seq)
+            assert _berlekamp_massey(fld, seq) == expected
+            resumed += _resumes(steps)
+    assert resumed > 0

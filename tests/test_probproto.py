@@ -22,16 +22,17 @@ from hamsync.gf2codes import (
 )
 from hamsync.gf2k_rs import field, rs_correct, rs_extra_evals
 from hamsync.harness import ExperimentConfig, run_experiment
+from hamsync.hashing import is_prime
 from hamsync.probproto import (
     INNER_MAX_K,
     AffinePermutation,
     ProbParams,
     _block_syndromes,
     _fix_table,
+    _gather_plan,
     _relane,
     _split,
     _transpose,
-    _unpermuted,
     apply_permutation,
     composite_alice,
     composite_bob,
@@ -127,7 +128,7 @@ def _gather_bit_by_bit(perm, w):
     return Word(int(gathered[::-1], 2), p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+@pytest.mark.parametrize("p", [q for q in range(62) if is_prime(q)] + [101])
 def test_strided_gather_matches_bit_by_bit_for_every_map(p):
     # Word t has bit i equal to bit t of i, so together the words spell out
     # the input index each output bit reads, and equality on all of them
@@ -140,11 +141,21 @@ def test_strided_gather_matches_bit_by_bit_for_every_map(p):
                 assert apply_permutation(perm, w) == _gather_bit_by_bit(perm, w)
 
 
+@pytest.mark.parametrize("p", [521, 2053])
+def test_strided_gather_matches_bit_by_bit_for_every_multiplier(p):
+    rng = random.Random(p + 1)
+    for a in range(1, p):
+        for b in (0, p - 1, rng.randrange(p)):
+            perm, w = AffinePermutation(p, a, b), Word(rng.getrandbits(p), p)
+            assert apply_permutation(perm, w) == _gather_bit_by_bit(perm, w)
+
+
 @pytest.mark.parametrize("p", [2053, 32771])
 def test_strided_gather_matches_bit_by_bit_on_random_maps(p):
     rng = random.Random(p)
     words = [0, (1 << p) - 1, 1 << (p - 1)]  # zero, all ones, top bit only
-    maps = [(1, 0), (p - 1, 0), (1, p - 1), (p - 1, p - 1)]
+    edges = (1, 2, p - 2, p - 1, (p - 1) // 2, (p + 1) // 2)
+    maps = [(a, b) for a in edges for b in (0, p - 1)]
     cases = [(a, b, v) for a, b in maps for v in words]
     cases += [(rng.randrange(1, p), rng.randrange(p), rng.choice(words)) for _ in range(20)]
     cases += [(rng.choice([1, p - 1]), rng.randrange(p), rng.getrandbits(p)) for _ in range(20)]
@@ -236,16 +247,71 @@ def test_split_matches_the_shift_loop():
                 assert _split(value, count, k) == _blocks_by_shifts(value, count, k)
 
 
-def test_sparse_unpermute_matches_the_inverse_gather():
+def test_inverse_gather_undoes_the_gather():
+    # Bob undoes the permutation by gathering with the inverse map, on
+    # differences that are mostly sparse.
     rng = random.Random(83)
-    for p in (2, 3, 13, 101, 2053):
+    for p in (2, 3, 13, 101, 2053, 32771):
         for _ in range(30):
             perm = sample_permutation(p, rng)
             diffs = [0, 1, 1 << (p - 1), (1 << p) - 1, rng.getrandbits(p)]
             diffs.append(sum(1 << i for i in rng.sample(range(p), min(p, 5))))
             for diff in diffs:
-                gathered = apply_permutation(inverse(perm), Word(diff, p))
-                assert _unpermuted(perm, diff) == gathered.value
+                w = Word(diff, p)
+                assert apply_permutation(inverse(perm), apply_permutation(perm, w)) == w
+                assert apply_permutation(perm, apply_permutation(inverse(perm), w)) == w
+
+
+def _gather_bound(p):
+    """apply_permutation's stated ratio K, and its slice and copy bounds."""
+    ratio = min(64, max(4, (1 << 17) // p))
+    return ratio, -(-p // (2 * ratio)), ratio + 2
+
+
+def _largest_smith_prime():
+    """The largest p that composite_parties accepts: k = INNER_MAX_K and the
+    fewest extras, s = 2, leave m = ceil(p / k) <= 2^k - 3 blocks."""
+    p = INNER_MAX_K * ((1 << INNER_MAX_K) - 3)
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+def _check_plan(a, p):
+    ratio, most_slices, most_copies = _gather_bound(p)
+    c, e, copies = _gather_plan(a, p)
+    assert (a * c - e) % p == 0 and abs(e) <= ratio * c
+    assert 1 <= c <= most_slices
+    assert copies <= most_copies  # R*p <= (K + 2)*p bytes copied
+    return c
+
+
+def test_gather_plan_stays_within_its_stated_bounds():
+    # A count, not a timing: the step rule must keep the slices and the
+    # copied bytes inside apply_permutation's docstring bounds.
+    for p in (521, 2053):
+        slices = [_check_plan(a, p) for a in range(1, p)]
+    assert _gather_bound(2053) == (63, 17, 65)
+    assert sum(slices) <= 6 * len(slices)  # 5.63 slices on average at p = 2053
+
+    p = _largest_smith_prime()
+    params = ProbParams(INNER_MAX_K, 2, Fraction(1, 10), 8)
+    for n in (p, p + 1):
+        y = Word(0, n)
+        instance = SyncInstance(y, y, Bounds(Fraction(1, 100), n))
+        if n == p:
+            composite_parties(instance, params, random.Random(0))
+        else:
+            with pytest.raises(ContractError):
+                composite_parties(instance, params, random.Random(0))
+    ratio = _gather_bound(p)[0]
+    rng = random.Random(84)
+    hard = [1, 2, p - 2, p - 1, (p - 1) // 2, (p + 1) // 2, ratio + 1, p - ratio - 1]
+    for a in hard + [rng.randrange(1, p) for _ in range(300)]:
+        _check_plan(a, p)
+    for a in hard[-2:] + [rng.randrange(1, p)]:
+        perm, w = AffinePermutation(p, a, rng.randrange(p)), Word(rng.getrandbits(p), p)
+        assert apply_permutation(perm, w) == _gather_bit_by_bit(perm, w)
 
 
 def test_one_round_unique_list_always_succeeds():

@@ -7,9 +7,10 @@ from random import Random
 import pytest
 
 from hamsync import transport
-from hamsync.bitword import MAX_WORD_BITS, Bounds, Word
+from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, pack_fields
 from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
 from hamsync.harness import PROTOCOLS, ExperimentConfig
+from hamsync.hashing import _nba_width, multi_nba_alice, nba_alice
 from hamsync.transport import (
     RECV,
     ProtocolOutcome,
@@ -170,7 +171,9 @@ def test_party_exception_wrapped():
 
 
 def _resized(party, index: int, extra_bits: int):
-    """party, with its index-th message one bit longer or one bit shorter."""
+    """party, with its index-th message one bit longer or one bit shorter.
+    A shorter one loses its top bit, so a small modulus keeps its value and
+    is not refused as below 2 before its length is checked."""
     received, sent = None, 0
     while True:
         try:
@@ -179,7 +182,7 @@ def _resized(party, index: int, extra_bits: int):
             return stop.value
         if isinstance(want, Word):
             if sent == index:
-                want = Word(want.value >> max(0, -extra_bits), want.n + extra_bits)
+                want = Word(want.value & ((1 << (want.n + extra_bits)) - 1), want.n + extra_bits)
             sent += 1
         received = yield want
 
@@ -222,6 +225,27 @@ def test_every_receiver_checks_the_length_of_what_it_gets(protocol, sender, inde
             parties[sender] = _resized(parties[sender], index, extra_bits)
             with pytest.raises(ProtocolExecutionError, match=f"^{receiver.value} raised"):
                 drive(parties[A], parties[B])
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_alice_refuses_a_modulus_below_two(q):
+    # From a hostile Bob, q = 0 would divide by zero and q = 1 would map
+    # every word to residue 0.  nba_alice also answers inside listdec.
+    x = Word(0b1011, 4)
+    width = _nba_width(1, 4)
+
+    def bob(first):
+        yield first
+        yield RECV
+        return None, {}
+
+    for drive in DRIVERS:
+        for alice, first in (
+            (nba_alice(x), Word(q, width)),
+            (multi_nba_alice([x], 1), pack_fields([(q, width), (1, width)])),
+        ):
+            with pytest.raises(ProtocolExecutionError, match="^alice raised: ContractError"):
+                drive(alice, bob(first))
 
 
 def test_outcome_contract():
