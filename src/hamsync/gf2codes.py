@@ -156,8 +156,25 @@ _FULL_RANK_ATTEMPTS = 1000
 
 
 def rank(masks: Sequence[int]) -> int:
-    """Rank over GF(2) of these bit vectors: the pivot count of their reduced form."""
-    return len(_rref(masks, max(masks, default=0).bit_length())[1])
+    """Rank over GF(2) of these bit vectors: the size of an xor basis of them.
+
+    Each vector is reduced by the basis in the order it was built, min(v,
+    v ^ b) clearing b's top bit from v.  A basis vector was reduced by every
+    earlier one, so it has none of their top bits, and a later xor cannot
+    set one again: what is left is 0 exactly when v is in the span, and
+    otherwise has a top bit no basis vector has.  So the basis holds at most
+    as many vectors as the widest mask has bits, and once it does, every
+    later vector is in its span."""
+    width = max(masks, default=0).bit_length()
+    basis: list[int] = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            if len(basis) == width:
+                break
+    return len(basis)
 
 
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:

@@ -9,7 +9,8 @@ codeword of minimum distance s+1.  rs_correct syndrome-decodes it and
 repairs up to floor(s/2) wrong values anywhere among the m+s; beyond that it
 returns the unique codeword within floor(s/2) of what it got, or None when
 there is none.  Both directions need one field element outside the point
-set, so m + s < 2^k.
+set, so m + s < 2^k.  Both take and return values packed in the 16-bit
+lanes of one int (_pack_lanes), as the composite protocol holds its blocks.
 
 Neither direction checks its arguments.  Its one caller, the composite
 protocol, refuses m + s >= 2^k in composite_parties before a run starts,
@@ -109,10 +110,16 @@ def _pack_lanes(values: Sequence[int]) -> int:
     return int.from_bytes(_lane_array(values).tobytes(), "little")
 
 
-def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: int) -> list[int]:
-    """sum_i values[i] * columns[i] over GF(2^k), where each column packs
-    `lanes` field elements (see _pack_lanes) and a value multiplies every
-    lane of its column.
+def _unpack_lanes(packed: int, count: int) -> list[int]:
+    """The first count lanes of packed, low lane first."""
+    return _lane_array(packed.to_bytes(count * 2, "little")).tolist()
+
+
+def _lane_map(fld: Field, values: int, columns: Sequence[int], lanes: int) -> int:
+    """sum_i v_i * columns[i] over GF(2^k), for v_i in lane i of values,
+    where each column packs `lanes` field elements (see _pack_lanes) and a
+    value multiplies every lane of its column.  The sums come back packed
+    the same way.
 
     Bit b of the values selects the columns xored into a partial sum P_b,
     and Horner's rule in x joins them, sum_b x^b P_b, with a lane-wise
@@ -126,7 +133,7 @@ def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: 
     its columns from the syndromes on each call.
     """
     k = fld.k
-    raw = _lane_array(values).tobytes()
+    raw = values.to_bytes(2 * len(columns), "little")
     partial = [
         reduce(xor, compress(columns, raw[b >> 3 :: 2].translate(_BIT_OF[b & 7])), 0)
         for b in range(k)
@@ -138,7 +145,7 @@ def _lane_map(fld: Field, values: Sequence[int], columns: Sequence[int], lanes: 
         # x * acc per lane: shift, and fold each lane's carried-out top bit back in
         high = acc & top
         acc = ((acc ^ high) << 1) ^ (high >> (k - 1)) * reduction ^ part
-    return _lane_array(acc.to_bytes(lanes * 2, "little")).tolist()
+    return acc
 
 
 def _log_vanishing(fld: Field, npoints: int, xs: Iterable[int]) -> list[int]:
@@ -216,11 +223,12 @@ def _root_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
     )
 
 
-def rs_extra_evals(fld: Field, blocks: Sequence[int], s: int) -> list[int]:
+def rs_extra_evals(fld: Field, blocks: int, m: int, s: int) -> int:
     """Values at the points m..m+s-1 of the degree < m polynomial f through
-    (i, blocks[i]): f(a) = sum_i blocks[i] L_i(a) over the Lagrange basis.
+    (i, b_i), for the m blocks b_i in the lanes of blocks (see _pack_lanes):
+    f(a) = sum_i b_i L_i(a) over the Lagrange basis, packed in s lanes.
     Relies on 1 <= m, m + s < 2^k and field-element blocks (module docstring)."""
-    return _lane_map(fld, blocks, _encoder_columns(fld.k, len(blocks), s), s)
+    return _lane_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
 
 
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
@@ -251,8 +259,9 @@ def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], 
                 mask = (1 << (later * _LANE_BITS)) - 1
                 packed = _pack_lanes(syndromes)
                 columns = [packed >> ((n + 1 - u) * _LANE_BITS) & mask for u in range(length + 1)]
-                discs = _lane_map(fld, lam[: length + 1], columns, later)
-                skip += next((j for j, d in enumerate(discs) if d), later)
+                discs = _lane_map(fld, _pack_lanes(lam[: length + 1]), columns, later)
+                # the first nonzero lane, or all of them settled
+                skip += ((discs & -discs).bit_length() - 1) // _LANE_BITS if discs else later
             shift += skip
             n += skip
             continue
@@ -281,15 +290,17 @@ def _eval_at(fld: Field, coeffs: Sequence[int], log_x: int) -> int:
     return acc
 
 
-def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Optional[list[int]]:
+def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
     """Recover the m block values from a corrupted copy plus s redundancy
-    values, treating all m+s positions as potentially wrong.
+    values, treating all m+s positions as potentially wrong.  values packs
+    the m received blocks in lanes 0..m-1 and the s extras after them (see
+    _pack_lanes).
 
     Returns the first m values of the unique codeword within floor(s/2) of
-    the m+s given values; in particular correction is guaranteed when fewer
-    than s/2 of the received blocks are corrupted and the extra values are
-    intact.  Returns None when no codeword is that close (decode failure is
-    a value, not an exception).
+    the m+s given values, packed in m lanes; in particular correction is
+    guaranteed when fewer than s/2 of the received blocks are corrupted and
+    the extra values are intact.  Returns None when no codeword is that
+    close (decode failure is a value, not an exception).
 
     The syndromes are S_j = sum_i w_i r_i X_i^j for j < s over all N = m+s
     points, with the barycentric weights w_i of the N points and the
@@ -305,20 +316,19 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
     Lambda's odd half over x, a polynomial in x^2 of about L/2 terms.
     Relies on 1 <= m, m + s < 2^k and field-element values (module docstring).
     """
-    m = len(received)
-    s = len(extra)
-    values = [*received, *extra]
     n_points = m + s
-    syndromes = _lane_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
-    if not any(syndromes):
-        return list(received)
+    received = values & ((1 << (m * _LANE_BITS)) - 1)
+    packed = _lane_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
+    if not packed:
+        return received
+    syndromes = _unpack_lanes(packed, s)
 
     lam, length = _berlekamp_massey(fld, syndromes)
     if 2 * length > s:
         return None
     # Position i is wrong exactly when the locator vanishes at 1/X_i.
-    at_points = _lane_map(fld, lam, _root_columns(fld.k, n_points, s), n_points)
-    positions = [i for i, v in enumerate(at_points) if not v]
+    at_points = _lane_map(fld, _pack_lanes(lam), _root_columns(fld.k, n_points, s), n_points)
+    positions = [i for i, v in enumerate(_unpack_lanes(at_points, n_points)) if not v]
     if len(positions) != length:
         return None
 
@@ -334,7 +344,7 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
                     omega[t] ^= exp[log[c] + log[s_t]]
     odd = lam[1::2]
     weights = _barycentric_weights(fld.k, n_points)
-    out = list(received)
+    out = received
     for i in positions:
         log_loc = log[i ^ n_points]
         num = _eval_at(fld, omega, order - log_loc)
@@ -342,5 +352,6 @@ def rs_correct(fld: Field, received: Sequence[int], extra: Sequence[int]) -> Opt
         if not num or not den:
             return None
         if i < m:
-            out[i] ^= exp[(log_loc + log[num] - log[den] - log[weights[i]]) % order]
+            error = exp[(log_loc + log[num] - log[den] - log[weights[i]]) % order]
+            out ^= error << (i * _LANE_BITS)
     return out

@@ -221,7 +221,8 @@ def nba_parties(x_alice: Word, y_bob: Iterable[Word], n: int) -> tuple[Party, Pa
 
 def nba_protocol(x_alice: Word, y_bob: Iterable[Word], n: int) -> ProtocolOutcome:
     """Two-round identification: Bob sends a prime q in exactly
-    ceil(log2(k^2*n + 1)) bits, Alice replies with x mod q in the same width.
+    bit_length(max(2, k^2*n)) bits, ceil(log2(k^2*n + 1)) once k^2*n >= 2,
+    and Alice replies with x mod q in the same width: twice that in all.
 
     If x is among Bob's words he recovers it with certainty; if not, he
     either reports failure (no residue matched) or silently accepts a wrong
@@ -294,9 +295,10 @@ def multi_nba_protocol(
 ) -> ProtocolOutcome:
     """Identify all l of Alice's words inside Bob's k-word set in two rounds.
 
-    Round 1 carries the primary prime and the secondary multiplier; round 2
-    carries l fingerprints of ceil(log2(2k^2)) bits each, so the reply cost
-    grows with log k instead of log n per word.  The recovered value is the
+    Round 1 carries the primary prime and the secondary multiplier, each in
+    nba_protocol's bit_length(max(2, k^2*n)) bits; round 2 carries l
+    fingerprints of ceil(log2(2k^2)) bits each, so the reply cost grows
+    with log k instead of log n per word.  The recovered value is the
     concatenation of the l identified words in Alice's order (low bits
     first); per-word values are in diagnostics.
     """

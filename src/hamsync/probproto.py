@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import xor
+from math import isqrt
 from random import Random
 from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, RetryLimitError
 from .gf2codes import LinearCode, rank, syndrome
-from .gf2k_rs import _LANE_BITS, _lane_array, _pack_lanes, field, rs_correct, rs_extra_evals
+from .gf2k_rs import _LANE_BITS, _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
@@ -34,17 +34,25 @@ INNER_MAX_K = 14
 _RS_LANE_BUDGET = 1 << 20
 
 
+@lru_cache(maxsize=256)
+def _proved_prime(p: int) -> bool:
+    """is_prime(p), proved once per p: every smith trial maps over the same p."""
+    return is_prime(p)
+
+
 @dataclass(frozen=True, slots=True)
 class AffinePermutation:
     """i -> (a*i + b) mod p on [0, p); a bijection exactly because p is prime
-    and a is nonzero."""
+    and a is nonzero.  Every map checks that a and b are in range, since
+    Bob's arrive from Alice; p is proved prime by trial division once per
+    value and remembered."""
 
     p: int
     a: int
     b: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        if not _proved_prime(self.p):
             raise ContractError(f"modulus must be prime, got {self.p}")
         if not 1 <= self.a < self.p:
             raise ContractError("multiplier must be in [1, p-1]")
@@ -53,7 +61,9 @@ class AffinePermutation:
 
 
 def next_prime_at_least(n: int) -> int:
-    """Smallest prime >= n, by direct testing; fine at desk scale."""
+    """Smallest prime >= n, by trial division of n, n + 1, ...: about
+    sqrt(n) divisions per candidate.  Smith runs it once per shape, in
+    _composite_shape."""
     if n < 2:
         raise ContractError(f"need n >= 2, got {n}")
     m = n
@@ -74,7 +84,7 @@ def _gather_plan(a: int, p: int) -> tuple[int, int, int]:
     """(c, e, R) for apply_permutation: the step c with e = a*c mod p signed,
     the first among the convergents and semiconvergents of a/p with
     |e| <= K*c for K = min(64, max(4, 2^17 // p)), and the copies R of the
-    input that each class's slice needs, 1 + ceil(ceil(p/c) |e| / p).
+    input, 1 + ceil(ceil(p/c) |e| / p), so each class is one slice.
 
     The walk keeps a step (c0, e0) with e0 > 0 and one (c1, e1) with e1 < 0,
     from (1, a) and (1, a - p), with c0 |e1| + c1 e0 = p.  The one with the
@@ -82,13 +92,25 @@ def _gather_plan(a: int, p: int) -> tuple[int, int, int]:
     division finds the first of those steps within K, so there is one turn
     per partial quotient of a/p.  While both steps miss K, p > 2K c0 c1, so
     c <= ceil(p / (2K)), and then R <= K + 2.
+
+    Past p = 2^15, where K is 4 and ceil(p / (2K)) is p/8 slices, the walk
+    keeps c <= sqrt(p) (below it the plan stays as above).  When the larger
+    step cannot take the other on even once within that, c0 + c1 > sqrt(p),
+    so the other's |e| < p / sqrt(p): that step is taken with R = K + 2, and
+    apply_permutation cuts each class into slices of (K + 1) p // |e|
+    places, fewer than c + |e| / (K + 1) + 1 <= 2 sqrt(p) + 1 slices in all.
     """
     ratio = min(64, max(4, (1 << 17) // p))
+    most = isqrt(p) if p > 1 << 15 else p
     pos, neg = (1, a), (1, a - p)
     c, e = pos if 2 * a <= p else neg
     while abs(e) > ratio * c:
         (c0, e0), (dc, de) = (pos, neg) if pos[1] > -neg[1] else (neg, pos)
         i = min(abs(e0) // abs(de), -(-(abs(e0) - ratio * c0) // (abs(de) + ratio * dc)))
+        if c0 + i * dc > most:
+            i = (most - c0) // dc
+            if not i:
+                return dc, de, ratio + 2
         c, e = c0 + i * dc, e0 + i * de
         if e > 0:
             pos = (c, e)
@@ -99,7 +121,7 @@ def _gather_plan(a: int, p: int) -> tuple[int, int, int]:
 
 
 def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
-    """Word with bit i equal to w's bit at (a*i + b) mod p, gathered in c
+    """Word with bit i equal to w's bit at (a*i + b) mod p, gathered in
     strided slices of a periodic copy rather than bit by bit.
 
     On w's binary string, whose place j holds bit p - 1 - j, the output has
@@ -107,10 +129,13 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     e = a*c mod p, signed, the output places r, r + c, ... of class r < c
     read the input places from (a*r + a - b - 1) mod p on, stepping by e.
     In R copies of the string in a row, started in the last copy when e < 0,
-    that is one slice ext[i : i + cnt*e : e] without a wrap, so the gather
-    takes c slices.  _gather_plan bounds the work at c <= ceil(p / (2K))
-    slices and R*p <= (K + 2)*p bytes copied, K = min(64, max(4, 2^17 // p)):
-    at most 17 slices and 133,445 bytes at p = 2053.
+    a run of up to (R - 1) p // |e| of those places is one slice
+    ext[i : i + cnt*e : e] without a wrap.  Below p = 2^15, _gather_plan
+    picks R so that a run holds a whole class, which bounds the work at
+    c <= ceil(p / (2K)) slices and R*p <= (K + 2)*p bytes copied,
+    K = min(64, max(4, 2^17 // p)): at most 17 slices and 133,445 bytes at
+    p = 2053.  Past 2^15 it keeps the same copy bound and at most
+    2 sqrt(p) + 1 slices.
     """
     if w.n != perm.p:
         raise ContractError(f"word length {w.n} does not match the modulus {perm.p}")
@@ -118,11 +143,21 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     c, e, copies = _gather_plan(a, p)
     ext = format(w.value, f"0{p}b").encode() * copies
     offset = 0 if e > 0 else (copies - 1) * p
+    run = (copies - 1) * p // abs(e)
     out = bytearray(p)
     for r in range(c):
-        i = (a * (r + 1) - perm.b - 1) % p + offset
-        out[r::c] = ext[i : i + ((p - 1 - r) // c + 1) * e : e]
+        j, i = r, (a * (r + 1) - perm.b - 1) % p + offset
+        cnt = (p - 1 - r) // c + 1
+        while cnt > run:  # past 2^15, a class may take several slices
+            out[j : j + run * c : c] = ext[i : i + run * e : e]
+            j, i, cnt = j + run * c, (i - offset + run * e) % p + offset, cnt - run
+        out[j::c] = ext[i : i + cnt * e : e]
     return Word(int(out, 2), p)
+
+
+def _repunit(count: int, width: int) -> int:
+    """Bit i*width set for every i < count."""
+    return ((1 << (count * width)) - 1) // ((1 << width) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +182,7 @@ def _relane_steps(count: int, src: int, dst: int) -> tuple[tuple[int, int], ...]
         period = 2 * half * wide
         groups = -(-count // (2 * half))
         run = ((1 << (half * narrow)) - 1) << (half * narrow)
-        mask = run * (((1 << (period * groups)) - 1) // ((1 << period) - 1))
+        mask = run * _repunit(groups, period)
         last = count - 1
         end = (last >> (j + 1) << (j + 1)) * wide + (last & (2 * half - 1)) * narrow + narrow
         steps.append((mask & ((1 << end) - 1), half * (wide - narrow)))
@@ -174,9 +209,8 @@ def _relane(value: int, count: int, src: int, dst: int) -> int:
 
 def _split(value: int, count: int, width: int) -> list[int]:
     """value's count fields of width <= _LANE_BITS bits, low field first:
-    relaned to the RS layer's lanes, then read as an array."""
-    raw = _relane(value, count, width, _LANE_BITS).to_bytes(count * _LANE_BITS // 8, "little")
-    return _lane_array(raw).tolist()
+    relaned to the RS layer's lanes, then unpacked."""
+    return _unpack_lanes(_relane(value, count, width, _LANE_BITS), count)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +273,10 @@ def one_round_prob_sync(
     *,
     list_cap: int = 16,
 ) -> ProtocolOutcome:
-    """One round: Alice sends (H x, q, x mod q); Bob hashes his candidate
-    list with q and keeps the match.
+    """One round of (n - k) + 2 * bit_length(q_max) bits, q_max the largest
+    prime of the pool (the (oversample * n * list_cap^2)-th prime): Alice
+    sends (H x, q, x mod q); Bob hashes his candidate list with q and keeps
+    the match.
 
     Bob checks that q is injective on his list and reports failure when it
     is not, so a wrong output without a failure report requires x to be
@@ -295,10 +331,33 @@ class ProbParams:
 _INNER_CODE_ATTEMPTS = 500
 
 
-def _transpose(masks: Sequence[int], width: int) -> list[int]:
-    """Int c < width has bit r equal to bit c of masks[r]: columns from rows, or back."""
-    rows = [format(mask, f"0{width}b") for mask in reversed(masks)]  # last mask, top bit first
-    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+def _matrix_from_columns(columns: Sequence[int], rows: int) -> int:
+    """The rows x k matrix whose column c is columns[c], row r packed in
+    bits [rk, rk + k), for k = len(columns) > rows.
+
+    column * spread puts a copy of the column at every multiple of k - 1,
+    and bit r of the copy at r(k - 1) lands on rk.  Two terms at one place
+    would differ in bit index by a multiple of k - 1, which no two of the
+    rows < k bits do, so nothing carries and a mask keeps bits rk."""
+    k = len(columns)
+    spread, lanes = _repunit(rows, k - 1), _repunit(rows, k)
+    matrix = 0
+    for c, column in enumerate(columns):
+        matrix |= (column * spread & lanes) << c
+    return matrix
+
+
+def _columns_from_matrix(matrix: int, rows: int, k: int) -> list[int]:
+    """The k columns of rows bits of a matrix packed as _matrix_from_columns
+    packs it.
+
+    Column c's bits sit at rk + c.  Times spread, bit r's copy at
+    rk + (rows - 1 - r)(k - 1) lands on (rows - 1)(k - 1) + r; every other
+    copy lands at (r - j)k + j past that with j < rows and r != j, below the
+    window or k or more above it, and none meet, so nothing carries."""
+    spread, lanes = _repunit(rows, k - 1), _repunit(rows, k)
+    low, top = (1 << rows) - 1, (rows - 1) * (k - 1)
+    return [((matrix >> c & lanes) * spread >> top) & low for c in range(k)]
 
 
 def sample_inner_code(k: int, dim: int, rng: Random) -> list[int]:
@@ -319,7 +378,7 @@ def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> int:
     (value >> b) & lanes keeps bit b of every block at the bottom of its
     lane, and column b times that adds the column to every block with the
     bit set; a column is shorter than a lane, so none spills."""
-    lanes = ((1 << (m * k)) - 1) // ((1 << k) - 1)  # bit ik for every i < m
+    lanes = _repunit(m, k)  # bit ik for every i < m
     acc = 0
     for b, column in enumerate(columns):
         acc ^= ((value >> b) & lanes) * column
@@ -359,32 +418,57 @@ def _fix_table(columns: Sequence[int], rows: int) -> dict[int, int]:
     raise ContractError("the matrix rows are linearly dependent")
 
 
+@lru_cache(maxsize=None)
+def _composite_shape(n: int, k: int, s: int) -> tuple[int, int, int]:
+    """(p, m, width) for smith on n-bit words with k-bit blocks and s extras:
+    the prime length p >= n it permutes, its m = ceil(p/k) blocks, and the
+    bits that carry a and b.  Refuses the shapes the RS layer and the fix
+    table cannot take.  Worked out once per shape; lru_cache keeps no
+    exception, so a refused shape raises on every call."""
+    if k > INNER_MAX_K:
+        raise CapabilityError(f"per-block decoding is capped at k <= {INNER_MAX_K}")
+    if n < 2:
+        raise ContractError("composite sync needs n >= 2")
+    p = next_prime_at_least(n)
+    m = -(-p // k)
+    if (1 << k) <= m + s:
+        raise ContractError(f"field of size 2^{k} cannot hold {m} blocks plus {s} extras")
+    if (m + s) * s > _RS_LANE_BUDGET:
+        raise CapabilityError(
+            f"(m + s) * s = {(m + s) * s} RS lanes is over the {_RS_LANE_BUDGET} budget"
+        )
+    return p, m, (p - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _check_slack(delta: Fraction, alpha: Fraction) -> None:
+    """Refuses delta >= 1/2 - alpha; checked once per pair."""
+    if delta >= Fraction(1, 2) - alpha:
+        raise ContractError("need delta < 1/2 - alpha")
+
+
 def composite_alice(x: Word, params: ProbParams, rng: Random):
     """Three messages, one direction: the permutation, then the inner-code
     matrix with all block syndromes, then the extra evaluations."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
-    p = next_prime_at_least(x.n)
-    m = -(-p // k)
+    p, m, width_p = _composite_shape(x.n, k, s)
     perm = sample_permutation(p, rng)
     columns = sample_inner_code(k, params.inner_dim, rng)
     permuted = apply_permutation(perm, Word(x.value, p))
-    width_p = (p - 1).bit_length()
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
-    matrix = sum(row << (r * k) for r, row in enumerate(_transpose(columns, rows)))
+    matrix = _matrix_from_columns(columns, rows)
     syns = _relane(_block_syndromes(columns, permuted.value, k, m), m, k, rows)
     yield Word(matrix | syns << (rows * k), rows * (k + m))
-    extra = rs_extra_evals(field(k), _split(permuted.value, m, k), s)
-    yield Word(_relane(_pack_lanes(extra), s, _LANE_BITS, k), s * k)
+    extra = rs_extra_evals(field(k), _relane(permuted.value, m, k, _LANE_BITS), m, s)
+    yield Word(_relane(extra, s, _LANE_BITS, k), s * k)
     return None
 
 
 def composite_bob(y: Word, params: ProbParams):
     k, s = params.k, params.s
     rows = k - params.inner_dim
-    p = next_prime_at_least(y.n)
-    m = -(-p // k)
-    width_p = (p - 1).bit_length()
+    p, m, width_p = _composite_shape(y.n, k, s)
 
     msg1 = yield RECV
     a_val, b_val = unpack_fields(msg1, [width_p, width_p])
@@ -392,14 +476,15 @@ def composite_bob(y: Word, params: ProbParams):
     permuted = apply_permutation(perm, Word(y.value, p)).value
 
     matrix, syns = unpack_fields((yield RECV), [rows * k, rows * m])
-    columns = _transpose(_split(matrix, rows, k), k)
+    columns = _columns_from_matrix(matrix, rows, k)
     fix = _fix_table(columns, rows)
     sent = _relane(syns, m, rows, k)
     diffs = _split(sent ^ _block_syndromes(columns, permuted, k, m), m, k)
-    estimates = list(map(xor, _split(permuted, m, k), map(fix.__getitem__, diffs)))
+    estimates = _relane(permuted, m, k, _LANE_BITS) ^ _pack_lanes([fix[d] for d in diffs])
 
     (extra,) = unpack_fields((yield RECV), [s * k])
-    fixed = rs_correct(field(k), estimates, _split(extra, s, k))
+    received = estimates | _relane(extra, s, k, _LANE_BITS) << (m * _LANE_BITS)
+    fixed = rs_correct(field(k), received, m, s)
     diag = {
         "p": p,
         "block_count": m,
@@ -411,7 +496,7 @@ def composite_bob(y: Word, params: ProbParams):
     }
     if fixed is None:
         return None, {**diag, "rs_failure": True}
-    corrected = _relane(_pack_lanes(fixed), m, _LANE_BITS, k)
+    corrected = _relane(fixed, m, _LANE_BITS, k)
     if corrected >> p:
         return None, {**diag, "padding_violation": True}
     # A bit permutation is linear over xor, so x is y plus the inverse image
@@ -427,22 +512,10 @@ def composite_bob(y: Word, params: ProbParams):
 def composite_parties(
     instance: SyncInstance, params: ProbParams, rng: Random
 ) -> tuple[Party, Party]:
-    """Alice's and Bob's generators for composite_prob_sync, after its checks."""
-    if params.delta >= Fraction(1, 2) - instance.bounds.alpha:
-        raise ContractError("need delta < 1/2 - alpha")
-    if params.k > INNER_MAX_K:
-        raise CapabilityError(f"per-block decoding is capped at k <= {INNER_MAX_K}")
-    if instance.n < 2:
-        raise ContractError("composite sync needs n >= 2")
-    m = -(-next_prime_at_least(instance.n) // params.k)
-    if (1 << params.k) <= m + params.s:
-        raise ContractError(
-            f"field of size 2^{params.k} cannot hold {m} blocks plus {params.s} extras"
-        )
-    if (m + params.s) * params.s > _RS_LANE_BUDGET:
-        raise CapabilityError(
-            f"(m + s) * s = {(m + params.s) * params.s} RS lanes is over the {_RS_LANE_BUDGET} budget"
-        )
+    """Alice's and Bob's generators for composite_prob_sync, after its checks,
+    which run once per shape."""
+    _check_slack(params.delta, instance.bounds.alpha)
+    _composite_shape(instance.n, params.k, params.s)
     return composite_alice(instance.x, params, rng), composite_bob(instance.y, params)
 
 
@@ -457,9 +530,10 @@ def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random)
     wrong, and the polynomial layer absorbs up to floor(s/2) such blocks.
     All messages flow from Alice to Bob, so the run is one round, and every
     in-run sampled parameter (permutation, matrix) is paid for in the
-    transcript.  Bob reports failure when the polynomial fit breaks down or
-    the decoded word has nonzero padding; a silent wrong answer needs the
-    wrong-block count to exceed floor(s/2) and the result to still look
-    consistent.
+    transcript: 2 bit_length(p - 1) + (k - inner_dim)(k + m) + s k bits, for
+    p the least prime >= n and m = ceil(p/k).  Bob reports failure when the
+    polynomial fit breaks down or the decoded word has nonzero padding; a
+    silent wrong answer needs the wrong-block count to exceed floor(s/2) and
+    the result to still look consistent.
     """
     return run_protocol(*composite_parties(instance, params, rng))

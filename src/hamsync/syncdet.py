@@ -117,8 +117,9 @@ def brute_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Part
 
 
 def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
-    """One round, n/rate - n bits: Alice's file sits verbatim in the message
-    positions of a codeword, so only the check bits travel.
+    """One round of code.n - code.k bits, n/rate - n for the file's n =
+    code.k: Alice's file sits verbatim in the message positions of a
+    codeword, so only the check bits travel.
 
     Bob rebuilds a word that differs from Alice's codeword exactly where y
     differs from x, then unique-decodes.  The caller must supply a code whose
@@ -169,7 +170,7 @@ def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, P
 
 
 def syndrome_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
-    """One round, (1 - rate) * n bits: Alice sends H x.
+    """One round of code.n - code.k bits, (1 - rate) * n: Alice sends H x.
 
     Bob solves H t = H x + H y, so t = (x xor y) xor c for some codeword c;
     unique-decoding t recovers c, and t xor y xor c is x.  Exact whenever the
@@ -303,7 +304,9 @@ def coloring_parties(instance: SyncInstance) -> tuple[Party, Party]:
 
 
 def coloring_oracle_sync(instance: SyncInstance) -> ProtocolOutcome:
-    """One round, ceil(log2(#colors)) bits: Alice names her word's color.
+    """One round of ceil(log2(#colors)) bits, none for one color, with
+    #colors the count of build_greedy_coloring(n, min(2*radius, n)): Alice
+    names her word's color.
 
     Words at distance <= 2*radius get distinct colors, and everything Bob
     cannot rule out lies within 2*radius of x, so the color is unambiguous

@@ -19,7 +19,7 @@ from hamsync.bitword import (
     random_word_within,
 )
 from hamsync.gf2codes import hamming_7_4, mat_vec, random_linear_code
-from hamsync.gf2k_rs import field, rs_correct, rs_extra_evals
+from hamsync.gf2k_rs import _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
 from hamsync.hashing import multi_nba_protocol, nba_protocol
 from hamsync.probproto import (
     AffinePermutation,
@@ -283,12 +283,23 @@ def test_criterion_07_pairwise_independence():
     assert ok
 
 
+def _extra_evals(fld, blocks, s):
+    """rs_extra_evals on a list of blocks, as a list."""
+    return _unpack_lanes(rs_extra_evals(fld, _pack_lanes(blocks), len(blocks), s), s)
+
+
+def _correct(fld, received, extra):
+    """rs_correct on lists of received blocks and extras, as a list or None."""
+    fixed = rs_correct(fld, _pack_lanes([*received, *extra]), len(received), len(extra))
+    return None if fixed is None else _unpack_lanes(fixed, len(received))
+
+
 def test_criterion_08_polynomial_redundancy():
     t0 = time.monotonic()
     f16 = field(4)
     rng = random.Random(808)
     blocks = [rng.randrange(16) for _ in range(4)]
-    extra = rs_extra_evals(f16, blocks, 4)
+    extra = _extra_evals(f16, blocks, 4)
     full = blocks + extra
     single_wrong = 0
     single_cases = 0
@@ -299,17 +310,17 @@ def test_criterion_08_polynomial_redundancy():
             corrupted = list(full)
             corrupted[pos] = wrongval
             single_cases += 1
-            if rs_correct(f16, corrupted[:4], corrupted[4:]) != blocks:
+            if _correct(f16, corrupted[:4], corrupted[4:]) != blocks:
                 single_wrong += 1
     f256 = field(8)
     big_wrong = 0
     for _ in range(1000):
         bl = [rng.randrange(256) for _ in range(32)]
-        ex = rs_extra_evals(f256, bl, 16)
+        ex = _extra_evals(f256, bl, 16)
         received = list(bl)
         for pos in rng.sample(range(32), rng.randint(0, 7)):
             received[pos] ^= rng.randrange(1, 256)
-        if rs_correct(f256, received, ex) != bl:
+        if _correct(f256, received, ex) != bl:
             big_wrong += 1
     elapsed = time.monotonic() - t0
     ok = single_wrong == 0 and single_cases == 120 and big_wrong == 0 and elapsed < 60

@@ -1,6 +1,8 @@
 """Conformance properties.  (a): every protocol refuses parameters outside
-its limits before a party takes a step.  (c), for smith: the transcript's
-bit count equals the closed form in composite_prob_sync's terms.
+its limits before a party takes a step.  (c): the transcript's bit count
+equals the closed form the protocol's docstring states, for smith, brute,
+syndrome, coloring, nba, multinba and problist.  (d), for smith: run_party
+over a socketpair TcpEnd gives what run_protocol gives.
 
 For each of the nine protocols, n, alpha and the protocol's parameters are
 drawn inside their limits, or with one of them pushed to an edge: the last
@@ -13,8 +15,11 @@ a RetryLimitError or a MemoryError included, fails the test.
 
 from __future__ import annotations
 
+import socket
+import threading
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from math import isqrt
 from random import Random
 from unittest import mock
@@ -24,18 +29,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamsync import transport
-from hamsync.bitword import MAX_WORD_BITS, Bounds, Word
+from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, random_word_within
 from hamsync.errors import CapabilityError, ContractError
-from hamsync.harness import PROTOCOLS, ExperimentConfig, run_experiment
-from hamsync.hashing import _PRIME_POOL_BUDGET
+from hamsync.gf2codes import hamming_7_4, random_linear_code
+from hamsync.harness import PROTOCOLS, ExperimentConfig, _distinct_words, run_experiment
+from hamsync.hashing import _PRIME_POOL_BUDGET, multi_nba_protocol, nba_protocol
 from hamsync.probproto import (
     _RS_LANE_BUDGET,
     INNER_MAX_K,
     ProbParams,
+    composite_parties,
     composite_prob_sync,
     next_prime_at_least,
+    one_round_prob_sync,
 )
-from hamsync.syncdet import SyncInstance
+from hamsync.syncdet import (
+    SyncInstance,
+    brute_sync,
+    build_greedy_coloring,
+    coloring_oracle_sync,
+    syndrome_sync,
+)
+from hamsync.transport import Role, TcpEnd, outcome_from_party_run, run_party
 
 HALF = Fraction(1, 2)
 STEP = Fraction(1, 64)  # how far below 0 the low alpha edge lies
@@ -175,28 +190,163 @@ def test_limits_are_refused_before_a_party_steps(protocol, pushed, data):
     with mock.patch.object(transport._PartyState, "advance", counted):
         try:
             rows = run_experiment(cfg)
-        except (ContractError, CapabilityError):
+        except (ContractError, CapabilityError) as refused:
+            assert steps == []
+            # Checks that run once per shape keep no exception: a refused
+            # shape is refused again, the same way.
+            with pytest.raises((ContractError, CapabilityError)) as again:
+                run_experiment(cfg)
+            assert type(again.value) is type(refused)
             assert steps == []
         else:
             assert rows[0].trials == 2
 
 
-@given(data=st.data())
-def test_smith_sends_its_closed_form_bit_count(data):
-    # (n, k, inner_dim, s) inside composite_parties' limits: distance 3 needs
-    # 2^(k - inner_dim) > k, and m + s < 2^k; at these sizes (m + s) s stays
-    # far inside the RS budget.
-    k = data.draw(st.integers(3, INNER_MAX_K))
-    inner_dim = data.draw(st.integers(1, k - k.bit_length()))
-    n = data.draw(st.integers(2, min(600, k * (2**k - 3) // 2)))
-    p = next_prime_at_least(n)
-    m = -(-p // k)
-    s = data.draw(st.integers(2, min(70, 2**k - 1 - m)))
-    seed = data.draw(st.integers(0, 1 << 16))
-    rng = Random(seed)
+@st.composite
+def _smith_run(draw):
+    """(instance, params, seed) inside composite_parties' limits: distance 3
+    needs 2^(k - inner_dim) > k, and m + s < 2^k; at these sizes (m + s) s
+    stays far inside the RS budget.  x is y with n // 10 flips."""
+    k = draw(st.integers(3, INNER_MAX_K))
+    inner_dim = draw(st.integers(1, k - k.bit_length()))
+    n = draw(st.integers(2, min(600, k * (2**k - 3) // 2)))
+    m = -(-next_prime_at_least(n) // k)
+    s = draw(st.integers(2, min(70, 2**k - 1 - m)))
+    rng = Random(draw(st.integers(0, 1 << 16)))
     y = Word(rng.getrandbits(n), n)
     x = y.flip(rng.sample(range(n), n // 10))
-    params = ProbParams(k, s, Fraction(1, 4), inner_dim)
-    out = composite_prob_sync(SyncInstance(x, y, Bounds(Fraction(1, 10), n)), params, rng)
-    bits = 2 * (p - 1).bit_length() + (k - inner_dim) * (k + m) + s * k
+    instance = SyncInstance(x, y, Bounds(Fraction(1, 10), n))
+    return instance, ProbParams(k, s, Fraction(1, 4), inner_dim), rng.getrandbits(32)
+
+
+@given(run=_smith_run())
+def test_smith_sends_its_closed_form_bit_count(run):
+    instance, params, seed = run
+    k, p = params.k, next_prime_at_least(instance.n)
+    m = -(-p // k)
+    out = composite_prob_sync(instance, params, Random(seed))
+    bits = 2 * (p - 1).bit_length() + (k - params.inner_dim) * (k + m) + params.s * k
     assert out.transcript.total_bits == bits
+
+
+def _pair(draw, n, alpha):
+    """An instance of length n whose x is within the promise radius of y."""
+    bounds = Bounds(alpha, n)
+    rng = Random(draw(st.integers(0, 1 << 16)))
+    y = Word(rng.getrandbits(n), n)
+    return SyncInstance(random_word_within(y, bounds.radius, rng), y, bounds)
+
+
+@given(data=st.data())
+def test_brute_sends_its_check_bits(data):
+    # The file is the [7, 4] code's message block; radius at most 1.
+    code = hamming_7_4()
+    alpha = data.draw(st.sampled_from([Fraction(0), Fraction(1, 4)]))
+    out = brute_sync(code, _pair(data.draw, code.k, alpha))
+    assert out.transcript.total_bits == code.n - code.k == 3
+
+
+@given(data=st.data())
+def test_syndrome_sends_its_syndrome_bits(data):
+    code = hamming_7_4()
+    alpha = data.draw(st.sampled_from([Fraction(0), Fraction(1, 7)]))
+    out = syndrome_sync(code, _pair(data.draw, code.n, alpha))
+    assert out.transcript.total_bits == code.n - code.k == 3
+
+
+@given(data=st.data())
+def test_coloring_sends_the_bits_of_its_color_count(data):
+    n = data.draw(st.integers(1, 9))
+    instance = _pair(data.draw, n, data.draw(st.fractions(0, HALF, max_denominator=64)))
+    colors = max(build_greedy_coloring(n, min(2 * instance.bounds.radius, n))) + 1
+    out = coloring_oracle_sync(instance)
+    assert out.transcript.total_bits == (colors - 1).bit_length()  # ceil(log2(colors))
+
+
+def _nba_width(n, k):
+    return max(2, k * k * n).bit_length()
+
+
+@given(data=st.data())
+def test_nba_sends_two_fields_of_its_prime_width(data):
+    n = data.draw(st.integers(1, 64))
+    k = data.draw(st.integers(1, min(1 << n, 40)))
+    rng = Random(data.draw(st.integers(0, 1 << 16)))
+    words = _distinct_words(rng, n, k)
+    out = nba_protocol(rng.choice(words), words, n)
+    assert out.transcript.total_bits == 2 * _nba_width(n, k)
+
+
+@given(data=st.data())
+def test_multinba_sends_its_primes_and_one_fingerprint_per_word(data):
+    n = data.draw(st.integers(1, 64))
+    k = data.draw(st.integers(1, min(1 << n, 16)))
+    l = data.draw(st.integers(1, k))
+    rng = Random(data.draw(st.integers(0, 1 << 16)))
+    words = _distinct_words(rng, n, k)
+    out = multi_nba_protocol(rng.sample(words, l), words, n, rng)
+    assert out.transcript.total_bits == 2 * _nba_width(n, k) + l * (2 * k * k - 1).bit_length()
+
+
+def _nth_prime(j):
+    """The j-th prime, from sieves of doubling size."""
+    limit = 64
+    while True:
+        flags = bytearray([1]) * limit
+        flags[:2] = b"\x00\x00"
+        for i in range(2, isqrt(limit - 1) + 1):
+            if flags[i]:
+                flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+        primes = list(compress(range(limit), flags))
+        if len(primes) >= j:
+            return primes[j - 1]
+        limit *= 2
+
+
+@given(data=st.data())
+def test_problist_sends_its_syndrome_and_two_pool_widths(data):
+    n = data.draw(st.integers(2, 12))
+    code_k = data.draw(st.integers(1, n - 1))
+    instance = _pair(data.draw, n, data.draw(st.fractions(0, HALF, max_denominator=64)))
+    radius = data.draw(st.integers(instance.bounds.radius, n))
+    list_cap = data.draw(st.integers(1, 8))
+    oversample = data.draw(st.integers(2, 20))
+    rng = Random(data.draw(st.integers(0, 1 << 16)))
+    code = random_linear_code(n, code_k, rng)
+    out = one_round_prob_sync(code, radius, instance, oversample, rng, list_cap=list_cap)
+    width = _nth_prime(oversample * n * list_cap**2).bit_length()
+    assert out.transcript.total_bits == (n - code_k) + 2 * width
+
+
+def test_closed_forms_at_the_benchmark_parameters():
+    # The formulas above at the parameters bench/workloads.py pins.
+    code = hamming_7_4()
+    assert code.n - code.k == 3  # brute at n = 4 and syndrome at n = 7
+    assert max(build_greedy_coloring(10, 2)).bit_length() == 4  # n = 10, radius 1: <= 16 colors
+    assert 2 * _nba_width(16, 4) == 18
+    assert 2 * _nba_width(256, 8) + 4 * (2 * 8 * 8 - 1).bit_length() == 58
+    assert (14 - 5) + 2 * _nth_prime(16 * 14 * 16**2).bit_length() == 49
+
+
+@given(run=_smith_run())
+def test_smith_over_a_socketpair_matches_the_loopback(run):
+    # Alice in a second thread and Bob here, each stepping composite_alice
+    # or composite_bob, so both threads read smith's per-shape cache.
+    instance, params, seed = run
+    alice, bob = composite_parties(instance, params, Random(seed))
+    a_sock, b_sock = socket.socketpair()
+    a_end, b_end = TcpEnd(a_sock), TcpEnd(b_sock)
+    alice_runs = []
+    thread = threading.Thread(target=lambda: alice_runs.append(run_party(alice, Role.ALICE, a_end)))
+    thread.start()
+    try:
+        tcp = outcome_from_party_run(run_party(bob, Role.BOB, b_end))
+    finally:
+        thread.join(timeout=60)
+        a_end.close()
+        b_end.close()
+    assert not thread.is_alive()
+    loop = composite_prob_sync(instance, params, Random(seed))
+    assert tcp.transcript == loop.transcript == alice_runs[0].transcript
+    assert tcp.recovered == loop.recovered
+    assert tcp.diagnostics == loop.diagnostics

@@ -264,6 +264,23 @@ def test_rank_matches_oracle():
     assert rank([0b001, 0b011, 0b111]) == 3
 
 
+def test_rank_counts_the_pivots_of_rref_at_sampler_and_code_shapes():
+    # rank keeps an xor basis and stops once it is as wide as the masks;
+    # _rref's pivot count is the reference, on smith's inner-code draws
+    # (k distinct nonzero columns of k - dim bits) and on wide parity rows.
+    rng = random.Random(41)
+    for _ in range(400):
+        k = rng.randint(3, 14)
+        width = rng.randint(1, k - 1)
+        count = min(k, (1 << width) - 1)
+        masks = rng.sample(range(1, 1 << width), count)
+        assert rank(masks) == len(_rref(masks, width)[1])
+        width = rng.randint(1, 40)
+        masks = [rng.choice([0, rng.getrandbits(width)]) for _ in range(rng.randint(1, 20))]
+        masks += rng.sample(masks, min(3, len(masks)))  # repeats are dependent
+        assert rank(masks) == len(_rref(masks, width)[1])
+
+
 def test_random_linear_code_draws_as_before():
     # The listdec and problist codes, and so their reports, depend on these
     # exact draws: n - k rows of getrandbits(n) per try until full rank.

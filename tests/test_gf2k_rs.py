@@ -12,12 +12,31 @@ from hamsync.gf2k_rs import (
     _barycentric_weights,
     _berlekamp_massey,
     _lane_map,
+    _pack_lanes,
     _root_columns,
     _syndrome_columns,
+    _unpack_lanes,
     field,
     rs_correct,
     rs_extra_evals,
 )
+
+
+# The RS layer takes and returns values packed in 16-bit lanes; these give
+# the same calls on lists.
+
+
+def extra_evals(fld: Field, blocks: list[int], s: int) -> list[int]:
+    return _unpack_lanes(rs_extra_evals(fld, _pack_lanes(blocks), len(blocks), s), s)
+
+
+def correct(fld: Field, received: list[int], extra: list[int]):
+    fixed = rs_correct(fld, _pack_lanes([*received, *extra]), len(received), len(extra))
+    return None if fixed is None else _unpack_lanes(fixed, len(received))
+
+
+def lane_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
+    return _unpack_lanes(_lane_map(fld, _pack_lanes(values), columns, lanes), lanes)
 
 # Reference polynomial arithmetic for checking the evaluation layer: coefficient
 # lists, low degree first, and Lagrange interpolation through scalar products.
@@ -172,10 +191,10 @@ def test_interpolation_subsets_agree():
 
 def test_extra_evals_of_constant_blocks():
     fld = field(4)
-    assert rs_extra_evals(fld, [9, 9, 9, 9], 4) == [9, 9, 9, 9]
-    assert rs_extra_evals(fld, [5], 3) == [5, 5, 5]
-    assert rs_extra_evals(fld, [1, 2, 3], 0) == []
-    assert rs_extra_evals(fld, [1] * 10, 5) == [1] * 5  # 15 points and a spare
+    assert extra_evals(fld, [9, 9, 9, 9], 4) == [9, 9, 9, 9]
+    assert extra_evals(fld, [5], 3) == [5, 5, 5]
+    assert extra_evals(fld, [1, 2, 3], 0) == []
+    assert extra_evals(fld, [1] * 10, 5) == [1] * 5  # 15 points and a spare
     # 16 or more points leave no spare element; composite_parties refuses
     # them (test_composite_parameter_guards).
 
@@ -190,7 +209,7 @@ def test_extra_evals_match_lagrange():
             blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
             poly = interpolate(fld, list(enumerate(blocks)))
             expected = [poly_eval(fld, poly, a) for a in range(m, m + s)]
-            assert rs_extra_evals(fld, blocks, s) == expected
+            assert extra_evals(fld, blocks, s) == expected
 
 
 def _codewords(fld: Field, m: int, n_points: int) -> list[tuple[int, ...]]:
@@ -229,7 +248,7 @@ def test_rs_correct_matches_brute_force_decoding():
                     close = [c for c in codewords if sum(map(ne, c, word)) <= radius]
                     assert len(close) <= 1  # minimum distance s + 1
                     expected = list(close[0][:m]) if close else None
-                    assert rs_correct(fld, word[:m], word[m:]) == expected
+                    assert correct(fld, word[:m], word[m:]) == expected
                     if kind == "beyond":
                         returned += expected is not None
                         failed += expected is None
@@ -243,8 +262,8 @@ def test_rs_correct_clean():
         m = rng.randint(1, 20)
         s = rng.randint(0, 20)
         blocks = [rng.randrange(256) for _ in range(m)]
-        extra = rs_extra_evals(fld, blocks, s)
-        assert rs_correct(fld, blocks, extra) == blocks
+        extra = extra_evals(fld, blocks, s)
+        assert correct(fld, blocks, extra) == blocks
 
 
 def test_rs_single_error_exhaustive():
@@ -253,7 +272,7 @@ def test_rs_single_error_exhaustive():
     fld = field(4)
     rng = random.Random(56)
     blocks = [rng.randrange(16) for _ in range(4)]
-    extra = rs_extra_evals(fld, blocks, 4)
+    extra = extra_evals(fld, blocks, 4)
     full = blocks + extra
     for pos in range(8):
         for wrong in range(16):
@@ -261,20 +280,20 @@ def test_rs_single_error_exhaustive():
                 continue
             corrupted = list(full)
             corrupted[pos] = wrong
-            assert rs_correct(fld, corrupted[:4], corrupted[4:]) == blocks
+            assert correct(fld, corrupted[:4], corrupted[4:]) == blocks
 
 
 def test_rs_two_errors_in_capacity():
     fld = field(4)
     rng = random.Random(57)
     blocks = [rng.randrange(16) for _ in range(4)]
-    extra = rs_extra_evals(fld, blocks, 4)
+    extra = extra_evals(fld, blocks, 4)
     full = blocks + extra
     for p1, p2 in itertools.combinations(range(8), 2):
         corrupted = list(full)
         corrupted[p1] ^= 5
         corrupted[p2] ^= 9
-        assert rs_correct(fld, corrupted[:4], corrupted[4:]) == blocks
+        assert correct(fld, corrupted[:4], corrupted[4:]) == blocks
 
 
 def test_rs_gf256_random_errors_in_capacity():
@@ -284,10 +303,10 @@ def test_rs_gf256_random_errors_in_capacity():
         m = rng.randint(4, 32)
         s = rng.randint(2, 16)
         blocks = [rng.randrange(256) for _ in range(m)]
-        full = blocks + rs_extra_evals(fld, blocks, s)
+        full = blocks + extra_evals(fld, blocks, s)
         for pos in rng.sample(range(m + s), rng.randint(0, s // 2)):
             full[pos] ^= rng.randrange(1, 256)
-        assert rs_correct(fld, full[:m], full[m:]) == blocks
+        assert correct(fld, full[:m], full[m:]) == blocks
 
 
 def test_rs_output_always_agrees_with_majority():
@@ -300,7 +319,7 @@ def test_rs_output_always_agrees_with_majority():
         m = rng.randint(1, 6)
         s = rng.randint(0, 10 - m)
         values = [rng.randrange(16) for _ in range(m + s)]
-        got = rs_correct(fld, values[:m], values[m:])
+        got = correct(fld, values[:m], values[m:])
         if got is None:
             failed += 1
             continue
@@ -394,13 +413,13 @@ def test_lane_kernels_match_the_loops_they_replace(k, m, s):
     n_points = m + s
     for _ in range(3):
         blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
-        assert rs_extra_evals(fld, blocks, s) == old_extra_evals(fld, blocks, s)
+        assert extra_evals(fld, blocks, s) == old_extra_evals(fld, blocks, s)
         values = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(n_points)]
-        assert _lane_map(fld, values, _syndrome_columns(k, n_points, s), s) == old_syndromes(
+        assert lane_map(fld, values, _syndrome_columns(k, n_points, s), s) == old_syndromes(
             fld, values, s
         )
         lam = [1] + [rng.randrange(fld.size) for _ in range(rng.randint(0, s // 2))]
-        assert _lane_map(fld, lam, _root_columns(k, n_points, s), n_points) == old_root_scan(
+        assert lane_map(fld, lam, _root_columns(k, n_points, s), n_points) == old_root_scan(
             fld, lam, n_points
         )
 
@@ -466,10 +485,10 @@ def _bm_sequences(k: int, s: int, rng: random.Random):
             m = rng.randint(1, min(room, 200))
             for errors in (1, s // 2, s // 2 + 1, min(m + s, s // 2 + 5)):
                 values = [rng.randrange(size) for _ in range(m)]
-                values += rs_extra_evals(fld, values, s)
+                values += extra_evals(fld, values, s)
                 for pos in rng.sample(range(m + s), min(errors, m + s)):
                     values[pos] ^= rng.randrange(1, size)
-                yield _lane_map(fld, values, _syndrome_columns(k, m + s, s), s)
+                yield lane_map(fld, values, _syndrome_columns(k, m + s, s), s)
     for length in range(s // 2):
         taps = [rng.randrange(size) for _ in range(length)]
         seq = [rng.randrange(1, size) for _ in range(length)]

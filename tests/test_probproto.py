@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from hamsync.gf2codes import (
     rank,
     unique_decode,
 )
-from hamsync.gf2k_rs import field, rs_correct, rs_extra_evals
+from hamsync.gf2k_rs import _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
 from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.hashing import is_prime
 from hamsync.probproto import (
@@ -28,11 +30,12 @@ from hamsync.probproto import (
     AffinePermutation,
     ProbParams,
     _block_syndromes,
+    _columns_from_matrix,
     _fix_table,
     _gather_plan,
+    _matrix_from_columns,
     _relane,
     _split,
-    _transpose,
     apply_permutation,
     composite_alice,
     composite_bob,
@@ -46,6 +49,13 @@ from hamsync.probproto import (
 )
 from hamsync.syncdet import SyncInstance
 from hamsync.transport import RECV
+
+
+def _transpose(masks, width):
+    """Int c < width has bit r equal to bit c of masks[r]: columns from rows,
+    or back, through one string per mask."""
+    rows = [format(mask, f"0{width}b") for mask in reversed(masks)]  # last mask, top bit first
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
 def image(perm: AffinePermutation, i: int) -> int:
@@ -265,7 +275,16 @@ def test_inverse_gather_undoes_the_gather():
 def _gather_bound(p):
     """apply_permutation's stated ratio K, and its slice and copy bounds."""
     ratio = min(64, max(4, (1 << 17) // p))
-    return ratio, -(-p // (2 * ratio)), ratio + 2
+    most_slices = -(-p // (2 * ratio)) if p < 1 << 15 else 2 * math.isqrt(p) + 1
+    return ratio, most_slices, ratio + 2
+
+
+def _slice_count(p, c, e, copies):
+    """The slices apply_permutation takes on this plan: class r's
+    (p - 1 - r) // c + 1 places in runs of (copies - 1) p // |e|."""
+    run = (copies - 1) * p // abs(e)
+    q, t = divmod(p, c)  # t classes of q + 1 places, c - t of q
+    return t * -(-(q + 1) // run) + (c - t) * -(-q // run)
 
 
 def _largest_smith_prime():
@@ -280,10 +299,13 @@ def _largest_smith_prime():
 def _check_plan(a, p):
     ratio, most_slices, most_copies = _gather_bound(p)
     c, e, copies = _gather_plan(a, p)
-    assert (a * c - e) % p == 0 and abs(e) <= ratio * c
-    assert 1 <= c <= most_slices
+    assert (a * c - e) % p == 0
+    if p < 1 << 15:
+        assert abs(e) <= ratio * c  # one slice per class
+    slices = _slice_count(p, c, e, copies)
+    assert c <= slices <= most_slices
     assert copies <= most_copies  # R*p <= (K + 2)*p bytes copied
-    return c
+    return slices
 
 
 def test_gather_plan_stays_within_its_stated_bounds():
@@ -312,6 +334,33 @@ def test_gather_plan_stays_within_its_stated_bounds():
     for a in hard[-2:] + [rng.randrange(1, p)]:
         perm, w = AffinePermutation(p, a, rng.randrange(p)), Word(rng.getrandbits(p), p)
         assert apply_permutation(perm, w) == _gather_bit_by_bit(perm, w)
+
+
+def test_gather_plan_bounds_every_multiplier_past_2_15():
+    # Past 2^15 a class may take several slices, so that no multiplier
+    # needs more than 2 sqrt(p) + 1; the step-only rule took 3,642 at a = 5.
+    p = 32771
+    slices = {a: _check_plan(a, p) for a in range(1, p)}
+    assert slices[5] < 200
+    assert max(slices.values()) <= 2 * math.isqrt(p) + 1
+    # Below 2^15 every class stays one slice.
+    assert all(_check_plan(a, 32749) == _gather_plan(a, 32749)[0] for a in range(1, 32749, 7))
+
+
+def test_split_gather_matches_the_map_at_the_worst_multipliers():
+    p = 32771
+    rng = random.Random(85)
+    plans = {a: _gather_plan(a, p) for a in range(1, p)}
+    counts = {a: _slice_count(p, *plan) for a, plan in plans.items()}
+    worst = sorted(counts, key=counts.get)[-3:]
+    split = [a for a, (c, _, _) in plans.items() if c < counts[a]][:3]
+    assert split  # some classes do take more than one slice
+    for a in [5, p - 5, *worst, *split]:
+        for b in (0, rng.randrange(p)):
+            perm, w = AffinePermutation(p, a, b), Word(rng.getrandbits(p), p)
+            out = apply_permutation(perm, w)
+            assert out == _gather_bit_by_bit(perm, w)
+            assert apply_permutation(inverse(perm), out) == w
 
 
 def test_one_round_unique_list_always_succeeds():
@@ -448,6 +497,22 @@ def test_sample_inner_code_support():
     assert set(counts) == set(valid)
     chi2 = sum((c - per_order) ** 2 / per_order for c in counts.values())
     assert chi2 < 839 + 5 * math.sqrt(2 * 839)  # 839 degrees of freedom, 5 sd
+
+
+def test_matrix_packing_matches_the_string_transpose_both_ways():
+    # Every k <= INNER_MAX_K and rows < k, on columns that may repeat or be 0.
+    rng = random.Random(86)
+    for k in range(2, INNER_MAX_K + 1):
+        for rows in range(1, k):
+            for columns in (
+                [(1 << rows) - 1] * k,
+                [rng.getrandbits(rows) for _ in range(k)],
+                [rng.getrandbits(rows) for _ in range(k)],
+            ):
+                matrix = _matrix_from_columns(columns, rows)
+                rows_by_string = _transpose(columns, rows)
+                assert matrix == sum(row << (r * k) for r, row in enumerate(rows_by_string))
+                assert _columns_from_matrix(matrix, rows, k) == columns
 
 
 def test_block_syndromes_match_per_block_products():
@@ -655,10 +720,11 @@ def _packed_messages(perm, columns, blocks, params):
     width_p = (perm.p - 1).bit_length()
     matrix = _transpose(columns, rows)
     syndromes = [(mat_vec(matrix, blk), rows) for blk in blocks]
+    extra = rs_extra_evals(field(k), _pack_lanes(blocks), len(blocks), params.s)
     return [
         pack_fields([(perm.a, width_p), (perm.b, width_p)]),
         pack_fields([(row, k) for row in matrix] + syndromes),
-        pack_fields([(e, k) for e in rs_extra_evals(field(k), blocks, params.s)]),
+        pack_fields([(e, k) for e in _unpack_lanes(extra, params.s)]),
     ]
 
 
@@ -713,7 +779,9 @@ def _reference_bob(y, params, messages):
     estimates = [
         blk ^ fix[syn ^ mat_vec(inner.h, blk)] for blk, syn in zip(yblocks, vals[rows:])
     ]
-    fixed = rs_correct(field(k), estimates, unpack_fields(messages[2], [k] * s))
+    extras = unpack_fields(messages[2], [k] * s)
+    fixed = rs_correct(field(k), _pack_lanes([*estimates, *extras]), m, s)
+    fixed = None if fixed is None else _unpack_lanes(fixed, m)
     diag = {
         "p": p,
         "block_count": m,
@@ -1078,18 +1146,79 @@ def test_composite_parameter_guards():
             composite_parties(inst, ProbParams(12, s, Fraction(1, 10), 8), random.Random(0))
 
 
+def test_smith_proves_p_prime_in_its_first_trial_only(monkeypatch):
+    # p, m and the widths are settled once per shape, and AffinePermutation
+    # remembers each p it proved prime, so no later trial divides.
+    tests = []
+
+    def counted(m):
+        tests.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(probproto, "is_prime", counted)
+    probproto._composite_shape.cache_clear()
+    probproto._proved_prime.cache_clear()
+    bounds = Bounds(Fraction(1, 32), 512)
+    params = ProbParams(9, 2, Fraction(1, 10), 5)
+    rng = random.Random(21)
+    per_trial = []
+    for _ in range(20):
+        y = Word(rng.getrandbits(512), 512)
+        before = len(tests)
+        instance = SyncInstance(random_word_within(y, 16, rng), y, bounds)
+        composite_prob_sync(instance, params, rng)
+        per_trial.append(len(tests) - before)
+    assert per_trial[0] > 0 and 521 in tests
+    assert per_trial[1:] == [0] * 19
+
+
+def test_shape_caches_fill_alike_from_many_threads():
+    # Four threads on two vCPUs run smith on shapes none has seen, switching
+    # every microsecond, and each gets what one thread alone got.
+    shapes = [(97, 7), (203, 8), (389, 9)]
+    shapes = [(n, ProbParams(k, 2, Fraction(1, 10), k - 4)) for n, k in shapes]
+
+    def runs():
+        out = []
+        for seed, (n, params) in enumerate(shapes):
+            rng = random.Random(seed)
+            y = Word(rng.getrandbits(n), n)
+            bounds = Bounds(Fraction(1, 32), n)
+            instance = SyncInstance(random_word_within(y, bounds.radius, rng), y, bounds)
+            got = composite_prob_sync(instance, params, rng)
+            out.append((got.transcript, got.recovered, got.diagnostics))
+        return out
+
+    probproto._composite_shape.cache_clear()
+    probproto._check_slack.cache_clear()
+    probproto._proved_prime.cache_clear()
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(runs())) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [runs()] * 4
+
+
 def test_rs_layer_gets_what_it_relies_on(monkeypatch):
     # rs_extra_evals and rs_correct check nothing; smith hands them 1 <= m,
     # m + s < 2^k and k-bit values, here up to the field's last spare element.
     calls = []  # (k, m, s, every value passed)
 
-    def encode(fld, blocks, s):
-        calls.append((fld.k, len(blocks), s, list(blocks)))
-        return rs_extra_evals(fld, blocks, s)
+    def encode(fld, blocks, m, s):
+        calls.append((fld.k, m, s, _unpack_lanes(blocks, m)))
+        return rs_extra_evals(fld, blocks, m, s)
 
-    def correct(fld, received, extra):
-        calls.append((fld.k, len(received), len(extra), [*received, *extra]))
-        return rs_correct(fld, received, extra)
+    def correct(fld, values, m, s):
+        calls.append((fld.k, m, s, _unpack_lanes(values, m + s)))
+        return rs_correct(fld, values, m, s)
 
     monkeypatch.setattr(probproto, "rs_extra_evals", encode)
     monkeypatch.setattr(probproto, "rs_correct", correct)
