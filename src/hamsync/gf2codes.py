@@ -1,5 +1,6 @@
 """Binary linear codes: parity-check matrices as packed integer rows,
-syndromes, affine solves, random code sampling, and exhaustive decoding.
+syndromes, affine solves, random code sampling, exhaustive list decoding,
+and coset-leader tables, the one syndrome decoder of brute, syndrome and smith.
 
 A matrix is the tuple of its rows, and a row is a Python int whose bit c is
 the entry in column c, matching the Word convention, so a row-times-vector
@@ -17,6 +18,7 @@ from .bitword import Word
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
 
 _DECODE_ENUM_LIMIT = 24  # exhaustive decoding walks 2^k codewords; n capped too
+LEADER_MAX_N = 14  # a coset-leader table walks all 2^n words: ~15 ms at the cap
 
 
 def mat_vec(rows: Sequence[int], x: int) -> int:
@@ -232,6 +234,47 @@ def unique_decode(code: LinearCode, y: Word) -> Word:
             best, best_d = c, d
     assert best is not None
     return Word(best, code.n)
+
+
+@lru_cache(maxsize=None)
+def _weight_walk(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero n-bit words, lightest first and increasing within a
+    weight, as (word, place in the walk of the word less its lowest set bit
+    (the zero word is place 0), index of that bit)."""
+    words = [0] + sorted(range(1, 1 << n), key=int.bit_count)
+    place = {word: i for i, word in enumerate(words)}
+    return tuple((w, place[w & (w - 1)], (w & -w).bit_length() - 1) for w in words[1:])
+
+
+def coset_leaders(columns: Sequence[int], rows: int) -> dict[int, int]:
+    """Coset leader of each of the 2^rows syndromes of the parity-check
+    matrix with these columns: the first word of the weight walk with that
+    syndrome, i.e. its lightest word, ties toward the smaller one.  Callers
+    keep the number of columns n <= LEADER_MAX_N.
+
+    y xor leader[H y] is a codeword nearest to y, and for the pivot-only
+    solution t of H t = d (AffineSolver.solve) the one unique_decode picks:
+    two words of one syndrome differ by a nonzero codeword, whose top bit's
+    column depends on lower ones, so t is 0 there and t ^ c orders like c.
+    The walk stops once every syndrome is reached; if some never is, the
+    rows are dependent.
+    """
+    leader = {0: 0}
+    syndromes = [0]  # of the words walked so far, by place
+    for word, rest, low in _weight_walk(len(columns)):
+        d = syndromes[rest] ^ columns[low]
+        syndromes.append(d)
+        if d not in leader:
+            leader[d] = word
+            if len(leader) == 1 << rows:
+                return leader
+    raise ContractError("the matrix rows are linearly dependent")
+
+
+@lru_cache(maxsize=128)
+def leader_table(code: LinearCode) -> dict[int, int]:
+    """coset_leaders of the code's parity-check columns, built once per code."""
+    return coset_leaders([mat_vec(code.h, 1 << c) for c in range(code.n)], len(code.h))
 
 
 def min_distance(code: LinearCode) -> int:

@@ -166,6 +166,7 @@ def _naive_bob(n: int):
 
 
 def _build_naive(cfg, bounds, params, root):
+    """x sent raw: one message of n bits."""
     return _sync_cases(
         cfg, bounds, root, lambda inst, sa: (_naive_alice(inst.x), _naive_bob(inst.n))
     )

@@ -131,8 +131,8 @@ def find_secondary_hash(s_reduced: Iterable[int], v: int, k: int, rng: Random) -
     raise RetryLimitError(f"no injective secondary hash found in {64 * k} tries")
 
 
-# Primes a pool may hold: 18 times problist's default pool (16 * 14 * 16^2),
-# and a sieve of about 17 MB.
+# Primes a pool may hold: 18 times problist's default pool (16 * 14 * 16^2);
+# a full one keeps ~53 MB, 42 of them its primes and 11 sieve_primes' cache.
 _PRIME_POOL_BUDGET = 1 << 20
 
 

@@ -18,15 +18,11 @@ from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, RetryLimitError
-from .gf2codes import LinearCode, rank, syndrome
+from .gf2codes import LEADER_MAX_N, LinearCode, coset_leaders, rank, syndrome
 from .gf2k_rs import _LANE_BITS, _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
-
-# Caps k, so that Bob's fix table walks at most 2^k - 1 words for its
-# 2^(k - inner_dim) syndromes, and every field fits the RS layer's lanes.
-INNER_MAX_K = 14
 
 # Caps (m + s) * s for m blocks and s extras: the lanes of the RS layer's
 # largest cached table, its syndrome columns.  At the cap one shape's tables
@@ -386,47 +382,14 @@ def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_walk(k: int) -> tuple[tuple[int, int, int], ...]:
-    """The nonzero k-bit words, lightest first and increasing within a
-    weight, as (word, place in the walk of the word less its lowest set bit
-    (the zero word is place 0), index of that bit)."""
-    words = [0] + sorted(range(1, 1 << k), key=int.bit_count)
-    place = {word: i for i, word in enumerate(words)}
-    return tuple((w, place[w & (w - 1)], (w & -w).bit_length() - 1) for w in words[1:])
-
-
-def _fix_table(columns: Sequence[int], rows: int) -> dict[int, int]:
-    """Guessed block difference for each of the 2^rows syndrome differences
-    d: the first word of the weight walk with syndrome d, i.e. its lightest
-    word, ties toward the smaller one.  Each d is settled once, not each block.
-
-    That is the nearest-codeword rule, ties toward the smaller codeword:
-    two words of one syndrome differ by a nonzero codeword, whose top bit's
-    column depends on lower ones, so the pivot-only solution t of H t = d
-    is 0 there and t ^ w orders like w.  The walk stops once every d is
-    reached; if some never is, the received rows are dependent.
-    """
-    fix = {0: 0}
-    syndromes = [0]  # of the words walked so far, by place
-    for word, rest, low in _weight_walk(len(columns)):
-        d = syndromes[rest] ^ columns[low]
-        syndromes.append(d)
-        if d not in fix:
-            fix[d] = word
-            if len(fix) == 1 << rows:
-                return fix
-    raise ContractError("the matrix rows are linearly dependent")
-
-
-@lru_cache(maxsize=None)
 def _composite_shape(n: int, k: int, s: int) -> tuple[int, int, int]:
     """(p, m, width) for smith on n-bit words with k-bit blocks and s extras:
     the prime length p >= n it permutes, its m = ceil(p/k) blocks, and the
     bits that carry a and b.  Refuses the shapes the RS layer and the fix
     table cannot take.  Worked out once per shape; lru_cache keeps no
     exception, so a refused shape raises on every call."""
-    if k > INNER_MAX_K:
-        raise CapabilityError(f"per-block decoding is capped at k <= {INNER_MAX_K}")
+    if k > LEADER_MAX_N:  # which also fits every field in the RS layer's lanes
+        raise CapabilityError(f"per-block decoding is capped at k <= {LEADER_MAX_N}")
     if n < 2:
         raise ContractError("composite sync needs n >= 2")
     p = next_prime_at_least(n)
@@ -477,7 +440,7 @@ def composite_bob(y: Word, params: ProbParams):
 
     matrix, syns = unpack_fields((yield RECV), [rows * k, rows * m])
     columns = _columns_from_matrix(matrix, rows, k)
-    fix = _fix_table(columns, rows)
+    fix = coset_leaders(columns, rows)
     sent = _relane(syns, m, rows, k)
     diffs = _split(sent ^ _block_syndromes(columns, permuted, k, m), m, k)
     estimates = _relane(permuted, m, k, _LANE_BITS) ^ _pack_lanes([fix[d] for d in diffs])

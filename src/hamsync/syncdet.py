@@ -22,16 +22,17 @@ from itertools import combinations
 from .bitword import Bounds, Word, ball_volume, hamming_distance, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
+    LEADER_MAX_N,
     LinearCode,
     check_list_decodable,
     encode,
     extract_message,
     gather_bits,
+    leader_table,
     list_decode_exhaustive,
     mat_vec,
     min_distance,
     syndrome,
-    unique_decode,
 )
 from .hashing import nba_alice, nba_bob
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
@@ -64,6 +65,8 @@ class SyncInstance:
 
 def _unique_radius(code: LinearCode, instance: SyncInstance) -> int:
     """The promise radius, once the code is known to correct that many errors."""
+    if code.n > LEADER_MAX_N:
+        raise CapabilityError(f"coset-leader decoding is capped at n <= {LEADER_MAX_N}")
     r = instance.bounds.radius
     if min_distance(code) < 2 * r + 1:
         raise ContractError(f"code does not uniquely correct {r} errors")
@@ -98,12 +101,11 @@ def brute_bob(code: LinearCode, y: Word, radius: int):
         composed |= ((y.value >> i) & 1) << pos
     for i, pos in enumerate(code.check_positions):
         composed |= ((checks >> i) & 1) << pos
-    received = Word(composed, code.n)
-    z = unique_decode(code, received)
-    diag = {"check_bits": msg.n, "decode_distance": hamming_distance(received, z)}
+    error = leader_table(code)[mat_vec(code.h, composed)]
+    diag = {"check_bits": msg.n, "decode_distance": error.bit_count()}
     if diag["decode_distance"] > radius:
         return None, diag
-    return extract_message(code, z), diag
+    return extract_message(code, Word(composed ^ error, code.n)), diag
 
 
 def brute_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
@@ -122,8 +124,8 @@ def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     codeword, so only the check bits travel.
 
     Bob rebuilds a word that differs from Alice's codeword exactly where y
-    differs from x, then unique-decodes.  The caller must supply a code whose
-    guaranteed correction radius covers the promise.
+    differs from x, then removes its syndrome's coset leader.  The caller
+    must supply a code whose guaranteed correction radius covers the promise.
     """
     return run_protocol(*brute_parties(code, instance))
 
@@ -152,13 +154,12 @@ def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> lis
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
     h_msg = yield RECV
     (h_value,) = unpack_fields(h_msg, [code.n - code.k])
-    y_prime = coset_representative(code, h_value, y)
-    z = unique_decode(code, y_prime)
-    weight = hamming_distance(y_prime, z)
+    difference = leader_table(code)[h_value ^ mat_vec(code.h, y.value)]
+    weight = difference.bit_count()
     diag = {"syndrome_bits": h_msg.n, "decoded_difference_weight": weight}
     if weight > radius:
         return None, diag
-    return y_prime ^ y ^ z, diag
+    return Word(y.value ^ difference, code.n), diag
 
 
 def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
@@ -172,9 +173,9 @@ def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, P
 def syndrome_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     """One round of code.n - code.k bits, (1 - rate) * n: Alice sends H x.
 
-    Bob solves H t = H x + H y, so t = (x xor y) xor c for some codeword c;
-    unique-decoding t recovers c, and t xor y xor c is x.  Exact whenever the
-    promise holds and the code corrects radius errors.
+    H x + H y is the syndrome of x xor y, whose coset leader is x xor y
+    itself whenever the promise holds and the code corrects radius errors,
+    so y xor that leader is x exactly.
     """
     return run_protocol(*syndrome_parties(code, instance))
 
@@ -213,7 +214,8 @@ def listdec_parties(
 
 
 def listdec_sync(code: LinearCode, radius: int, instance: SyncInstance) -> ProtocolOutcome:
-    """Three rounds: syndrome down, a separating prime back, a residue down.
+    """Three rounds: syndrome down, a separating prime back, a residue down,
+    (n - k) + 2 bit_length(max(2, L^2 n)) bits for Bob's list size L.
 
     Bob list-decodes the coset representative to the given radius; the
     candidate words t xor y xor z_i then contain x whenever the promise

@@ -1,6 +1,7 @@
 """Acceptance sweep: thirteen end-to-end checks, one per criterion, each
 printing a single pass/fail line with its measurements and wall time.
-Criterion 11's dangerous-block count is defined here, beside its own tests."""
+Criterion 11's dangerous-block count is defined here, beside its own tests,
+and criteria 01 and 02 run once more with the old decoder made to raise."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import time
 from collections import defaultdict
 from fractions import Fraction
 
+from hamsync import gf2codes, syncdet
 from hamsync.bitword import (
     Bounds,
     Word,
@@ -18,7 +20,7 @@ from hamsync.bitword import (
     log2_big,
     random_word_within,
 )
-from hamsync.gf2codes import hamming_7_4, mat_vec, random_linear_code
+from hamsync.gf2codes import AffineSolver, hamming_7_4, mat_vec, random_linear_code
 from hamsync.gf2k_rs import _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
 from hamsync.hashing import multi_nba_protocol, nba_protocol
 from hamsync.probproto import (
@@ -108,6 +110,21 @@ def test_criterion_02_brute_exhaustive():
         f"{runs} pairs, {wrong} errors, bits={sorted(bits)}, {elapsed:.2f}s",
     )
     assert ok
+
+
+def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
+    # Brute and syndrome decode by the coset-leader table alone.  The code
+    # reduces its rows when it is built, so it is built before the patch.
+    hamming_7_4()
+
+    def refuse(*args):
+        raise AssertionError("a protocol reached the old decoder")
+
+    monkeypatch.setattr(gf2codes, "unique_decode", refuse)
+    monkeypatch.setattr(AffineSolver, "solve", refuse)
+    assert not hasattr(syncdet, "unique_decode")
+    test_criterion_01_syndrome_exhaustive()
+    test_criterion_02_brute_exhaustive()
 
 
 def test_criterion_03_nba_identification():

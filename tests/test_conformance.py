@@ -1,8 +1,8 @@
 """Conformance properties.  (a): every protocol refuses parameters outside
 its limits before a party takes a step.  (c): the transcript's bit count
-equals the closed form the protocol's docstring states, for smith, brute,
-syndrome, coloring, nba, multinba and problist.  (d), for smith: run_party
-over a socketpair TcpEnd gives what run_protocol gives.
+equals the closed form the protocol's docstring states, for all nine.  (d):
+run_party over a socketpair TcpEnd gives what run_protocol gives, for smith
+on drawn parameters and for the other eight on their harness cases.
 
 For each of the nine protocols, n, alpha and the protocol's parameters are
 drawn inside their limits, or with one of them pushed to an edge: the last
@@ -31,12 +31,11 @@ from hypothesis import strategies as st
 from hamsync import transport
 from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, random_word_within
 from hamsync.errors import CapabilityError, ContractError
-from hamsync.gf2codes import hamming_7_4, random_linear_code
+from hamsync.gf2codes import LEADER_MAX_N, hamming_7_4, random_linear_code
 from hamsync.harness import PROTOCOLS, ExperimentConfig, _distinct_words, run_experiment
 from hamsync.hashing import _PRIME_POOL_BUDGET, multi_nba_protocol, nba_protocol
 from hamsync.probproto import (
     _RS_LANE_BUDGET,
-    INNER_MAX_K,
     ProbParams,
     composite_parties,
     composite_prob_sync,
@@ -48,9 +47,10 @@ from hamsync.syncdet import (
     brute_sync,
     build_greedy_coloring,
     coloring_oracle_sync,
+    listdec_sync,
     syndrome_sync,
 )
-from hamsync.transport import Role, TcpEnd, outcome_from_party_run, run_party
+from hamsync.transport import Role, TcpEnd, outcome_from_party_run, run_party, run_protocol
 
 HALF = Fraction(1, 2)
 STEP = Fraction(1, 64)  # how far below 0 the low alpha edge lies
@@ -98,8 +98,8 @@ def _list_decoding(draw, pushed, problist):
     }
     if problist:
         list_cap = _value(draw, pushed, "list_cap", st.integers(1, 8), [0, 1])
-        # The pool just inside the budget is a sieve of about 20 MB, too slow
-        # to build here; the first oversample over it is cheap to refuse.
+        # A pool just inside the budget keeps about 53 MB and is too slow to
+        # build here; the first oversample over it is cheap to refuse.
         over_budget = _PRIME_POOL_BUDGET // (n * max(1, list_cap) ** 2) + 1
         params["oversample"] = _value(
             draw, pushed, "oversample", st.integers(2, 20), [1, 2, max(2, over_budget)]
@@ -131,7 +131,7 @@ def _identification(draw, pushed, multi):
 
 @st.composite
 def _smith(draw, pushed):
-    k = _value(draw, pushed, "k", st.integers(3, INNER_MAX_K), [2, INNER_MAX_K, INNER_MAX_K + 1])
+    k = _value(draw, pushed, "k", st.integers(3, LEADER_MAX_N), [2, LEADER_MAX_N, LEADER_MAX_N + 1])
     # Most n inside leave room in GF(2^k) for m = ceil(p / k) blocks plus 2 extras.
     n = _value(draw, pushed, "n", st.integers(2, max(2, min(600, k * (2**k - 3) // 2))), [1, 2])
     alpha = _rate(draw, pushed, Fraction(3, 8), HALF)  # no delta is left at 1/2
@@ -207,7 +207,7 @@ def _smith_run(draw):
     """(instance, params, seed) inside composite_parties' limits: distance 3
     needs 2^(k - inner_dim) > k, and m + s < 2^k; at these sizes (m + s) s
     stays far inside the RS budget.  x is y with n // 10 flips."""
-    k = draw(st.integers(3, INNER_MAX_K))
+    k = draw(st.integers(3, LEADER_MAX_N))
     inner_dim = draw(st.integers(1, k - k.bit_length()))
     n = draw(st.integers(2, min(600, k * (2**k - 3) // 2)))
     m = -(-next_prime_at_least(n) // k)
@@ -261,6 +261,36 @@ def test_coloring_sends_the_bits_of_its_color_count(data):
     colors = max(build_greedy_coloring(n, min(2 * instance.bounds.radius, n))) + 1
     out = coloring_oracle_sync(instance)
     assert out.transcript.total_bits == (colors - 1).bit_length()  # ceil(log2(colors))
+
+
+def _harness_cases(protocol, n, alpha, trials, seed):
+    """The harness's trial cases for protocol at its default parameters."""
+    spec = PROTOCOLS[protocol]
+    cfg = ExperimentConfig(protocol=protocol, n=n, alpha=alpha, trials=trials, seed=seed)
+    return list(spec.build(cfg, Bounds(alpha, n), dict(spec.default_params), Random(seed)))
+
+
+@given(data=st.data())
+def test_naive_sends_its_word(data):
+    n = data.draw(st.integers(1, 64))
+    alpha = data.draw(st.fractions(0, HALF, max_denominator=64))
+    for case in _harness_cases("naive", n, alpha, 4, data.draw(st.integers(0, 1 << 16))):
+        out = run_protocol(case.alice, case.bob)
+        assert out.recovered == case.truth
+        assert out.transcript.total_bits == n
+
+
+@given(data=st.data())
+def test_listdec_sends_its_syndrome_and_two_fields_of_its_list_width(data):
+    n = data.draw(st.integers(2, 12))
+    code_k = data.draw(st.integers(1, n - 1))
+    instance = _pair(data.draw, n, data.draw(st.fractions(0, HALF, max_denominator=64)))
+    radius = data.draw(st.integers(instance.bounds.radius, n))
+    code = random_linear_code(n, code_k, Random(data.draw(st.integers(0, 1 << 16))))
+    out = listdec_sync(code, radius, instance)
+    size = out.diagnostics["list_size"]
+    assert size >= 1
+    assert out.transcript.total_bits == (n - code_k) + 2 * _nba_width(n, size)
 
 
 def _nba_width(n, k):
@@ -350,3 +380,41 @@ def test_smith_over_a_socketpair_matches_the_loopback(run):
     assert tcp.transcript == loop.transcript == alice_runs[0].transcript
     assert tcp.recovered == loop.recovered
     assert tcp.diagnostics == loop.diagnostics
+
+
+def _over_a_socketpair(cases):
+    """Per case, Alice's and Bob's runs with Alice's parties stepped in a
+    second thread over one socketpair, in order."""
+    a_sock, b_sock = socket.socketpair()
+    a_end, b_end = TcpEnd(a_sock), TcpEnd(b_sock)
+    alice_runs = []
+
+    def serve():
+        for case in cases:
+            alice_runs.append(run_party(case.alice, Role.ALICE, a_end))
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        bob_runs = [outcome_from_party_run(run_party(case.bob, Role.BOB, b_end)) for case in cases]
+    finally:
+        thread.join(timeout=60)
+        a_end.close()
+        b_end.close()
+    assert not thread.is_alive()
+    return alice_runs, bob_runs
+
+
+@pytest.mark.parametrize("protocol", sorted(set(PROTOCOLS) - {"smith"}))
+def test_harness_cases_over_a_socketpair_match_the_loopback(protocol):
+    # Two builds from one seed give the same cases, not yet started: one
+    # runs over the loopback, the other split across a socketpair.
+    spec = PROTOCOLS[protocol]
+    n, alpha = spec.default_n, spec.default_alpha
+    loop = [run_protocol(c.alice, c.bob) for c in _harness_cases(protocol, n, alpha, 12, 909)]
+    alice_runs, tcp = _over_a_socketpair(_harness_cases(protocol, n, alpha, 12, 909))
+    assert len(loop) == len(tcp) == len(alice_runs) == 12
+    for lo, to, alice in zip(loop, tcp, alice_runs):
+        assert lo.transcript == to.transcript == alice.transcript
+        assert lo.recovered == to.recovered
+        assert lo.diagnostics == to.diagnostics

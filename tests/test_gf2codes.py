@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from hamsync import gf2codes, probproto
 from hamsync.bitword import Word
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
@@ -11,9 +13,11 @@ from hamsync.gf2codes import (
     LinearCode,
     _rref,
     codewords,
+    coset_leaders,
     encode,
     extract_message,
     hamming_7_4,
+    leader_table,
     list_decode_exhaustive,
     mat_vec,
     min_distance,
@@ -22,6 +26,7 @@ from hamsync.gf2codes import (
     syndrome,
     unique_decode,
 )
+from hamsync.probproto import ProbParams, sample_inner_code
 
 
 def mat_vec_oracle(rows: tuple[int, ...], cols: int, x: int) -> int:
@@ -329,3 +334,103 @@ def test_enumeration_budget_guards():
     # list_decode_exhaustive's cap on n is checked where the list protocols
     # start: test_listdec_parties_check_the_list_decoding_limits and
     # test_one_round_parties_check_the_list_decoding_limits.
+
+
+def _transpose(masks, width):
+    """Int c < width has bit r equal to bit c of masks[r]: columns from rows,
+    or back."""
+    return [sum(((mask >> c) & 1) << r for r, mask in enumerate(masks)) for c in range(width)]
+
+
+def _leaders_by_full_decoding(code):
+    """Solve and decode every syndrome: the pivot-only solution t xor the
+    codeword unique_decode finds nearest to it."""
+    solver = AffineSolver(code.h, code.n)
+    leaders = {}
+    for d in range(1 << len(code.h)):
+        t = solver.solve(d)
+        leaders[d] = t ^ unique_decode(code, Word(t, code.n)).value
+    return leaders
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every right-hand side AffineSolver.solve is called with."""
+    solved = []
+    solve = AffineSolver.solve
+
+    def recording_solve(self, b):
+        solved.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(AffineSolver, "solve", recording_solve)
+    return solved
+
+
+def test_coset_leaders_match_full_decoding_at_every_shape(monkeypatch, solves):
+    # The table settles every syndrome by the weight walk, solving and
+    # decoding nothing.
+    def no_decode(code, y):
+        raise AssertionError("the leader table decoded a word")
+
+    monkeypatch.setattr(gf2codes, "unique_decode", no_decode)
+    assert not hasattr(probproto, "unique_decode")
+    rng = random.Random(79)
+    shapes = 0
+    for k in range(2, 12):
+        for dim in range(1, k):
+            try:
+                ProbParams(k, 64, Fraction(1, 10), dim)
+            except ContractError:
+                continue
+            shapes += 1
+            for _ in range(3):
+                columns = sample_inner_code(k, dim, rng)
+                fix = coset_leaders(columns, k - dim)
+                assert solves == []
+                assert fix == _leaders_by_full_decoding(LinearCode(k, _transpose(columns, k - dim)))
+                solves.clear()
+    assert shapes == 33
+
+
+def test_coset_leaders_take_the_smaller_word_with_zero_or_repeated_columns(solves):
+    # With a zero or a repeated column the code has distance < 3, and two
+    # weight-1 words can share a syndrome; the smaller one takes it.  A set
+    # of columns that does not span the syndromes comes from dependent rows.
+    rng = random.Random(80)
+    cases = [
+        (3, [1, 2, 4, 0, 3, 3]),
+        (2, [1, 1, 2, 2]),
+        (2, [0, 1, 2, 0]),
+        (3, [3, 1, 2, 3, 0, 5, 4]),
+        (3, [1, 2, 3, 0, 1]),
+    ]
+    while len(cases) < 300:
+        rows = rng.randint(1, 4)
+        columns = [rng.randrange(1 << rows) for _ in range(rng.randint(rows + 1, 11))]
+        if 0 in columns or len(set(columns)) < len(columns):
+            cases.append((rows, columns))
+    checked = dependent = 0
+    for rows, columns in cases:
+        if rank(columns) < rows:
+            with pytest.raises(ContractError, match="dependent"):
+                coset_leaders(columns, rows)
+            dependent += 1
+            continue
+        fix = coset_leaders(columns, rows)
+        assert solves == []
+        assert fix == _leaders_by_full_decoding(LinearCode(len(columns), _transpose(columns, rows)))
+        solves.clear()
+        checked += 1
+    assert checked >= 200 and dependent >= 10
+
+
+def test_leader_table_is_built_once_per_code():
+    # Hamming's parity-check column c is c + 1, so the leader of syndrome
+    # c + 1 is the single error in position c.
+    code = hamming_7_4()
+    assert leader_table(code) is leader_table(code)
+    assert leader_table(code) == {0: 0, **{c + 1: 1 << c for c in range(7)}}
+    for n in range(3, 9):
+        code = random_linear_code(n, 2, random.Random(n))
+        assert leader_table(code) == _leaders_by_full_decoding(code)

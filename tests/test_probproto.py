@@ -13,6 +13,7 @@ from hamsync import gf2codes, probproto
 from hamsync.bitword import Bounds, Word, pack_fields, random_word_within, unpack_fields
 from hamsync.errors import CapabilityError, ContractError, RetryLimitError
 from hamsync.gf2codes import (
+    LEADER_MAX_N,
     AffineSolver,
     LinearCode,
     hamming_7_4,
@@ -26,12 +27,10 @@ from hamsync.gf2k_rs import _pack_lanes, _unpack_lanes, field, rs_correct, rs_ex
 from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.hashing import is_prime
 from hamsync.probproto import (
-    INNER_MAX_K,
     AffinePermutation,
     ProbParams,
     _block_syndromes,
     _columns_from_matrix,
-    _fix_table,
     _gather_plan,
     _matrix_from_columns,
     _relane,
@@ -217,7 +216,7 @@ def _relane_shapes():
     shapes = set()
     for n in (7, 100, 512, 2048):
         p = next_prime_at_least(n)
-        for k in range(2, INNER_MAX_K + 1):
+        for k in range(2, LEADER_MAX_N + 1):
             for dim in range(1, k):
                 try:
                     ProbParams(k, 64, Fraction(1, 10), dim)
@@ -288,9 +287,9 @@ def _slice_count(p, c, e, copies):
 
 
 def _largest_smith_prime():
-    """The largest p that composite_parties accepts: k = INNER_MAX_K and the
+    """The largest p that composite_parties accepts: k = LEADER_MAX_N and the
     fewest extras, s = 2, leave m = ceil(p / k) <= 2^k - 3 blocks."""
-    p = INNER_MAX_K * ((1 << INNER_MAX_K) - 3)
+    p = LEADER_MAX_N * ((1 << LEADER_MAX_N) - 3)
     while not is_prime(p):
         p -= 1
     return p
@@ -317,7 +316,7 @@ def test_gather_plan_stays_within_its_stated_bounds():
     assert sum(slices) <= 6 * len(slices)  # 5.63 slices on average at p = 2053
 
     p = _largest_smith_prime()
-    params = ProbParams(INNER_MAX_K, 2, Fraction(1, 10), 8)
+    params = ProbParams(LEADER_MAX_N, 2, Fraction(1, 10), 8)
     for n in (p, p + 1):
         y = Word(0, n)
         instance = SyncInstance(y, y, Bounds(Fraction(1, 100), n))
@@ -446,7 +445,7 @@ def test_sample_inner_code_distance():
     # [14, 10] always did and [7, 4] often did.
     rng = random.Random(73)
     shapes = 0
-    for k in range(2, INNER_MAX_K + 1):
+    for k in range(2, LEADER_MAX_N + 1):
         for dim in range(1, k):
             try:
                 ProbParams(k, 64, Fraction(1, 10), dim)
@@ -500,9 +499,9 @@ def test_sample_inner_code_support():
 
 
 def test_matrix_packing_matches_the_string_transpose_both_ways():
-    # Every k <= INNER_MAX_K and rows < k, on columns that may repeat or be 0.
+    # Every k <= LEADER_MAX_N and rows < k, on columns that may repeat or be 0.
     rng = random.Random(86)
-    for k in range(2, INNER_MAX_K + 1):
+    for k in range(2, LEADER_MAX_N + 1):
         for rows in range(1, k):
             for columns in (
                 [(1 << rows) - 1] * k,
@@ -584,78 +583,6 @@ def _fix_by_full_decoding(inner):
         t = solver.solve(d)
         fix[d] = t ^ unique_decode(inner, Word(t, inner.n)).value
     return fix
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Every right-hand side AffineSolver.solve is called with."""
-    solved = []
-    solve = AffineSolver.solve
-
-    def recording_solve(self, b):
-        solved.append(b)
-        return solve(self, b)
-
-    monkeypatch.setattr(AffineSolver, "solve", recording_solve)
-    return solved
-
-
-def test_fix_table_matches_full_decoding_at_every_shape(monkeypatch, solves):
-    # The table settles every syndrome by the weight walk, solving and
-    # decoding nothing.
-    def no_decode(code, y):
-        raise AssertionError("the fix table decoded a word")
-
-    monkeypatch.setattr(gf2codes, "unique_decode", no_decode)
-    assert not hasattr(probproto, "unique_decode")
-    rng = random.Random(79)
-    shapes = 0
-    for k in range(2, 12):
-        for dim in range(1, k):
-            try:
-                ProbParams(k, 64, Fraction(1, 10), dim)
-            except ContractError:
-                continue
-            shapes += 1
-            for _ in range(3):
-                columns = sample_inner_code(k, dim, rng)
-                fix = _fix_table(columns, k - dim)
-                assert solves == []
-                assert fix == _fix_by_full_decoding(LinearCode(k, _transpose(columns, k - dim)))
-                solves.clear()
-    assert shapes == 33
-
-
-def test_fix_table_takes_the_smaller_word_with_zero_or_repeated_columns(solves):
-    # With a zero or a repeated column the code has distance < 3, and two
-    # weight-1 words can share a syndrome; the smaller one takes it.  A set
-    # of columns that does not span the syndromes comes from dependent rows.
-    rng = random.Random(80)
-    cases = [
-        (3, [1, 2, 4, 0, 3, 3]),
-        (2, [1, 1, 2, 2]),
-        (2, [0, 1, 2, 0]),
-        (3, [3, 1, 2, 3, 0, 5, 4]),
-        (3, [1, 2, 3, 0, 1]),
-    ]
-    while len(cases) < 300:
-        rows = rng.randint(1, 4)
-        columns = [rng.randrange(1 << rows) for _ in range(rng.randint(rows + 1, 11))]
-        if 0 in columns or len(set(columns)) < len(columns):
-            cases.append((rows, columns))
-    checked = dependent = 0
-    for rows, columns in cases:
-        if rank(columns) < rows:
-            with pytest.raises(ContractError, match="dependent"):
-                _fix_table(columns, rows)
-            dependent += 1
-            continue
-        fix = _fix_table(columns, rows)
-        assert solves == []
-        assert fix == _fix_by_full_decoding(LinearCode(len(columns), _transpose(columns, rows)))
-        solves.clear()
-        checked += 1
-    assert checked >= 200 and dependent >= 10
 
 
 def test_composite_identical_words():

@@ -1,21 +1,29 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hamsync.bitword import Bounds, Word, ball_volume, random_word_within
+from hamsync.bitword import Bounds, Word, ball_volume, hamming_distance, random_word_within
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
+    LEADER_MAX_N,
     AffineSolver,
     LinearCode,
+    extract_message,
     hamming_7_4,
     mat_vec,
+    min_distance,
     random_linear_code,
     syndrome,
+    unique_decode,
 )
 from hamsync.probproto import one_round_prob_sync
 from hamsync.syncdet import (
     SyncInstance,
+    brute_alice,
+    brute_bob,
+    brute_parties,
     brute_sync,
     build_greedy_coloring,
     coloring_oracle_sync,
@@ -26,9 +34,10 @@ from hamsync.syncdet import (
     listdec_sync,
     syndrome_alice,
     syndrome_bob,
+    syndrome_parties,
     syndrome_sync,
 )
-from hamsync.transport import run_protocol
+from hamsync.transport import RECV, run_protocol
 
 
 def test_sync_instance_guards():
@@ -226,3 +235,92 @@ def test_protocols_reuse_the_code_solver(monkeypatch):
         assert listdec_sync(code, 1, inst).recovered == inst.x
         assert one_round_prob_sync(code, 1, inst, 16, rng).recovered == inst.x
     assert built == [7]
+
+
+def _hamming_code(n):
+    """The Hamming code with parity-check columns 1..n: shortened below 15,
+    and distance 3 for every n >= 3."""
+    return LinearCode(n, [sum(((c >> r) & 1) << (c - 1) for c in range(1, n + 1)) for r in range(4)])
+
+
+@pytest.mark.parametrize("parties, length", [(brute_parties, "k"), (syndrome_parties, "n")])
+def test_unique_decoding_is_capped_at_the_leader_table_length(parties, length):
+    # Refused at n = 15 by the parties function itself, before a generator
+    # exists to step; accepted, and exact, at n = 14.
+    for n in (LEADER_MAX_N + 1, LEADER_MAX_N):
+        code = _hamming_code(n)
+        assert (code.n, min_distance(code)) == (n, 3)
+        words = getattr(code, length)
+        rng = random.Random(n)
+        y = Word(rng.getrandbits(words), words)
+        inst = SyncInstance(y.flip([3]), y, Bounds(Fraction(1, words), words))
+        if n > LEADER_MAX_N:
+            with pytest.raises(CapabilityError, match="capped at n <= 14"):
+                parties(code, inst)
+        else:
+            assert run_protocol(*parties(code, inst)).recovered == inst.x
+
+
+def _bob_result(bob, msg):
+    """(recovered, diagnostics) of a Bob generator that receives one message."""
+    assert next(bob) is RECV
+    with pytest.raises(StopIteration) as stop:
+        bob.send(msg)
+    return stop.value.value
+
+
+def _old_syndrome_bob(code, y, radius, msg):
+    """Syndrome's Bob as he was: solve for t, then unique-decode it."""
+    y_prime = coset_representative(code, msg.value, y)
+    z = unique_decode(code, y_prime)
+    weight = hamming_distance(y_prime, z)
+    diag = {"syndrome_bits": msg.n, "decoded_difference_weight": weight}
+    return (None if weight > radius else y_prime ^ y ^ z), diag
+
+
+def _old_brute_bob(code, y, radius, msg):
+    """Brute's Bob as he was: rebuild the received word, unique-decode it."""
+    composed = 0
+    for i, pos in enumerate(code.message_positions):
+        composed |= ((y.value >> i) & 1) << pos
+    for i, pos in enumerate(code.check_positions):
+        composed |= ((msg.value >> i) & 1) << pos
+    received = Word(composed, code.n)
+    z = unique_decode(code, received)
+    diag = {"check_bits": msg.n, "decode_distance": hamming_distance(received, z)}
+    return (None if diag["decode_distance"] > radius else extract_message(code, z)), diag
+
+
+def _assert_bobs_agree(code, pairs):
+    """Both Bobs give what their old selves give on these (x, y) pairs of
+    n-bit words, at every distance: syndrome on (x, y), brute on the low k
+    bits of each."""
+    radius = (min_distance(code) - 1) // 2
+    files = code.k
+    for xv, yv in pairs:
+        x, y = Word(xv, code.n), Word(yv, code.n)
+        msg = syndrome(code, x)
+        new = _bob_result(syndrome_bob(code, y, radius), msg)
+        assert new == _old_syndrome_bob(code, y, radius, msg)
+        x, y = Word(xv % (1 << files), files), Word(yv % (1 << files), files)
+        msg = next(brute_alice(code, x))
+        new = _bob_result(brute_bob(code, y, radius), msg)
+        assert new == _old_brute_bob(code, y, radius, msg)
+
+
+def test_leader_bobs_match_the_decoding_bobs_on_every_hamming_pair():
+    code = hamming_7_4()
+    _assert_bobs_agree(code, itertools.product(range(128), repeat=2))
+
+
+def test_leader_bobs_match_the_decoding_bobs_on_random_codes():
+    rng = random.Random(65)
+    codes = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            code = random_linear_code(n, k, rng)
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(80)]
+            pairs += [(yv ^ (1 << rng.randrange(n)), yv) for _, yv in pairs]
+            _assert_bobs_agree(code, pairs)
+            codes += 1
+    assert codes == 66
