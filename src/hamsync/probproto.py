@@ -79,25 +79,26 @@ def sample_permutation(p: int, rng: Random) -> AffinePermutation:
 def _gather_plan(a: int, p: int) -> tuple[int, int, int]:
     """(c, e, R) for apply_permutation: the step c with e = a*c mod p signed,
     the first among the convergents and semiconvergents of a/p with
-    |e| <= K*c for K = min(64, max(4, 2^17 // p)), and the copies R of the
-    input, 1 + ceil(ceil(p/c) |e| / p), so each class is one slice.
+    |e| <= K*c and c <= sqrt(p), for K = min(64, max(4, 2^17 // p)), and
+    the copies R of the input, 1 + ceil(ceil(p/c) |e| / p).
 
     The walk keeps a step (c0, e0) with e0 > 0 and one (c1, e1) with e1 < 0,
     from (1, a) and (1, a - p), with c0 |e1| + c1 e0 = p.  The one with the
     larger |e| takes the other on up to floor(|e| / |e'|) times, and one
     division finds the first of those steps within K, so there is one turn
     per partial quotient of a/p.  While both steps miss K, p > 2K c0 c1, so
-    c <= ceil(p / (2K)), and then R <= K + 2.
+    a step within K has c <= ceil(p / (2K)), one slice per class and
+    R <= K + 2.
 
-    Past p = 2^15, where K is 4 and ceil(p / (2K)) is p/8 slices, the walk
-    keeps c <= sqrt(p) (below it the plan stays as above).  When the larger
-    step cannot take the other on even once within that, c0 + c1 > sqrt(p),
-    so the other's |e| < p / sqrt(p): that step is taken with R = K + 2, and
-    apply_permutation cuts each class into slices of (K + 1) p // |e|
-    places, fewer than c + |e| / (K + 1) + 1 <= 2 sqrt(p) + 1 slices in all.
+    When the larger step cannot take the other on even once within sqrt(p),
+    c0 + c1 > sqrt(p), so the other's |e| < p / sqrt(p): that step is taken
+    with R = K + 2, and apply_permutation cuts each class into slices of
+    (K + 1) p // |e| places, fewer than c + |e| / (K + 1) + 1 <= 2 sqrt(p) + 1
+    slices in all.  Up to p = 4093 every multiplier finds a step within K
+    before the cap; at p = 32749 the worst one takes 180 slices.
     """
     ratio = min(64, max(4, (1 << 17) // p))
-    most = isqrt(p) if p > 1 << 15 else p
+    most = isqrt(p)
     pos, neg = (1, a), (1, a - p)
     c, e = pos if 2 * a <= p else neg
     while abs(e) > ratio * c:
@@ -126,12 +127,10 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     read the input places from (a*r + a - b - 1) mod p on, stepping by e.
     In R copies of the string in a row, started in the last copy when e < 0,
     a run of up to (R - 1) p // |e| of those places is one slice
-    ext[i : i + cnt*e : e] without a wrap.  Below p = 2^15, _gather_plan
-    picks R so that a run holds a whole class, which bounds the work at
-    c <= ceil(p / (2K)) slices and R*p <= (K + 2)*p bytes copied,
-    K = min(64, max(4, 2^17 // p)): at most 17 slices and 133,445 bytes at
-    p = 2053.  Past 2^15 it keeps the same copy bound and at most
-    2 sqrt(p) + 1 slices.
+    ext[i : i + cnt*e : e] without a wrap.  _gather_plan bounds the work at
+    2 sqrt(p) + 1 slices and R*p <= (K + 2)*p bytes copied,
+    K = min(64, max(4, 2^17 // p)): at p = 2053 each class is one slice, at
+    most 17 in all, and 133,445 bytes.
     """
     if w.n != perm.p:
         raise ContractError(f"word length {w.n} does not match the modulus {perm.p}")
@@ -144,7 +143,7 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
     for r in range(c):
         j, i = r, (a * (r + 1) - perm.b - 1) % p + offset
         cnt = (p - 1 - r) // c + 1
-        while cnt > run:  # past 2^15, a class may take several slices
+        while cnt > run:  # past the sqrt(p) cap, a class may take several slices
             out[j : j + run * c : c] = ext[i : i + run * e : e]
             j, i, cnt = j + run * c, (i - offset + run * e) % p + offset, cnt - run
         out[j::c] = ext[i : i + cnt * e : e]
@@ -201,12 +200,6 @@ def _relane(value: int, count: int, src: int, dst: int) -> int:
             moving = value & mask
             value ^= moving ^ (moving >> shift)
     return value
-
-
-def _split(value: int, count: int, width: int) -> list[int]:
-    """value's count fields of width <= _LANE_BITS bits, low field first:
-    relaned to the RS layer's lanes, then unpacked."""
-    return _unpack_lanes(_relane(value, count, width, _LANE_BITS), count)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +361,16 @@ def sample_inner_code(k: int, dim: int, rng: Random) -> list[int]:
     raise RetryLimitError(f"no full-rank [{k}, {dim}] code in {_INNER_CODE_ATTEMPTS} samples")
 
 
-def _block_syndromes(columns: Sequence[int], value: int, k: int, m: int) -> int:
-    """H times each of the m k-bit blocks of value (block i is bits [ik, ik+k)),
-    packed with syndrome i in bits [ik, ik+k), bit-sliced over H's columns:
-    (value >> b) & lanes keeps bit b of every block at the bottom of its
-    lane, and column b times that adds the column to every block with the
-    bit set; a column is shorter than a lane, so none spills."""
-    lanes = _repunit(m, k)  # bit ik for every i < m
+def _block_syndromes(columns: Sequence[int], lanes: int, m: int) -> int:
+    """H times each of the m blocks in the RS layer's lanes (block i in
+    lane i, as _pack_lanes packs it), with syndrome i in lane i, bit-sliced
+    over H's columns: (lanes >> b) & ones keeps bit b of every block at the
+    bottom of its lane, and column b times that adds the column to every
+    block with the bit set; a column is shorter than a lane, so none spills."""
+    ones = _repunit(m, _LANE_BITS)  # bit 16i for every i < m
     acc = 0
     for b, column in enumerate(columns):
-        acc ^= ((value >> b) & lanes) * column
+        acc ^= ((lanes >> b) & ones) * column
     return acc
 
 
@@ -418,12 +411,12 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     p, m, width_p = _composite_shape(x.n, k, s)
     perm = sample_permutation(p, rng)
     columns = sample_inner_code(k, params.inner_dim, rng)
-    permuted = apply_permutation(perm, Word(x.value, p))
+    lanes = _relane(apply_permutation(perm, Word(x.value, p)).value, m, k, _LANE_BITS)
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
     matrix = _matrix_from_columns(columns, rows)
-    syns = _relane(_block_syndromes(columns, permuted.value, k, m), m, k, rows)
+    syns = _relane(_block_syndromes(columns, lanes, m), m, _LANE_BITS, rows)
     yield Word(matrix | syns << (rows * k), rows * (k + m))
-    extra = rs_extra_evals(field(k), _relane(permuted.value, m, k, _LANE_BITS), m, s)
+    extra = rs_extra_evals(field(k), lanes, m, s)
     yield Word(_relane(extra, s, _LANE_BITS, k), s * k)
     return None
 
@@ -436,14 +429,14 @@ def composite_bob(y: Word, params: ProbParams):
     msg1 = yield RECV
     a_val, b_val = unpack_fields(msg1, [width_p, width_p])
     perm = AffinePermutation(p, a_val, b_val)
-    permuted = apply_permutation(perm, Word(y.value, p)).value
+    lanes = _relane(apply_permutation(perm, Word(y.value, p)).value, m, k, _LANE_BITS)
 
     matrix, syns = unpack_fields((yield RECV), [rows * k, rows * m])
     columns = _columns_from_matrix(matrix, rows, k)
     fix = coset_leaders(columns, rows)
-    sent = _relane(syns, m, rows, k)
-    diffs = _split(sent ^ _block_syndromes(columns, permuted, k, m), m, k)
-    estimates = _relane(permuted, m, k, _LANE_BITS) ^ _pack_lanes([fix[d] for d in diffs])
+    sent = _relane(syns, m, rows, _LANE_BITS)
+    diffs = _unpack_lanes(sent ^ _block_syndromes(columns, lanes, m), m)
+    estimates = lanes ^ _pack_lanes([fix[d] for d in diffs])
 
     (extra,) = unpack_fields((yield RECV), [s * k])
     received = estimates | _relane(extra, s, k, _LANE_BITS) << (m * _LANE_BITS)
@@ -459,14 +452,14 @@ def composite_bob(y: Word, params: ProbParams):
     }
     if fixed is None:
         return None, {**diag, "rs_failure": True}
-    corrected = _relane(fixed, m, _LANE_BITS, k)
-    if corrected >> p:
-        return None, {**diag, "padding_violation": True}
     # A bit permutation is linear over xor, so x is y plus the inverse image
-    # of what the correction changed in y's permuted word.
+    # of what the correction changed in y's permuted word, whose padding is 0.
+    changed = _relane(fixed ^ lanes, m, _LANE_BITS, k)
+    if changed >> p:
+        return None, {**diag, "padding_violation": True}
     a_inv = pow(a_val, -1, p)
     inverse = AffinePermutation(p, a_inv, -a_inv * b_val % p)
-    flips = apply_permutation(inverse, Word(corrected ^ permuted, p)).value
+    flips = apply_permutation(inverse, Word(changed, p)).value
     if flips >> y.n:
         return None, {**diag, "padding_violation": True}
     return Word(y.value ^ flips, y.n), diag

@@ -286,12 +286,13 @@ def tcp_connect(host: str, port: int) -> TcpEnd:
     # waits out the kernel's SYN retries (minutes each), so the attempts
     # share _IO_TIMEOUT_S between them.
     timeout = _IO_TIMEOUT_S / _CONNECT_ATTEMPTS
-    for _ in range(_CONNECT_ATTEMPTS):
+    for attempt in range(_CONNECT_ATTEMPTS):
+        if attempt:
+            time.sleep(_CONNECT_DELAY_S)
         try:
             return TcpEnd(socket.create_connection((host, port), timeout=timeout))
         except OSError as exc:
             last = exc
-            time.sleep(_CONNECT_DELAY_S)
     raise TransportError(f"cannot connect to {host}:{port}: {last}")
 
 

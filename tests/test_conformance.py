@@ -1,5 +1,7 @@
 """Conformance properties.  (a): every protocol refuses parameters outside
-its limits before a party takes a step.  (c): the transcript's bit count
+its limits before a party takes a step.  (b): on pairs that keep the
+promise, every protocol but problist and smith recovers x exactly, and
+problist recovers x or reports failure.  (c): the transcript's bit count
 equals the closed form the protocol's docstring states, for all nine.  (d):
 run_party over a socketpair TcpEnd gives what run_protocol gives, for smith
 on drawn parameters and for the other eight on their harness cases.
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamsync import transport
+from hamsync import harness, transport
 from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, random_word_within
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import LEADER_MAX_N, hamming_7_4, random_linear_code
@@ -219,6 +221,37 @@ def _smith_run(draw):
     return instance, ProbParams(k, s, Fraction(1, 4), inner_dim), rng.getrandbits(32)
 
 
+# Protocols that never guess: with the promise kept they recover x exactly.
+# problist may also report a hash collision; smith waits for its
+# silent-error fix.
+_NEVER_GUESS = ("naive", "brute", "syndrome", "listdec", "coloring", "nba", "multinba")
+
+
+@pytest.mark.parametrize("protocol", [*_NEVER_GUESS, "problist"])
+@given(data=st.data())
+def test_promise_pairs_end_in_recovery_or_a_reported_failure(protocol, data):
+    # (b): n, alpha and the parameters inside the limits, and pairs at
+    # distance exactly floor(alpha n) or at a drawn distance below it.  nba
+    # and multinba have no distance: Alice's words are in Bob's set.
+    n, alpha, params = data.draw(LIMITS[protocol][0](None))
+    radius = Bounds(alpha, n).radius
+    distance = data.draw(st.just(radius) | st.integers(0, radius))
+
+    def at_distance(y, r, rng):
+        assert r == radius
+        return y.flip(rng.sample(range(y.n), distance))
+
+    seed = data.draw(st.integers(0, 1 << 16))
+    with mock.patch.object(harness, "random_word_within", at_distance):
+        cases = _harness_cases(protocol, n, alpha, 8, seed, params)
+    for case in cases:
+        out = run_protocol(case.alice, case.bob)
+        if protocol in _NEVER_GUESS:
+            assert out.recovered == case.truth
+        else:
+            assert out.recovered in (case.truth, None)
+
+
 @given(run=_smith_run())
 def test_smith_sends_its_closed_form_bit_count(run):
     instance, params, seed = run
@@ -263,11 +296,13 @@ def test_coloring_sends_the_bits_of_its_color_count(data):
     assert out.transcript.total_bits == (colors - 1).bit_length()  # ceil(log2(colors))
 
 
-def _harness_cases(protocol, n, alpha, trials, seed):
-    """The harness's trial cases for protocol at its default parameters."""
+def _harness_cases(protocol, n, alpha, trials, seed, params=None):
+    """The harness's trial cases for protocol at these parameters over its
+    defaults."""
     spec = PROTOCOLS[protocol]
     cfg = ExperimentConfig(protocol=protocol, n=n, alpha=alpha, trials=trials, seed=seed)
-    return list(spec.build(cfg, Bounds(alpha, n), dict(spec.default_params), Random(seed)))
+    params = {**spec.default_params, **(params or {})}
+    return list(spec.build(cfg, Bounds(alpha, n), params, Random(seed)))
 
 
 @given(data=st.data())

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -34,7 +35,6 @@ from hamsync.probproto import (
     _gather_plan,
     _matrix_from_columns,
     _relane,
-    _split,
     apply_permutation,
     composite_alice,
     composite_bob,
@@ -185,23 +185,8 @@ def test_next_prime_at_least():
         next_prime_at_least(1)
 
 
-def test_split_blocks_reassemble():
-    rng = random.Random(66)
-    for _ in range(100):
-        n = rng.randint(1, 60)
-        k = rng.randint(1, 12)
-        w = Word(rng.getrandbits(n), n)
-        blocks = _split(w.value, -(-n // k), k)
-        assert len(blocks) == -(-n // k)
-        acc = 0
-        for i, blk in enumerate(blocks):
-            assert 0 <= blk < (1 << k)
-            acc |= blk << (i * k)
-        assert acc == w.value  # padding bits are zero
-
-
 def _blocks_by_shifts(value, count, k):
-    """The per-field shift loop that _split replaced."""
+    """value's count fields of k bits, low field first, one shift each."""
     return [(value >> (i * k)) & ((1 << k) - 1) for i in range(count)]
 
 
@@ -224,7 +209,7 @@ def _relane_shapes():
                     continue
                 m, rows = -(-p // k), k - dim
                 counts = [1, 2, 3, m, rows] + [s for s in (2, 64) if m + s < 1 << k]
-                for src, dst in ((k, rows), (k, 16)):
+                for src, dst in ((k, 16), (16, k), (rows, 16), (16, rows)):
                     shapes.update((count, src, dst) for count in counts)
     return sorted(shapes)
 
@@ -245,17 +230,6 @@ def test_relane_matches_the_field_loop_both_ways():
             assert _relane(moved, count, dst, src) == value
 
 
-def test_split_matches_the_shift_loop():
-    rng = random.Random(82)
-    for k in (1, 2, 9, 11, 14, 16):
-        for n in (1, k - 1, k, k + 1, 7, 100, 2053, rng.randint(1, 3000)):
-            if n < 1:
-                continue
-            count = -(-n // k)
-            for value in (0, (1 << n) - 1, rng.getrandbits(n)):
-                assert _split(value, count, k) == _blocks_by_shifts(value, count, k)
-
-
 def test_inverse_gather_undoes_the_gather():
     # Bob undoes the permutation by gathering with the inverse map, on
     # differences that are mostly sparse.
@@ -272,10 +246,10 @@ def test_inverse_gather_undoes_the_gather():
 
 
 def _gather_bound(p):
-    """apply_permutation's stated ratio K, and its slice and copy bounds."""
+    """apply_permutation's stated ratio K, and its slice and copy bounds,
+    which hold at every p."""
     ratio = min(64, max(4, (1 << 17) // p))
-    most_slices = -(-p // (2 * ratio)) if p < 1 << 15 else 2 * math.isqrt(p) + 1
-    return ratio, most_slices, ratio + 2
+    return ratio, 2 * math.isqrt(p) + 1, ratio + 2
 
 
 def _slice_count(p, c, e, copies):
@@ -299,21 +273,68 @@ def _check_plan(a, p):
     ratio, most_slices, most_copies = _gather_bound(p)
     c, e, copies = _gather_plan(a, p)
     assert (a * c - e) % p == 0
-    if p < 1 << 15:
-        assert abs(e) <= ratio * c  # one slice per class
     slices = _slice_count(p, c, e, copies)
     assert c <= slices <= most_slices
     assert copies <= most_copies  # R*p <= (K + 2)*p bytes copied
     return slices
 
 
+@functools.lru_cache(maxsize=None)
+def _slices_by_multiplier(p):
+    """a -> the slices of a's plan, for every multiplier, each plan checked
+    against the bounds."""
+    return {a: _check_plan(a, p) for a in range(1, p)}
+
+
+def _uncapped_gather_plan(a, p):
+    """_gather_plan as it was when it capped the step at sqrt(p) only past
+    p = 2^15, and below that walked on until a step within K."""
+    ratio = min(64, max(4, (1 << 17) // p))
+    most = math.isqrt(p) if p > 1 << 15 else p
+    pos, neg = (1, a), (1, a - p)
+    c, e = pos if 2 * a <= p else neg
+    while abs(e) > ratio * c:
+        (c0, e0), (dc, de) = (pos, neg) if pos[1] > -neg[1] else (neg, pos)
+        i = min(abs(e0) // abs(de), -(-(abs(e0) - ratio * c0) // (abs(de) + ratio * dc)))
+        if c0 + i * dc > most:
+            i = (most - c0) // dc
+            if not i:
+                return dc, de, ratio + 2
+        c, e = c0 + i * dc, e0 + i * de
+        if e > 0:
+            pos = (c, e)
+        else:
+            neg = (c, e)
+    span = -(-p // c) * abs(e)
+    return c, e, 1 + -(-span // p)
+
+
+@pytest.mark.parametrize("p", [521, 2053, 4093])
+def test_gather_plan_is_unchanged_up_to_4093(p):
+    # The sqrt(p) cap never binds here, so smith-stress (p = 521) and
+    # smith-2048 (p = 2053) gather with the plans the uncapped walk gave.
+    assert all(_gather_plan(a, p) == _uncapped_gather_plan(a, p) for a in range(1, p))
+
+
+def test_gather_plan_first_changes_at_4099():
+    changed = [a for a in range(1, 4099) if _gather_plan(a, 4099) != _uncapped_gather_plan(a, 4099)]
+    assert changed
+    for a in changed:
+        assert _check_plan(a, 4099) < _slice_count(4099, *_uncapped_gather_plan(a, 4099))
+
+
 def test_gather_plan_stays_within_its_stated_bounds():
     # A count, not a timing: the step rule must keep the slices and the
     # copied bytes inside apply_permutation's docstring bounds.
     for p in (521, 2053):
-        slices = [_check_plan(a, p) for a in range(1, p)]
-    assert _gather_bound(2053) == (63, 17, 65)
-    assert sum(slices) <= 6 * len(slices)  # 5.63 slices on average at p = 2053
+        ratio = _gather_bound(p)[0]
+        slices = _slices_by_multiplier(p)
+        # every class is one slice, and there are at most ceil(p / 2K)
+        assert all(count == _gather_plan(a, p)[0] for a, count in slices.items())
+        assert max(slices.values()) <= -(-p // (2 * ratio))
+    assert _gather_bound(2053) == (63, 91, 65)
+    assert max(slices.values()) == 17
+    assert sum(slices.values()) <= 6 * len(slices)  # 5.63 slices on average at p = 2053
 
     p = _largest_smith_prime()
     params = ProbParams(LEADER_MAX_N, 2, Fraction(1, 10), 8)
@@ -339,27 +360,34 @@ def test_gather_plan_bounds_every_multiplier_past_2_15():
     # Past 2^15 a class may take several slices, so that no multiplier
     # needs more than 2 sqrt(p) + 1; the step-only rule took 3,642 at a = 5.
     p = 32771
-    slices = {a: _check_plan(a, p) for a in range(1, p)}
+    slices = _slices_by_multiplier(p)
     assert slices[5] < 200
     assert max(slices.values()) <= 2 * math.isqrt(p) + 1
-    # Below 2^15 every class stays one slice.
-    assert all(_check_plan(a, 32749) == _gather_plan(a, 32749)[0] for a in range(1, 32749, 7))
+    # Just below 2^15 the same bound holds: the uncapped walk took 3,639
+    # slices at the worst multiplier of 32749.
+    assert max(_slices_by_multiplier(32749).values()) == 180
+
+
+@pytest.mark.parametrize("p, worst, uncapped", [(8209, 90, 265), (16411, 128, 1095)])
+def test_gather_plan_bounds_every_multiplier_below_2_15(p, worst, uncapped):
+    slices = _slices_by_multiplier(p)
+    assert max(slices.values()) == worst <= 2 * math.isqrt(p) + 1
+    assert max(_slice_count(p, *_uncapped_gather_plan(a, p)) for a in range(1, p)) == uncapped
 
 
 def test_split_gather_matches_the_map_at_the_worst_multipliers():
-    p = 32771
     rng = random.Random(85)
-    plans = {a: _gather_plan(a, p) for a in range(1, p)}
-    counts = {a: _slice_count(p, *plan) for a, plan in plans.items()}
-    worst = sorted(counts, key=counts.get)[-3:]
-    split = [a for a, (c, _, _) in plans.items() if c < counts[a]][:3]
-    assert split  # some classes do take more than one slice
-    for a in [5, p - 5, *worst, *split]:
-        for b in (0, rng.randrange(p)):
-            perm, w = AffinePermutation(p, a, b), Word(rng.getrandbits(p), p)
-            out = apply_permutation(perm, w)
-            assert out == _gather_bit_by_bit(perm, w)
-            assert apply_permutation(inverse(perm), out) == w
+    for p in (16411, 32749, 32771):
+        counts = _slices_by_multiplier(p)
+        worst = sorted(counts, key=counts.get)[-3:]
+        split = [a for a, count in counts.items() if _gather_plan(a, p)[0] < count][:3]
+        assert split  # some classes do take more than one slice
+        for a in [5, p - 5, *worst, *split]:
+            for b in (0, rng.randrange(p)):
+                perm, w = AffinePermutation(p, a, b), Word(rng.getrandbits(p), p)
+                out = apply_permutation(perm, w)
+                assert out == _gather_bit_by_bit(perm, w)
+                assert apply_permutation(inverse(perm), out) == w
 
 
 def test_one_round_unique_list_always_succeeds():
@@ -522,11 +550,9 @@ def test_block_syndromes_match_per_block_products():
         masks = tuple(rng.getrandbits(k) for _ in range(rows))
         n = rng.randint(1, 300)  # n % k != 0 leaves a zero-padded last block
         w = Word(rng.getrandbits(n), n)
-        blocks = _split(w.value, -(-n // k), k)
-        packed = _block_syndromes(_transpose(masks, k), w.value, k, len(blocks))
-        assert _split(packed, len(blocks), k) == [
-            mat_vec(masks, blk) for blk in blocks
-        ]
+        blocks = _blocks_by_shifts(w.value, -(-n // k), k)
+        packed = _block_syndromes(_transpose(masks, k), _pack_lanes(blocks), len(blocks))
+        assert _unpack_lanes(packed, len(blocks)) == [mat_vec(masks, blk) for blk in blocks]
 
 
 _SMALL_SHAPES = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (6, 2), (5, 3)]
@@ -625,8 +651,8 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
         perm = sample_permutation(p, replay)
         inner = _inner_code(params.k, params.inner_dim, replay)
         m = -(-p // params.k)
-        xb = _split(apply_permutation(perm, Word(x.value, p)).value, m, params.k)
-        yb = _split(apply_permutation(perm, Word(y.value, p)).value, m, params.k)
+        xb = _blocks_by_shifts(apply_permutation(perm, Word(x.value, p)).value, m, params.k)
+        yb = _blocks_by_shifts(apply_permutation(perm, Word(y.value, p)).value, m, params.k)
         solver = AffineSolver(inner.h, params.k)
         wrong = 0
         for xv, yv in zip(xb, yb):

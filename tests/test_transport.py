@@ -3,8 +3,11 @@ import struct
 import threading
 import time
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hamsync import transport
 from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, pack_fields
@@ -366,6 +369,79 @@ def test_frame_length_checked_before_payload(nbits):
         sender.close()
 
 
+def _frame(draw):
+    """One frame: a bit count, sometimes outside [1, MAX_WORD_BITS], and for
+    a count inside it a whole payload, whose padding bits may be set."""
+    small = st.integers(1, 80)
+    nbits = draw(small | st.sampled_from([0, MAX_WORD_BITS, MAX_WORD_BITS + 1, (1 << 32) - 1]))
+    size = (nbits + 7) // 8
+    if not 1 <= nbits <= MAX_WORD_BITS:
+        payload = draw(st.binary(max_size=8))
+    elif size <= 10:
+        payload = draw(st.binary(min_size=size, max_size=size))
+    else:
+        payload = bytes([draw(st.integers(0, 255))]) * size
+    return struct.pack(">I", nbits) + payload
+
+
+@st.composite
+def _frame_streams(draw):
+    """Frames in a row, perhaps cut anywhere, so a header or a payload may
+    end short, then perhaps a few bytes of junk."""
+    stream = b"".join(_frame(draw) for _ in range(draw(st.integers(0, 4))))
+    stream = stream[: draw(st.just(len(stream)) | st.integers(0, len(stream)))]
+    return stream + draw(st.binary(max_size=6))
+
+
+def _parse_frames(stream):
+    """The words a reader of the frame format gets from stream before its
+    first frame that is short or has a bit count outside [1, MAX_WORD_BITS]."""
+    words, at = [], 0
+    while len(stream) - at >= 4:
+        (nbits,) = struct.unpack_from(">I", stream, at)
+        size = (nbits + 7) // 8
+        if not 1 <= nbits <= MAX_WORD_BITS or len(stream) - at - 4 < size:
+            break
+        value = int.from_bytes(stream[at + 4 : at + 4 + size], "little")
+        words.append(Word(value & ((1 << nbits) - 1), nbits))
+        at += 4 + size
+    return words
+
+
+@given(stream=_frame_streams())
+def test_recv_bits_reads_any_byte_stream_or_raises_transport_error(stream):
+    # The peer writes the stream and closes, so every receive ends at once:
+    # with the next word, or with TransportError once the stream runs out or
+    # turns bad.  Any other exception fails the test.
+    sender, receiver = socket.socketpair()
+    with mock.patch.object(transport, "_IO_TIMEOUT_S", 5.0):
+        end = TcpEnd(receiver)
+
+    def send():
+        try:
+            sender.sendall(stream)
+        except OSError:
+            pass  # the receiver stopped at a bad frame and closed
+        finally:
+            sender.close()
+
+    t = threading.Thread(target=send)
+    t.start()
+    try:
+        for expected in [*_parse_frames(stream), None]:
+            start = time.monotonic()
+            if expected is None:
+                with pytest.raises(TransportError):
+                    end.recv_bits()
+            else:
+                assert end.recv_bits() == expected
+            assert time.monotonic() - start < 5.0  # no receive waits out its timeout
+    finally:
+        end.close()
+        t.join(timeout=10)
+    assert not t.is_alive()
+
+
 def test_stalled_peer_times_out(monkeypatch):
     monkeypatch.setattr(transport, "_IO_TIMEOUT_S", 0.2)
     silent, receiver = socket.socketpair()
@@ -422,6 +498,21 @@ def test_connect_to_a_silent_listener_times_out(monkeypatch):
                 item.close()
         filler.close()
         listener.close()
+
+
+def test_refused_connect_sleeps_only_between_attempts(monkeypatch):
+    monkeypatch.setattr(transport, "_CONNECT_ATTEMPTS", 3)
+    sleeps = []
+    monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+    # A bound socket that does not listen refuses every connect to its port.
+    closed = socket.socket()
+    closed.bind(("127.0.0.1", 0))
+    try:
+        with pytest.raises(TransportError, match="cannot connect"):
+            tcp_connect("127.0.0.1", closed.getsockname()[1])
+    finally:
+        closed.close()
+    assert sleeps == [transport._CONNECT_DELAY_S] * 2
 
 
 def test_bad_channel_specs():
