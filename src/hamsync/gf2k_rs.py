@@ -12,6 +12,12 @@ there is none.  Both directions need one field element outside the point
 set, so m + s < 2^k.  Both take and return values packed in the 16-bit
 lanes of one int (_pack_lanes), as the composite protocol holds its blocks.
 
+The encoder, the syndromes and the root scan each multiply a vector by a
+column table cached per size (_table_map).  Where the table's 2^k slot
+masks fit _SLOT_MASK_BYTES (small k and few lanes, as at n = 512, s = 2)
+that product is one pass over columns widened to k slots (_slot_map);
+otherwise (as at n = 2048, s = 64) it is k bit-sliced passes (_lane_map).
+
 Neither direction checks its arguments.  Its one caller, the composite
 protocol, refuses m + s >= 2^k in composite_parties before a run starts,
 and cuts every value it passes from a k-bit field, so each is a field
@@ -24,7 +30,7 @@ import sys
 from array import array
 from functools import lru_cache, reduce
 from itertools import compress
-from operator import xor
+from operator import and_, xor
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError
@@ -122,22 +128,49 @@ def _lane_map(fld: Field, values: int, columns: Sequence[int], lanes: int) -> in
     the same way.
 
     Bit b of the values selects the columns xored into a partial sum P_b,
-    and Horner's rule in x joins them, sum_b x^b P_b, with a lane-wise
-    multiply-by-x; only the k partial sums and k - 1 multiplies run as
-    Python steps, each on whole words.
+    and _horner joins them; only the k partial sums and k - 1 multiplies
+    run as Python steps, each on whole words.  This is the bit-sliced
+    kernel: it pays k passes over the columns whatever the lane count, so
+    _table keeps a cached table for it only where _slot_map's masks would
+    not fit.
 
-    The encoder, the syndromes and the root scan cache their columns per
-    size: at (k, m, s) the encoder holds m*s lanes, the syndromes (m+s)*s
-    and the root scan (floor(s/2)+1)*(m+s), two bytes each.  At n=2048
-    (k=11, m=187, s=64) that is 24 + 32 + 17 KB.  Berlekamp-Massey cuts
-    its columns from the syndromes on each call.
+    At (k, m, s) the encoder's table holds m*s lanes, the syndromes'
+    (m+s)*s and the root scan's (floor(s/2)+1)*(m+s), two bytes each, k
+    times over where _table widens them for _slot_map.  At n=2048 (k=11,
+    m=187, s=64) that is 24 + 32 + 17 KB, all bit-sliced.  At n=512 (k=9,
+    m=58, s=2) the encoder and the syndromes take _slot_map, 2.1 + 2.2 KB
+    widened plus 18 KiB of masks they share; the root scan, whose masks
+    would take 540 KiB, never runs there, since every locator at s=2 has
+    degree 1.  Berlekamp-Massey cuts its columns from the syndromes on each
+    call and always takes this kernel.
     """
-    k = fld.k
     raw = values.to_bytes(2 * len(columns), "little")
     partial = [
         reduce(xor, compress(columns, raw[b >> 3 :: 2].translate(_BIT_OF[b & 7])), 0)
-        for b in range(k)
+        for b in range(fld.k)
     ]
+    return _horner(fld, partial, lanes)
+
+
+def _slot_map(
+    fld: Field, values: int, wide: Sequence[int], masks: Sequence[int], lanes: int
+) -> int:
+    """_lane_map's sums in one pass: each column comes widened to k slots of
+    `lanes` lanes (column * _slot_repunit), and masks[v] keeps slot b
+    exactly when bit b of v is set (_slot_masks).  So the xor of the masked
+    columns holds every partial sum P_b in slot b at once, and _horner
+    joins the k slots.
+    """
+    width = lanes * _LANE_BITS
+    picks = map(masks.__getitem__, _lane_array(values.to_bytes(2 * len(wide), "little")))
+    total = reduce(xor, map(and_, wide, picks), 0)
+    slot = (1 << width) - 1
+    return _horner(fld, [total >> (b * width) & slot for b in range(fld.k)], lanes)
+
+
+def _horner(fld: Field, partial: Sequence[int], lanes: int) -> int:
+    """sum_b x^b partial[b] lane-wise, by Horner's rule in x."""
+    k = fld.k
     top = int.from_bytes(b"\x01\x00" * lanes, "little") << (k - 1)
     reduction = fld.modulus ^ fld.size  # x^k in the field
     acc = 0
@@ -146,6 +179,54 @@ def _lane_map(fld: Field, values: int, columns: Sequence[int], lanes: int) -> in
         high = acc & top
         acc = ((acc ^ high) << 1) ^ (high >> (k - 1)) * reduction ^ part
     return acc
+
+
+# The most bytes a slot-mask table may take, counted as 2^k masks of
+# k*lanes two-byte lanes.  At n = 512's k = 9, s = 2 that is 18 KiB; at
+# n = 2048's k = 11, s = 64 it would be 2.75 MiB, enough to move a run's
+# peak memory, so that shape stays bit-sliced.
+_SLOT_MASK_BYTES = 1 << 16
+
+# A column table as its kernel takes it (_table): plain columns and None,
+# or widened columns and their slot masks.
+_Table = tuple[tuple[int, ...], Optional[tuple[int, ...]]]
+
+
+def _slot_repunit(k: int, lanes: int) -> int:
+    """A column times this holds the column in each of k slots of `lanes` lanes."""
+    return sum(1 << (b * lanes * _LANE_BITS) for b in range(k))
+
+
+@lru_cache(maxsize=None)
+def _slot_masks(k: int, lanes: int) -> tuple[int, ...]:
+    """masks[v] has all bits of slot b set for each set bit b of v < 2^k,
+    a slot being `lanes` lanes."""
+    width = lanes * _LANE_BITS
+    ones = (1 << width) - 1
+    masks = [0]
+    for b in range(k):
+        slot = ones << (b * width)
+        masks += [mask | slot for mask in masks]
+    return tuple(masks)
+
+
+def _table(k: int, lanes: int, columns: Iterable[int]) -> _Table:
+    """A cached column table in the form its kernel takes: the columns
+    widened to k slots and their slot masks for _slot_map when those masks
+    fit _SLOT_MASK_BYTES, and otherwise the columns as they are with None."""
+    if (1 << k) * k * lanes * 2 > _SLOT_MASK_BYTES:
+        return tuple(columns), None
+    repunit = _slot_repunit(k, lanes)
+    return tuple(column * repunit for column in columns), _slot_masks(k, lanes)
+
+
+def _table_map(fld: Field, values: int, table: _Table, lanes: int) -> int:
+    """The product of the lane values with a table from _table, packed as
+    _lane_map packs it, by the kernel the table was built for."""
+    columns, masks = table
+    if masks is None:
+        return _lane_map(fld, values, columns, lanes)
+    return _slot_map(fld, values, columns, masks, lanes)
 
 
 def _log_vanishing(fld: Field, npoints: int, xs: Iterable[int]) -> list[int]:
@@ -183,44 +264,50 @@ def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _encoder_columns(k: int, m: int, s: int) -> tuple[int, ...]:
-    """Column i packs the Lagrange basis value L_i(a) = M(a) w_i / (a - i) at
-    the extra points a = m..m+s-1, with M(x) = prod_{j < m} (x - j)."""
+def _encoder_columns(k: int, m: int, s: int) -> _Table:
+    """The _table whose column i packs the Lagrange basis value
+    L_i(a) = M(a) w_i / (a - i) at the extra points a = m..m+s-1, with
+    M(x) = prod_{j < m} (x - j)."""
     fld = field(k)
     order = fld.size - 1
     exp, log = fld.exp, fld.log
     # -log w_i for i < m, log M(a) for a >= m
     vanishing = _log_vanishing(fld, m, range(m + s))
-    return tuple(
+    columns = (
         _pack_lanes(
             [exp[(vanishing[a] - vanishing[i] - log[a ^ i]) % order] for a in range(m, m + s)]
         )
         for i in range(m)
     )
+    return _table(k, s, columns)
 
 
 @lru_cache(maxsize=None)
-def _syndrome_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
-    """Column i packs w_i X_i^j for j < s, with the locator X_i = i + npoints."""
+def _syndrome_columns(k: int, npoints: int, s: int) -> _Table:
+    """The _table whose column i packs w_i X_i^j for j < s, with the
+    locator X_i = i + npoints."""
     fld = field(k)
     order = fld.size - 1
     exp, log = fld.exp, fld.log
-    return tuple(
+    columns = (
         _pack_lanes([exp[(log[w] + j * log[i ^ npoints]) % order] for j in range(s)])
         for i, w in enumerate(_barycentric_weights(k, npoints))
     )
+    return _table(k, s, columns)
 
 
 @lru_cache(maxsize=None)
-def _root_columns(k: int, npoints: int, s: int) -> tuple[int, ...]:
-    """Column t packs X_i^-t over the points i < npoints, for t <= floor(s/2)."""
+def _root_columns(k: int, npoints: int, s: int) -> _Table:
+    """The _table whose column t packs X_i^-t over the points i < npoints,
+    for t <= floor(s/2)."""
     fld = field(k)
     order = fld.size - 1
     exp, log = fld.exp, fld.log
-    return tuple(
+    columns = (
         _pack_lanes([exp[-t * log[i ^ npoints] % order] for i in range(npoints)])
         for t in range(s // 2 + 1)
     )
+    return _table(k, npoints, columns)
 
 
 def rs_extra_evals(fld: Field, blocks: int, m: int, s: int) -> int:
@@ -228,7 +315,7 @@ def rs_extra_evals(fld: Field, blocks: int, m: int, s: int) -> int:
     (i, b_i), for the m blocks b_i in the lanes of blocks (see _pack_lanes):
     f(a) = sum_i b_i L_i(a) over the Lagrange basis, packed in s lanes.
     Relies on 1 <= m, m + s < 2^k and field-element blocks (module docstring)."""
-    return _lane_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
+    return _table_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
 
 
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
@@ -290,6 +377,19 @@ def _eval_at(fld: Field, coeffs: Sequence[int], log_x: int) -> int:
     return acc
 
 
+def _error_positions(fld: Field, lam: Sequence[int], n_points: int, s: int) -> list[int]:
+    """The points i < n_points at whose 1/X_i the locator lam vanishes, by
+    one _table_map over the points.  A degree-1 locator 1 + lambda_1 x needs
+    no scan: it vanishes at 1/X_i exactly when X_i = i ^ n_points = lambda_1,
+    so its one candidate is i = lambda_1 ^ n_points, a point when below
+    n_points."""
+    if len(lam) == 2:
+        i = lam[1] ^ n_points
+        return [i] if i < n_points else []
+    at_points = _table_map(fld, _pack_lanes(lam), _root_columns(fld.k, n_points, s), n_points)
+    return [i for i, v in enumerate(_unpack_lanes(at_points, n_points)) if not v]
+
+
 def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
     """Recover the m block values from a corrupted copy plus s redundancy
     values, treating all m+s positions as potentially wrong.  values packs
@@ -305,9 +405,10 @@ def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
     The syndromes are S_j = sum_i w_i r_i X_i^j for j < s over all N = m+s
     points, with the barycentric weights w_i of the N points and the
     locators X_i = i + N, which are nonzero because N is not a point.
-    Berlekamp-Massey finds the error locator Lambda of length L, a scan over
-    the N points its roots, and Forney's formula the values w_i e_i.  The
-    syndromes and the root scan are one _lane_map each.  Berlekamp-Massey
+    Berlekamp-Massey finds the error locator Lambda of length L,
+    _error_positions its roots (a scan over the N points, or in closed form
+    when L = 1, as at s = 2), and Forney's formula the values w_i e_i.  The
+    syndromes and the root scan are one _table_map each.  Berlekamp-Massey
     takes its steps one at a time, O(L) table steps each, until 2L <= n and
     a discrepancy is 0, then checks every later step in one _lane_map, one
     more for each nonzero discrepancy it resumes at.  Forney takes O(L^2)
@@ -318,7 +419,7 @@ def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
     """
     n_points = m + s
     received = values & ((1 << (m * _LANE_BITS)) - 1)
-    packed = _lane_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
+    packed = _table_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
     if not packed:
         return received
     syndromes = _unpack_lanes(packed, s)
@@ -326,9 +427,7 @@ def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
     lam, length = _berlekamp_massey(fld, syndromes)
     if 2 * length > s:
         return None
-    # Position i is wrong exactly when the locator vanishes at 1/X_i.
-    at_points = _lane_map(fld, _pack_lanes(lam), _root_columns(fld.k, n_points, s), n_points)
-    positions = [i for i, v in enumerate(_unpack_lanes(at_points, n_points)) if not v]
+    positions = _error_positions(fld, lam, n_points, s)
     if len(positions) != length:
         return None
 

@@ -297,8 +297,13 @@ def tcp_connect(host: str, port: int) -> TcpEnd:
 
 
 def host_port(address: str) -> tuple[str, int]:
-    """Split a ``HOST:PORT`` address; the port must be a number in [0, 65535]."""
+    """Split a ``HOST:PORT`` address; the port must be a number in [0, 65535].
+    An IPv6 host may come in one pair of brackets, ``[::1]:8000``, which
+    are dropped; any other bracket is refused."""
     host, sep, port_text = address.rpartition(":")
-    if sep and port_text.isdecimal() and int(port_text) <= 0xFFFF:
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    balanced = "[" not in host and "]" not in host
+    if sep and balanced and port_text.isdecimal() and int(port_text) <= 0xFFFF:
         return host, int(port_text)
-    raise ContractError(f"bad address {address!r}; want HOST:PORT")
+    raise ContractError(f"bad address {address!r}; want HOST:PORT or [IPV6]:PORT")

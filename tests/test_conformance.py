@@ -64,17 +64,30 @@ def _value(draw, pushed, name, inside, edges):
     return draw(st.sampled_from(edges) if pushed == name else inside)
 
 
-def _rate(draw, pushed, hi=HALF, past=HALF + STEP):
-    """alpha drawn from [0, hi], or when pushed one of -STEP, 0, hi and past,
+@st.composite
+def _alpha(draw, n, hi=HALF):
+    """alpha in [0, hi] in fractions of denominator at most 64, drawn so
+    that floor(alpha n) is mostly at least 1: from the least 64th with
+    radius 1 up to hi, or 0 when a drawn integer in [0, 7] is 7 (or no 64th
+    up to hi reaches radius 1).  Hypothesis favours a range's lowest value
+    (about a third of these draws), so radius 0 is the top value of its own
+    integer draw rather than the lowest alpha."""
+    radius_one = Fraction(-(-64 // max(n, 1)), 64)
+    if radius_one > hi or draw(st.integers(0, 7)) == 7:
+        return Fraction(0)
+    return draw(st.fractions(radius_one, hi, max_denominator=64))
+
+
+def _rate(draw, pushed, n, hi=HALF, past=HALF + STEP):
+    """alpha drawn by _alpha, or when pushed one of -STEP, 0, hi and past,
     the first value outside at the top."""
-    inside = st.fractions(0, hi, max_denominator=64)
-    return _value(draw, pushed, "alpha", inside, [-STEP, Fraction(0), hi, past])
+    return _value(draw, pushed, "alpha", _alpha(n, hi), [-STEP, Fraction(0), hi, past])
 
 
 @st.composite
 def _naive(draw, pushed):
     n = _value(draw, pushed, "n", st.integers(1, 40), [0, 1, MAX_WORD_BITS + 1])
-    return n, _rate(draw, pushed), {}
+    return n, _rate(draw, pushed, n), {}
 
 
 @st.composite
@@ -83,14 +96,14 @@ def _hamming_7_4(draw, pushed, n_inside):
     n = _value(draw, pushed, "n", st.just(n_inside), [n_inside - 1, n_inside + 1])
     # the largest alpha in 64ths with radius 1, and the first with radius 2
     hi = Fraction((2 * 64 - 1) // n_inside, 64)
-    return n, _rate(draw, pushed, hi, Fraction(2, n_inside)), {}
+    return n, _rate(draw, pushed, n, hi, Fraction(2, n_inside)), {}
 
 
 @st.composite
 def _list_decoding(draw, pushed, problist):
     # Past 12 the runs get slow; 25 is one past the enumeration cap of 24.
     n = _value(draw, pushed, "n", st.integers(2, 12), [1, 25])
-    alpha = _rate(draw, pushed)
+    alpha = _rate(draw, pushed, n)
     r = int(alpha * n) if 0 <= alpha <= HALF else 0
     params = {
         "code_k": _value(draw, pushed, "code_k", st.integers(1, max(1, n - 1)), [0, 1, n - 1, n]),
@@ -117,7 +130,7 @@ def _coloring(draw, pushed):
         # budget; the runs just inside it take far too long for a test.
         return 14, draw(st.fractions(Fraction(1, 4), HALF, max_denominator=28)), {}
     n = _value(draw, pushed, "n", st.integers(1, 10), [15])
-    return n, _rate(draw, pushed), {}
+    return n, _rate(draw, pushed, n), {}
 
 
 @st.composite
@@ -128,7 +141,7 @@ def _identification(draw, pushed, multi):
     params = {"k": k}
     if multi:
         params["l"] = _value(draw, pushed, "l", st.integers(1, max(1, k)), [0, k, k + 1])
-    return n, _rate(draw, pushed), params
+    return n, _rate(draw, pushed, n), params
 
 
 @st.composite
@@ -136,7 +149,7 @@ def _smith(draw, pushed):
     k = _value(draw, pushed, "k", st.integers(3, LEADER_MAX_N), [2, LEADER_MAX_N, LEADER_MAX_N + 1])
     # Most n inside leave room in GF(2^k) for m = ceil(p / k) blocks plus 2 extras.
     n = _value(draw, pushed, "n", st.integers(2, max(2, min(600, k * (2**k - 3) // 2))), [1, 2])
-    alpha = _rate(draw, pushed, Fraction(3, 8), HALF)  # no delta is left at 1/2
+    alpha = _rate(draw, pushed, n, Fraction(3, 8), HALF)  # no delta is left at 1/2
     most_dim = k - k.bit_length()  # distance 3 needs 2^(k - inner_dim) > k
     inner_dim = _value(
         draw, pushed, "inner_dim", st.integers(1, max(1, most_dim)), [0, most_dim, most_dim + 1]
@@ -290,7 +303,7 @@ def test_syndrome_sends_its_syndrome_bits(data):
 @given(data=st.data())
 def test_coloring_sends_the_bits_of_its_color_count(data):
     n = data.draw(st.integers(1, 9))
-    instance = _pair(data.draw, n, data.draw(st.fractions(0, HALF, max_denominator=64)))
+    instance = _pair(data.draw, n, data.draw(_alpha(n)))
     colors = max(build_greedy_coloring(n, min(2 * instance.bounds.radius, n))) + 1
     out = coloring_oracle_sync(instance)
     assert out.transcript.total_bits == (colors - 1).bit_length()  # ceil(log2(colors))
@@ -319,7 +332,7 @@ def test_naive_sends_its_word(data):
 def test_listdec_sends_its_syndrome_and_two_fields_of_its_list_width(data):
     n = data.draw(st.integers(2, 12))
     code_k = data.draw(st.integers(1, n - 1))
-    instance = _pair(data.draw, n, data.draw(st.fractions(0, HALF, max_denominator=64)))
+    instance = _pair(data.draw, n, data.draw(_alpha(n)))
     radius = data.draw(st.integers(instance.bounds.radius, n))
     code = random_linear_code(n, code_k, Random(data.draw(st.integers(0, 1 << 16))))
     out = listdec_sync(code, radius, instance)
@@ -372,7 +385,7 @@ def _nth_prime(j):
 def test_problist_sends_its_syndrome_and_two_pool_widths(data):
     n = data.draw(st.integers(2, 12))
     code_k = data.draw(st.integers(1, n - 1))
-    instance = _pair(data.draw, n, data.draw(st.fractions(0, HALF, max_denominator=64)))
+    instance = _pair(data.draw, n, data.draw(_alpha(n)))
     radius = data.draw(st.integers(instance.bounds.radius, n))
     list_cap = data.draw(st.integers(1, 8))
     oversample = data.draw(st.integers(2, 20))

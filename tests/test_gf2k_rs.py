@@ -1,20 +1,29 @@
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 from operator import ne, xor
 
 import pytest
 
+from hamsync import gf2k_rs
 from hamsync.errors import ContractError
 from hamsync.gf2k_rs import (
+    _LANE_BITS,
     IRREDUCIBLE,
     Field,
     _barycentric_weights,
     _berlekamp_massey,
+    _encoder_columns,
+    _error_positions,
     _lane_map,
     _pack_lanes,
     _root_columns,
+    _slot_map,
+    _slot_masks,
+    _slot_repunit,
     _syndrome_columns,
+    _table_map,
     _unpack_lanes,
     field,
     rs_correct,
@@ -36,7 +45,43 @@ def correct(fld: Field, received: list[int], extra: list[int]):
 
 
 def lane_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
+    """The bit-sliced kernel on plain columns."""
     return _unpack_lanes(_lane_map(fld, _pack_lanes(values), columns, lanes), lanes)
+
+
+def slot_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
+    """The slot-mask kernel on plain columns, at any shape: the masks are
+    built uncached, so a shape whose masks exceed the cap leaves nothing
+    behind."""
+    wide = [c * _slot_repunit(fld.k, lanes) for c in columns]
+    masks = _slot_masks.__wrapped__(fld.k, lanes)
+    return _unpack_lanes(_slot_map(fld, _pack_lanes(values), wide, masks, lanes), lanes)
+
+
+def table_map(fld: Field, values: list[int], table, lanes: int) -> list[int]:
+    """The product with a cached table, by the kernel its shape selects."""
+    return _unpack_lanes(_table_map(fld, _pack_lanes(values), table, lanes), lanes)
+
+
+def plain_columns(table, lanes: int) -> list[int]:
+    """A cached table's columns as _lane_map takes them: a widened column
+    keeps its plain value in the lowest slot."""
+    columns, masks = table
+    low_slot = (1 << lanes * _LANE_BITS) - 1
+    return list(columns) if masks is None else [c & low_slot for c in columns]
+
+
+def kernels_used(monkeypatch) -> dict[str, int]:
+    """Counts of the cached-table products by the kernel they ran."""
+    used = {"slot": 0, "bit-sliced": 0}
+    inner = gf2k_rs._table_map
+
+    def counted(fld, values, table, lanes):
+        used["bit-sliced" if table[1] is None else "slot"] += 1
+        return inner(fld, values, table, lanes)
+
+    monkeypatch.setattr(gf2k_rs, "_table_map", counted)
+    return used
 
 # Reference polynomial arithmetic for checking the evaluation layer: coefficient
 # lists, low degree first, and Lagrange interpolation through scalar products.
@@ -220,14 +265,21 @@ def _codewords(fld: Field, m: int, n_points: int) -> list[tuple[int, ...]]:
     ]
 
 
-def test_rs_correct_matches_brute_force_decoding():
+def test_rs_correct_matches_brute_force_decoding(monkeypatch):
     # The unique codeword within floor(s/2) of the m+s values, found by
     # scanning every codeword, or None when no codeword is that close.
+    # GF(8) and GF(16) take the slot-mask kernel at every size; GF(256) at
+    # s = 17 and 20 has too many lanes for it and takes the bit-sliced one.
+    used = kernels_used(monkeypatch)
     returned = failed = 0
-    for k, s_values in [(3, range(1, 7)), (4, (1, 2, 3, 5, 8, 12))]:
+    for k, m_values, s_values in [
+        (3, (1, 2, 3), range(1, 7)),
+        (4, (1, 2, 3), (1, 2, 3, 5, 8, 12)),
+        (8, (1,), (17, 20)),
+    ]:
         fld = field(k)
         rng = random.Random(61 + k)
-        for m in (1, 2, 3):
+        for m in m_values:
             for s in s_values:
                 n_points = m + s
                 if n_points >= fld.size:
@@ -253,6 +305,7 @@ def test_rs_correct_matches_brute_force_decoding():
                         returned += expected is not None
                         failed += expected is None
     assert returned > 0 and failed > 0
+    assert used["slot"] > 0 and used["bit-sliced"] > 0
 
 
 def test_rs_correct_clean():
@@ -408,20 +461,110 @@ def _kernel_sizes():
 
 @pytest.mark.parametrize("k, m, s", list(_kernel_sizes()))
 def test_lane_kernels_match_the_loops_they_replace(k, m, s):
+    # Both kernels on every table, and the product by whichever kernel the
+    # table's shape selects.
     fld = field(k)
     rng = random.Random(k * 1000 + m * 10 + s)
     n_points = m + s
+    tables = [
+        (_encoder_columns(k, m, s), s),
+        (_syndrome_columns(k, n_points, s), s),
+        (_root_columns(k, n_points, s), n_points),
+    ]
     for _ in range(3):
         blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
-        assert extra_evals(fld, blocks, s) == old_extra_evals(fld, blocks, s)
         values = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(n_points)]
-        assert lane_map(fld, values, _syndrome_columns(k, n_points, s), s) == old_syndromes(
-            fld, values, s
-        )
         lam = [1] + [rng.randrange(fld.size) for _ in range(rng.randint(0, s // 2))]
-        assert lane_map(fld, lam, _root_columns(k, n_points, s), n_points) == old_root_scan(
-            fld, lam, n_points
-        )
+        expected = [
+            old_extra_evals(fld, blocks, s),
+            old_syndromes(fld, values, s),
+            old_root_scan(fld, lam, n_points),
+        ]
+        assert extra_evals(fld, blocks, s) == expected[0]
+        for (table, lanes), vector, want in zip(tables, (blocks, values, lam), expected):
+            columns = plain_columns(table, lanes)
+            assert lane_map(fld, vector, columns, lanes) == want
+            assert slot_map(fld, vector, columns, lanes) == want
+            assert table_map(fld, vector, table, lanes) == want
+
+
+@pytest.mark.parametrize(
+    "k, m, s, kernel",
+    [(9, 58, 2, "slot"), (11, 187, 64, "bit-sliced")],  # smith-stress's and smith-2048's shapes
+)
+def test_each_shape_selects_the_kernel_its_masks_allow(monkeypatch, k, m, s, kernel):
+    # One encode and one correction with s/2 wrong blocks: the encoder, the
+    # syndromes and, at s = 64, the root scan.
+    used = kernels_used(monkeypatch)
+    fld = field(k)
+    rng = random.Random(k)
+    blocks = [rng.randrange(fld.size) for _ in range(m)]
+    full = blocks + extra_evals(fld, blocks, s)
+    for pos in rng.sample(range(m), s // 2):
+        full[pos] ^= rng.randrange(1, fld.size)
+    assert correct(fld, full[:m], full[m:]) == blocks
+    other = "bit-sliced" if kernel == "slot" else "slot"
+    assert used[kernel] == (2 if s == 2 else 3) and used[other] == 0
+
+
+def test_degree_one_locators_find_their_root_without_a_scan():
+    # 1 + lambda_1 x has its root at the point lambda_1 ^ N when that is
+    # below N, and no root among the points otherwise.
+    for k, n_points in [(3, 5), (4, 9), (9, 60), (11, 251)]:
+        fld = field(k)
+        inside = outside = 0
+        for lam1 in range(fld.size):
+            scan = [i for i, v in enumerate(old_root_scan(fld, [1, lam1], n_points)) if not v]
+            assert _error_positions(fld, [1, lam1], n_points, 2) == scan
+            inside += bool(scan)
+            outside += not scan
+        assert inside == n_points and outside == fld.size - n_points
+
+
+def test_a_degree_one_locator_outside_the_points_is_a_decode_failure():
+    # At s = 2 every nonzero syndrome pair gives a degree-1 locator; where
+    # its root lies past the points, no codeword is within one value.
+    fld = field(4)
+    m, s = 3, 2
+    rng = random.Random(62)
+    codewords = _codewords(fld, m, m + s)
+    failures = 0
+    for _ in range(200):
+        word = [rng.randrange(fld.size) for _ in range(m + s)]
+        syndromes = lane_map(fld, word, plain_columns(_syndrome_columns(4, m + s, s), s), s)
+        lam, length = _berlekamp_massey(fld, syndromes)
+        if length != 1 or lam[1] ^ (m + s) < m + s:
+            continue
+        failures += 1
+        assert correct(fld, word[:m], word[m:]) is None
+        assert all(sum(map(ne, c, word)) > 1 for c in codewords)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("k, m, s", [(9, 58, 2), (11, 187, 64)])
+def test_rs_layer_holds_little_after_one_encode_and_one_correct(k, m, s):
+    # What the RS layer caches for one size, its field tables aside: the
+    # slot-mask kernel must not buy speed with a table that would move
+    # smith's peak memory (2.75 MiB of masks at n = 2048's k = 11, s = 64).
+    fld = field(k)
+    caches = (_barycentric_weights, _encoder_columns, _syndrome_columns, _root_columns, _slot_masks)
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random(k)
+    blocks = [rng.randrange(fld.size) for _ in range(m)]
+    errors = [0] * (m + s)
+    for pos in rng.sample(range(m), max(1, s // 2)):
+        errors[pos] = rng.randrange(1, fld.size)
+    packed, error_lanes = _pack_lanes(blocks), _pack_lanes(errors)
+    tracemalloc.start()
+    try:
+        extra = rs_extra_evals(fld, packed, m, s)
+        fixed = rs_correct(fld, (packed | extra << (m * _LANE_BITS)) ^ error_lanes, m, s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fixed == packed
+    assert held <= 256 * 1024
 
 
 def test_barycentric_weights_match_direct_products():
@@ -488,7 +631,7 @@ def _bm_sequences(k: int, s: int, rng: random.Random):
                 values += extra_evals(fld, values, s)
                 for pos in rng.sample(range(m + s), min(errors, m + s)):
                     values[pos] ^= rng.randrange(1, size)
-                yield lane_map(fld, values, _syndrome_columns(k, m + s, s), s)
+                yield table_map(fld, values, _syndrome_columns(k, m + s, s), s)
     for length in range(s // 2):
         taps = [rng.randrange(size) for _ in range(length)]
         seq = [rng.randrange(1, size) for _ in range(length)]

@@ -518,6 +518,12 @@ def test_refused_connect_sleeps_only_between_attempts(monkeypatch):
 def test_bad_channel_specs():
     assert host_port("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert host_port(":0") == ("", 0)
+    # IPv6 literals, with and without brackets; parsed only, not bound
+    assert host_port("[::1]:8000") == ("::1", 8000)
+    assert host_port("::1:8000") == ("::1", 8000)
+    for bad in ("[::1", "[::1]", "::1]:8000", "[[::1]]:8000", "[::1:8000]"):
+        with pytest.raises(ContractError):
+            host_port(bad)
     for bad in ("127.0.0.1", "127.0.0.1:notaport", "127.0.0.1:", "127.0.0.1:-1", "127.0.0.1:65536"):
         with pytest.raises(ContractError):
             host_port(bad)
