@@ -1,6 +1,7 @@
 """Binary linear codes: parity-check matrices as packed integer rows,
-syndromes, affine solves, random code sampling, exhaustive list decoding,
-and coset-leader tables, the one syndrome decoder of brute, syndrome and smith.
+syndromes, affine solves, random code sampling, and one walk over the light
+words that builds the tables every table decoder reads: coset leaders for
+brute, syndrome and smith, and ball tables for the list protocols.
 
 A matrix is the tuple of its rows, and a row is a Python int whose bit c is
 the entry in column c, matching the Word convention, so a row-times-vector
@@ -14,11 +15,12 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence
 
-from .bitword import Word
+from .bitword import Word, ball_volume
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
 
-_DECODE_ENUM_LIMIT = 24  # exhaustive decoding walks 2^k codewords; n capped too
-LEADER_MAX_N = 14  # a coset-leader table walks all 2^n words: ~15 ms at the cap
+_DECODE_ENUM_LIMIT = 24  # codewords() spans at most 2^24 words
+LEADER_MAX_N = 14  # a leader table walks to weight n - k, up to 16,384 words at the cap
+WALK_BUDGET = 1 << 16  # the most words one ball table may walk, the zero word included
 
 
 def mat_vec(rows: Sequence[int], x: int) -> int:
@@ -204,19 +206,10 @@ def codewords(code: LinearCode) -> tuple[int, ...]:
     return tuple(words)
 
 
-def check_list_decodable(code: LinearCode, radius: int) -> None:
-    """The limits of list_decode_exhaustive, for protocols to check before
-    they run."""
-    if code.n > _DECODE_ENUM_LIMIT:
-        raise CapabilityError(f"exhaustive decoding is capped at n <= {_DECODE_ENUM_LIMIT}")
-    if not 0 <= radius <= code.n:
-        raise ContractError("radius must be in [0, n]")
-
-
 def list_decode_exhaustive(code: LinearCode, y: Word, radius: int) -> list[Word]:
-    """All codewords within the given distance of y, ascending by value.
-    Relies on check_list_decodable(code, radius) and y.n == code.n, which the
-    list protocols check at entry (syncdet._check_list_radius)."""
+    """All codewords within the given distance of y, ascending by value,
+    for 0 <= radius <= code.n and y.n == code.n.  The reference that
+    ball_table's lists are tested against."""
     yv = y.value
     return [Word(c, code.n) for c in codewords(code) if (c ^ yv).bit_count() <= radius]
 
@@ -236,21 +229,32 @@ def unique_decode(code: LinearCode, y: Word) -> Word:
     return Word(best, code.n)
 
 
-@lru_cache(maxsize=None)
-def _weight_walk(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The nonzero n-bit words, lightest first and increasing within a
-    weight, as (word, place in the walk of the word less its lowest set bit
-    (the zero word is place 0), index of that bit)."""
-    words = [0] + sorted(range(1, 1 << n), key=int.bit_count)
-    place = {word: i for i, word in enumerate(words)}
-    return tuple((w, place[w & (w - 1)], (w & -w).bit_length() - 1) for w in words[1:])
+@lru_cache(maxsize=16)
+def _walk(n: int, radius: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero n-bit words of weight <= radius, lightest first and
+    increasing within a weight, as (word, place in the walk of the word less
+    its lowest set bit (the zero word is place 0), index of that bit).
+    Within a weight, Gosper's step goes from each word to the next larger
+    one of that weight.  Callers keep ball_volume(radius, n) in budget."""
+    place = {0: 0}
+    walk = []
+    for weight in range(1, radius + 1):
+        w = (1 << weight) - 1
+        while w >> n == 0:
+            low = w & -w
+            place[w] = len(place)
+            walk.append((w, place[w ^ low], low.bit_length() - 1))
+            ripple = w + low
+            w = ripple | (w ^ ripple) // low >> 2
+    return tuple(walk)
 
 
 def coset_leaders(columns: Sequence[int], rows: int) -> dict[int, int]:
     """Coset leader of each of the 2^rows syndromes of the parity-check
     matrix with these columns: the first word of the weight walk with that
     syndrome, i.e. its lightest word, ties toward the smaller one.  Callers
-    keep the number of columns n <= LEADER_MAX_N.
+    keep the number of columns n <= LEADER_MAX_N.  Independent rows make
+    some `rows` columns a basis, so every leader weighs at most rows.
 
     y xor leader[H y] is a codeword nearest to y, and for the pivot-only
     solution t of H t = d (AffineSolver.solve) the one unique_decode picks:
@@ -261,7 +265,7 @@ def coset_leaders(columns: Sequence[int], rows: int) -> dict[int, int]:
     """
     leader = {0: 0}
     syndromes = [0]  # of the words walked so far, by place
-    for word, rest, low in _weight_walk(len(columns)):
+    for word, rest, low in _walk(len(columns), rows):
         d = syndromes[rest] ^ columns[low]
         syndromes.append(d)
         if d not in leader:
@@ -277,9 +281,23 @@ def leader_table(code: LinearCode) -> dict[int, int]:
     return coset_leaders([mat_vec(code.h, 1 << c) for c in range(code.n)], len(code.h))
 
 
-def min_distance(code: LinearCode) -> int:
-    """Minimum weight of a nonzero codeword (enumerates all 2^k of them)."""
-    return min(c.bit_count() for c in codewords(code) if c)
+@lru_cache(maxsize=32)
+def ball_table(code: LinearCode, radius: int) -> dict[int, tuple[int, ...]]:
+    """Each syndrome of a word of weight <= radius, mapped to those words in
+    walk order, the zero word first.  So the words within radius of y with
+    syndrome h are y xor each word listed under h xor H y, and a coset
+    leader is the first word of its list.  Refuses a ball of more than
+    WALK_BUDGET words."""
+    if ball_volume(radius, code.n) > WALK_BUDGET:
+        raise CapabilityError(f"radius {radius} at n = {code.n} is over the walk budget")
+    columns = [mat_vec(code.h, 1 << c) for c in range(code.n)]
+    table: dict[int, list[int]] = {0: [0]}
+    syndromes = [0]  # of the words walked so far, by place
+    for word, rest, low in _walk(code.n, radius):
+        d = syndromes[rest] ^ columns[low]
+        syndromes.append(d)
+        table.setdefault(d, []).append(word)
+    return {d: tuple(words) for d, words in table.items()}
 
 
 @lru_cache(maxsize=1)

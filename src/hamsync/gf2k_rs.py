@@ -111,6 +111,11 @@ def _lane_array(init) -> array:
 _LANE_BITS = 16  # lane width of _lane_array and _pack_lanes
 
 
+def _repunit(count: int, width: int) -> int:
+    """The sum of 2^(i*width) over i < count: bit i*width set for each i."""
+    return ((1 << (count * width)) - 1) // ((1 << width) - 1) if width else count
+
+
 def _pack_lanes(values: Sequence[int]) -> int:
     """values[i] in lane i of an int, a lane being _LANE_BITS = 16 bits."""
     return int.from_bytes(_lane_array(values).tobytes(), "little")
@@ -156,10 +161,9 @@ def _slot_map(
     fld: Field, values: int, wide: Sequence[int], masks: Sequence[int], lanes: int
 ) -> int:
     """_lane_map's sums in one pass: each column comes widened to k slots of
-    `lanes` lanes (column * _slot_repunit), and masks[v] keeps slot b
-    exactly when bit b of v is set (_slot_masks).  So the xor of the masked
-    columns holds every partial sum P_b in slot b at once, and _horner
-    joins the k slots.
+    `lanes` lanes (_table), and masks[v] keeps slot b exactly when bit b of
+    v is set (_slot_masks).  So the xor of the masked columns holds every
+    partial sum P_b in slot b at once, and _horner joins the k slots.
     """
     width = lanes * _LANE_BITS
     picks = map(masks.__getitem__, _lane_array(values.to_bytes(2 * len(wide), "little")))
@@ -171,7 +175,7 @@ def _slot_map(
 def _horner(fld: Field, partial: Sequence[int], lanes: int) -> int:
     """sum_b x^b partial[b] lane-wise, by Horner's rule in x."""
     k = fld.k
-    top = int.from_bytes(b"\x01\x00" * lanes, "little") << (k - 1)
+    top = _repunit(lanes, _LANE_BITS) << (k - 1)
     reduction = fld.modulus ^ fld.size  # x^k in the field
     acc = 0
     for part in reversed(partial):
@@ -190,11 +194,6 @@ _SLOT_MASK_BYTES = 1 << 16
 # A column table as its kernel takes it (_table): plain columns and None,
 # or widened columns and their slot masks.
 _Table = tuple[tuple[int, ...], Optional[tuple[int, ...]]]
-
-
-def _slot_repunit(k: int, lanes: int) -> int:
-    """A column times this holds the column in each of k slots of `lanes` lanes."""
-    return sum(1 << (b * lanes * _LANE_BITS) for b in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +215,7 @@ def _table(k: int, lanes: int, columns: Iterable[int]) -> _Table:
     fit _SLOT_MASK_BYTES, and otherwise the columns as they are with None."""
     if (1 << k) * k * lanes * 2 > _SLOT_MASK_BYTES:
         return tuple(columns), None
-    repunit = _slot_repunit(k, lanes)
+    repunit = _repunit(k, lanes * _LANE_BITS)  # a column times this fills k slots
     return tuple(column * repunit for column in columns), _slot_masks(k, lanes)
 
 

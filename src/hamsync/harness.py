@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from random import Random
 from typing import Any, Callable, Iterator, Optional
 
@@ -34,7 +34,6 @@ from .hashing import multi_nba_parties, nba_parties
 from .probproto import ProbParams, composite_parties, one_round_prob_parties
 from .syncdet import (
     SyncInstance,
-    _nonzero_masks_up_to_weight,
     brute_parties,
     coloring_parties,
     listdec_parties,
@@ -107,7 +106,9 @@ def _sync_cases(cfg: ExperimentConfig, bounds: Bounds, root: Random, parties) ->
     if cfg.exhaustive:
         if n > 20 or (1 << n) * ball_volume(r, n) > _EXHAUSTIVE_LIMIT:
             raise ContractError("exhaustive sweep exceeds the enumeration budget")
-        masks = (0,) + _nonzero_masks_up_to_weight(n, r)
+        # Each pair draws its own seeds, so this order is part of the report:
+        # by weight, then by the flipped positions, lexicographically.
+        masks = [sum(1 << i for i in c) for w in range(r + 1) for c in combinations(range(n), w)]
         for xv in range(1 << n):
             for mask in masks:
                 sa = root.getrandbits(64)

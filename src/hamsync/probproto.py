@@ -19,7 +19,7 @@ from typing import Sequence
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, RetryLimitError
 from .gf2codes import LEADER_MAX_N, LinearCode, coset_leaders, rank, syndrome
-from .gf2k_rs import _LANE_BITS, _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
+from .gf2k_rs import _LANE_BITS, _pack_lanes, _repunit, _unpack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
@@ -148,11 +148,6 @@ def apply_permutation(perm: AffinePermutation, w: Word) -> Word:
             j, i, cnt = j + run * c, (i - offset + run * e) % p + offset, cnt - run
         out[j::c] = ext[i : i + cnt * e : e]
     return Word(int(out, 2), p)
-
-
-def _repunit(count: int, width: int) -> int:
-    """Bit i*width set for every i < count."""
-    return ((1 << (count * width)) - 1) // ((1 << width) - 1)
 
 
 @lru_cache(maxsize=None)

@@ -17,21 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .bitword import Bounds, Word, ball_volume, hamming_distance, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
     LEADER_MAX_N,
     LinearCode,
-    check_list_decodable,
+    _walk,
+    ball_table,
     encode,
     extract_message,
     gather_bits,
     leader_table,
-    list_decode_exhaustive,
     mat_vec,
-    min_distance,
     syndrome,
 )
 from .hashing import nba_alice, nba_bob
@@ -68,17 +66,20 @@ def _unique_radius(code: LinearCode, instance: SyncInstance) -> int:
     if code.n > LEADER_MAX_N:
         raise CapabilityError(f"coset-leader decoding is capped at n <= {LEADER_MAX_N}")
     r = instance.bounds.radius
-    if min_distance(code) < 2 * r + 1:
+    # Distance 2r + 1 or more: no nonzero word of weight <= 2r is a codeword.
+    if ball_table(code, min(2 * r, code.n))[0] != (0,):
         raise ContractError(f"code does not uniquely correct {r} errors")
     return r
 
 
 def _check_list_radius(code: LinearCode, radius: int, instance: SyncInstance) -> None:
+    """Checks a list radius and builds its ball table, which refuses a ball
+    over the walk budget, before either party starts."""
     if instance.n != code.n:
         raise ContractError("code block length must equal the instance length")
     if radius < instance.bounds.radius:
         raise ContractError("list radius must cover the promise radius")
-    check_list_decodable(code, radius)
+    ball_table(code, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +147,9 @@ def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
 
 def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> list[int]:
     """Sorted values of every word with syndrome h_value within radius of y:
-    t xor y xor z for each z in the list decoding of t to that radius."""
-    y_prime = coset_representative(code, h_value, y)
-    return sorted((y_prime ^ y ^ z).value for z in list_decode_exhaustive(code, y_prime, radius))
+    y xor e for each e of weight <= radius with syndrome h_value xor H y."""
+    yv = y.value
+    return sorted(yv ^ e for e in ball_table(code, radius).get(h_value ^ mat_vec(code.h, yv), ()))
 
 
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
@@ -217,27 +218,15 @@ def listdec_sync(code: LinearCode, radius: int, instance: SyncInstance) -> Proto
     """Three rounds: syndrome down, a separating prime back, a residue down,
     (n - k) + 2 bit_length(max(2, L^2 n)) bits for Bob's list size L.
 
-    Bob list-decodes the coset representative to the given radius; the
-    candidate words t xor y xor z_i then contain x whenever the promise
-    holds, and the identification exchange picks it out.
+    Bob lists every word within the given radius of y that has Alice's
+    syndrome, by one lookup in the code's ball table; the list contains x
+    whenever the promise holds, and the identification exchange picks it out.
     """
     return run_protocol(*listdec_parties(code, radius, instance))
 
 
 # ---------------------------------------------------------------------------
 # greedy-coloring oracle (desk-scale only)
-
-
-@lru_cache(maxsize=16)
-def _nonzero_masks_up_to_weight(n: int, d: int) -> tuple[int, ...]:
-    masks = []
-    for weight in range(1, min(d, n) + 1):
-        for positions in combinations(range(n), weight):
-            m = 0
-            for p in positions:
-                m |= 1 << p
-            masks.append(m)
-    return tuple(masks)
 
 
 @lru_cache(maxsize=16)
@@ -251,7 +240,7 @@ def build_greedy_coloring(n: int, d: int) -> tuple[int, ...]:
         raise ContractError("coloring distance must be nonnegative")
     if ball_volume(min(d, n), n) << n > _COLORING_SCAN_BUDGET:
         raise CapabilityError("coloring scan exceeds the enumeration budget")
-    masks = _nonzero_masks_up_to_weight(n, d)
+    masks = [m for m, _, _ in _walk(n, d)]
     colors = [0] * (1 << n)
     for w in range(1 << n):
         used = {colors[w ^ m] for m in masks if (w ^ m) < w}
@@ -285,11 +274,8 @@ def coloring_bob(n: int, radius: int, y: Word):
         (target,) = unpack_fields((yield RECV), [width])
     else:
         target = 0
-    matches = [
-        y.value ^ m
-        for m in (0,) + _nonzero_masks_up_to_weight(y.n, radius)
-        if colors[y.value ^ m] == target
-    ]
+    ball = (y.value,) + tuple(y.value ^ m for m, _, _ in _walk(n, radius))
+    matches = [w for w in ball if colors[w] == target]
     diag = {"n_colors": n_colors, "color_bits": width}
     if not matches:
         return None, diag

@@ -194,11 +194,12 @@ _FRAME_HEADER = struct.Struct(">I")  # payload bit count, big-endian
 
 # Seconds one send or receive may wait on the peer before it fails with
 # TransportError, so a stalled peer cannot hang a run.  Generous on purpose:
-# a receive also waits out the peer's longest single step, and within the
-# package's limits that is Bob listing the 2^23 codewords of an n = 24 code
-# (about 2 s on a 2-vCPU machine).  Smith's largest, at its RS budget, is
-# Bob's correction at k = 14 with m = 16319 blocks and s = 64 extras (about
-# 0.6 s there, tables included).
+# a receive also waits out the peer's longest step.  Within the package's
+# limits that is listdec's Bob finding a prime to separate a long list, which
+# grows faster than the list's square: 10 s for 8,240 words (n = 181, r = 2)
+# and 61 s for 16,517 (n = 256, r = 2, both with k = n - 1, 2 vCPUs), so a
+# list that long can outlast this wait.  Smith's longest, at its RS budget,
+# is Bob's correction at k = 14, m = 16319, s = 64: about 0.6 s.
 _IO_TIMEOUT_S = 60.0
 
 

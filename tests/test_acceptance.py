@@ -11,7 +11,7 @@ import time
 from collections import defaultdict
 from fractions import Fraction
 
-from hamsync import gf2codes, syncdet
+from hamsync import gf2codes, harness, syncdet
 from hamsync.bitword import (
     Bounds,
     Word,
@@ -22,6 +22,7 @@ from hamsync.bitword import (
 )
 from hamsync.gf2codes import AffineSolver, hamming_7_4, mat_vec, random_linear_code
 from hamsync.gf2k_rs import _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
+from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.hashing import multi_nba_protocol, nba_protocol
 from hamsync.probproto import (
     AffinePermutation,
@@ -112,19 +113,47 @@ def test_criterion_02_brute_exhaustive():
     assert ok
 
 
-def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
-    # Brute and syndrome decode by the coset-leader table alone.  The code
-    # reduces its rows when it is built, so it is built before the patch.
-    hamming_7_4()
+def _refuse_the_old_decoders(patch):
+    """Make every name of the solve-and-scan path raise."""
 
     def refuse(*args):
         raise AssertionError("a protocol reached the old decoder")
 
-    monkeypatch.setattr(gf2codes, "unique_decode", refuse)
-    monkeypatch.setattr(AffineSolver, "solve", refuse)
+    for module, name in (
+        (gf2codes, "unique_decode"),
+        (gf2codes, "codewords"),
+        (gf2codes, "list_decode_exhaustive"),
+        (syncdet, "coset_representative"),
+    ):
+        patch.setattr(module, name, refuse)
+    patch.setattr(AffineSolver, "solve", refuse)
+
+
+def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
+    # Brute and syndrome decode by the coset-leader table, listdec and
+    # problist list by the ball table, and coloring reads its colors.  A
+    # code reduces its rows when it is built, so the old path raises only
+    # once the code exists: Hamming's now, the list protocols' random codes
+    # as the harness builds them.
+    hamming_7_4()
     assert not hasattr(syncdet, "unique_decode")
-    test_criterion_01_syndrome_exhaustive()
-    test_criterion_02_brute_exhaustive()
+    with monkeypatch.context() as patch:
+        _refuse_the_old_decoders(patch)
+        test_criterion_01_syndrome_exhaustive()
+        test_criterion_02_brute_exhaustive()
+    for protocol in ("brute", "syndrome", "listdec", "problist", "coloring"):
+        with monkeypatch.context() as patch:
+
+            def built_then_refused(n, k, rng):
+                code = random_linear_code(n, k, rng)
+                _refuse_the_old_decoders(patch)
+                return code
+
+            patch.setattr(harness, "random_linear_code", built_then_refused)
+            if protocol in ("brute", "syndrome", "coloring"):
+                _refuse_the_old_decoders(patch)
+            (row,) = run_experiment(ExperimentConfig(protocol=protocol, trials=20, seed=20))
+            assert (row.trials, row.success_rate) == (20, 1.0), protocol
 
 
 def test_criterion_03_nba_identification():

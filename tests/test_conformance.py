@@ -101,7 +101,8 @@ def _hamming_7_4(draw, pushed, n_inside):
 
 @st.composite
 def _list_decoding(draw, pushed, problist):
-    # Past 12 the runs get slow; 25 is one past the enumeration cap of 24.
+    # Past 12 the runs get slow; at 25 a ball inside the walk budget runs
+    # and one over it is refused.
     n = _value(draw, pushed, "n", st.integers(2, 12), [1, 25])
     alpha = _rate(draw, pushed, n)
     r = int(alpha * n) if 0 <= alpha <= HALF else 0

@@ -1,17 +1,21 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from hamsync import gf2codes, probproto
-from hamsync.bitword import Word
+from hamsync.bitword import Word, ball_volume
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
+    WALK_BUDGET,
     AffineSolver,
     LinearCode,
     _rref,
+    _walk,
+    ball_table,
     codewords,
     coset_leaders,
     encode,
@@ -20,13 +24,17 @@ from hamsync.gf2codes import (
     leader_table,
     list_decode_exhaustive,
     mat_vec,
-    min_distance,
     random_linear_code,
     rank,
     syndrome,
     unique_decode,
 )
 from hamsync.probproto import ProbParams, sample_inner_code
+
+
+def min_distance(code):
+    """Minimum weight of a nonzero codeword, over all 2^k of them."""
+    return min(c.bit_count() for c in codewords(code) if c)
 
 
 def mat_vec_oracle(rows: tuple[int, ...], cols: int, x: int) -> int:
@@ -331,8 +339,8 @@ def test_enumeration_budget_guards():
     wide = random_linear_code(30, 25, rng)
     with pytest.raises(CapabilityError):
         codewords(wide)
-    # list_decode_exhaustive's cap on n is checked where the list protocols
-    # start: test_listdec_parties_check_the_list_decoding_limits and
+    # The list protocols' walk budget is checked where they start:
+    # test_listdec_parties_check_the_list_decoding_limits and
     # test_one_round_parties_check_the_list_decoding_limits.
 
 
@@ -434,3 +442,67 @@ def test_leader_table_is_built_once_per_code():
     for n in range(3, 9):
         code = random_linear_code(n, 2, random.Random(n))
         assert leader_table(code) == _leaders_by_full_decoding(code)
+
+
+def test_walk_is_the_cube_by_weight_cut_at_the_radius():
+    for n in range(1, 13):
+        cube = sorted(range(1, 1 << n), key=int.bit_count)
+        for radius in range(n + 2):
+            walk = _walk(n, radius)
+            assert [w for w, _, _ in walk] == [w for w in cube if w.bit_count() <= radius]
+            # each word's place of itself less its lowest set bit, and that bit
+            words = [0] + [w for w, _, _ in walk]
+            assert all(words[rest] == w & (w - 1) == w ^ 1 << low for w, rest, low in walk)
+
+
+def test_ball_table_lists_each_syndrome_in_walk_order():
+    rng = random.Random(81)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        code = random_linear_code(n, rng.randint(1, n - 1), rng)
+        radius = rng.randint(0, n)
+        expected = {}
+        for e in [0] + sorted(range(1, 1 << n), key=int.bit_count):
+            if e.bit_count() <= radius:
+                expected.setdefault(mat_vec(code.h, e), []).append(e)
+        assert ball_table(code, radius) == {d: tuple(es) for d, es in expected.items()}
+        if radius >= len(code.h):  # every coset leader is in the ball
+            table = ball_table(code, radius)
+            assert {d: es[0] for d, es in table.items()} == leader_table(code)
+
+
+def test_ball_table_refuses_one_word_over_the_budget(monkeypatch):
+    # V(17, 8) is the budget exactly; V(65536, 1) is the one ball one word
+    # over it, and too wide to build here, so the budget is cut to V(12, 3).
+    assert ball_volume(8, 17) == WALK_BUDGET == ball_volume(1, 1 << 16) - 1
+    rng = random.Random(83)
+    monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(3, 12) - 1)
+    with pytest.raises(CapabilityError, match="walk budget"):
+        ball_table(random_linear_code(12, 4, rng), 3)
+    monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(3, 12))
+    assert sum(map(len, ball_table(random_linear_code(12, 4, rng), 3).values())) == 299
+
+
+def test_ball_table_memory_at_the_walk_budget():
+    # n = 361 at radius 2 walks 65,342 words, the most of any radius-2 ball
+    # inside the budget, and with 61 parity rows each has its own syndrome,
+    # the most entries a table can have.  The walk it caches is counted too.
+    assert ball_volume(2, 361) <= WALK_BUDGET < ball_volume(2, 362)
+    code = random_linear_code(361, 300, random.Random(82))
+    _walk.cache_clear()
+    tracemalloc.start()
+    try:
+        table = ball_table(code, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _walk.cache_clear()
+        ball_table.cache_clear()
+    assert len(table) == ball_volume(2, 361)
+    assert held < 20 << 20 and peak < 32 << 20
+
+
+def test_walk_and_table_caches_are_bounded():
+    # At most 16 walks and 32 tables stay cached, each inside the budget:
+    # room for the 17 tables of the benchmark's round-robin of protocols.
+    assert (_walk.cache_info().maxsize, ball_table.cache_info().maxsize) == (16, 32)

@@ -18,10 +18,10 @@ from hamsync.gf2k_rs import (
     _error_positions,
     _lane_map,
     _pack_lanes,
+    _repunit,
     _root_columns,
     _slot_map,
     _slot_masks,
-    _slot_repunit,
     _syndrome_columns,
     _table_map,
     _unpack_lanes,
@@ -53,7 +53,7 @@ def slot_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
     """The slot-mask kernel on plain columns, at any shape: the masks are
     built uncached, so a shape whose masks exceed the cap leaves nothing
     behind."""
-    wide = [c * _slot_repunit(fld.k, lanes) for c in columns]
+    wide = [c * _repunit(fld.k, lanes * _LANE_BITS) for c in columns]
     masks = _slot_masks.__wrapped__(fld.k, lanes)
     return _unpack_lanes(_slot_map(fld, _pack_lanes(values), wide, masks, lanes), lanes)
 

@@ -180,7 +180,9 @@ def test_list_decoding_limits_fail_before_the_run(protocol):
     with pytest.raises(ContractError):
         run_experiment(ExperimentConfig(protocol=protocol, trials=2, params={"radius": 15}))
     with pytest.raises(CapabilityError):
-        run_experiment(ExperimentConfig(protocol=protocol, n=30, alpha=Fraction(1, 10), trials=2))
+        # V(30, 8) is over the walk budget
+        cfg = ExperimentConfig(protocol=protocol, n=30, alpha=Fraction(1, 10), trials=2, params={"radius": 8})
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("connect", [None, "127.0.0.1:1"])
@@ -246,6 +248,26 @@ GOLDEN_CSV_LINES = (
     'smith,2048,1/20,3,1.0,1718.0,1718,1,580.291905,960.502976,"{""block_count"": 187, ""matrix_bits"": 55, ""nba_bits"": 0, ""p"": 2053, ""rs_bits"": 704, ""stage1_bits"": 24, ""syndrome_bits"": 935}"',
     'syndrome,7,1/7,20,1.0,3.0,3,1,3.0,6.041844,"{""decoded_difference_weight"": 1, ""syndrome_bits"": 3}"',
 )
+
+
+def test_exhaustive_sweep_order_is_pinned(tmp_path):
+    # Each promise pair draws its own seeds, so the order of the sweep's
+    # pairs is part of the report; problist's collisions show a change.
+    cfg = ExperimentConfig(
+        protocol="problist",
+        n=8,
+        alpha=Fraction(1, 4),
+        seed=5,
+        exhaustive=True,
+        params={"code_k": 2, "oversample": 2, "list_cap": 1},
+    )
+    path = tmp_path / "exhaustive.csv"
+    emit_report(run_experiment(cfg), "csv", str(path))
+    expected = (
+        GOLDEN_CSV_LINES[0] + "\r\n"
+        'problist,8,1/4,9472,0.971706,18.0,18,1,5.209453,8.0,"{""list_size"": 1, ""q"": 13}"\r\n'
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_golden_report_bytes(tmp_path):

@@ -7,6 +7,10 @@ name, a string in ``hamsync.__all__``, or a string in the patch tables of
 ``bench/tracer.py``.  Tests do not count: code that only a test reaches is
 dead.  Matching is by name alone, so dead code that shares its name with
 something live goes unnoticed.
+
+A definition that only the tracer's tables name is kept for the benchmark
+alone, so each one is listed in TRACER_ONLY with the ROADMAP item that
+deletes it, and a new one fails the test until it is listed.
 """
 
 from __future__ import annotations
@@ -16,11 +20,19 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "hamsync"
-BENCH = ROOT / "bench"
+PACKAGE = Path("src", "hamsync")  # both relative to a checkout's root
+BENCH = Path("bench")
 
 # Kept without a caller, each for a reason outside the package.
 ALLOWED: dict[str, str] = {}
+
+# Named only by bench/tracer.py's patch tables, each with the ROADMAP item
+# that deletes it together with the benchmark readings it feeds.
+TRACER_ONLY: dict[str, str] = {
+    "gf2codes.unique_decode": "item 16 (b)",
+    "gf2codes.list_decode_exhaustive": "item 16 (b)",
+    "syncdet.coset_representative": "item 16 (b)",
+}
 
 _TRACER_TABLES = {"FUNCTIONS", "PARTIES", "METHODS"}
 
@@ -51,8 +63,9 @@ def _strings_in_assignments(tree: ast.Module, targets: set[str]):
                     yield sub.lineno, sub.value
 
 
-def _references(tree: ast.Module, path: Path):
-    """(line, name) for every name the file refers to."""
+def _references(tree: ast.Module, path: Path, tracer_tables: bool):
+    """(line, name) for every name the file refers to, counting the strings
+    in the tracer's tables only when tracer_tables is set."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.lineno, node.id
@@ -63,18 +76,17 @@ def _references(tree: ast.Module, path: Path):
                 yield node.lineno, alias.name
     if path == PACKAGE / "__init__.py":
         yield from _strings_in_assignments(tree, {"__all__"})
-    if path == BENCH / "tracer.py":
+    if tracer_tables and path == BENCH / "tracer.py":
         yield from _strings_in_assignments(tree, _TRACER_TABLES)
 
 
-def unreferenced() -> set[str]:
-    trees = {
-        path: ast.parse(path.read_text(), str(path))
-        for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
-    }
+def unreferenced(root: Path = ROOT, tracer_tables: bool = True) -> set[str]:
+    """Definitions in the checkout at root with no caller."""
+    files = sorted((root / PACKAGE).glob("*.py")) + sorted((root / BENCH).glob("*.py"))
+    trees = {path.relative_to(root): ast.parse(path.read_text(), str(path)) for path in files}
     where: dict[str, list[tuple[Path, int]]] = defaultdict(list)
     for path, tree in trees.items():
-        for line, name in _references(tree, path):
+        for line, name in _references(tree, path, tracer_tables):
             where[name].append((path, line))
     dead = set()
     for path, tree in trees.items():
@@ -88,5 +100,30 @@ def unreferenced() -> set[str]:
     return dead
 
 
+def tracer_only(root: Path = ROOT) -> set[str]:
+    """Definitions that have a caller only through the tracer's tables."""
+    return unreferenced(root, tracer_tables=False) - unreferenced(root)
+
+
 def test_every_definition_has_a_caller():
     assert unreferenced() == set(ALLOWED)
+
+
+def test_tracer_only_definitions_are_listed():
+    assert tracer_only() == set(TRACER_ONLY)
+
+
+def test_an_unlisted_tracer_only_definition_is_caught(tmp_path):
+    # A copy of the checkout gains a function that only the tracer names.
+    for folder in (PACKAGE, BENCH):
+        (tmp_path / folder).mkdir(parents=True)
+        for path in (ROOT / folder).glob("*.py"):
+            (tmp_path / folder / path.name).write_text(path.read_text())
+    syncdet = tmp_path / PACKAGE / "syncdet.py"
+    syncdet.write_text(syncdet.read_text() + "\n\ndef traced_only():\n    return None\n")
+    tracer = tmp_path / BENCH / "tracer.py"
+    table = '"syncdet": ("coset_representative", "build_greedy_coloring"),'
+    assert table in tracer.read_text()
+    tracer.write_text(tracer.read_text().replace(table, table[:-2] + ', "traced_only"),'))
+    assert tracer_only(tmp_path) == set(TRACER_ONLY) | {"syncdet.traced_only"}
+    assert unreferenced(tmp_path) == set(ALLOWED)

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_gf2codes import min_distance
 
 from hamsync import gf2codes, probproto
 from hamsync.bitword import Bounds, Word, pack_fields, random_word_within, unpack_fields
@@ -19,7 +20,6 @@ from hamsync.gf2codes import (
     LinearCode,
     hamming_7_4,
     mat_vec,
-    min_distance,
     random_linear_code,
     rank,
     unique_decode,
@@ -1209,4 +1209,16 @@ def test_one_round_parties_check_the_list_decoding_limits():
     code = random_linear_code(30, 5, random.Random(1))
     inst = SyncInstance(Word(0, 30), Word(0, 30), Bounds(Fraction(1, 10), 30))
     with pytest.raises(CapabilityError):
-        one_round_prob_parties(code, 3, inst, 16, random.Random(0))  # too long to enumerate
+        one_round_prob_parties(code, 8, inst, 16, random.Random(0))  # a ball over the walk budget
+
+
+def test_one_round_round_trips_at_n_64_radius_2():
+    # Past the codeword scan's reach: the ball table walks 2,081 words.
+    rng = random.Random(1213)
+    code = random_linear_code(64, 40, rng)
+    bounds = Bounds(Fraction(2, 64), 64)
+    for flips in (0, 1, 2, 2, 2):
+        y = Word(rng.getrandbits(64), 64)
+        inst = SyncInstance(y.flip(rng.sample(range(64), flips)), y, bounds)
+        out = one_round_prob_sync(code, 2, inst, 16, rng)
+        assert out.recovered == inst.x and not out.reported_failure

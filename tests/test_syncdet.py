@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_gf2codes import min_distance
 
+from hamsync import gf2codes
 from hamsync.bitword import Bounds, Word, ball_volume, hamming_distance, random_word_within
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
@@ -12,13 +14,13 @@ from hamsync.gf2codes import (
     LinearCode,
     extract_message,
     hamming_7_4,
+    list_decode_exhaustive,
     mat_vec,
-    min_distance,
     random_linear_code,
     syndrome,
     unique_decode,
 )
-from hamsync.probproto import one_round_prob_sync
+from hamsync.probproto import one_round_prob_parties, one_round_prob_sync
 from hamsync.syncdet import (
     SyncInstance,
     brute_alice,
@@ -28,6 +30,7 @@ from hamsync.syncdet import (
     build_greedy_coloring,
     coloring_oracle_sync,
     coset_representative,
+    list_candidates,
     listdec_alice,
     listdec_bob,
     listdec_parties,
@@ -170,7 +173,68 @@ def test_listdec_parties_check_the_list_decoding_limits():
     code = random_linear_code(30, 5, rng)
     inst = SyncInstance(Word(0, 30), Word(0, 30), Bounds(Fraction(1, 10), 30))
     with pytest.raises(CapabilityError):
-        listdec_parties(code, 3, inst)  # too long to enumerate
+        listdec_parties(code, 8, inst)  # a ball over the walk budget
+
+
+def _old_list_candidates(code, h_value, y, radius):
+    """The list as it was found: solve for a coset representative t, then
+    scan every codeword within radius of it."""
+    t = coset_representative(code, h_value, y)
+    return sorted((t ^ y ^ z).value for z in list_decode_exhaustive(code, t, radius))
+
+
+def test_list_candidates_match_the_codeword_scan_on_every_hamming_pair():
+    # x enters only through its syndrome, so the 8 syndromes cover all pairs.
+    code = hamming_7_4()
+    for radius in range(8):
+        for yv in range(128):
+            y = Word(yv, 7)
+            for h in range(8):
+                assert list_candidates(code, h, y, radius) == _old_list_candidates(
+                    code, h, y, radius
+                )
+
+
+def test_list_candidates_match_the_codeword_scan_on_random_codes():
+    rng = random.Random(66)
+    for n in range(2, 13):
+        for _ in range(3):
+            code = random_linear_code(n, rng.randint(1, n - 1), rng)
+            for radius in range(n + 1):
+                for _ in range(8):
+                    y = Word(rng.getrandbits(n), n)
+                    h = rng.getrandbits(len(code.h))
+                    assert list_candidates(code, h, y, radius) == _old_list_candidates(
+                        code, h, y, radius
+                    )
+
+
+def test_listdec_round_trips_at_n_64_radius_2():
+    # Past the codeword scan's reach: the ball table walks 2,081 words.
+    rng = random.Random(67)
+    code = random_linear_code(64, 40, rng)
+    bounds = Bounds(Fraction(2, 64), 64)
+    for flips in (0, 1, 2, 2, 2):
+        y = Word(rng.getrandbits(64), 64)
+        inst = SyncInstance(y.flip(rng.sample(range(64), flips)), y, bounds)
+        out = listdec_sync(code, 2, inst)
+        assert out.recovered == inst.x and not out.reported_failure
+        assert inst.x.value in out.diagnostics["candidates"]
+
+
+def test_list_protocols_refuse_one_word_over_the_walk_budget(monkeypatch):
+    # The budget cut to one word under V(12, 3): radius 3 is refused by the
+    # parties function, before a generator exists to step, and radius 2 runs.
+    monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(3, 12) - 1)
+    rng = random.Random(68)
+    code = random_linear_code(12, 4, rng)
+    y = Word(rng.getrandbits(12), 12)
+    inst = SyncInstance(y.flip([1, 5]), y, Bounds(Fraction(2, 12), 12))
+    with pytest.raises(CapabilityError, match="walk budget"):
+        listdec_parties(code, 3, inst)
+    with pytest.raises(CapabilityError, match="walk budget"):
+        one_round_prob_parties(code, 3, inst, 16, random.Random(0))
+    assert listdec_sync(code, 2, inst).recovered == inst.x
 
 
 def test_coloring_is_proper():
