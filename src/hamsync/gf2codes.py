@@ -1,7 +1,7 @@
 """Binary linear codes: parity-check matrices as packed integer rows,
 syndromes, affine solves, random code sampling, and one walk over the light
-words that builds the tables every table decoder reads: coset leaders for
-brute, syndrome and smith, and ball tables for the list protocols.
+words that builds the tables every table decoder reads: ball tables for
+brute, syndrome and the list protocols, and coset leaders for smith's blocks.
 
 A matrix is the tuple of its rows, and a row is a Python int whose bit c is
 the entry in column c, matching the Word convention, so a row-times-vector
@@ -19,7 +19,7 @@ from .bitword import Word, ball_volume
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
 
 _DECODE_ENUM_LIMIT = 24  # codewords() spans at most 2^24 words
-LEADER_MAX_N = 14  # a leader table walks to weight n - k, up to 16,384 words at the cap
+LEADER_MAX_N = 14  # smith's block length: its leader tables walk up to 16,384 words
 WALK_BUDGET = 1 << 16  # the most words one ball table may walk, the zero word included
 
 
@@ -252,9 +252,9 @@ def _walk(n: int, radius: int) -> tuple[tuple[int, int, int], ...]:
 def coset_leaders(columns: Sequence[int], rows: int) -> dict[int, int]:
     """Coset leader of each of the 2^rows syndromes of the parity-check
     matrix with these columns: the first word of the weight walk with that
-    syndrome, i.e. its lightest word, ties toward the smaller one.  Callers
-    keep the number of columns n <= LEADER_MAX_N.  Independent rows make
-    some `rows` columns a basis, so every leader weighs at most rows.
+    syndrome, i.e. its lightest word, ties toward the smaller one.  Smith,
+    the one caller, keeps its block length n <= LEADER_MAX_N.  Independent
+    rows make some `rows` columns a basis, so every leader weighs at most rows.
 
     y xor leader[H y] is a codeword nearest to y, and for the pivot-only
     solution t of H t = d (AffineSolver.solve) the one unique_decode picks:
@@ -275,10 +275,11 @@ def coset_leaders(columns: Sequence[int], rows: int) -> dict[int, int]:
     raise ContractError("the matrix rows are linearly dependent")
 
 
-@lru_cache(maxsize=128)
-def leader_table(code: LinearCode) -> dict[int, int]:
-    """coset_leaders of the code's parity-check columns, built once per code."""
-    return coset_leaders([mat_vec(code.h, 1 << c) for c in range(code.n)], len(code.h))
+def check_walk_budget(n: int, radius: int) -> None:
+    """Refuses a ball of more than WALK_BUDGET words.  It draws nothing, so a
+    caller can check a shape before it samples the code."""
+    if ball_volume(radius, n) > WALK_BUDGET:
+        raise CapabilityError(f"radius {radius} at n = {n} is over the walk budget")
 
 
 @lru_cache(maxsize=32)
@@ -286,10 +287,8 @@ def ball_table(code: LinearCode, radius: int) -> dict[int, tuple[int, ...]]:
     """Each syndrome of a word of weight <= radius, mapped to those words in
     walk order, the zero word first.  So the words within radius of y with
     syndrome h are y xor each word listed under h xor H y, and a coset
-    leader is the first word of its list.  Refuses a ball of more than
-    WALK_BUDGET words."""
-    if ball_volume(radius, code.n) > WALK_BUDGET:
-        raise CapabilityError(f"radius {radius} at n = {code.n} is over the walk budget")
+    leader is the first word of its list.  Refuses a ball over the budget."""
+    check_walk_budget(code.n, radius)
     columns = [mat_vec(code.h, 1 << c) for c in range(code.n)]
     table: dict[int, list[int]] = {0: [0]}
     syndromes = [0]  # of the words walked so far, by place

@@ -29,7 +29,7 @@ from .bitword import (
     unpack_fields,
 )
 from .errors import ContractError
-from .gf2codes import hamming_7_4, random_linear_code
+from .gf2codes import check_walk_budget, hamming_7_4, random_linear_code
 from .hashing import multi_nba_parties, nba_parties
 from .probproto import ProbParams, composite_parties, one_round_prob_parties
 from .syncdet import (
@@ -185,6 +185,7 @@ def _build_syndrome(cfg, bounds, params, root):
 
 def _build_listdec(cfg, bounds, params, root):
     radius = bounds.radius if params["radius"] is None else params["radius"]
+    check_walk_budget(bounds.n, radius)  # before a wide code is sampled
     code = random_linear_code(bounds.n, params["code_k"], root)
     return _sync_cases(cfg, bounds, root, lambda inst, sa: listdec_parties(code, radius, inst))
 
@@ -215,6 +216,7 @@ def _build_multinba(cfg, bounds, params, root):
 def _build_problist(cfg, bounds, params, root):
     radius = bounds.radius if params["radius"] is None else params["radius"]
     oversample, list_cap = params["oversample"], params["list_cap"]
+    check_walk_budget(bounds.n, radius)
     code = random_linear_code(bounds.n, params["code_k"], root)
 
     def parties(inst, sa):

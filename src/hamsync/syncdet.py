@@ -5,7 +5,8 @@ floor(alpha*n) positions, and Bob must finish holding x exactly.  Four
 constructions live here: check-bit transfer over a systematic code, syndrome
 transfer with unique decoding, syndrome transfer with list decoding plus an
 identification finish, and a small-n coloring oracle that realizes the
-one-round lower bound shape by brute force.
+one-round lower bound shape by brute force.  The code-based ones look Bob's
+syndrome difference up in the code's ball table, at the promise or list radius.
 
 Each protocol's preconditions are checked once, in its ``*_parties``
 function, which returns the (alice, bob) generator pair.  The one-call
@@ -21,14 +22,12 @@ from functools import lru_cache
 from .bitword import Bounds, Word, ball_volume, hamming_distance, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
-    LEADER_MAX_N,
     LinearCode,
     _walk,
     ball_table,
     encode,
     extract_message,
     gather_bits,
-    leader_table,
     mat_vec,
     syndrome,
 )
@@ -62,12 +61,11 @@ class SyncInstance:
 
 
 def _unique_radius(code: LinearCode, instance: SyncInstance) -> int:
-    """The promise radius, once the code is known to correct that many errors."""
-    if code.n > LEADER_MAX_N:
-        raise CapabilityError(f"coset-leader decoding is capped at n <= {LEADER_MAX_N}")
+    """The promise radius r, once its ball table lists one word per syndrome,
+    which holds exactly at distance > 2r: a nonzero codeword of weight <= 2r
+    is the xor of two words of weight <= r that share a syndrome."""
     r = instance.bounds.radius
-    # Distance 2r + 1 or more: no nonzero word of weight <= 2r is a codeword.
-    if ball_table(code, min(2 * r, code.n))[0] != (0,):
+    if len(ball_table(code, r)) != ball_volume(r, code.n):
         raise ContractError(f"code does not uniquely correct {r} errors")
     return r
 
@@ -102,11 +100,11 @@ def brute_bob(code: LinearCode, y: Word, radius: int):
         composed |= ((y.value >> i) & 1) << pos
     for i, pos in enumerate(code.check_positions):
         composed |= ((checks >> i) & 1) << pos
-    error = leader_table(code)[mat_vec(code.h, composed)]
-    diag = {"check_bits": msg.n, "decode_distance": error.bit_count()}
-    if diag["decode_distance"] > radius:
-        return None, diag
-    return extract_message(code, Word(composed ^ error, code.n)), diag
+    errors = ball_table(code, radius).get(mat_vec(code.h, composed))
+    if errors is None:  # no word within the radius: the promise is broken
+        return None, {"check_bits": msg.n}
+    diag = {"check_bits": msg.n, "decode_distance": errors[0].bit_count()}
+    return extract_message(code, Word(composed ^ errors[0], code.n)), diag
 
 
 def brute_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
@@ -125,8 +123,9 @@ def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     codeword, so only the check bits travel.
 
     Bob rebuilds a word that differs from Alice's codeword exactly where y
-    differs from x, then removes its syndrome's coset leader.  The caller
-    must supply a code whose guaranteed correction radius covers the promise.
+    differs from x, then removes the one word of weight <= radius that its
+    syndrome lists in the code's ball table.  The caller must supply a code
+    whose guaranteed correction radius covers the promise.
     """
     return run_protocol(*brute_parties(code, instance))
 
@@ -155,12 +154,11 @@ def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> lis
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
     h_msg = yield RECV
     (h_value,) = unpack_fields(h_msg, [code.n - code.k])
-    difference = leader_table(code)[h_value ^ mat_vec(code.h, y.value)]
-    weight = difference.bit_count()
-    diag = {"syndrome_bits": h_msg.n, "decoded_difference_weight": weight}
-    if weight > radius:
-        return None, diag
-    return Word(y.value ^ difference, code.n), diag
+    differences = ball_table(code, radius).get(h_value ^ mat_vec(code.h, y.value))
+    if differences is None:  # no word within the radius: the promise is broken
+        return None, {"syndrome_bits": h_msg.n}
+    diag = {"syndrome_bits": h_msg.n, "decoded_difference_weight": differences[0].bit_count()}
+    return Word(y.value ^ differences[0], code.n), diag
 
 
 def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
@@ -174,9 +172,9 @@ def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, P
 def syndrome_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     """One round of code.n - code.k bits, (1 - rate) * n: Alice sends H x.
 
-    H x + H y is the syndrome of x xor y, whose coset leader is x xor y
-    itself whenever the promise holds and the code corrects radius errors,
-    so y xor that leader is x exactly.
+    H x + H y is the syndrome of x xor y, which the ball table at the
+    promise radius maps to x xor y alone whenever the promise holds and the
+    code corrects radius errors, so y xor that word is x exactly.
     """
     return run_protocol(*syndrome_parties(code, instance))
 

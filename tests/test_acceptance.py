@@ -130,11 +130,11 @@ def _refuse_the_old_decoders(patch):
 
 
 def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
-    # Brute and syndrome decode by the coset-leader table, listdec and
-    # problist list by the ball table, and coloring reads its colors.  A
-    # code reduces its rows when it is built, so the old path raises only
-    # once the code exists: Hamming's now, the list protocols' random codes
-    # as the harness builds them.
+    # Brute and syndrome decode by the ball table, listdec and problist
+    # list by it, and coloring reads its colors.  A code reduces its rows
+    # when it is built, so the old path raises only once the code exists:
+    # Hamming's now, the list protocols' random codes as the harness builds
+    # them.
     hamming_7_4()
     assert not hasattr(syncdet, "unique_decode")
     with monkeypatch.context() as patch:

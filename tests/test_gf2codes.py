@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hamsync import gf2codes, probproto
-from hamsync.bitword import Word, ball_volume
+from hamsync.bitword import Bounds, Word, ball_volume
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
     WALK_BUDGET,
@@ -16,12 +16,12 @@ from hamsync.gf2codes import (
     _rref,
     _walk,
     ball_table,
+    check_walk_budget,
     codewords,
     coset_leaders,
     encode,
     extract_message,
     hamming_7_4,
-    leader_table,
     list_decode_exhaustive,
     mat_vec,
     random_linear_code,
@@ -30,6 +30,7 @@ from hamsync.gf2codes import (
     unique_decode,
 )
 from hamsync.probproto import ProbParams, sample_inner_code
+from hamsync.syncdet import SyncInstance, brute_sync, syndrome_sync
 
 
 def min_distance(code):
@@ -433,15 +434,23 @@ def test_coset_leaders_take_the_smaller_word_with_zero_or_repeated_columns(solve
     assert checked >= 200 and dependent >= 10
 
 
-def test_leader_table_is_built_once_per_code():
-    # Hamming's parity-check column c is c + 1, so the leader of syndrome
-    # c + 1 is the single error in position c.
+def test_unique_decoders_share_one_ball_table_per_code():
+    # Hamming's parity-check column c is c + 1, so syndrome c + 1 lists the
+    # single error in position c alone.  Brute and syndrome both decode at
+    # radius 1 on it, through the one table built for the code.
     code = hamming_7_4()
-    assert leader_table(code) is leader_table(code)
-    assert leader_table(code) == {0: 0, **{c + 1: 1 << c for c in range(7)}}
+    ball_table.cache_clear()
+    bounds = {n: Bounds(Fraction(1, n), n) for n in (4, 7)}
+    assert brute_sync(code, SyncInstance(Word(5, 4), Word(7, 4), bounds[4])).recovered.value == 5
+    assert syndrome_sync(code, SyncInstance(Word(9, 7), Word(8, 7), bounds[7])).recovered.value == 9
+    info = ball_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert ball_table(code, 1) is ball_table(code, 1)
+    assert ball_table(code, 1) == {0: (0,), **{c + 1: (1 << c,) for c in range(7)}}
     for n in range(3, 9):
         code = random_linear_code(n, 2, random.Random(n))
-        assert leader_table(code) == _leaders_by_full_decoding(code)
+        table = ball_table(code, len(code.h))  # every coset leader is in the ball
+        assert {d: es[0] for d, es in table.items()} == _leaders_by_full_decoding(code)
 
 
 def test_walk_is_the_cube_by_weight_cut_at_the_radius():
@@ -468,7 +477,8 @@ def test_ball_table_lists_each_syndrome_in_walk_order():
         assert ball_table(code, radius) == {d: tuple(es) for d, es in expected.items()}
         if radius >= len(code.h):  # every coset leader is in the ball
             table = ball_table(code, radius)
-            assert {d: es[0] for d, es in table.items()} == leader_table(code)
+            columns = [mat_vec(code.h, 1 << c) for c in range(n)]
+            assert {d: es[0] for d, es in table.items()} == coset_leaders(columns, len(code.h))
 
 
 def test_ball_table_refuses_one_word_over_the_budget(monkeypatch):
@@ -477,6 +487,8 @@ def test_ball_table_refuses_one_word_over_the_budget(monkeypatch):
     assert ball_volume(8, 17) == WALK_BUDGET == ball_volume(1, 1 << 16) - 1
     rng = random.Random(83)
     monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(3, 12) - 1)
+    with pytest.raises(CapabilityError, match="walk budget"):
+        check_walk_budget(12, 3)  # from the shape alone, before any code exists
     with pytest.raises(CapabilityError, match="walk budget"):
         ball_table(random_linear_code(12, 4, rng), 3)
     monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(3, 12))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamsync import harness
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.harness import (
     PROTOCOLS,
@@ -175,14 +176,22 @@ def test_configuration_errors():
 
 
 @pytest.mark.parametrize("protocol", ["listdec", "problist"])
-def test_list_decoding_limits_fail_before_the_run(protocol):
-    # The parties' own errors, raised before a trial runs or a socket opens.
+def test_list_decoding_limits_fail_before_the_run(monkeypatch, protocol):
+    # Raised before a trial runs or a socket opens, and before the code is
+    # sampled, which costs about n^3: at n = 2048 it used to come first.
+    def no_sampling(n, k, rng):
+        raise AssertionError("a code was sampled for a refused shape")
+
+    monkeypatch.setattr(harness, "random_linear_code", no_sampling)
     with pytest.raises(ContractError):
         run_experiment(ExperimentConfig(protocol=protocol, trials=2, params={"radius": 15}))
-    with pytest.raises(CapabilityError):
-        # V(30, 8) is over the walk budget
-        cfg = ExperimentConfig(protocol=protocol, n=30, alpha=Fraction(1, 10), trials=2, params={"radius": 8})
-        run_experiment(cfg)
+    over_budget = [  # V(30, 8) and V(2048, 2) are over the walk budget
+        ExperimentConfig(protocol=protocol, n=30, alpha=Fraction(1, 10), trials=2, params={"radius": 8}),
+        ExperimentConfig(protocol=protocol, n=2048, alpha=Fraction(2, 2048), trials=2),
+    ]
+    for cfg in over_budget:
+        with pytest.raises(CapabilityError, match="walk budget"):
+            run_experiment(cfg)
 
 
 @pytest.mark.parametrize("connect", [None, "127.0.0.1:1"])

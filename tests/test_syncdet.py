@@ -9,7 +9,6 @@ from hamsync import gf2codes
 from hamsync.bitword import Bounds, Word, ball_volume, hamming_distance, random_word_within
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
-    LEADER_MAX_N,
     AffineSolver,
     LinearCode,
     extract_message,
@@ -20,6 +19,7 @@ from hamsync.gf2codes import (
     syndrome,
     unique_decode,
 )
+from hamsync.gf2k_rs import field
 from hamsync.probproto import one_round_prob_parties, one_round_prob_sync
 from hamsync.syncdet import (
     SyncInstance,
@@ -235,6 +235,19 @@ def test_list_protocols_refuse_one_word_over_the_walk_budget(monkeypatch):
     with pytest.raises(CapabilityError, match="walk budget"):
         one_round_prob_parties(code, 3, inst, 16, random.Random(0))
     assert listdec_sync(code, 2, inst).recovered == inst.x
+    # The unique decoders read the same table at the promise radius: cut to
+    # one word under V(15, 1), Hamming [15, 11] is refused, and at V(15, 1)
+    # it runs.  A cached table was checked when it was built, so none is kept.
+    code = _hamming_code(4)
+    for parties, words in ((brute_parties, code.k), (syndrome_parties, code.n)):
+        y = Word(rng.getrandbits(words), words)
+        inst = SyncInstance(y.flip([words - 1]), y, Bounds(Fraction(1, words), words))
+        gf2codes.ball_table.cache_clear()
+        monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(1, 15) - 1)
+        with pytest.raises(CapabilityError, match="walk budget"):
+            parties(code, inst)
+        monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(1, 15))
+        assert run_protocol(*parties(code, inst)).recovered == inst.x
 
 
 def test_coloring_is_proper():
@@ -301,25 +314,56 @@ def test_protocols_reuse_the_code_solver(monkeypatch):
     assert built == [7]
 
 
-def _hamming_code(n):
-    """The Hamming code with parity-check columns 1..n: shortened below 15,
-    and distance 3 for every n >= 3."""
-    return LinearCode(n, [sum(((c >> r) & 1) << (c - 1) for c in range(1, n + 1)) for r in range(4)])
+def _hamming_code(m):
+    """The [2^m - 1, 2^m - 1 - m] Hamming code: parity-check column c is the
+    m-bit value c + 1, so every column is distinct and nonzero (distance 3)."""
+    n = (1 << m) - 1
+    return LinearCode(n, [sum(((c >> r) & 1) << (c - 1) for c in range(1, n + 1)) for r in range(m)])
+
+
+def _bch_15_7():
+    """The [15, 7] BCH code of distance 5: parity-check column i is alpha^i
+    over alpha^(3i) in GF(16)."""
+    f = field(4)
+    columns = [f.exp[i] | f.exp[3 * i % 15] << 4 for i in range(15)]
+    return LinearCode(15, [sum(((col >> r) & 1) << c for c, col in enumerate(columns)) for r in range(8)])
+
+
+def _extended_hamming_8_4():
+    """Hamming [7, 4] with an overall parity row: distance 4."""
+    return LinearCode(8, hamming_7_4().h + ((1 << 8) - 1,))
 
 
 @pytest.mark.parametrize("parties, length", [(brute_parties, "k"), (syndrome_parties, "n")])
-def test_unique_decoding_is_capped_at_the_leader_table_length(parties, length):
-    # Refused at n = 15 by the parties function itself, before a generator
-    # exists to step; accepted, and exact, at n = 14.
-    for n in (LEADER_MAX_N + 1, LEADER_MAX_N):
-        code = _hamming_code(n)
-        assert (code.n, min_distance(code)) == (n, 3)
+def test_unique_decoding_reaches_past_n_14(parties, length):
+    # One ball-table lookup at the promise radius decodes any code whose
+    # distance exceeds 2r, inside the walk budget: the three Hamming codes
+    # at r = 1, where syndrome sends exactly log2 Vol(1, n) bits, and the
+    # [15, 7] BCH code at r = 2.
+    codes = [(_hamming_code(m), 1) for m in (4, 5, 6)] + [(_bch_15_7(), 2)]
+    assert [(c.n, c.k) for c, _ in codes] == [(15, 11), (31, 26), (63, 57), (15, 7)]
+    assert min_distance(codes[0][0]) == 3 and min_distance(codes[3][0]) == 5
+    rng = random.Random(69)
+    for code, r in codes:
         words = getattr(code, length)
-        rng = random.Random(n)
+        bounds = Bounds(Fraction(r, words), words)
+        for _ in range(100):
+            y = Word(rng.getrandbits(words), words)
+            inst = SyncInstance(random_word_within(y, r, rng), y, bounds)
+            out = run_protocol(*parties(code, inst))
+            assert out.recovered == inst.x and not out.reported_failure
+            assert out.transcript.total_bits == code.n - code.k
+        if parties is syndrome_parties and r == 1:
+            assert 1 << out.transcript.total_bits == ball_volume(1, code.n)
+    # A code of distance exactly 2r is refused; at radius r - 1 it runs.
+    code = _extended_hamming_8_4()
+    assert min_distance(code) == 4
+    words = getattr(code, length)
+    for r in (2, 1):
         y = Word(rng.getrandbits(words), words)
-        inst = SyncInstance(y.flip([3]), y, Bounds(Fraction(1, words), words))
-        if n > LEADER_MAX_N:
-            with pytest.raises(CapabilityError, match="capped at n <= 14"):
+        inst = SyncInstance(y.flip([0]), y, Bounds(Fraction(r, words), words))
+        if r == 2:
+            with pytest.raises(ContractError, match="uniquely correct 2 errors"):
                 parties(code, inst)
         else:
             assert run_protocol(*parties(code, inst)).recovered == inst.x
@@ -355,6 +399,15 @@ def _old_brute_bob(code, y, radius, msg):
     return (None if diag["decode_distance"] > radius else extract_message(code, z)), diag
 
 
+def _assert_same_result(new, old, weight, radius):
+    """new equals old, except that past the radius, where both report
+    failure, only the old Bob knew the weight of the coset's leader."""
+    recovered, diag = old
+    if diag[weight] > radius:
+        diag = {key: value for key, value in diag.items() if key != weight}
+    assert new == (recovered, diag)
+
+
 def _assert_bobs_agree(code, pairs):
     """Both Bobs give what their old selves give on these (x, y) pairs of
     n-bit words, at every distance: syndrome on (x, y), brute on the low k
@@ -365,11 +418,12 @@ def _assert_bobs_agree(code, pairs):
         x, y = Word(xv, code.n), Word(yv, code.n)
         msg = syndrome(code, x)
         new = _bob_result(syndrome_bob(code, y, radius), msg)
-        assert new == _old_syndrome_bob(code, y, radius, msg)
+        old = _old_syndrome_bob(code, y, radius, msg)
+        _assert_same_result(new, old, "decoded_difference_weight", radius)
         x, y = Word(xv % (1 << files), files), Word(yv % (1 << files), files)
         msg = next(brute_alice(code, x))
         new = _bob_result(brute_bob(code, y, radius), msg)
-        assert new == _old_brute_bob(code, y, radius, msg)
+        _assert_same_result(new, _old_brute_bob(code, y, radius, msg), "decode_distance", radius)
 
 
 def test_leader_bobs_match_the_decoding_bobs_on_every_hamming_pair():
