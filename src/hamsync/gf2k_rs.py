@@ -317,9 +317,10 @@ def rs_extra_evals(fld: Field, blocks: int, m: int, s: int) -> int:
     return _table_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
 
 
-def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], int]:
+def _berlekamp_massey(fld: Field, syndromes: Sequence[int], packed: int) -> tuple[list[int], int]:
     """Shortest LFSR (connection polynomial, low degree first, and its length
-    L) that generates the syndrome sequence.
+    L) that generates the syndrome sequence, given also packed in lanes
+    (_pack_lanes), as rs_correct holds it.
 
     A step whose discrepancy is 0 leaves the polynomial as it is.  So once
     2L <= n and step n's discrepancy is 0, one _lane_map over the polynomial
@@ -331,8 +332,7 @@ def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], 
     exp, log = fld.exp, fld.log
     count = len(syndromes)
     lam, prev = [1], [1]
-    length, shift, prev_disc = 0, 1, 1
-    n = 0
+    length, shift, prev_disc, n = 0, 1, 1, 0
     while n < count:
         disc = syndromes[n]
         for lam_i, s_i in zip(lam[1:], reversed(syndromes[n - length : n])):
@@ -343,7 +343,6 @@ def _berlekamp_massey(fld: Field, syndromes: Sequence[int]) -> tuple[list[int], 
             if 2 * length <= n < count - 1:
                 later = count - 1 - n
                 mask = (1 << (later * _LANE_BITS)) - 1
-                packed = _pack_lanes(syndromes)
                 columns = [packed >> ((n + 1 - u) * _LANE_BITS) & mask for u in range(length + 1)]
                 discs = _lane_map(fld, _pack_lanes(lam[: length + 1]), columns, later)
                 # the first nonzero lane, or all of them settled
@@ -376,17 +375,28 @@ def _eval_at(fld: Field, coeffs: Sequence[int], log_x: int) -> int:
     return acc
 
 
-def _error_positions(fld: Field, lam: Sequence[int], n_points: int, s: int) -> list[int]:
-    """The points i < n_points at whose 1/X_i the locator lam vanishes, by
-    one _table_map over the points.  A degree-1 locator 1 + lambda_1 x needs
-    no scan: it vanishes at 1/X_i exactly when X_i = i ^ n_points = lambda_1,
-    so its one candidate is i = lambda_1 ^ n_points, a point when below
-    n_points."""
-    if len(lam) == 2:
-        i = lam[1] ^ n_points
-        return [i] if i < n_points else []
-    at_points = _table_map(fld, _pack_lanes(lam), _root_columns(fld.k, n_points, s), n_points)
-    return [i for i, v in enumerate(_unpack_lanes(at_points, n_points)) if not v]
+def _locate(
+    fld: Field, syndromes: Sequence[int], packed: int, n_points: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """The error locator Lambda of nonzero syndromes over the points
+    i < n_points and the points i at whose 1/X_i it vanishes, X_i =
+    i ^ n_points, or None when Lambda cannot be a valid locator: its length
+    L, from Berlekamp-Massey, exceeds s/2 for s = len(syndromes), or it does
+    not have exactly L roots among the points.
+
+    The roots come from one _table_map over the points, except at L = 1:
+    1 + lambda_1 x vanishes at 1/X_i exactly when X_i = lambda_1, so its one
+    candidate is i = lambda_1 ^ n_points, a point when below n_points."""
+    s = len(syndromes)
+    lam, length = _berlekamp_massey(fld, syndromes, packed)
+    if 2 * length > s:
+        return None
+    if length == 1:
+        positions = [lam[1] ^ n_points] if lam[1] ^ n_points < n_points else []
+    else:
+        at_points = _table_map(fld, _pack_lanes(lam), _root_columns(fld.k, n_points, s), n_points)
+        positions = [i for i, v in enumerate(_unpack_lanes(at_points, n_points)) if not v]
+    return (lam, positions) if len(positions) == length else None
 
 
 def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
@@ -404,52 +414,47 @@ def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
     The syndromes are S_j = sum_i w_i r_i X_i^j for j < s over all N = m+s
     points, with the barycentric weights w_i of the N points and the
     locators X_i = i + N, which are nonzero because N is not a point.
-    Berlekamp-Massey finds the error locator Lambda of length L,
-    _error_positions its roots (a scan over the N points, or in closed form
-    when L = 1, as at s = 2), and Forney's formula the values w_i e_i.  The
-    syndromes and the root scan are one _table_map each.  Berlekamp-Massey
-    takes its steps one at a time, O(L) table steps each, until 2L <= n and
-    a discrepancy is 0, then checks every later step in one _lane_map, one
-    more for each nonzero discrepancy it resumes at.  Forney takes O(L^2)
-    table steps: Omega's L coefficients, and at each root a Horner
-    evaluation of Omega and of Lambda', which in characteristic 2 is
-    Lambda's odd half over x, a polynomial in x^2 of about L/2 terms.
+    _locate finds the error locator Lambda of length L by Berlekamp-Massey
+    and its roots (a scan over the N points, or in closed form when L = 1,
+    as at s = 2), or refuses it, and Forney's formula gives the values
+    w_i e_i.  The syndromes and the root scan are one _table_map each.
+    Berlekamp-Massey takes its steps one at a time, O(L) table steps each,
+    until 2L <= n and a discrepancy is 0, then checks every later step in
+    one _lane_map, one more for each nonzero discrepancy it resumes at.
+    Forney takes O(L^2) table steps: Omega's L coefficients, and at each
+    root a Horner evaluation of Omega and of Lambda', which in
+    characteristic 2 is Lambda's odd half over x, a polynomial in x^2 of
+    about L/2 terms.
     Relies on 1 <= m, m + s < 2^k and field-element values (module docstring).
     """
     n_points = m + s
-    received = values & ((1 << (m * _LANE_BITS)) - 1)
+    kept = (1 << (m * _LANE_BITS)) - 1  # the m block lanes
     packed = _table_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
     if not packed:
-        return received
+        return values & kept
     syndromes = _unpack_lanes(packed, s)
-
-    lam, length = _berlekamp_massey(fld, syndromes)
-    if 2 * length > s:
+    located = _locate(fld, syndromes, packed, n_points)
+    if located is None:
         return None
-    positions = _error_positions(fld, lam, n_points, s)
-    if len(positions) != length:
-        return None
+    lam, positions = located
 
     # Forney: w_i e_i = X_i Omega(1/X_i) / Lambda'(1/X_i), where
     # Omega = S Lambda mod x^L and Lambda'(x) = sum_j lambda_{2j+1} x^(2j).
     order = fld.size - 1
     exp, log = fld.exp, fld.log
-    omega = [0] * length
-    for u, c in enumerate(lam[:length]):
+    omega = [0] * len(positions)
+    for u, c in enumerate(lam[:-1]):
         if c:
-            for t, s_t in enumerate(syndromes[: length - u], u):
+            for t, s_t in enumerate(syndromes[: len(omega) - u], u):
                 if s_t:
                     omega[t] ^= exp[log[c] + log[s_t]]
     odd = lam[1::2]
     weights = _barycentric_weights(fld.k, n_points)
-    out = received
     for i in positions:
         log_loc = log[i ^ n_points]
         num = _eval_at(fld, omega, order - log_loc)
         den = _eval_at(fld, odd, -2 * log_loc % order)
         if not num or not den:
             return None
-        if i < m:
-            error = exp[(log_loc + log[num] - log[den] - log[weights[i]]) % order]
-            out ^= error << (i * _LANE_BITS)
-    return out
+        values ^= exp[(log_loc + log[num] - log[den] - log[weights[i]]) % order] << i * _LANE_BITS
+    return values & kept

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from operator import ne, xor
 
@@ -15,8 +16,8 @@ from hamsync.gf2k_rs import (
     _barycentric_weights,
     _berlekamp_massey,
     _encoder_columns,
-    _error_positions,
     _lane_map,
+    _locate,
     _pack_lanes,
     _repunit,
     _root_columns,
@@ -507,18 +508,58 @@ def test_each_shape_selects_the_kernel_its_masks_allow(monkeypatch, k, m, s, ker
     assert used[kernel] == (2 if s == 2 else 3) and used[other] == 0
 
 
-def test_degree_one_locators_find_their_root_without_a_scan():
-    # 1 + lambda_1 x has its root at the point lambda_1 ^ N when that is
-    # below N, and no root among the points otherwise.
+def test_degree_one_locators_find_their_root_without_a_scan(monkeypatch):
+    # The syndromes (1, lambda_1) give the locator 1 + lambda_1 x, which has
+    # its root at the point lambda_1 ^ N when that is below N, and no root
+    # among the points otherwise, where its one root is too few.
+    used = kernels_used(monkeypatch)
     for k, n_points in [(3, 5), (4, 9), (9, 60), (11, 251)]:
         fld = field(k)
         inside = outside = 0
         for lam1 in range(fld.size):
             scan = [i for i, v in enumerate(old_root_scan(fld, [1, lam1], n_points)) if not v]
-            assert _error_positions(fld, [1, lam1], n_points, 2) == scan
+            located = _locate(fld, [1, lam1], _pack_lanes([1, lam1]), n_points)
+            assert located == (([1, lam1], scan) if scan else None)
             inside += bool(scan)
             outside += not scan
         assert inside == n_points and outside == fld.size - n_points
+    assert used == {"slot": 0, "bit-sliced": 0}
+
+
+@pytest.mark.parametrize("k, m, s", [(4, 3, 4), (4, 5, 6), (5, 20, 8), (8, 40, 6)])
+def test_locate_refuses_a_long_locator_and_a_wrong_root_count(k, m, s):
+    # _locate keeps Berlekamp-Massey's (Lambda, L) exactly when 2L <= s and
+    # Lambda has L roots among the points, and then returns those roots.
+    # The syndromes are those of random words and of codewords with 1 to
+    # floor(s/2) + 2 wrong values, and 0, ..., 0, 1, whose L is s.
+    fld = field(k)
+    n_points = m + s
+    rng = random.Random(k * 100 + s)
+    sequences = [[0] * (s - 1) + [1]]
+    for errors in [None, *range(1, s // 2 + 3)] * 30:
+        if errors is None:
+            values = [rng.randrange(fld.size) for _ in range(n_points)]
+        else:
+            values = [rng.randrange(fld.size) for _ in range(m)]
+            values += extra_evals(fld, values, s)
+            for pos in rng.sample(range(n_points), errors):
+                values[pos] ^= rng.randrange(1, fld.size)
+        sequences.append(table_map(fld, values, _syndrome_columns(k, n_points, s), s))
+    seen = Counter()
+    for seq in filter(any, sequences):
+        (lam, length), _ = old_berlekamp_massey(fld, seq)
+        located = _locate(fld, seq, _pack_lanes(seq), n_points)
+        roots = [i for i, v in enumerate(old_root_scan(fld, lam, n_points)) if not v]
+        if 2 * length > s:
+            seen["too long"] += 1
+            assert located is None
+        elif len(roots) != length:
+            seen["wrong root count"] += 1
+            assert located is None
+        else:
+            seen["kept"] += 1
+            assert located == (lam, roots)
+    assert seen.keys() == {"too long", "wrong root count", "kept"}
 
 
 def test_a_degree_one_locator_outside_the_points_is_a_decode_failure():
@@ -532,10 +573,11 @@ def test_a_degree_one_locator_outside_the_points_is_a_decode_failure():
     for _ in range(200):
         word = [rng.randrange(fld.size) for _ in range(m + s)]
         syndromes = lane_map(fld, word, plain_columns(_syndrome_columns(4, m + s, s), s), s)
-        lam, length = _berlekamp_massey(fld, syndromes)
+        lam, length = _berlekamp_massey(fld, syndromes, _pack_lanes(syndromes))
         if length != 1 or lam[1] ^ (m + s) < m + s:
             continue
         failures += 1
+        assert _locate(fld, syndromes, _pack_lanes(syndromes), m + s) is None
         assert correct(fld, word[:m], word[m:]) is None
         assert all(sum(map(ne, c, word)) > 1 for c in codewords)
     assert failures > 0
@@ -650,6 +692,6 @@ def test_berlekamp_massey_matches_the_per_step_loop(k, s):
     for _ in range(4):
         for seq in _bm_sequences(k, s, rng):
             expected, steps = old_berlekamp_massey(fld, seq)
-            assert _berlekamp_massey(fld, seq) == expected
+            assert _berlekamp_massey(fld, seq, _pack_lanes(seq)) == expected
             resumed += _resumes(steps)
     assert resumed > 0
