@@ -8,7 +8,7 @@ same LSB-first convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
@@ -57,10 +57,12 @@ def exact_fraction(value: Fraction | int | float | str) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class Bounds:
-    """Promise parameters: words of length n differ in at most floor(alpha*n) bits."""
+    """Promise parameters: words of length n differ in at most
+    radius = floor(alpha*n) bits, worked out once here."""
 
     alpha: Fraction
     n: int
+    radius: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = exact_fraction(self.alpha)
@@ -69,11 +71,8 @@ class Bounds:
             raise ContractError(f"alpha must be in [0, 1/2], got {alpha}")
         if not 1 <= self.n <= MAX_WORD_BITS:
             raise ContractError(f"n must be in [1, {MAX_WORD_BITS}], got {self.n}")
-
-    @property
-    def radius(self) -> int:
         # alpha*n is always rounded down, here and everywhere downstream.
-        return math.floor(self.alpha * self.n)
+        object.__setattr__(self, "radius", math.floor(alpha * self.n))
 
 
 def hamming_distance(a: Word, b: Word) -> int:

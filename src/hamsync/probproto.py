@@ -416,7 +416,14 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     return None
 
 
-def composite_bob(y: Word, params: ProbParams):
+def composite_bob(y: Word, params: ProbParams, radius: int):
+    """Bob's half: recover x from y, with d(x, y) <= radius promised.
+
+    Past the RS correction he refuses a word that contradicts what he
+    already holds: a changed block whose syndrome is not Alice's
+    (block_syndrome_mismatch; every estimate and every block of x has
+    Alice's syndrome), or a word more than radius flips from y
+    (promise_violation).  Neither costs a bit, and neither can refuse x."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
     p, m, width_p = _composite_shape(y.n, k, s)
@@ -457,6 +464,10 @@ def composite_bob(y: Word, params: ProbParams):
     flips = apply_permutation(inverse, Word(changed, p)).value
     if flips >> y.n:
         return None, {**diag, "padding_violation": True}
+    if _block_syndromes(columns, fixed ^ estimates, m):
+        return None, {**diag, "block_syndrome_mismatch": True}
+    if flips.bit_count() > radius:
+        return None, {**diag, "promise_violation": True}
     return Word(y.value ^ flips, y.n), diag
 
 
@@ -467,7 +478,10 @@ def composite_parties(
     which run once per shape."""
     _check_slack(params.delta, instance.bounds.alpha)
     _composite_shape(instance.n, params.k, params.s)
-    return composite_alice(instance.x, params, rng), composite_bob(instance.y, params)
+    return (
+        composite_alice(instance.x, params, rng),
+        composite_bob(instance.y, params, instance.bounds.radius),
+    )
 
 
 def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random) -> ProtocolOutcome:
@@ -483,8 +497,9 @@ def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random)
     in-run sampled parameter (permutation, matrix) is paid for in the
     transcript: 2 bit_length(p - 1) + (k - inner_dim)(k + m) + s k bits, for
     p the least prime >= n and m = ceil(p/k).  Bob reports failure when the
-    polynomial fit breaks down or the decoded word has nonzero padding; a
-    silent wrong answer needs the wrong-block count to exceed floor(s/2) and
-    the result to still look consistent.
+    polynomial fit breaks down, the decoded word has nonzero padding, a
+    corrected block's syndrome is not Alice's, or the word is further from y
+    than the promise allows; a silent wrong answer needs the wrong-block
+    count to exceed floor(s/2) and the result to pass all of these.
     """
     return run_protocol(*composite_parties(instance, params, rng))

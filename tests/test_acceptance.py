@@ -582,7 +582,7 @@ def test_criterion_12_transport_equivalence():
         cases.append(
             (
                 lambda x=x, sa=sa: composite_alice(x, pp, random.Random(sa)),
-                lambda y=y: composite_bob(y, pp),
+                lambda y=y: composite_bob(y, pp, 25),
                 x,
             )
         )

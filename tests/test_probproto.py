@@ -704,9 +704,10 @@ def test_alice_messages_equal_pack_fields_of_the_same_fields():
             assert sent == _packed_messages(perm, columns, blocks, params)
 
 
-def _bob(y, params, messages):
-    """composite_bob's (recovered, diagnostics) on these messages."""
-    bob = composite_bob(y, params)
+def _bob(y, params, radius, messages):
+    """composite_bob's (recovered, diagnostics) on these messages, with
+    d(x, y) <= radius promised."""
+    bob = composite_bob(y, params, radius)
     assert next(bob) is RECV
     for msg in messages[:-1]:
         assert bob.send(msg) is RECV
@@ -786,11 +787,11 @@ def test_bob_failure_paths_match_the_reference():
         }
         for name, value in cases.items():
             messages = _packed_messages(perm, columns, _blocks_by_shifts(value, m, k), params)
-            recovered, diag = _bob(y, params, messages)
+            recovered, diag = _bob(y, params, 102, messages)
             assert (recovered, diag) == _reference_bob(y, params, messages)
             outcomes[name, _outcome(x, recovered, diag)] += 1
         messages[2] = Word(rng.getrandbits(params.s * k), params.s * k)
-        recovered, diag = _bob(y, params, messages)
+        recovered, diag = _bob(y, params, 102, messages)
         assert (recovered, diag) == _reference_bob(y, params, messages)
         outcomes["garbage extras", _outcome(x, recovered, diag)] += 1
     assert outcomes == {
@@ -805,13 +806,13 @@ def test_bob_rejects_messages_of_the_wrong_length():
     n, params = _SHAPES[2]
     x = Word(random.Random(85).getrandbits(n), n)
     messages = list(composite_alice(x, params, random.Random(86)))
-    assert _bob(x, params, messages) == _reference_bob(x, params, messages)
+    assert _bob(x, params, 0, messages) == _reference_bob(x, params, messages)
     for i in (1, 2):
         for extra_bits in (-1, 1):
             wrong = list(messages)
             wrong[i] = Word(messages[i].value >> max(0, -extra_bits), messages[i].n + extra_bits)
             with pytest.raises(ContractError):
-                _bob(x, params, wrong)
+                _bob(x, params, 0, wrong)
 
 
 def test_bob_rejects_dependent_matrix_rows():
@@ -825,7 +826,53 @@ def test_bob_rejects_dependent_matrix_rows():
     value = messages[1].value & ~(((1 << k) - 1) << k) | row0 << k
     messages[1] = Word(value, messages[1].n)
     with pytest.raises(ContractError, match="dependent"):
-        _bob(x, params, messages)
+        _bob(x, params, 0, messages)
+
+
+# n, alpha, params, and whether x is exactly floor(alpha n) flips from y
+# (item 2's rows in ROADMAP.md) or a uniform distance within it (as the
+# smith-stress benchmark workload draws it)
+_CHECK_CASES = {
+    "smith-stress": (512, Fraction(1, 32), ProbParams(9, 2, Fraction(1, 10), 5), False),
+    "n512-exact": (512, Fraction(1, 32), ProbParams(9, 2, Fraction(1, 10), 5), True),
+    "n256-exact": (256, Fraction(1, 16), ProbParams(8, 2, Fraction(1, 10), 4), True),
+}
+
+
+@pytest.mark.parametrize("case", _CHECK_CASES)
+def test_bob_refuses_only_what_was_a_silent_wrong_word(case):
+    # The block-syndrome and promise checks cost no bit and cannot refuse x:
+    # Bob before them (_reference_bob) and Bob now, on the same messages,
+    # agree on every trial except where the reference returned a wrong word
+    # without a report, which Bob now refuses with one of the new reasons.
+    n, alpha, params, exact_flips = _CHECK_CASES[case]
+    radius = Bounds(alpha, n).radius
+    rng = random.Random(2041)
+    outcomes = Counter()
+    for _ in range(1000):
+        y = Word(rng.getrandbits(n), n)
+        if exact_flips:
+            x = y.flip(rng.sample(range(n), radius))
+        else:
+            x = random_word_within(y, radius, rng)
+        messages = list(composite_alice(x, params, rng))
+        recovered, diag = _bob(y, params, radius, messages)
+        reference = _reference_bob(y, params, messages)
+        new_reasons = diag.keys() & {"block_syndrome_mismatch", "promise_violation"}
+        if new_reasons:
+            assert recovered is None
+            assert reference[0] not in (None, x)
+            outcomes["refused a wrong word", *new_reasons] += 1
+        else:
+            assert (recovered, diag) == reference
+            outcomes[_outcome(x, recovered, diag)] += 1
+    assert outcomes["x"] > 100
+    assert outcomes["refused a wrong word", "block_syndrome_mismatch"] > 0
+    if case != "smith-stress":
+        assert outcomes["refused a wrong word", "promise_violation"] > 0
+    assert outcomes["wrong word"] < sum(
+        count for key, count in outcomes.items() if key[0] == "refused a wrong word"
+    )
 
 
 def test_composite_round_trips_at_n_2_15():
@@ -875,12 +922,14 @@ def _composite_outcomes(trials=300, seed=2007):
 
 
 def test_composite_outcomes_pinned():
-    # Captured when the inner code became one draw of k distinct nonzero
-    # parity-check columns; the old sampler's pin is checked below.
+    # Captured when Bob began refusing a corrected block whose syndrome is
+    # not Alice's and a word past the promise radius: 5 of the 6 silent
+    # wrong words became reported failures, with the same 175 exact.  The
+    # old sampler's pin is checked below.
     counts, digest = _composite_outcomes()
-    assert counts == {"exact": 175, "reported": 119, "silent": 6}
+    assert counts == {"exact": 175, "reported": 124, "silent": 1}
     assert digest == (
-        "f238373233ae45623e4eb5c9e5b7bc4f6b03b7449054919c54d5c0c614a4fc66"
+        "348a93634f8c678485d03f174dd1938e26ed9cda4a890a2134d27b316554cc68"
     )
 
 
@@ -919,14 +968,16 @@ _TRANSCRIPT_CASES = {
     "case, expected",
     [
         ("smith-2048", "c4719d925828f1c10d0fa1aead44cfe8896006568dd805f2c61c204b608bad97"),
-        ("smith-stress", "6a8fe260b174e6b6c399739882519b52ac673f4e04191f47dc665b4640015fee"),
+        ("smith-stress", "c61bde35d44ebf67f96261568fdc4ed33f230deda39818744ef7ba0dd00662ea"),
     ],
     ids=["smith-2048", "smith-stress"],
 )
 def test_composite_transcripts_pinned(case, expected):
     # Captured when the inner code became one draw of k distinct nonzero
     # parity-check columns; any change to Alice's draws or to a payload bit
-    # shows here.
+    # shows here.  smith-stress's was captured again, with every message
+    # unchanged, when Bob began refusing words that contradict the block
+    # syndromes or the promise radius.
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES[case], 2026) == expected
 
 
@@ -980,16 +1031,16 @@ _PATTERN_PINS = {
         (144, 6, 0), "5550bbe9c630a59706f19295963c6174b708d953a3d6d5ad5def20e70c98159e"
     ),
     ("smith-stress", "uniform", 300): (
-        (170, 109, 21), "8640ddf9d76300ccfba8e835a05644472224f67f4054a2c41ce65d4879a8246a"
+        (170, 130, 0), "0fa40d9ae1afab2c2bd402adc455259d940348de1702bafedff8a3a4ea8cd3de"
     ),
     ("smith-stress", "burst", 300): (
-        (234, 60, 6), "0bfd35d07c0574f377367b11664675e71fa1c8dd0ac144142f4b840e086df332"
+        (234, 65, 1), "e34d976a6fdb29bda71c90cf187cac08a4c371a569c5411ed8cf9cff7558826b"
     ),
     ("smith-stress", "stride-2", 300): (
-        (244, 48, 8), "285b7660b15412fb35ee789b8f8b4fdc93747ded5b03d02c7c5746c3ff1eb2d3"
+        (244, 55, 1), "c6314425d8916e4d6eb2ae20afc796bfff1878efc4cdd4751703cff8f2b9e087"
     ),
     ("smith-stress", "stride-11", 300): (
-        (226, 64, 10), "08b557cde3559915e88d6fc3cd02d8ef9b9747112f4e4a27895165adccf63f97"
+        (226, 73, 1), "31471953da89daec0e365e5353df5c31cc2c38acbffc008fcf1be0d169d77e7c"
     ),
 }
 
@@ -1002,7 +1053,9 @@ def test_composite_flip_patterns_pinned(key):
     # table's ties decide the estimate.  Stride 11 is smith-2048's block
     # size, so before the permutation every flip sits at one offset of its
     # own block.  Captured before the fix table's tie rule became "the
-    # smaller word".
+    # smaller word"; smith-stress's were captured again, with the same exact
+    # counts, when Bob began refusing words that contradict the block
+    # syndromes or the promise radius.
     (exact, reported, silent), expected = _PATTERN_PINS[key]
     counts, digest = _pattern_outcomes(*key, seed=2039)
     assert (counts["exact"], counts["reported"], counts["silent"]) == (exact, reported, silent)
@@ -1054,15 +1107,18 @@ def test_old_sampler_reproduces_the_old_pins(monkeypatch):
     # The pins above moved only because the inner code is drawn differently
     # (from the same distribution): with the old sampler patched back in,
     # every transcript, outcome and diagnostic is the one pinned before.
+    # The smith-stress values were captured again when Bob began refusing
+    # words that contradict the block syndromes or the promise radius: the
+    # same 169 exact, and all 11 silent wrong words reported.
     monkeypatch.setattr(probproto, "sample_inner_code", _old_sample_inner_code)
     counts, digest = _composite_outcomes()
-    assert counts == {"exact": 169, "reported": 120, "silent": 11}
-    assert digest == "44b869cab5c8d77698a913292bfba8cf09d14559e0fb609eb49c7473aef525b6"
+    assert counts == {"exact": 169, "reported": 131}
+    assert digest == "191b260403c3eee94f2ad2fbd571349fa66bc8dadc21db3b3c20bf96878b3a42"
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-2048"], 2026) == (
         "cb030d8042710ae9aee667b1fd7e2be798cfd99f85204ad8cb921521ff75bfd9"
     )
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-stress"], 2026) == (
-        "2805361d1a1001730fa11aa2f9b8e9a34ded3665231646e8068ac6944a30b50b"
+        "d18b9912d5574fcc74e2e246e94072ca0b1860d6a2b7e8442df7d1f76df6cefd"
     )
 
 
