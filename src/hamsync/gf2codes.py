@@ -183,13 +183,15 @@ def rank(masks: Sequence[int]) -> int:
 
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
     """The code of uniformly random (n-k) x n parity-check rows, resampled
-    until they have full row rank."""
+    until they have full row rank.  Each draw is reduced once, by
+    LinearCode itself, which refuses dependent rows."""
     if not 1 <= k < n:
         raise ContractError("need 1 <= k < n")
     for _ in range(_FULL_RANK_ATTEMPTS):
-        masks = tuple(rng.getrandbits(n) for _ in range(n - k))
-        if rank(masks) == n - k:
-            return LinearCode(n, masks)
+        try:
+            return LinearCode(n, tuple(rng.getrandbits(n) for _ in range(n - k)))
+        except ContractError:  # dependent rows, the only refusal a draw can meet
+            pass
     raise RetryLimitError(f"no full-rank parity matrix in {_FULL_RANK_ATTEMPTS} samples")
 
 
