@@ -28,7 +28,7 @@ from .bitword import (
     random_word_within,
     unpack_fields,
 )
-from .errors import ContractError
+from .errors import ContractError, TransportError
 from .gf2codes import check_walk_budget, hamming_7_4, random_linear_code
 from .hashing import multi_nba_parties, nba_parties
 from .probproto import ProbParams, composite_parties, one_round_prob_parties
@@ -43,6 +43,7 @@ from .transport import (
     RECV,
     Party,
     Role,
+    TcpEnd,
     TcpListener,
     host_port,
     outcome_from_party_run,
@@ -269,13 +270,39 @@ def _scalar_diags(diag: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in diag.items() if isinstance(v, (bool, int, float, str))}
 
 
+def _agree_on_run(
+    end: TcpEnd, cfg: ExperimentConfig, bounds: Bounds, params: dict[str, Any]
+) -> None:
+    """Exchange one frame with the peer before the first trial: a SHA-256 of
+    the protocol, the resolved n, alpha and params, the seed, the trial count
+    and exhaustive.  Each side sends its own and checks the peer's, so both
+    raise TransportError when they would run different trials.  The frame
+    belongs to no transcript, so it is not counted as payload."""
+    # Imported here, not with the module: hashlib loads OpenSSL, about
+    # 3.5 MB of resident memory that only a TCP run needs.
+    import hashlib
+
+    run = (
+        (cfg.protocol, bounds.n, bounds.alpha, sorted(params.items())),
+        (cfg.seed, cfg.trials, cfg.exhaustive),
+    )
+    digest = Word(int.from_bytes(hashlib.sha256(repr(run).encode()).digest(), "little"), 256)
+    end.send_bits(digest)
+    if end.recv_bits() != digest:
+        raise TransportError(
+            "the peer runs a different experiment (protocol, n, alpha, params, seed,"
+            " trials or exhaustive differ)"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     """Run one configured experiment and aggregate it into a single row.
 
     With neither listen= nor connect= both parties run in process.  Over
     TCP the listening side plays Alice for every trial and returns no rows;
     the connecting side plays Bob and reports.  Both sides must be started
-    with identical configurations.
+    with identical configurations, which they check before the first trial
+    (_agree_on_run).
     """
     if cfg.protocol not in PROTOCOLS:
         known = ", ".join(sorted(PROTOCOLS))
@@ -306,6 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         finally:
             listener.close()
         try:
+            _agree_on_run(end, cfg, bounds, params)
             for case in cases:
                 run_party(case.alice, Role.ALICE, end)
         finally:
@@ -314,6 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     if connect:
         end = tcp_connect(*connect)
         try:
+            _agree_on_run(end, cfg, bounds, params)
             pairs = (
                 (case, outcome_from_party_run(run_party(case.bob, Role.BOB, end)))
                 for case in cases

@@ -1,12 +1,13 @@
 import csv
 import json
+import socket
 import threading
 from fractions import Fraction
 
 import pytest
 
 from hamsync import harness
-from hamsync.errors import CapabilityError, ContractError
+from hamsync.errors import CapabilityError, ContractError, TransportError
 from hamsync.harness import (
     PROTOCOLS,
     REPORT_FIELDS,
@@ -240,6 +241,36 @@ def test_tcp_run_matches_loopback():
     loop_row = run_experiment(ExperimentConfig(**base))[0]
     for name in REPORT_FIELDS:
         assert getattr(tcp_row, name) == getattr(loop_row, name)
+
+
+@pytest.mark.parametrize(
+    "differs", [{"seed": 12}, {"trials": 7}, {"n": 8}, {"params": {"code_k": 4}}], ids=str
+)
+def test_tcp_sides_that_would_run_different_trials_both_raise(differs):
+    # Each side checks the peer's digest of the run before the first trial,
+    # so a mismatch raises on both ends instead of scoring Bob's outputs
+    # against trials Alice never ran.
+    base = dict(protocol="listdec", n=14, trials=6, seed=11)
+    with socket.socket() as probe:  # a port nothing listens on yet
+        probe.bind(("127.0.0.1", 0))
+        spec = f"127.0.0.1:{probe.getsockname()[1]}"
+    raised = []
+
+    def serve():
+        try:
+            run_experiment(ExperimentConfig(listen=spec, **base))
+        except TransportError as exc:
+            raised.append(exc)
+
+    t = threading.Thread(target=serve)
+    t.start()
+    try:
+        with pytest.raises(TransportError, match="different experiment"):
+            run_experiment(ExperimentConfig(connect=spec, **{**base, **differs}))
+    finally:
+        t.join(timeout=30)
+    assert not t.is_alive()
+    assert len(raised) == 1 and "different experiment" in str(raised[0])
 
 
 # Reports of every protocol at its registry defaults under one seed.  These
