@@ -1,22 +1,27 @@
-"""Arithmetic in GF(2^k) and a Reed-Solomon redundancy layer over it.
+"""Arithmetic in GF(2^k) and a Reed-Solomon syndrome layer over it.
 
 Field elements are plain ints in [0, 2^k); addition is xor and products go
-through exp/log tables.  Evaluation points are the field elements in
-increasing integer order: m block values are the values at points 0..m-1 of
-the unique polynomial of degree < m through them, and s redundancy values
-are its values at points m..m+s-1.  The m+s values form a Reed-Solomon
-codeword of minimum distance s+1.  rs_correct syndrome-decodes it and
-repairs up to floor(s/2) wrong values anywhere among the m+s; beyond that it
-returns the unique codeword within floor(s/2) of what it got, or None when
-there is none.  Both directions need one field element outside the point
-set, so m + s < 2^k.  Both take and return values packed in the 16-bit
-lanes of one int (_pack_lanes), as the composite protocol holds its blocks.
+through exp/log tables.  The layer is the Reed-Solomon code of the m + s
+points 0..m+s-1 (the field elements in increasing integer order), with the
+parity check H whose row j < s has w_i X_i^j at point i: w are the
+barycentric weights of the m + s points and X_i = i + m + s, nonzero
+because m + s is not a point.  Its codewords are the evaluations of the
+polynomials of degree < m, and any s columns of H are independent.
 
-The encoder, the syndromes and the root scan each multiply a vector by a
-column table cached per size (_table_map).  Where the table's 2^k slot
-masks fit _SLOT_MASK_BYTES (small k and few lanes, as at n = 512, s = 2)
-that product is one pass over columns widened to k slots (_slot_map);
-otherwise (as at n = 2048, s = 64) it is k bit-sliced passes (_lane_map).
+m blocks b sit at the first m points and the last s points stay 0.  Alice
+sends the s sums H (b || 0) (rs_extra_evals).  Bob xors them into the same
+product over his estimates of b, which leaves the syndromes of his errors,
+all at block points, and rs_correct repairs up to floor(s/2) wrong blocks;
+beyond that it returns the unique block vector within floor(s/2) of his
+estimates that has Alice's sums, or None when there is none.  Both take and
+return values packed in the 16-bit lanes of one int (_pack_lanes), as the
+composite protocol holds its blocks.
+
+Both parties multiply by one column table cached per size, and the root
+scan by a second (_table_map).  Where a table's 2^k slot masks fit
+_SLOT_MASK_BYTES (small k and few lanes, as at n = 512, s = 2) that product
+is one pass over columns widened to k slots (_slot_map); otherwise (as at
+n = 2048, s = 64) it is k bit-sliced passes (_lane_map).
 
 Neither direction checks its arguments.  Its one caller, the composite
 protocol, refuses m + s >= 2^k in composite_parties before a run starts,
@@ -139,15 +144,14 @@ def _lane_map(fld: Field, values: int, columns: Sequence[int], lanes: int) -> in
     _table keeps a cached table for it only where _slot_map's masks would
     not fit.
 
-    At (k, m, s) the encoder's table holds m*s lanes, the syndromes'
-    (m+s)*s and the root scan's (floor(s/2)+1)*(m+s), two bytes each, k
-    times over where _table widens them for _slot_map.  At n=2048 (k=11,
-    m=187, s=64) that is 24 + 32 + 17 KB, all bit-sliced.  At n=512 (k=9,
-    m=58, s=2) the encoder and the syndromes take _slot_map, 2.1 + 2.2 KB
-    widened plus 18 KiB of masks they share; the root scan, whose masks
-    would take 540 KiB, never runs there, since every locator at s=2 has
-    degree 1.  Berlekamp-Massey cuts its columns from the syndromes on each
-    call and always takes this kernel.
+    At (k, m, s) the syndromes' table holds m*s lanes and the root scan's
+    (floor(s/2)+1)*m, two bytes each, k times over where _table widens them
+    for _slot_map.  At n=2048 (k=11, m=187, s=64) that is 24 + 12 KB, both
+    bit-sliced.  At n=512 (k=9, m=58, s=2) the syndromes take _slot_map,
+    2.1 KB widened plus 18 KiB of masks; the root scan, whose masks would
+    take 522 KiB, never runs there, since every locator at s=2 has degree
+    1.  Berlekamp-Massey cuts its columns from the syndromes on each call
+    and always takes this kernel.
     """
     raw = values.to_bytes(2 * len(columns), "little")
     partial = [
@@ -263,58 +267,40 @@ def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _encoder_columns(k: int, m: int, s: int) -> _Table:
-    """The _table whose column i packs the Lagrange basis value
-    L_i(a) = M(a) w_i / (a - i) at the extra points a = m..m+s-1, with
-    M(x) = prod_{j < m} (x - j)."""
+def _syndrome_columns(k: int, m: int, s: int) -> _Table:
+    """The _table whose column i < m packs w_i X_i^j for j < s: H's block
+    columns (module docstring)."""
     fld = field(k)
     order = fld.size - 1
     exp, log = fld.exp, fld.log
-    # -log w_i for i < m, log M(a) for a >= m
-    vanishing = _log_vanishing(fld, m, range(m + s))
     columns = (
-        _pack_lanes(
-            [exp[(vanishing[a] - vanishing[i] - log[a ^ i]) % order] for a in range(m, m + s)]
-        )
-        for i in range(m)
+        _pack_lanes([exp[(log[w] + j * log[i ^ (m + s)]) % order] for j in range(s)])
+        for i, w in enumerate(_barycentric_weights(k, m + s)[:m])
     )
     return _table(k, s, columns)
 
 
 @lru_cache(maxsize=None)
-def _syndrome_columns(k: int, npoints: int, s: int) -> _Table:
-    """The _table whose column i packs w_i X_i^j for j < s, with the
-    locator X_i = i + npoints."""
-    fld = field(k)
-    order = fld.size - 1
-    exp, log = fld.exp, fld.log
-    columns = (
-        _pack_lanes([exp[(log[w] + j * log[i ^ npoints]) % order] for j in range(s)])
-        for i, w in enumerate(_barycentric_weights(k, npoints))
-    )
-    return _table(k, s, columns)
-
-
-@lru_cache(maxsize=None)
-def _root_columns(k: int, npoints: int, s: int) -> _Table:
-    """The _table whose column t packs X_i^-t over the points i < npoints,
+def _root_columns(k: int, m: int, s: int) -> _Table:
+    """The _table whose column t packs X_i^-t over the block points i < m,
     for t <= floor(s/2)."""
     fld = field(k)
     order = fld.size - 1
     exp, log = fld.exp, fld.log
     columns = (
-        _pack_lanes([exp[-t * log[i ^ npoints] % order] for i in range(npoints)])
+        _pack_lanes([exp[-t * log[i ^ (m + s)] % order] for i in range(m)])
         for t in range(s // 2 + 1)
     )
-    return _table(k, npoints, columns)
+    return _table(k, m, columns)
 
 
+# bench/tracer.py binds this name, so it keeps the name of the extra
+# evaluations it once returned until the benchmark's next change renames both.
 def rs_extra_evals(fld: Field, blocks: int, m: int, s: int) -> int:
-    """Values at the points m..m+s-1 of the degree < m polynomial f through
-    (i, b_i), for the m blocks b_i in the lanes of blocks (see _pack_lanes):
-    f(a) = sum_i b_i L_i(a) over the Lagrange basis, packed in s lanes.
+    """Alice's s sums H (b || 0) = sum_i w_i b_i X_i^j for j < s, over the m
+    blocks b_i in the lanes of blocks (see _pack_lanes), packed in s lanes.
     Relies on 1 <= m, m + s < 2^k and field-element blocks (module docstring)."""
-    return _table_map(fld, blocks, _encoder_columns(fld.k, m, s), s)
+    return _table_map(fld, blocks, _syndrome_columns(fld.k, m, s), s)
 
 
 def _berlekamp_massey(fld: Field, syndromes: Sequence[int], packed: int) -> tuple[list[int], int]:
@@ -376,64 +362,60 @@ def _eval_at(fld: Field, coeffs: Sequence[int], log_x: int) -> int:
 
 
 def _locate(
-    fld: Field, syndromes: Sequence[int], packed: int, n_points: int
+    fld: Field, syndromes: Sequence[int], packed: int, m: int
 ) -> Optional[tuple[list[int], list[int]]]:
-    """The error locator Lambda of nonzero syndromes over the points
-    i < n_points and the points i at whose 1/X_i it vanishes, X_i =
-    i ^ n_points, or None when Lambda cannot be a valid locator: its length
-    L, from Berlekamp-Massey, exceeds s/2 for s = len(syndromes), or it does
-    not have exactly L roots among the points.
+    """The error locator Lambda of nonzero syndromes and the block points
+    i < m at whose 1/X_i it vanishes, X_i = i ^ (m + s), or None when Lambda
+    cannot locate errors among the blocks: its length L, from
+    Berlekamp-Massey, exceeds s/2 for s = len(syndromes), or it does not have
+    exactly L roots among the block points.
 
-    The roots come from one _table_map over the points, except at L = 1:
+    The roots come from one _table_map over the blocks, except at L = 1:
     1 + lambda_1 x vanishes at 1/X_i exactly when X_i = lambda_1, so its one
-    candidate is i = lambda_1 ^ n_points, a point when below n_points."""
+    candidate is i = lambda_1 ^ (m + s), a block point when below m."""
     s = len(syndromes)
     lam, length = _berlekamp_massey(fld, syndromes, packed)
     if 2 * length > s:
         return None
     if length == 1:
-        positions = [lam[1] ^ n_points] if lam[1] ^ n_points < n_points else []
+        positions = [lam[1] ^ (m + s)] if lam[1] ^ (m + s) < m else []
     else:
-        at_points = _table_map(fld, _pack_lanes(lam), _root_columns(fld.k, n_points, s), n_points)
-        positions = [i for i, v in enumerate(_unpack_lanes(at_points, n_points)) if not v]
+        at_blocks = _table_map(fld, _pack_lanes(lam), _root_columns(fld.k, m, s), m)
+        positions = [i for i, v in enumerate(_unpack_lanes(at_blocks, m)) if not v]
     return (lam, positions) if len(positions) == length else None
 
 
-def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
-    """Recover the m block values from a corrupted copy plus s redundancy
-    values, treating all m+s positions as potentially wrong.  values packs
-    the m received blocks in lanes 0..m-1 and the s extras after them (see
-    _pack_lanes).
+def rs_correct(fld: Field, values: int, sums: int, m: int, s: int) -> Optional[int]:
+    """Alice's m blocks from Bob's estimates of them, packed in the lanes of
+    values, and her s sums from rs_extra_evals, packed in the lanes of sums
+    (see _pack_lanes).
 
-    Returns the first m values of the unique codeword within floor(s/2) of
-    the m+s given values, packed in m lanes; in particular correction is
-    guaranteed when fewer than s/2 of the received blocks are corrupted and
-    the extra values are intact.  Returns None when no codeword is that
-    close (decode failure is a value, not an exception).
+    Returns the unique block vector within floor(s/2) of the estimates whose
+    sums are Alice's, packed in m lanes; in particular Alice's blocks
+    whenever at most floor(s/2) estimates are wrong.  Returns None when no
+    block vector is that close (decode failure is a value, not an
+    exception).
 
-    The syndromes are S_j = sum_i w_i r_i X_i^j for j < s over all N = m+s
-    points, with the barycentric weights w_i of the N points and the
-    locators X_i = i + N, which are nonzero because N is not a point.
-    _locate finds the error locator Lambda of length L by Berlekamp-Massey
-    and its roots (a scan over the N points, or in closed form when L = 1,
-    as at s = 2), or refuses it, and Forney's formula gives the values
-    w_i e_i.  The syndromes and the root scan are one _table_map each.
-    Berlekamp-Massey takes its steps one at a time, O(L) table steps each,
-    until 2L <= n and a discrepancy is 0, then checks every later step in
-    one _lane_map, one more for each nonzero discrepancy it resumes at.
-    Forney takes O(L^2) table steps: Omega's L coefficients, and at each
-    root a Horner evaluation of Omega and of Lambda', which in
+    The product of the estimates with the table rs_extra_evals uses, xored
+    with sums, gives the syndromes S_j = sum_i w_i e_i X_i^j for j < s of
+    the errors e_i in the estimates.  _locate finds the error locator Lambda
+    of length L by Berlekamp-Massey and its roots (a scan over the m blocks,
+    or in closed form when L = 1, as at s = 2), or refuses it, and Forney's
+    formula gives the values w_i e_i.  The syndromes and the root scan are
+    one _table_map each.  Berlekamp-Massey takes its steps one at a time,
+    O(L) table steps each, until 2L <= n and a discrepancy is 0, then checks
+    every later step in one _lane_map, one more for each nonzero discrepancy
+    it resumes at.  Forney takes O(L^2) table steps: Omega's L coefficients,
+    and at each root a Horner evaluation of Omega and of Lambda', which in
     characteristic 2 is Lambda's odd half over x, a polynomial in x^2 of
     about L/2 terms.
     Relies on 1 <= m, m + s < 2^k and field-element values (module docstring).
     """
-    n_points = m + s
-    kept = (1 << (m * _LANE_BITS)) - 1  # the m block lanes
-    packed = _table_map(fld, values, _syndrome_columns(fld.k, n_points, s), s)
+    packed = _table_map(fld, values, _syndrome_columns(fld.k, m, s), s) ^ sums
     if not packed:
-        return values & kept
+        return values
     syndromes = _unpack_lanes(packed, s)
-    located = _locate(fld, syndromes, packed, n_points)
+    located = _locate(fld, syndromes, packed, m)
     if located is None:
         return None
     lam, positions = located
@@ -449,12 +431,12 @@ def rs_correct(fld: Field, values: int, m: int, s: int) -> Optional[int]:
                 if s_t:
                     omega[t] ^= exp[log[c] + log[s_t]]
     odd = lam[1::2]
-    weights = _barycentric_weights(fld.k, n_points)
+    weights = _barycentric_weights(fld.k, m + s)
     for i in positions:
-        log_loc = log[i ^ n_points]
+        log_loc = log[i ^ (m + s)]
         num = _eval_at(fld, omega, order - log_loc)
         den = _eval_at(fld, odd, -2 * log_loc % order)
         if not num or not den:
             return None
         values ^= exp[(log_loc + log[num] - log[den] - log[weights[i]]) % order] << i * _LANE_BITS
-    return values & kept
+    return values

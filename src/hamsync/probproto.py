@@ -24,9 +24,10 @@ from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
-# Caps (m + s) * s for m blocks and s extras: the lanes of the RS layer's
-# largest cached table, its syndrome columns.  At the cap one shape's tables
-# take about 13 MB and 0.6 s to build (k = 14, s = 64, 2 vCPUs).
+# Caps (m + s) * s for m blocks and s RS sums, which bounds the lanes of
+# both cached RS tables: the syndrome columns' m * s and the root scan's
+# (floor(s/2) + 1) * m.  At the cap one shape's tables hold about 4 MB
+# (tracemalloc) and take 0.3-0.5 s to build (k = 14, s = 64, 2 vCPUs).
 _RS_LANE_BUDGET = 1 << 20
 
 
@@ -282,7 +283,7 @@ class ProbParams:
     """Composite-protocol knobs.
 
     k: block size in bits, also the field degree of the redundancy layer.
-    s: extra polynomial evaluations; up to floor(s/2) wrong blocks heal.
+    s: RS sums Alice sends; up to floor(s/2) wrong blocks heal.
     delta: slack over alpha; blocks differing in >= (alpha+delta)*k
         positions count as dangerous in the analysis.
     inner_dim: dimension of the per-block code, drawn each trial as k
@@ -298,7 +299,7 @@ class ProbParams:
         if self.k < 2:
             raise ContractError("block size must be >= 2")
         if self.s < 2:
-            raise ContractError("need at least two extra evaluations")
+            raise ContractError("need at least two RS sums")
         delta = exact_fraction(self.delta)
         object.__setattr__(self, "delta", delta)
         if not 0 < delta < Fraction(1, 2):
@@ -371,7 +372,7 @@ def _block_syndromes(columns: Sequence[int], lanes: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _composite_shape(n: int, k: int, s: int) -> tuple[int, int, int]:
-    """(p, m, width) for smith on n-bit words with k-bit blocks and s extras:
+    """(p, m, width) for smith on n-bit words with k-bit blocks and s RS sums:
     the prime length p >= n it permutes, its m = ceil(p/k) blocks, and the
     bits that carry a and b.  Refuses the shapes the RS layer and the fix
     table cannot take.  Worked out once per shape; lru_cache keeps no
@@ -400,7 +401,8 @@ def _check_slack(delta: Fraction, alpha: Fraction) -> None:
 
 def composite_alice(x: Word, params: ProbParams, rng: Random):
     """Three messages, one direction: the permutation, then the inner-code
-    matrix with all block syndromes, then the extra evaluations."""
+    matrix with all block syndromes, then the s RS sums of the blocks
+    (rs_extra_evals), from which Bob locates the blocks he got wrong."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
     p, m, width_p = _composite_shape(x.n, k, s)
@@ -411,8 +413,8 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     matrix = _matrix_from_columns(columns, rows)
     syns = _relane(_block_syndromes(columns, lanes, m), m, _LANE_BITS, rows)
     yield Word(matrix | syns << (rows * k), rows * (k + m))
-    extra = rs_extra_evals(field(k), lanes, m, s)
-    yield Word(_relane(extra, s, _LANE_BITS, k), s * k)
+    sums = rs_extra_evals(field(k), lanes, m, s)
+    yield Word(_relane(sums, s, _LANE_BITS, k), s * k)
     return None
 
 
@@ -440,9 +442,8 @@ def composite_bob(y: Word, params: ProbParams, radius: int):
     diffs = _unpack_lanes(sent ^ _block_syndromes(columns, lanes, m), m)
     estimates = lanes ^ _pack_lanes([fix[d] for d in diffs])
 
-    (extra,) = unpack_fields((yield RECV), [s * k])
-    received = estimates | _relane(extra, s, k, _LANE_BITS) << (m * _LANE_BITS)
-    fixed = rs_correct(field(k), received, m, s)
+    (sums,) = unpack_fields((yield RECV), [s * k])
+    fixed = rs_correct(field(k), estimates, _relane(sums, s, k, _LANE_BITS), m, s)
     diag = {
         "p": p,
         "block_count": m,
@@ -487,19 +488,21 @@ def composite_parties(
 def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random) -> ProtocolOutcome:
     """Permute both words with a shared random affine map, sync each k-bit
     block by syndrome plus nearest-codeword choice, then heal the blocks
-    that came out wrong with s extra evaluations of the block-interpolating
-    polynomial over GF(2^k).
+    that came out wrong with a Reed-Solomon layer over GF(2^k): Alice sends
+    s sums of her blocks, and Bob's own sums of his estimates differ from
+    them by the syndromes of his wrong blocks.
 
     The permutation spreads the differences so most blocks carry at most
     one and decode exactly; a block needs >= 2 differences to come out
-    wrong, and the polynomial layer absorbs up to floor(s/2) such blocks.
+    wrong, and the RS layer absorbs up to floor(s/2) such blocks.
     All messages flow from Alice to Bob, so the run is one round, and every
     in-run sampled parameter (permutation, matrix) is paid for in the
     transcript: 2 bit_length(p - 1) + (k - inner_dim)(k + m) + s k bits, for
-    p the least prime >= n and m = ceil(p/k).  Bob reports failure when the
-    polynomial fit breaks down, the decoded word has nonzero padding, a
-    corrected block's syndrome is not Alice's, or the word is further from y
-    than the promise allows; a silent wrong answer needs the wrong-block
-    count to exceed floor(s/2) and the result to pass all of these.
+    p the least prime >= n and m = ceil(p/k).  Bob reports failure when no
+    block vector within floor(s/2) of his estimates has Alice's sums, the
+    decoded word has nonzero padding, a corrected block's syndrome is not
+    Alice's, or the word is further from y than the promise allows; a silent
+    wrong answer needs the wrong-block count to exceed floor(s/2) and the
+    result to pass all of these.
     """
     return run_protocol(*composite_parties(instance, params, rng))

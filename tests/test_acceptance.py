@@ -329,52 +329,59 @@ def test_criterion_07_pairwise_independence():
     assert ok
 
 
-def _extra_evals(fld, blocks, s):
-    """rs_extra_evals on a list of blocks, as a list."""
+def _sums(fld, blocks, s):
+    """rs_extra_evals on a list of blocks: Alice's s RS sums, as a list."""
     return _unpack_lanes(rs_extra_evals(fld, _pack_lanes(blocks), len(blocks), s), s)
 
 
-def _correct(fld, received, extra):
-    """rs_correct on lists of received blocks and extras, as a list or None."""
-    fixed = rs_correct(fld, _pack_lanes([*received, *extra]), len(received), len(extra))
+def _correct(fld, received, sums):
+    """rs_correct on lists of received blocks and Alice's sums, as a list or None."""
+    fixed = rs_correct(fld, _pack_lanes(received), _pack_lanes(sums), len(received), len(sums))
     return None if fixed is None else _unpack_lanes(fixed, len(received))
 
 
 def test_criterion_08_polynomial_redundancy():
+    # Alice's sums arrive exact, so only blocks can be wrong: every single
+    # and every double wrong value among GF(16)'s 4 blocks at s = 4.
     t0 = time.monotonic()
     f16 = field(4)
     rng = random.Random(808)
     blocks = [rng.randrange(16) for _ in range(4)]
-    extra = _extra_evals(f16, blocks, 4)
-    full = blocks + extra
-    single_wrong = 0
-    single_cases = 0
-    for pos in range(8):
-        for wrongval in range(16):
-            if wrongval == full[pos]:
-                continue
-            corrupted = list(full)
-            corrupted[pos] = wrongval
-            single_cases += 1
-            if _correct(f16, corrupted[:4], corrupted[4:]) != blocks:
-                single_wrong += 1
+    sums = _sums(f16, blocks, 4)
+    small_wrong = 0
+    single_cases = double_cases = 0
+    for count in (1, 2):
+        for positions in itertools.combinations(range(4), count):
+            for errors in itertools.product(range(1, 16), repeat=count):
+                corrupted = list(blocks)
+                for pos, error in zip(positions, errors):
+                    corrupted[pos] ^= error
+                single_cases += count == 1
+                double_cases += count == 2
+                if _correct(f16, corrupted, sums) != blocks:
+                    small_wrong += 1
     f256 = field(8)
     big_wrong = 0
     for _ in range(1000):
         bl = [rng.randrange(256) for _ in range(32)]
-        ex = _extra_evals(f256, bl, 16)
+        ex = _sums(f256, bl, 16)
         received = list(bl)
         for pos in rng.sample(range(32), rng.randint(0, 7)):
             received[pos] ^= rng.randrange(1, 256)
         if _correct(f256, received, ex) != bl:
             big_wrong += 1
     elapsed = time.monotonic() - t0
-    ok = single_wrong == 0 and single_cases == 120 and big_wrong == 0 and elapsed < 60
+    ok = (
+        small_wrong == 0
+        and (single_cases, double_cases) == (60, 1350)
+        and big_wrong == 0
+        and elapsed < 60
+    )
     _report(
         8,
         "block redundancy: GF(16) m=4,s=4 exhaustive; GF(256) m=32,s=16 sampled",
         ok,
-        f"{single_cases} single-error cases, {single_wrong} misses; "
+        f"{single_cases} single- and {double_cases} double-error cases, {small_wrong} misses; "
         f"1000 runs with <=7 bad blocks, {big_wrong} misses, {elapsed:.2f}s",
     )
     assert ok

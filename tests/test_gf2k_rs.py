@@ -1,8 +1,8 @@
 import itertools
 import random
 import tracemalloc
-from collections import Counter
-from functools import reduce
+from collections import Counter, defaultdict
+from functools import lru_cache, reduce
 from operator import ne, xor
 
 import pytest
@@ -15,7 +15,6 @@ from hamsync.gf2k_rs import (
     Field,
     _barycentric_weights,
     _berlekamp_massey,
-    _encoder_columns,
     _lane_map,
     _locate,
     _pack_lanes,
@@ -36,13 +35,15 @@ from hamsync.gf2k_rs import (
 # the same calls on lists.
 
 
-def extra_evals(fld: Field, blocks: list[int], s: int) -> list[int]:
+def power_sums(fld: Field, blocks: list[int], s: int) -> list[int]:
+    """Alice's s sums H (b || 0) of the blocks."""
     return _unpack_lanes(rs_extra_evals(fld, _pack_lanes(blocks), len(blocks), s), s)
 
 
-def correct(fld: Field, received: list[int], extra: list[int]):
-    fixed = rs_correct(fld, _pack_lanes([*received, *extra]), len(received), len(extra))
-    return None if fixed is None else _unpack_lanes(fixed, len(received))
+def correct(fld: Field, estimates: list[int], sums: list[int]):
+    """Bob's correction of his estimates with Alice's sums, or None."""
+    fixed = rs_correct(fld, _pack_lanes(estimates), _pack_lanes(sums), len(estimates), len(sums))
+    return None if fixed is None else _unpack_lanes(fixed, len(estimates))
 
 
 def lane_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
@@ -235,17 +236,19 @@ def test_interpolation_subsets_agree():
         assert poly_trim(interpolate(fld, pts)) == poly
 
 
-def test_extra_evals_of_constant_blocks():
-    fld = field(4)
-    assert extra_evals(fld, [9, 9, 9, 9], 4) == [9, 9, 9, 9]
-    assert extra_evals(fld, [5], 3) == [5, 5, 5]
-    assert extra_evals(fld, [1, 2, 3], 0) == []
-    assert extra_evals(fld, [1] * 10, 5) == [1] * 5  # 15 points and a spare
-    # 16 or more points leave no spare element; composite_parties refuses
-    # them (test_composite_parameter_guards).
+def _block_vectors_by_sums(fld: Field, m: int, s: int) -> dict[tuple, list[tuple]]:
+    """Every vector of m blocks, keyed by its sums H (b || 0), each summed
+    term by term."""
+    by_sums = defaultdict(list)
+    for blocks in itertools.product(range(fld.size), repeat=m):
+        by_sums[tuple(old_syndromes(fld, [*blocks, *[0] * s], s))].append(blocks)
+    return by_sums
 
 
-def test_extra_evals_match_lagrange():
+def test_power_sums_are_the_syndromes_of_the_lagrange_extras():
+    # Alice's sums H (b || 0) equal H (0 || extras) for the s values at
+    # points m..m+s-1 of the polynomial through her blocks, since (b || extras)
+    # is a codeword, and each equals its term-by-term sum.
     for k, max_m in [(3, 6), (4, 12), (8, 40), (11, 40)]:
         fld = field(k)
         rng = random.Random(60 + k)
@@ -254,23 +257,18 @@ def test_extra_evals_match_lagrange():
             s = rng.randint(0, min(20, fld.size - 1 - m))
             blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
             poly = interpolate(fld, list(enumerate(blocks)))
-            expected = [poly_eval(fld, poly, a) for a in range(m, m + s)]
-            assert extra_evals(fld, blocks, s) == expected
-
-
-def _codewords(fld: Field, m: int, n_points: int) -> list[tuple[int, ...]]:
-    """Every evaluation vector (f(0), ..., f(N-1)) with deg f < m."""
-    return [
-        tuple(poly_eval(fld, coeffs, a) for a in range(n_points))
-        for coeffs in itertools.product(range(fld.size), repeat=m)
-    ]
+            extras = [poly_eval(fld, poly, a) for a in range(m, m + s)]
+            sums = power_sums(fld, blocks, s)
+            assert sums == old_syndromes(fld, [*blocks, *[0] * s], s)
+            assert sums == old_syndromes(fld, [*[0] * m, *extras], s)
 
 
 def test_rs_correct_matches_brute_force_decoding(monkeypatch):
-    # The unique codeword within floor(s/2) of the m+s values, found by
-    # scanning every codeword, or None when no codeword is that close.
-    # GF(8) and GF(16) take the slot-mask kernel at every size; GF(256) at
-    # s = 17 and 20 has too many lanes for it and takes the bit-sliced one.
+    # The unique block vector within floor(s/2) of the estimates whose sums
+    # are the given ones, found by scanning every block vector, or None when
+    # no block vector is that close.  GF(8) and GF(16) take the slot-mask
+    # kernel at every size; GF(256) at s = 17 and 20 has too many lanes for
+    # it and takes the bit-sliced one.
     used = kernels_used(monkeypatch)
     returned = failed = 0
     for k, m_values, s_values in [
@@ -282,29 +280,32 @@ def test_rs_correct_matches_brute_force_decoding(monkeypatch):
         rng = random.Random(61 + k)
         for m in m_values:
             for s in s_values:
-                n_points = m + s
-                if n_points >= fld.size:
+                if m + s >= fld.size:
                     continue
-                codewords = _codewords(fld, m, n_points)
+                by_sums = _block_vectors_by_sums(fld, m, s)
                 radius = s // 2
                 for kind in ("random", "near", "beyond") * 12:
                     if kind == "random":
-                        word = [rng.randrange(fld.size) for _ in range(n_points)]
+                        estimates = [rng.randrange(fld.size) for _ in range(m)]
+                        sums = [rng.randrange(fld.size) for _ in range(s)]
                     else:
-                        word = list(rng.choice(codewords))
+                        blocks = [rng.randrange(fld.size) for _ in range(m)]
+                        sums = power_sums(fld, blocks, s)
                         if kind == "near":
                             errors = rng.randint(0, radius)
                         else:
-                            errors = min(n_points, rng.randint(radius + 1, radius + 3))
-                        for pos in rng.sample(range(n_points), errors):
-                            word[pos] ^= rng.randrange(1, fld.size)
-                    close = [c for c in codewords if sum(map(ne, c, word)) <= radius]
-                    assert len(close) <= 1  # minimum distance s + 1
-                    expected = list(close[0][:m]) if close else None
-                    assert correct(fld, word[:m], word[m:]) == expected
-                    if kind == "beyond":
-                        returned += expected is not None
-                        failed += expected is None
+                            errors = rng.randint(radius + 1, radius + 3)
+                        estimates = list(blocks)
+                        for pos in rng.sample(range(m), min(m, errors)):
+                            estimates[pos] ^= rng.randrange(1, fld.size)
+                    close = [
+                        v for v in by_sums[tuple(sums)] if sum(map(ne, v, estimates)) <= radius
+                    ]
+                    assert len(close) <= 1  # any s columns of H are independent
+                    expected = list(close[0]) if close else None
+                    assert correct(fld, estimates, sums) == expected
+                    returned += expected is not None and kind != "near"
+                    failed += expected is None
     assert returned > 0 and failed > 0
     assert used["slot"] > 0 and used["bit-sliced"] > 0
 
@@ -316,38 +317,39 @@ def test_rs_correct_clean():
         m = rng.randint(1, 20)
         s = rng.randint(0, 20)
         blocks = [rng.randrange(256) for _ in range(m)]
-        extra = extra_evals(fld, blocks, s)
-        assert correct(fld, blocks, extra) == blocks
+        assert correct(fld, blocks, power_sums(fld, blocks, s)) == blocks
 
 
 def test_rs_single_error_exhaustive():
-    # m=4, s=4 over GF(16): every position (data and redundancy alike), every
-    # wrong value, always corrected since floor(s/2) = 2.
+    # m=4, s=4 over GF(16): every block and every wrong value, always
+    # corrected since floor(s/2) = 2.  The sums of a codeword with one wrong
+    # extra, which a decoder over all m + s points would correct, locate an
+    # error at an extra point, and rs_correct refuses them.
     fld = field(4)
     rng = random.Random(56)
     blocks = [rng.randrange(16) for _ in range(4)]
-    extra = extra_evals(fld, blocks, 4)
-    full = blocks + extra
-    for pos in range(8):
-        for wrong in range(16):
-            if wrong == full[pos]:
-                continue
-            corrupted = list(full)
-            corrupted[pos] = wrong
-            assert correct(fld, corrupted[:4], corrupted[4:]) == blocks
+    sums = power_sums(fld, blocks, 4)
+    for pos in range(4):
+        for error in range(1, 16):
+            corrupted = list(blocks)
+            corrupted[pos] ^= error
+            assert correct(fld, corrupted, sums) == blocks
+            extra_error = [0] * 4
+            extra_error[pos] = error
+            moved = list(map(xor, sums, old_syndromes(fld, [0] * 4 + extra_error, 4)))
+            assert correct(fld, blocks, moved) is None
 
 
 def test_rs_two_errors_in_capacity():
     fld = field(4)
     rng = random.Random(57)
     blocks = [rng.randrange(16) for _ in range(4)]
-    extra = extra_evals(fld, blocks, 4)
-    full = blocks + extra
-    for p1, p2 in itertools.combinations(range(8), 2):
-        corrupted = list(full)
+    sums = power_sums(fld, blocks, 4)
+    for p1, p2 in itertools.combinations(range(4), 2):
+        corrupted = list(blocks)
         corrupted[p1] ^= 5
         corrupted[p2] ^= 9
-        assert correct(fld, corrupted[:4], corrupted[4:]) == blocks
+        assert correct(fld, corrupted, sums) == blocks
 
 
 def test_rs_gf256_random_errors_in_capacity():
@@ -357,15 +359,16 @@ def test_rs_gf256_random_errors_in_capacity():
         m = rng.randint(4, 32)
         s = rng.randint(2, 16)
         blocks = [rng.randrange(256) for _ in range(m)]
-        full = blocks + extra_evals(fld, blocks, s)
-        for pos in rng.sample(range(m + s), rng.randint(0, s // 2)):
-            full[pos] ^= rng.randrange(1, 256)
-        assert correct(fld, full[:m], full[m:]) == blocks
+        estimates = list(blocks)
+        for pos in rng.sample(range(m), rng.randint(0, min(m, s // 2))):
+            estimates[pos] ^= rng.randrange(1, 256)
+        assert correct(fld, estimates, power_sums(fld, blocks, s)) == blocks
 
 
 def test_rs_output_always_agrees_with_majority():
-    # Whatever garbage comes in, a non-None answer interpolates to a
-    # polynomial matching at least (m + s + m) / 2 of the given values.
+    # Whatever garbage comes in, a non-None answer and the s extras whose
+    # sums were given interpolate to one polynomial, which matches all the
+    # extras and at least (m + s + m) / 2 of the given values.
     fld = field(4)
     rng = random.Random(59)
     returned = failed = 0
@@ -373,22 +376,25 @@ def test_rs_output_always_agrees_with_majority():
         m = rng.randint(1, 6)
         s = rng.randint(0, 10 - m)
         values = [rng.randrange(16) for _ in range(m + s)]
-        got = correct(fld, values[:m], values[m:])
+        got = correct(fld, values[:m], old_syndromes(fld, [*[0] * m, *values[m:]], s))
         if got is None:
             failed += 1
             continue
         returned += 1
         poly = interpolate(fld, list(enumerate(got)))
-        agree = sum(1 for a, v in enumerate(values) if poly_eval(fld, poly, a) == v)
-        assert 2 * agree >= 2 * m + s
+        agree = [poly_eval(fld, poly, a) == v for a, v in enumerate(values)]
+        assert all(agree[m:])
+        assert 2 * sum(agree) >= 2 * m + s
     assert returned > 0 and failed > 0
 
 
 # Test-local copies of the per-element loops that the packed-lane kernels
 # replaced: direct products for the weights and M(a), the barycentric sum per
-# extra point, the term-by-term syndrome loop and the Horner root scan.
+# extra point, the term-by-term syndrome loop and the Horner root scan; and
+# the decoder over all m + s points that rs_correct replaced.
 
 
+@lru_cache(maxsize=None)
 def old_weights(fld: Field, npoints: int) -> list[int]:
     order = fld.size - 1
     exp, log = fld.exp, fld.log
@@ -443,6 +449,36 @@ def old_root_scan(fld: Field, lam, n_points: int) -> list[int]:
     return out
 
 
+def old_rs_correct(fld: Field, values, m: int, s: int):
+    """The decoder over all N = m + s received values, m blocks then s
+    extras, term by term: the syndromes over the N points, Berlekamp-Massey,
+    a root scan over the N points and Forney's formula with the formal
+    derivative.  Returns (the m corrected blocks or None, the roots found)."""
+    n_points = m + s
+    syndromes = old_syndromes(fld, values, s)
+    if not any(syndromes):
+        return list(values[:m]), []
+    (lam, length), _ = old_berlekamp_massey(fld, syndromes)
+    roots = [i for i, v in enumerate(old_root_scan(fld, lam, n_points)) if not v]
+    if 2 * length > s or len(roots) != length:
+        return None, roots
+    omega = [0] * length  # S Lambda mod x^L
+    for u, c in enumerate(lam):
+        for t, s_t in enumerate(syndromes[: max(0, length - u)], u):
+            omega[t] ^= mul(fld, c, s_t)
+    derivative = [c if j % 2 else 0 for j, c in enumerate(lam)][1:]
+    weights = old_weights(fld, n_points)
+    fixed = list(values)
+    for i in roots:
+        x = i ^ n_points
+        num = poly_eval(fld, omega, inv(fld, x))
+        den = poly_eval(fld, derivative, inv(fld, x))
+        if not num or not den:
+            return None, roots
+        fixed[i] ^= mul(fld, mul(fld, x, num), inv(fld, mul(fld, den, weights[i])))
+    return fixed[:m], roots
+
+
 def _kernel_sizes():
     """(k, m, s): s = 2, full fields (m + s = 2^k - 1) up to k = 8, random
     sizes, and the composite protocol's default size."""
@@ -462,31 +498,60 @@ def _kernel_sizes():
 
 @pytest.mark.parametrize("k, m, s", list(_kernel_sizes()))
 def test_lane_kernels_match_the_loops_they_replace(k, m, s):
-    # Both kernels on every table, and the product by whichever kernel the
-    # table's shape selects.
+    # Both kernels on both tables, and the product by whichever kernel the
+    # table's shape selects: the sums equal their term-by-term loop over
+    # (b || 0), and the root scan the Horner scan at the block points.
     fld = field(k)
     rng = random.Random(k * 1000 + m * 10 + s)
-    n_points = m + s
-    tables = [
-        (_encoder_columns(k, m, s), s),
-        (_syndrome_columns(k, n_points, s), s),
-        (_root_columns(k, n_points, s), n_points),
-    ]
+    tables = [(_syndrome_columns(k, m, s), s), (_root_columns(k, m, s), m)]
     for _ in range(3):
         blocks = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(m)]
-        values = [rng.choice([0, rng.randrange(fld.size)]) for _ in range(n_points)]
         lam = [1] + [rng.randrange(fld.size) for _ in range(rng.randint(0, s // 2))]
         expected = [
-            old_extra_evals(fld, blocks, s),
-            old_syndromes(fld, values, s),
-            old_root_scan(fld, lam, n_points),
+            old_syndromes(fld, [*blocks, *[0] * s], s),
+            old_root_scan(fld, lam, m + s)[:m],
         ]
-        assert extra_evals(fld, blocks, s) == expected[0]
-        for (table, lanes), vector, want in zip(tables, (blocks, values, lam), expected):
+        assert power_sums(fld, blocks, s) == expected[0]
+        for (table, lanes), vector, want in zip(tables, (blocks, lam), expected):
             columns = plain_columns(table, lanes)
             assert lane_map(fld, vector, columns, lanes) == want
             assert slot_map(fld, vector, columns, lanes) == want
             assert table_map(fld, vector, table, lanes) == want
+
+
+def _comparison_shapes():
+    """(k, m, s): GF(16) shapes from one block to a full field, and
+    smith-stress's and smith-2048's."""
+    yield from [(4, 1, 2), (4, 3, 4), (4, 4, 4), (4, 5, 6), (4, 7, 8), (4, 10, 4), (4, 2, 13)]
+    yield from [(9, 58, 2), (11, 187, 64)]
+
+
+@pytest.mark.parametrize("k, m, s", list(_comparison_shapes()))
+def test_rs_correct_ends_as_the_old_decoder_refusing_roots_at_extras(k, m, s):
+    # Alice's sums H (b || 0) equal H (0 || extras) for her extra values, so
+    # Bob's syndromes are the old decoder's over all m + s points.  Where
+    # every root the old decoder found is a block point the two agree, and
+    # otherwise rs_correct refuses, as the extras arrive exact.
+    fld = field(k)
+    rng = random.Random(k * 1000 + m * 10 + s)
+    trials = 40 if k == 4 else 2
+    seen = Counter()
+    for errors in list(range(s // 2 + 4)) * trials:
+        blocks = [rng.randrange(fld.size) for _ in range(m)]
+        estimates = list(blocks)
+        for pos in rng.sample(range(m), min(m, errors)):
+            estimates[pos] ^= rng.randrange(1, fld.size)
+        old, roots = old_rs_correct(fld, estimates + old_extra_evals(fld, blocks, s), m, s)
+        new = correct(fld, estimates, power_sums(fld, blocks, s))
+        if all(i < m for i in roots):
+            assert new == old
+            seen["x" if new == blocks else "wrong" if new else "refused"] += 1
+        else:
+            assert new is None
+            seen["root at an extra"] += 1
+    assert seen["x"] > 0
+    if k == 4 and m > s // 2:  # room for more than floor(s/2) wrong blocks
+        assert seen["root at an extra"] > 0
 
 
 @pytest.mark.parametrize(
@@ -494,62 +559,62 @@ def test_lane_kernels_match_the_loops_they_replace(k, m, s):
     [(9, 58, 2, "slot"), (11, 187, 64, "bit-sliced")],  # smith-stress's and smith-2048's shapes
 )
 def test_each_shape_selects_the_kernel_its_masks_allow(monkeypatch, k, m, s, kernel):
-    # One encode and one correction with s/2 wrong blocks: the encoder, the
-    # syndromes and, at s = 64, the root scan.
+    # Alice's sums and one correction with s/2 wrong blocks: the syndrome
+    # table twice and, at s = 64, the root scan's table.
     used = kernels_used(monkeypatch)
     fld = field(k)
     rng = random.Random(k)
     blocks = [rng.randrange(fld.size) for _ in range(m)]
-    full = blocks + extra_evals(fld, blocks, s)
+    sums = power_sums(fld, blocks, s)
+    estimates = list(blocks)
     for pos in rng.sample(range(m), s // 2):
-        full[pos] ^= rng.randrange(1, fld.size)
-    assert correct(fld, full[:m], full[m:]) == blocks
+        estimates[pos] ^= rng.randrange(1, fld.size)
+    assert correct(fld, estimates, sums) == blocks
     other = "bit-sliced" if kernel == "slot" else "slot"
     assert used[kernel] == (2 if s == 2 else 3) and used[other] == 0
 
 
 def test_degree_one_locators_find_their_root_without_a_scan(monkeypatch):
-    # The syndromes (1, lambda_1) give the locator 1 + lambda_1 x, which has
-    # its root at the point lambda_1 ^ N when that is below N, and no root
-    # among the points otherwise, where its one root is too few.
+    # At s = 2 the syndromes (1, lambda_1) give the locator 1 + lambda_1 x,
+    # which has its root at the point lambda_1 ^ (m + 2) when that is a block
+    # point, and no root among the blocks otherwise, where its one root is
+    # too few.
     used = kernels_used(monkeypatch)
-    for k, n_points in [(3, 5), (4, 9), (9, 60), (11, 251)]:
+    for k, m in [(3, 3), (4, 7), (9, 58), (11, 249)]:
         fld = field(k)
         inside = outside = 0
         for lam1 in range(fld.size):
-            scan = [i for i, v in enumerate(old_root_scan(fld, [1, lam1], n_points)) if not v]
-            located = _locate(fld, [1, lam1], _pack_lanes([1, lam1]), n_points)
+            scan = [i for i, v in enumerate(old_root_scan(fld, [1, lam1], m + 2)[:m]) if not v]
+            located = _locate(fld, [1, lam1], _pack_lanes([1, lam1]), m)
             assert located == (([1, lam1], scan) if scan else None)
             inside += bool(scan)
             outside += not scan
-        assert inside == n_points and outside == fld.size - n_points
+        assert inside == m and outside == fld.size - m
     assert used == {"slot": 0, "bit-sliced": 0}
 
 
 @pytest.mark.parametrize("k, m, s", [(4, 3, 4), (4, 5, 6), (5, 20, 8), (8, 40, 6)])
 def test_locate_refuses_a_long_locator_and_a_wrong_root_count(k, m, s):
     # _locate keeps Berlekamp-Massey's (Lambda, L) exactly when 2L <= s and
-    # Lambda has L roots among the points, and then returns those roots.
-    # The syndromes are those of random words and of codewords with 1 to
-    # floor(s/2) + 2 wrong values, and 0, ..., 0, 1, whose L is s.
+    # Lambda has L roots among the block points, and then returns those
+    # roots.  The syndromes are random ones, those of 1 to floor(s/2) + 2
+    # wrong blocks, and 0, ..., 0, 1, whose L is s.
     fld = field(k)
-    n_points = m + s
     rng = random.Random(k * 100 + s)
     sequences = [[0] * (s - 1) + [1]]
     for errors in [None, *range(1, s // 2 + 3)] * 30:
         if errors is None:
-            values = [rng.randrange(fld.size) for _ in range(n_points)]
-        else:
-            values = [rng.randrange(fld.size) for _ in range(m)]
-            values += extra_evals(fld, values, s)
-            for pos in rng.sample(range(n_points), errors):
-                values[pos] ^= rng.randrange(1, fld.size)
-        sequences.append(table_map(fld, values, _syndrome_columns(k, n_points, s), s))
+            sequences.append([rng.randrange(fld.size) for _ in range(s)])
+            continue
+        error = [0] * m
+        for pos in rng.sample(range(m), min(m, errors)):
+            error[pos] = rng.randrange(1, fld.size)
+        sequences.append(table_map(fld, error, _syndrome_columns(k, m, s), s))
     seen = Counter()
     for seq in filter(any, sequences):
         (lam, length), _ = old_berlekamp_massey(fld, seq)
-        located = _locate(fld, seq, _pack_lanes(seq), n_points)
-        roots = [i for i, v in enumerate(old_root_scan(fld, lam, n_points)) if not v]
+        located = _locate(fld, seq, _pack_lanes(seq), m)
+        roots = [i for i, v in enumerate(old_root_scan(fld, lam, m + s)[:m]) if not v]
         if 2 * length > s:
             seen["too long"] += 1
             assert located is None
@@ -564,44 +629,48 @@ def test_locate_refuses_a_long_locator_and_a_wrong_root_count(k, m, s):
 
 def test_a_degree_one_locator_outside_the_points_is_a_decode_failure():
     # At s = 2 every nonzero syndrome pair gives a degree-1 locator; where
-    # its root lies past the points, no codeword is within one value.
+    # its root is not a block point (an extra point, or past the points), no
+    # block vector within one of the estimates has the given sums.
     fld = field(4)
     m, s = 3, 2
     rng = random.Random(62)
-    codewords = _codewords(fld, m, m + s)
-    failures = 0
+    by_sums = _block_vectors_by_sums(fld, m, s)
+    columns = plain_columns(_syndrome_columns(4, m, s), s)
+    where = Counter()
     for _ in range(200):
-        word = [rng.randrange(fld.size) for _ in range(m + s)]
-        syndromes = lane_map(fld, word, plain_columns(_syndrome_columns(4, m + s, s), s), s)
+        estimates = [rng.randrange(fld.size) for _ in range(m)]
+        sums = [rng.randrange(fld.size) for _ in range(s)]
+        syndromes = list(map(xor, lane_map(fld, estimates, columns, s), sums))
         lam, length = _berlekamp_massey(fld, syndromes, _pack_lanes(syndromes))
-        if length != 1 or lam[1] ^ (m + s) < m + s:
+        if length != 1 or lam[1] ^ (m + s) < m:
             continue
-        failures += 1
-        assert _locate(fld, syndromes, _pack_lanes(syndromes), m + s) is None
-        assert correct(fld, word[:m], word[m:]) is None
-        assert all(sum(map(ne, c, word)) > 1 for c in codewords)
-    assert failures > 0
+        where["extra" if lam[1] ^ (m + s) < m + s else "past the points"] += 1
+        assert _locate(fld, syndromes, _pack_lanes(syndromes), m) is None
+        assert correct(fld, estimates, sums) is None
+        assert all(sum(map(ne, v, estimates)) > 1 for v in by_sums[tuple(sums)])
+    assert where["extra"] > 0 and where["past the points"] > 0
 
 
 @pytest.mark.parametrize("k, m, s", [(9, 58, 2), (11, 187, 64)])
 def test_rs_layer_holds_little_after_one_encode_and_one_correct(k, m, s):
     # What the RS layer caches for one size, its field tables aside: the
+    # weights, the syndrome and root-scan tables and the slot masks.  The
     # slot-mask kernel must not buy speed with a table that would move
     # smith's peak memory (2.75 MiB of masks at n = 2048's k = 11, s = 64).
     fld = field(k)
-    caches = (_barycentric_weights, _encoder_columns, _syndrome_columns, _root_columns, _slot_masks)
+    caches = (_barycentric_weights, _syndrome_columns, _root_columns, _slot_masks)
     for cache in caches:
         cache.cache_clear()
     rng = random.Random(k)
     blocks = [rng.randrange(fld.size) for _ in range(m)]
-    errors = [0] * (m + s)
+    errors = [0] * m
     for pos in rng.sample(range(m), max(1, s // 2)):
         errors[pos] = rng.randrange(1, fld.size)
     packed, error_lanes = _pack_lanes(blocks), _pack_lanes(errors)
     tracemalloc.start()
     try:
-        extra = rs_extra_evals(fld, packed, m, s)
-        fixed = rs_correct(fld, (packed | extra << (m * _LANE_BITS)) ^ error_lanes, m, s)
+        sums = rs_extra_evals(fld, packed, m, s)
+        fixed = rs_correct(fld, packed ^ error_lanes, sums, m, s)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -656,8 +725,8 @@ def _resumes(steps) -> bool:
 
 def _bm_sequences(k: int, s: int, rng: random.Random):
     """Syndrome sequences of length s over GF(2^k): all zero; random, dense
-    and sparse; the syndromes of a codeword with errors within, at and
-    beyond floor(s/2), where m + s < 2^k leaves room for one; and an LFSR's
+    and sparse; the syndromes of m blocks with errors within, at and beyond
+    floor(s/2), where m + s < 2^k leaves room for them; and an LFSR's
     output with a later term changed, where the batch sees the change."""
     size = 1 << k
     yield [0] * s
@@ -668,12 +737,12 @@ def _bm_sequences(k: int, s: int, rng: random.Random):
         fld = field(k)
         for _ in range(2):
             m = rng.randint(1, min(room, 200))
-            for errors in (1, s // 2, s // 2 + 1, min(m + s, s // 2 + 5)):
-                values = [rng.randrange(size) for _ in range(m)]
-                values += extra_evals(fld, values, s)
-                for pos in rng.sample(range(m + s), min(errors, m + s)):
-                    values[pos] ^= rng.randrange(1, size)
-                yield table_map(fld, values, _syndrome_columns(k, m + s, s), s)
+            for errors in (1, s // 2, s // 2 + 1, s // 2 + 5):
+                blocks = [rng.randrange(size) for _ in range(m)]
+                estimates = list(blocks)
+                for pos in rng.sample(range(m), min(errors, m)):
+                    estimates[pos] ^= rng.randrange(1, size)
+                yield list(map(xor, power_sums(fld, blocks, s), power_sums(fld, estimates, s)))
     for length in range(s // 2):
         taps = [rng.randrange(size) for _ in range(length)]
         seq = [rng.randrange(1, size) for _ in range(length)]

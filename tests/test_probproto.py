@@ -668,16 +668,16 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
 
 def _packed_messages(perm, columns, blocks, params):
     """Smith's three messages as pack_fields builds them from per-block
-    fields: the map, the matrix rows and each block's syndrome, the extras."""
+    fields: the map, the matrix rows and each block's syndrome, the RS sums."""
     k, rows = params.k, params.k - params.inner_dim
     width_p = (perm.p - 1).bit_length()
     matrix = _transpose(columns, rows)
     syndromes = [(mat_vec(matrix, blk), rows) for blk in blocks]
-    extra = rs_extra_evals(field(k), _pack_lanes(blocks), len(blocks), params.s)
+    sums = rs_extra_evals(field(k), _pack_lanes(blocks), len(blocks), params.s)
     return [
         pack_fields([(perm.a, width_p), (perm.b, width_p)]),
         pack_fields([(row, k) for row in matrix] + syndromes),
-        pack_fields([(e, k) for e in _unpack_lanes(extra, params.s)]),
+        pack_fields([(e, k) for e in _unpack_lanes(sums, params.s)]),
     ]
 
 
@@ -733,8 +733,8 @@ def _reference_bob(y, params, messages):
     estimates = [
         blk ^ fix[syn ^ mat_vec(inner.h, blk)] for blk, syn in zip(yblocks, vals[rows:])
     ]
-    extras = unpack_fields(messages[2], [k] * s)
-    fixed = rs_correct(field(k), _pack_lanes([*estimates, *extras]), m, s)
+    sums = unpack_fields(messages[2], [k] * s)
+    fixed = rs_correct(field(k), _pack_lanes(estimates), _pack_lanes(sums), m, s)
     fixed = None if fixed is None else _unpack_lanes(fixed, m)
     diag = {
         "p": p,
@@ -793,12 +793,12 @@ def test_bob_failure_paths_match_the_reference():
         messages[2] = Word(rng.getrandbits(params.s * k), params.s * k)
         recovered, diag = _bob(y, params, 102, messages)
         assert (recovered, diag) == _reference_bob(y, params, messages)
-        outcomes["garbage extras", _outcome(x, recovered, diag)] += 1
+        outcomes["garbage sums", _outcome(x, recovered, diag)] += 1
     assert outcomes == {
         ("x", "x"): 4,
         ("bit above p", "padding_violation"): 4,
         ("bit in [n, p)", "padding_violation"): 4,
-        ("garbage extras", "rs_failure"): 4,
+        ("garbage sums", "rs_failure"): 4,
     }
 
 
@@ -967,8 +967,8 @@ _TRANSCRIPT_CASES = {
 @pytest.mark.parametrize(
     "case, expected",
     [
-        ("smith-2048", "c4719d925828f1c10d0fa1aead44cfe8896006568dd805f2c61c204b608bad97"),
-        ("smith-stress", "c61bde35d44ebf67f96261568fdc4ed33f230deda39818744ef7ba0dd00662ea"),
+        ("smith-2048", "511d582f9ee990b28af3554deb56e6ebe71ed91564a649cc6a7b62998e85c6d6"),
+        ("smith-stress", "fbc5d437e9427e256e1b19056b156dc1f31b7180cce3b41202fe8c71d1db5477"),
     ],
     ids=["smith-2048", "smith-stress"],
 )
@@ -977,7 +977,9 @@ def test_composite_transcripts_pinned(case, expected):
     # parity-check columns; any change to Alice's draws or to a payload bit
     # shows here.  smith-stress's was captured again, with every message
     # unchanged, when Bob began refusing words that contradict the block
-    # syndromes or the promise radius.
+    # syndromes or the promise radius.  Both were captured again when the
+    # third message became Alice's RS sums in place of her extra evaluations,
+    # an invertible image of them in as many bits.
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES[case], 2026) == expected
 
 
@@ -1034,7 +1036,7 @@ _PATTERN_PINS = {
         (170, 130, 0), "0fa40d9ae1afab2c2bd402adc455259d940348de1702bafedff8a3a4ea8cd3de"
     ),
     ("smith-stress", "burst", 300): (
-        (234, 65, 1), "e34d976a6fdb29bda71c90cf187cac08a4c371a569c5411ed8cf9cff7558826b"
+        (234, 66, 0), "391fd964e3d1717f7cde80c579ac4d56f0425f0e8ef106fdb5ee522535b4937a"
     ),
     ("smith-stress", "stride-2", 300): (
         (244, 55, 1), "c6314425d8916e4d6eb2ae20afc796bfff1878efc4cdd4751703cff8f2b9e087"
@@ -1055,7 +1057,9 @@ def test_composite_flip_patterns_pinned(key):
     # own block.  Captured before the fix table's tie rule became "the
     # smaller word"; smith-stress's were captured again, with the same exact
     # counts, when Bob began refusing words that contradict the block
-    # syndromes or the promise radius.
+    # syndromes or the promise radius.  smith-stress-burst's was captured
+    # again, with the same exact count, when Bob began locating RS errors
+    # among the blocks only: its one silent wrong word is now reported.
     (exact, reported, silent), expected = _PATTERN_PINS[key]
     counts, digest = _pattern_outcomes(*key, seed=2039)
     assert (counts["exact"], counts["reported"], counts["silent"]) == (exact, reported, silent)
@@ -1109,16 +1113,18 @@ def test_old_sampler_reproduces_the_old_pins(monkeypatch):
     # every transcript, outcome and diagnostic is the one pinned before.
     # The smith-stress values were captured again when Bob began refusing
     # words that contradict the block syndromes or the promise radius: the
-    # same 169 exact, and all 11 silent wrong words reported.
+    # same 169 exact, and all 11 silent wrong words reported.  The two
+    # transcript digests were captured again when the third message became
+    # Alice's RS sums, with the same outcomes.
     monkeypatch.setattr(probproto, "sample_inner_code", _old_sample_inner_code)
     counts, digest = _composite_outcomes()
     assert counts == {"exact": 169, "reported": 131}
     assert digest == "191b260403c3eee94f2ad2fbd571349fa66bc8dadc21db3b3c20bf96878b3a42"
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-2048"], 2026) == (
-        "cb030d8042710ae9aee667b1fd7e2be798cfd99f85204ad8cb921521ff75bfd9"
+        "6305b49f42bc645826e53f02f19ad74ce165ce42b4d4648700cd086a1443c545"
     )
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-stress"], 2026) == (
-        "d18b9912d5574fcc74e2e246e94072ca0b1860d6a2b7e8442df7d1f76df6cefd"
+        "e0468da109a5b5f58f5a7da61706a96ba2dab4976b2707ebd82237ac6b9964ff"
     )
 
 
@@ -1225,9 +1231,9 @@ def test_rs_layer_gets_what_it_relies_on(monkeypatch):
         calls.append((fld.k, m, s, _unpack_lanes(blocks, m)))
         return rs_extra_evals(fld, blocks, m, s)
 
-    def correct(fld, values, m, s):
-        calls.append((fld.k, m, s, _unpack_lanes(values, m + s)))
-        return rs_correct(fld, values, m, s)
+    def correct(fld, values, sums, m, s):
+        calls.append((fld.k, m, s, _unpack_lanes(values, m) + _unpack_lanes(sums, s)))
+        return rs_correct(fld, values, sums, m, s)
 
     monkeypatch.setattr(probproto, "rs_extra_evals", encode)
     monkeypatch.setattr(probproto, "rs_correct", correct)
