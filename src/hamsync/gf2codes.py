@@ -21,6 +21,10 @@ from .errors import CapabilityError, ContractError, InvariantError, RetryLimitEr
 _DECODE_ENUM_LIMIT = 24  # codewords() spans at most 2^24 words
 LEADER_MAX_N = 14  # smith's block length: its leader tables walk up to 16,384 words
 WALK_BUDGET = 1 << 16  # the most words one ball table may walk, the zero word included
+# The most parity-check entries, n * (n - k), that random_linear_code draws.
+# Reducing a draw is cubic in n: n = 2,048 at k = 5, just inside, takes
+# 1.2-1.5 s on 2 vCPUs, and n = 20,000 would take about half an hour.
+_RANDOM_CODE_BUDGET = 1 << 22
 
 
 def mat_vec(rows: Sequence[int], x: int) -> int:
@@ -184,9 +188,15 @@ def rank(masks: Sequence[int]) -> int:
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
     """The code of uniformly random (n-k) x n parity-check rows, resampled
     until they have full row rank.  Each draw is reduced once, by
-    LinearCode itself, which refuses dependent rows."""
+    LinearCode itself, which refuses dependent rows.  A shape over
+    _RANDOM_CODE_BUDGET entries is refused before the first draw."""
     if not 1 <= k < n:
         raise ContractError("need 1 <= k < n")
+    if n * (n - k) > _RANDOM_CODE_BUDGET:
+        raise CapabilityError(
+            f"a random [{n}, {k}] code has {n * (n - k)} parity-check entries, "
+            f"over the {_RANDOM_CODE_BUDGET} budget"
+        )
     for _ in range(_FULL_RANK_ATTEMPTS):
         try:
             return LinearCode(n, tuple(rng.getrandbits(n) for _ in range(n - k)))

@@ -29,6 +29,7 @@ from hamsync.gf2codes import (
     syndrome,
     unique_decode,
 )
+from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.probproto import ProbParams, sample_inner_code
 from hamsync.syncdet import SyncInstance, brute_sync, syndrome_sync
 
@@ -321,6 +322,36 @@ def test_random_linear_code_shape():
         assert len(code.g_rows) == k
         for g in code.g_rows:
             assert mat_vec(code.h, g) == 0
+
+
+def test_random_linear_code_refuses_a_wide_shape_before_any_draw(monkeypatch):
+    # n (n - k) parity-check entries over the budget are refused from the
+    # shape alone: no row is drawn and no LinearCode is built.  At listdec's
+    # default k = 5, n = 2,050 is the widest code admitted.
+    built = []
+    monkeypatch.setattr(gf2codes, "LinearCode", lambda *args: built.append(args))
+
+    class NoDraws(random.Random):
+        def getrandbits(self, bits):
+            raise AssertionError("drew before refusing")
+
+    assert 2050 * (2050 - 5) <= gf2codes._RANDOM_CODE_BUDGET < 2051 * (2051 - 5)
+    for n, k in [(2051, 5), (20000, 5), (4097, 3073)]:
+        assert n * (n - k) > gf2codes._RANDOM_CODE_BUDGET
+        with pytest.raises(CapabilityError, match="budget"):
+            random_linear_code(n, k, NoDraws())
+    assert built == []
+
+
+def test_a_listdec_run_over_the_code_budget_builds_no_code(monkeypatch):
+    # n = 20,000 at r = 1 is inside the walk budget, so only the code's
+    # width refuses it, before any LinearCode is built.
+    built = []
+    monkeypatch.setattr(gf2codes, "LinearCode", lambda *args: built.append(args))
+    config = ExperimentConfig(protocol="listdec", n=20000, alpha=Fraction(1, 20000), trials=1)
+    with pytest.raises(CapabilityError, match="budget"):
+        run_experiment(config)
+    assert built == []
 
 
 def test_encode_extract_roundtrip():

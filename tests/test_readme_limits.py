@@ -33,6 +33,7 @@ def _ten_to(value: int) -> str:
 LIMITS = [
     (gf2codes, "WALK_BUDGET", "{:,}".format, ["Vol(r, N) <= {}", "Vol(r, n) <= {}"]),
     (gf2codes, "LEADER_MAX_N", str, ["2 <= k <= {}"]),
+    (gf2codes, "_RANDOM_CODE_BUDGET", _two_to, ["n * (n - k) <= {}"]),
     (probproto, "_RS_LANE_BUDGET", _two_to, ["(m + s) * s <= {}"]),
     (syncdet, "_COLORING_MAX_N", str, ["`coloring` needs n <= {}"]),
     (syncdet, "_COLORING_SCAN_BUDGET", _ten_to, ["2^n * Vol(2r, n) <= {}"]),
