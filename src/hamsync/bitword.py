@@ -39,11 +39,6 @@ class Word:
             mask |= 1 << i
         return Word(self.value ^ mask, self.n)
 
-    def __xor__(self, other: "Word") -> "Word":
-        if self.n != other.n:
-            raise ContractError("xor of words with different lengths")
-        return Word(self.value ^ other.value, self.n)
-
 
 def exact_fraction(value: Fraction | int | float | str) -> Fraction:
     """A rate as an exact fraction.  Floats go through their decimal

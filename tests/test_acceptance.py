@@ -480,7 +480,7 @@ def dangerous_blocks(xp: Word, yp: Word, perm: AffinePermutation, k: int, thresh
     they never contribute."""
     assert xp.n == yp.n
     thr = Fraction(threshold_frac) * k
-    diff = apply_permutation(perm, xp ^ yp)
+    diff = apply_permutation(perm, Word(xp.value ^ yp.value, xp.n))
     mask = (1 << k) - 1
     blocks = ((diff.value >> i) & mask for i in range(0, diff.n, k))
     return sum(1 for blk in blocks if blk.bit_count() >= thr)

@@ -47,12 +47,9 @@ def test_word_bounds_checked():
         Word(0, 0)
 
 
-def test_word_flip_and_xor():
+def test_word_flip():
     w = Word(0b0001, 4)
     assert w.flip([0, 3]) == Word(0b1000, 4)
-    assert w ^ Word(0b0101, 4) == Word(0b0100, 4)
-    with pytest.raises(ContractError):
-        w ^ Word(0, 5)
     with pytest.raises(ContractError):
         w.flip([4])
 

@@ -63,7 +63,7 @@ def test_coset_representative_identity():
         x = Word(rng.getrandbits(n), n)
         y = Word(rng.getrandbits(n), n)
         t = coset_representative(code, syndrome(code, x).value, y)
-        assert mat_vec(code.h, (t ^ x ^ y).value) == 0
+        assert mat_vec(code.h, t.value ^ x.value ^ y.value) == 0
 
 
 def test_brute_exhaustive_hamming():
@@ -180,7 +180,7 @@ def _old_list_candidates(code, h_value, y, radius):
     """The list as it was found: solve for a coset representative t, then
     scan every codeword within radius of it."""
     t = coset_representative(code, h_value, y)
-    return sorted((t ^ y ^ z).value for z in list_decode_exhaustive(code, t, radius))
+    return sorted(t.value ^ y.value ^ z.value for z in list_decode_exhaustive(code, t, radius))
 
 
 def test_list_candidates_match_the_codeword_scan_on_every_hamming_pair():
@@ -383,7 +383,7 @@ def _old_syndrome_bob(code, y, radius, msg):
     z = unique_decode(code, y_prime)
     weight = hamming_distance(y_prime, z)
     diag = {"syndrome_bits": msg.n, "decoded_difference_weight": weight}
-    return (None if weight > radius else y_prime ^ y ^ z), diag
+    return (None if weight > radius else Word(y_prime.value ^ y.value ^ z.value, y.n)), diag
 
 
 def _old_brute_bob(code, y, radius, msg):

@@ -69,7 +69,7 @@ DRIVERS = (run_protocol, _run_over_tcp)
 def _alice_pingpong(x: Word):
     yield x
     got = yield RECV
-    yield got ^ x
+    yield Word(got.value ^ x.value, x.n)
     return {"alice_note": 1}
 
 
@@ -105,7 +105,7 @@ def test_one_direction_is_one_round():
         a = yield RECV
         b = yield RECV
         c = yield RECV
-        return a ^ b ^ c, {}
+        return Word(a.value ^ b.value ^ c.value, a.n), {}
 
     outcome = run_protocol(alice(Word(5, 3)), bob())
     assert outcome.transcript.rounds == 1
