@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, default=None, help="candidate-set size (nba, multinba) or block width (smith)")
     run.add_argument("--code-k", dest="code_k", type=int, default=None, help="code dimension (listdec, problist)")
     run.add_argument("--l", type=int, default=None, help="words to identify per batch (multinba)")
-    run.add_argument("--s", type=int, default=None, help="extra evaluation count (smith)")
+    run.add_argument("--s", type=int, default=None, help="RS sum count (smith)")
     run.add_argument("--inner-dim", dest="inner_dim", type=int, default=None, help="per-block code dimension (smith)")
     run.add_argument("--radius", type=int, default=None, help="list radius (listdec, problist)")
     run.add_argument("--oversample", type=int, default=None, help="prime-pool factor (problist)")

@@ -1,5 +1,5 @@
 """Probabilistic synchronization: affine permutations over a prime length,
-block partitioning with a polynomial redundancy layer, and the one-round
+block partitioning with a Reed-Solomon syndrome layer, and the one-round
 hashed list-decoding protocol.
 
 Success here is statistical, never assumed: every randomized construction
