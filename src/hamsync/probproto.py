@@ -400,21 +400,26 @@ def _check_slack(delta: Fraction, alpha: Fraction) -> None:
 
 
 def composite_alice(x: Word, params: ProbParams, rng: Random):
-    """Three messages, one direction: the permutation, then the inner-code
-    matrix with all block syndromes, then the s RS sums of the blocks
-    (rs_extra_evals), from which Bob locates the blocks he got wrong."""
+    """One message, one direction: the fields (a, b, the inner code's rows,
+    all block syndromes, the s RS sums of the blocks), lowest bits first.
+    From the sums (rs_extra_evals) Bob locates the blocks he got wrong."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
     p, m, width_p = _composite_shape(x.n, k, s)
     perm = sample_permutation(p, rng)
     columns = sample_inner_code(k, params.inner_dim, rng)
     lanes = _relane(apply_permutation(perm, Word(x.value, p)).value, m, k, _LANE_BITS)
-    yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
-    matrix = _matrix_from_columns(columns, rows)
-    syns = _relane(_block_syndromes(columns, lanes, m), m, _LANE_BITS, rows)
-    yield Word(matrix | syns << (rows * k), rows * (k + m))
+    syns = _block_syndromes(columns, lanes, m)
     sums = rs_extra_evals(field(k), lanes, m, s)
-    yield Word(_relane(sums, s, _LANE_BITS, k), s * k)
+    yield pack_fields(
+        [
+            (perm.a, width_p),
+            (perm.b, width_p),
+            (_matrix_from_columns(columns, rows), rows * k),
+            (_relane(syns, m, _LANE_BITS, rows), rows * m),
+            (_relane(sums, s, _LANE_BITS, k), s * k),
+        ]
+    )
     return None
 
 
@@ -430,24 +435,21 @@ def composite_bob(y: Word, params: ProbParams, radius: int):
     rows = k - params.inner_dim
     p, m, width_p = _composite_shape(y.n, k, s)
 
-    msg1 = yield RECV
-    a_val, b_val = unpack_fields(msg1, [width_p, width_p])
+    a_val, b_val, matrix, syns, sums = unpack_fields(
+        (yield RECV), [width_p, width_p, rows * k, rows * m, s * k]
+    )
     perm = AffinePermutation(p, a_val, b_val)
     lanes = _relane(apply_permutation(perm, Word(y.value, p)).value, m, k, _LANE_BITS)
-
-    matrix, syns = unpack_fields((yield RECV), [rows * k, rows * m])
     columns = _columns_from_matrix(matrix, rows, k)
     fix = coset_leaders(columns, rows)
     sent = _relane(syns, m, rows, _LANE_BITS)
     diffs = _unpack_lanes(sent ^ _block_syndromes(columns, lanes, m), m)
     estimates = lanes ^ _pack_lanes([fix[d] for d in diffs])
-
-    (sums,) = unpack_fields((yield RECV), [s * k])
     fixed = rs_correct(field(k), estimates, _relane(sums, s, k, _LANE_BITS), m, s)
     diag = {
         "p": p,
         "block_count": m,
-        "stage1_bits": msg1.n,
+        "stage1_bits": 2 * width_p,
         "matrix_bits": rows * k,
         "syndrome_bits": rows * m,
         "nba_bits": 0,
@@ -495,14 +497,15 @@ def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random)
     The permutation spreads the differences so most blocks carry at most
     one and decode exactly; a block needs >= 2 differences to come out
     wrong, and the RS layer absorbs up to floor(s/2) such blocks.
-    All messages flow from Alice to Bob, so the run is one round, and every
-    in-run sampled parameter (permutation, matrix) is paid for in the
-    transcript: 2 bit_length(p - 1) + (k - inner_dim)(k + m) + s k bits, for
-    p the least prime >= n and m = ceil(p/k).  Bob reports failure when no
-    block vector within floor(s/2) of his estimates has Alice's sums, the
-    decoded word has nonzero padding, a corrected block's syndrome is not
-    Alice's, or the word is further from y than the promise allows; a silent
-    wrong answer needs the wrong-block count to exceed floor(s/2) and the
-    result to pass all of these.
+    Alice sends one message, so the run is one round: the fields a and b of
+    the permutation, the inner code's rows, every block's syndrome and the
+    RS sums, lowest bits first.  Every in-run sampled parameter (permutation,
+    matrix) is paid for in it: 2 bit_length(p - 1) + (k - inner_dim)(k + m)
+    + s k bits, for p the least prime >= n and m = ceil(p/k).  Bob reports
+    failure when no block vector within floor(s/2) of his estimates has
+    Alice's sums, the decoded word has nonzero padding, a corrected block's
+    syndrome is not Alice's, or the word is further from y than the promise
+    allows; a silent wrong answer needs the wrong-block count to exceed
+    floor(s/2) and the result to pass all of these.
     """
     return run_protocol(*composite_parties(instance, params, rng))

@@ -24,7 +24,7 @@ from hamsync.gf2codes import (
     rank,
     unique_decode,
 )
-from hamsync.gf2k_rs import _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
+from hamsync.gf2k_rs import _LANE_BITS, _pack_lanes, _unpack_lanes, field, rs_correct, rs_extra_evals
 from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.hashing import is_prime
 from hamsync.probproto import (
@@ -666,19 +666,20 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
     assert checked > 0
 
 
-def _packed_messages(perm, columns, blocks, params):
-    """Smith's three messages as pack_fields builds them from per-block
-    fields: the map, the matrix rows and each block's syndrome, the RS sums."""
+def _packed_message(perm, columns, blocks, params):
+    """Smith's one message as pack_fields builds it from per-block fields:
+    the map, the matrix rows, each block's syndrome, the RS sums."""
     k, rows = params.k, params.k - params.inner_dim
     width_p = (perm.p - 1).bit_length()
     matrix = _transpose(columns, rows)
     syndromes = [(mat_vec(matrix, blk), rows) for blk in blocks]
     sums = rs_extra_evals(field(k), _pack_lanes(blocks), len(blocks), params.s)
-    return [
-        pack_fields([(perm.a, width_p), (perm.b, width_p)]),
-        pack_fields([(row, k) for row in matrix] + syndromes),
-        pack_fields([(e, k) for e in _unpack_lanes(sums, params.s)]),
-    ]
+    return pack_fields(
+        [(perm.a, width_p), (perm.b, width_p)]
+        + [(row, k) for row in matrix]
+        + syndromes
+        + [(e, k) for e in _unpack_lanes(sums, params.s)]
+    )
 
 
 _SHAPES = [
@@ -701,49 +702,79 @@ def test_alice_messages_equal_pack_fields_of_the_same_fields():
             columns = sample_inner_code(params.k, params.inner_dim, replay)
             permuted = apply_permutation(perm, Word(x.value, p)).value
             blocks = _blocks_by_shifts(permuted, -(-p // params.k), params.k)
-            assert sent == _packed_messages(perm, columns, blocks, params)
+            assert sent == [_packed_message(perm, columns, blocks, params)]
 
 
-def _bob(y, params, radius, messages):
-    """composite_bob's (recovered, diagnostics) on these messages, with
+def _three_message_alice(x, params, rng):
+    """composite_alice as it was when the round was three messages: the
+    map, then the matrix with the block syndromes, then the RS sums."""
+    k, s = params.k, params.s
+    rows = k - params.inner_dim
+    p, m, width_p = probproto._composite_shape(x.n, k, s)
+    perm = sample_permutation(p, rng)
+    columns = sample_inner_code(k, params.inner_dim, rng)
+    lanes = _relane(apply_permutation(perm, Word(x.value, p)).value, m, k, _LANE_BITS)
+    yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
+    matrix = _matrix_from_columns(columns, rows)
+    syns = _relane(_block_syndromes(columns, lanes, m), m, _LANE_BITS, rows)
+    yield Word(matrix | syns << (rows * k), rows * (k + m))
+    sums = rs_extra_evals(field(k), lanes, m, s)
+    yield Word(_relane(sums, s, _LANE_BITS, k), s * k)
+
+
+def test_alice_message_is_the_three_old_messages_joined():
+    # Merging the round into one message moved no bit: the payload is the
+    # old three joined, the first at the low bits, from the same draws.
+    for n, params in _SHAPES:
+        for seed in range(3):
+            x = Word(random.Random(seed).getrandbits(n), n)
+            (sent,) = composite_alice(x, params, random.Random(600 + seed))
+            old = list(_three_message_alice(x, params, random.Random(600 + seed)))
+            assert len(old) == 3
+            value, offset = 0, 0
+            for msg in old:
+                value |= msg.value << offset
+                offset += msg.n
+            assert sent == Word(value, offset)
+
+
+def _bob(y, params, radius, message):
+    """composite_bob's (recovered, diagnostics) on this message, with
     d(x, y) <= radius promised."""
     bob = composite_bob(y, params, radius)
     assert next(bob) is RECV
-    for msg in messages[:-1]:
-        assert bob.send(msg) is RECV
     with pytest.raises(StopIteration) as stop:
-        bob.send(messages[-1])
+        bob.send(message)
     return stop.value.value
 
 
-def _reference_bob(y, params, messages):
+def _reference_bob(y, params, message):
     """Bob as he was before the lanes: per-field unpacking, a fully decoded
     fix table, per-block syndromes, reassembly and the inverse gather."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
     p = next_prime_at_least(y.n)
     width_p = (p - 1).bit_length()
-    perm = AffinePermutation(p, *unpack_fields(messages[0], [width_p, width_p]))
-    permuted = apply_permutation(perm, Word(y.value, p)).value
     m = -(-p // k)
-    vals = unpack_fields(messages[1], [k] * rows + [rows] * m)
-    inner = LinearCode(k, vals[:rows])
+    vals = unpack_fields(message, [width_p] * 2 + [k] * rows + [rows] * m + [k] * s)
+    perm = AffinePermutation(p, *vals[:2])
+    permuted = apply_permutation(perm, Word(y.value, p)).value
+    inner = LinearCode(k, vals[2 : 2 + rows])
     fix = _fix_by_full_decoding(inner)
     yblocks = _blocks_by_shifts(permuted, m, k)
-    estimates = [
-        blk ^ fix[syn ^ mat_vec(inner.h, blk)] for blk, syn in zip(yblocks, vals[rows:])
-    ]
-    sums = unpack_fields(messages[2], [k] * s)
+    syndromes = vals[2 + rows : 2 + rows + m]
+    estimates = [blk ^ fix[syn ^ mat_vec(inner.h, blk)] for blk, syn in zip(yblocks, syndromes)]
+    sums = vals[2 + rows + m :]
     fixed = rs_correct(field(k), _pack_lanes(estimates), _pack_lanes(sums), m, s)
     fixed = None if fixed is None else _unpack_lanes(fixed, m)
     diag = {
         "p": p,
         "block_count": m,
-        "stage1_bits": messages[0].n,
+        "stage1_bits": 2 * width_p,
         "matrix_bits": rows * k,
         "syndrome_bits": rows * m,
         "nba_bits": 0,
-        "rs_bits": messages[2].n,
+        "rs_bits": k * len(sums),
     }
     if fixed is None:
         return None, {**diag, "rs_failure": True}
@@ -786,13 +817,16 @@ def test_bob_failure_paths_match_the_reference():
             "bit in [n, p)": apply_permutation(perm, padded).value,
         }
         for name, value in cases.items():
-            messages = _packed_messages(perm, columns, _blocks_by_shifts(value, m, k), params)
-            recovered, diag = _bob(y, params, 102, messages)
-            assert (recovered, diag) == _reference_bob(y, params, messages)
+            message = _packed_message(perm, columns, _blocks_by_shifts(value, m, k), params)
+            recovered, diag = _bob(y, params, 102, message)
+            assert (recovered, diag) == _reference_bob(y, params, message)
             outcomes[name, _outcome(x, recovered, diag)] += 1
-        messages[2] = Word(rng.getrandbits(params.s * k), params.s * k)
-        recovered, diag = _bob(y, params, 102, messages)
-        assert (recovered, diag) == _reference_bob(y, params, messages)
+        # The sums are the message's top s * k bits.
+        kept = message.n - params.s * k
+        garbage = rng.getrandbits(params.s * k) << kept
+        message = Word(message.value & ((1 << kept) - 1) | garbage, message.n)
+        recovered, diag = _bob(y, params, 102, message)
+        assert (recovered, diag) == _reference_bob(y, params, message)
         outcomes["garbage sums", _outcome(x, recovered, diag)] += 1
     assert outcomes == {
         ("x", "x"): 4,
@@ -805,28 +839,26 @@ def test_bob_failure_paths_match_the_reference():
 def test_bob_rejects_messages_of_the_wrong_length():
     n, params = _SHAPES[2]
     x = Word(random.Random(85).getrandbits(n), n)
-    messages = list(composite_alice(x, params, random.Random(86)))
-    assert _bob(x, params, 0, messages) == _reference_bob(x, params, messages)
-    for i in (1, 2):
-        for extra_bits in (-1, 1):
-            wrong = list(messages)
-            wrong[i] = Word(messages[i].value >> max(0, -extra_bits), messages[i].n + extra_bits)
-            with pytest.raises(ContractError):
-                _bob(x, params, 0, wrong)
+    (message,) = composite_alice(x, params, random.Random(86))
+    assert _bob(x, params, 0, message) == _reference_bob(x, params, message)
+    for extra_bits in (-1, 1):
+        wrong = Word(message.value >> max(0, -extra_bits), message.n + extra_bits)
+        with pytest.raises(ContractError):
+            _bob(x, params, 0, wrong)
 
 
 def test_bob_rejects_dependent_matrix_rows():
-    # Message 2 starts with the inner code's rows, k bits each; a copy of
-    # row 0 in place of row 1 keeps the length but not the rank.
+    # The inner code's rows, k bits each, follow the map's two fields; a
+    # copy of row 0 in place of row 1 keeps the length but not the rank.
     n, params = _SHAPES[2]
     k = params.k
+    start = 2 * (next_prime_at_least(n) - 1).bit_length()
     x = Word(random.Random(87).getrandbits(n), n)
-    messages = list(composite_alice(x, params, random.Random(88)))
-    row0 = messages[1].value & ((1 << k) - 1)
-    value = messages[1].value & ~(((1 << k) - 1) << k) | row0 << k
-    messages[1] = Word(value, messages[1].n)
+    (message,) = composite_alice(x, params, random.Random(88))
+    row0 = message.value >> start & ((1 << k) - 1)
+    value = message.value & ~(((1 << k) - 1) << (start + k)) | row0 << (start + k)
     with pytest.raises(ContractError, match="dependent"):
-        _bob(x, params, 0, messages)
+        _bob(x, params, 0, Word(value, message.n))
 
 
 # n, alpha, params, and whether x is exactly floor(alpha n) flips from y
@@ -855,9 +887,9 @@ def test_bob_refuses_only_what_was_a_silent_wrong_word(case):
             x = y.flip(rng.sample(range(n), radius))
         else:
             x = random_word_within(y, radius, rng)
-        messages = list(composite_alice(x, params, rng))
-        recovered, diag = _bob(y, params, radius, messages)
-        reference = _reference_bob(y, params, messages)
+        (message,) = composite_alice(x, params, rng)
+        recovered, diag = _bob(y, params, radius, message)
+        reference = _reference_bob(y, params, message)
         new_reasons = diag.keys() & {"block_syndrome_mismatch", "promise_violation"}
         if new_reasons:
             assert recovered is None
@@ -967,8 +999,8 @@ _TRANSCRIPT_CASES = {
 @pytest.mark.parametrize(
     "case, expected",
     [
-        ("smith-2048", "511d582f9ee990b28af3554deb56e6ebe71ed91564a649cc6a7b62998e85c6d6"),
-        ("smith-stress", "fbc5d437e9427e256e1b19056b156dc1f31b7180cce3b41202fe8c71d1db5477"),
+        ("smith-2048", "e302d2eb7df27031724c02fe3f074d21b8bcd94463568ab7c128469b1be8a806"),
+        ("smith-stress", "220de473a854a27aa6d931c53119194fb94a1fc7fb56a716c5fcf3efa399e153"),
     ],
     ids=["smith-2048", "smith-stress"],
 )
@@ -979,7 +1011,11 @@ def test_composite_transcripts_pinned(case, expected):
     # unchanged, when Bob began refusing words that contradict the block
     # syndromes or the promise radius.  Both were captured again when the
     # third message became Alice's RS sums in place of her extra evaluations,
-    # an invertible image of them in as many bits.
+    # an invertible image of them in as many bits.  Both were captured again
+    # when the round became one message, the three old payloads joined with
+    # the first at the low bits: smith-2048 511d582f... -> e302d2eb...,
+    # smith-stress fbc5d437... -> 220de473....  Hashing the old runs with
+    # each trial's messages joined gives the new digests.
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES[case], 2026) == expected
 
 
@@ -1115,16 +1151,18 @@ def test_old_sampler_reproduces_the_old_pins(monkeypatch):
     # words that contradict the block syndromes or the promise radius: the
     # same 169 exact, and all 11 silent wrong words reported.  The two
     # transcript digests were captured again when the third message became
-    # Alice's RS sums, with the same outcomes.
+    # Alice's RS sums, with the same outcomes, and again when the round
+    # became one message: smith-2048 6305b49f... -> 6a1d0a2a..., smith-stress
+    # e0468da1... -> f44c5558....
     monkeypatch.setattr(probproto, "sample_inner_code", _old_sample_inner_code)
     counts, digest = _composite_outcomes()
     assert counts == {"exact": 169, "reported": 131}
     assert digest == "191b260403c3eee94f2ad2fbd571349fa66bc8dadc21db3b3c20bf96878b3a42"
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-2048"], 2026) == (
-        "6305b49f42bc645826e53f02f19ad74ce165ce42b4d4648700cd086a1443c545"
+        "6a1d0a2ae2f5c06cb00a3ac5495984bc62d1d86bb6a91e7f39c444bc5d640282"
     )
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-stress"], 2026) == (
-        "e0468da109a5b5f58f5a7da61706a96ba2dab4976b2707ebd82237ac6b9964ff"
+        "f44c55582e314dfd21d13d1769622127db1ef2f987e8a1ecdfa5d06c3224f2a2"
     )
 
 

@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+from fractions import Fraction
 from random import Random
 from unittest import mock
 
@@ -10,10 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamsync import transport
-from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, pack_fields
+from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, pack_fields, random_word_within
 from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
 from hamsync.harness import PROTOCOLS, ExperimentConfig
 from hamsync.hashing import _nba_width, multi_nba_alice, nba_alice
+from hamsync.probproto import ProbParams, composite_parties
+from hamsync.syncdet import SyncInstance
 from hamsync.transport import (
     RECV,
     ProtocolOutcome,
@@ -209,8 +212,6 @@ _RECEIPTS = [
     ("multinba", A, 0, B),
     ("problist", A, 0, B),
     ("smith", A, 0, B),
-    ("smith", A, 1, B),
-    ("smith", A, 2, B),
 ]
 
 
@@ -281,6 +282,62 @@ def test_run_party_threads_match_run_protocol():
     assert threaded.diagnostics == direct.diagnostics
     assert threaded.transcript == direct.transcript
     assert alice_runs[0].transcript == direct.transcript
+
+
+class _FrameCountingEnd(TcpEnd):
+    """TcpEnd that counts the frames it sends and their bits on the wire:
+    the 4-byte header and the payload padded to whole bytes."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__(sock)
+        self.frames = 0
+        self.framed_bits = 0
+
+    def send_bits(self, w: Word) -> None:
+        self.frames += 1
+        self.framed_bits += 8 * (4 + (w.n + 7) // 8)
+        super().send_bits(w)
+
+
+# n, alpha, params, payload bits, framed bits, at both benchmark shapes
+_SMITH_FRAMES = {
+    "smith-stress": (512, Fraction(1, 32), ProbParams(9, 2, Fraction(1, 10), 5), 306, 344),
+    "smith-2048": (2048, Fraction(1, 20), ProbParams(11, 64, Fraction(3, 20), 6), 1718, 1752),
+}
+
+
+@pytest.mark.parametrize("case", _SMITH_FRAMES)
+def test_smith_sends_one_frame_per_trial(case):
+    # Smith's round is one message from Alice, so each trial over TCP is one
+    # frame of 32 header bits and the payload in whole bytes.
+    n, alpha, params, bits, framed = _SMITH_FRAMES[case]
+    bounds = Bounds(alpha, n)
+    rng = Random(911)
+    a_sock, b_sock = socket.socketpair()
+    a_end, b_end = _FrameCountingEnd(a_sock), TcpEnd(b_sock)
+    try:
+        for _ in range(3):
+            y = Word(rng.getrandbits(n), n)
+            instance = SyncInstance(random_word_within(y, bounds.radius, rng), y, bounds)
+            alice, bob = composite_parties(instance, params, rng)
+            alice_runs = []
+            thread = threading.Thread(
+                target=lambda: alice_runs.append(run_party(alice, Role.ALICE, a_end))
+            )
+            frames, framed_bits = a_end.frames, a_end.framed_bits
+            thread.start()
+            try:
+                out = outcome_from_party_run(run_party(bob, Role.BOB, b_end))
+            finally:
+                thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert out.transcript == alice_runs[0].transcript
+            assert len(out.transcript.messages) == 1
+            assert out.transcript.total_bits == bits
+            assert (a_end.frames - frames, a_end.framed_bits - framed_bits) == (1, framed)
+    finally:
+        a_end.close()
+        b_end.close()
 
 
 def _tcp_echo(words):
