@@ -11,6 +11,12 @@ something live goes unnoticed.
 A definition that only the tracer's tables name is kept for the benchmark
 alone, so each one is listed in TRACER_ONLY with the ROADMAP item that
 deletes it, and a new one fails the test until it is listed.
+
+A dunder method is called through syntax (an operator, a call, repr), which
+matching by name cannot see.  So every dunder a top-level class defines,
+beyond the __init__ and __post_init__ that construction calls, is listed in
+DUNDERS with the reason it stays, and a new one fails the test until it is
+listed.
 """
 
 from __future__ import annotations
@@ -34,7 +40,24 @@ TRACER_ONLY: dict[str, str] = {
     "syncdet.coset_representative": "item 16 (b)",
 }
 
+# Dunders kept beyond __init__ and __post_init__, each with its caller.
+DUNDERS: dict[str, str] = {
+    "hashing.SecondaryHash.__call__": (
+        "find_secondary_hash and multinba's parties apply the hash to residues"
+    ),
+    "transport._RecvSentinel.__repr__": (
+        "the RECV a party yields reads as RECV, not an object address, in an"
+        " assertion or a traceback"
+    ),
+}
+
+_CONSTRUCTION = {"__init__", "__post_init__"}
+
 _TRACER_TABLES = {"FUNCTIONS", "PARTIES", "METHODS"}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -46,9 +69,7 @@ def _definitions(tree: ast.Module, module: str):
         yield f"{module}.{node.name}", node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, defs) and not (
-                    member.name.startswith("__") and member.name.endswith("__")
-                ):
+                if isinstance(member, defs) and not _is_dunder(member.name):
                     qualified = f"{module}.{node.name}.{member.name}"
                     yield qualified, member.name, member.lineno, member.end_lineno
 
@@ -105,6 +126,23 @@ def tracer_only(root: Path = ROOT) -> set[str]:
     return unreferenced(root, tracer_tables=False) - unreferenced(root)
 
 
+def dunders(root: Path = ROOT) -> set[str]:
+    """The dunder methods that top-level classes in the package at root
+    define, beyond those construction calls."""
+    found = set()
+    for path in sorted((root / PACKAGE).glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (
+                        isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and _is_dunder(member.name)
+                        and member.name not in _CONSTRUCTION
+                    ):
+                        found.add(f"{path.stem}.{node.name}.{member.name}")
+    return found
+
+
 def test_every_definition_has_a_caller():
     assert unreferenced() == set(ALLOWED)
 
@@ -127,3 +165,20 @@ def test_an_unlisted_tracer_only_definition_is_caught(tmp_path):
     tracer.write_text(tracer.read_text().replace(table, table[:-2] + ', "traced_only"),'))
     assert tracer_only(tmp_path) == set(TRACER_ONLY) | {"syncdet.traced_only"}
     assert unreferenced(tmp_path) == set(ALLOWED)
+
+
+def test_dunders_are_listed():
+    assert dunders() == set(DUNDERS)
+
+
+def test_an_unlisted_dunder_is_caught(tmp_path):
+    # A copy of the package gains Word.__xor__, which no package code uses.
+    (tmp_path / PACKAGE).mkdir(parents=True)
+    for path in (ROOT / PACKAGE).glob("*.py"):
+        (tmp_path / PACKAGE / path.name).write_text(path.read_text())
+    bitword = tmp_path / PACKAGE / "bitword.py"
+    flip = "    def flip(self, positions"
+    assert flip in bitword.read_text()
+    xor = "    def __xor__(self, other):\n        return Word(self.value ^ other.value, self.n)\n\n"
+    bitword.write_text(bitword.read_text().replace(flip, xor + flip))
+    assert dunders(tmp_path) == set(DUNDERS) | {"bitword.Word.__xor__"}
