@@ -37,7 +37,7 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return tuple(compress(range(limit + 1), flags))
 
 
