@@ -1,5 +1,5 @@
-"""Prime sieving, injective mod-prime hashing, and the candidate-set
-identification protocols built from them.
+"""A Miller-Rabin prime test, the sieve behind random prime pools, injective
+mod-prime hashing, and the candidate-set identification protocols.
 
 The identification problem: Bob holds k distinct words, Alice holds one word
 that is promised to be among them, and Bob must learn which one.  A prime
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .bitword import Word, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
@@ -41,63 +41,61 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
     return tuple(compress(range(limit + 1), flags))
 
 
+# Miller-Rabin bases, and for each the least odd composite that passes it and
+# every base before it (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+)
+_MR_EXACT_BELOW = _MR_PSI[-1]
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+
+
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(m) + 1, 2):
-        if m % d == 0:
-            return False
+    """Deterministic Miller-Rabin.  One gcd settles each m that a base
+    divides; any other m is prime once it passes every base up to the first
+    whose psi exceeds it.  Exact below _MR_EXACT_BELOW; larger m is refused."""
+    if m >= _MR_EXACT_BELOW:
+        raise ContractError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {m}")
+    if m <= _MR_BASES[-1] or math.gcd(m, _MR_BASES_PRODUCT) != 1:
+        return m in _MR_BASES  # every prime up to 37 is a base
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
+    d = (m - 1) >> s
+    for base, psi in zip(_MR_BASES, _MR_PSI):
+        x = pow(base, d, m)
+        if x != 1 and x != m - 1:
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        if m < psi:
+            break
     return True
 
 
-def _primes_in_doubling_sieves() -> Iterator[int]:
-    """Every prime in increasing order, sieved up to 64, 128, 256, ..., so a
-    search that stops at q sieves up to at most max(64, 2q), and sieve_primes
-    caches only power-of-two limits."""
-    limit, done = 64, 0
-    while True:
-        primes = sieve_primes(limit)
-        yield from primes[done:]
-        limit, done = 2 * limit, len(primes)
-
-
 def find_injective_prime(values: Iterable[int], n: int) -> int:
-    """Smallest prime q <= max(2, k^2 * n) injective on the given k distinct
-    n-bit values.  Such a prime always exists; failing to find one means the
-    search itself is broken.  Relies on k >= 1 distinct n-bit values (module
-    docstring).  The sieve grows with q, not with the bound, and primes
-    below k are skipped.
+    """First prime q >= ceil(k^2 * n / 2), which is >= k, that is injective
+    on the k distinct n-bit values (module docstring); q <= max(2, k^2 * n).
 
-    Each q scans the values in one fixed stride order, a step near k/phi
-    coprime to k, not in the order given: values below q never collide mod
-    q, so a scan of sorted values (listdec_bob's list is sorted) would meet
-    its first repeated residue only after every value below q.
-    """
+    A prime >= B = ceil(k^2 * n / 2) fails only by dividing one of the
+    C(k, 2) differences, each below 2^n and so with fewer than n / log2(B)
+    such factors: at most about ln 2 of the primes in [B, k^2 * n].  Dusart's
+    bounds, x / ln x * (1 + 1 / ln x) <= pi(x) for x >= 599 and pi(x) <=
+    x / ln x * (1 + 1.2762 / ln x), leave more once k^2 * n >= 2^16; the tests
+    count every smaller shape, and Bertrand covers k = 1."""
     vals = tuple(values)
     k = len(vals)
-    stride = round(k * 0.618)
-    while math.gcd(stride, k) != 1:
-        stride += 1
-    scan = [vals[i * stride % k] for i in range(k)]
-    bound = max(2, k * k * n)
-    for q in _primes_in_doubling_sieves():
-        if q > bound:
-            break
-        if q < k:
-            continue
-        seen = set()
-        for x in scan:
-            r = x % q
-            if r in seen:
-                break
-            seen.add(r)
-        else:
+    top = k * k * n
+    if top <= 4:  # one value, or the 1-bit words 0 and 1: 2 comes first and separates
+        return 2
+    for q in range((top + 1) // 2 | 1, top + 1, 2):  # past 2, only odd q can be prime
+        if is_prime(q) and len({v % q for v in vals}) == k:
             return q
-    raise InvariantError(f"no injective prime up to {bound} for {k} values of {n} bits")
+    raise InvariantError(f"no injective prime up to {top} for {k} values of {n} bits")
 
 
 @dataclass(frozen=True, slots=True)

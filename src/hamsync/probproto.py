@@ -41,7 +41,7 @@ def _proved_prime(p: int) -> bool:
 class AffinePermutation:
     """i -> (a*i + b) mod p on [0, p); a bijection exactly because p is prime
     and a is nonzero.  Every map checks that a and b are in range, since
-    Bob's arrive from Alice; p is proved prime by trial division once per
+    Bob's arrive from Alice; p is proved prime by hashing.is_prime once per
     value and remembered."""
 
     p: int
@@ -58,9 +58,8 @@ class AffinePermutation:
 
 
 def next_prime_at_least(n: int) -> int:
-    """Smallest prime >= n, by trial division of n, n + 1, ...: about
-    sqrt(n) divisions per candidate.  Smith runs it once per shape, in
-    _composite_shape."""
+    """Smallest prime >= n, testing n, n + 1, ... with hashing.is_prime.
+    Smith runs it once per shape, in _composite_shape."""
     if n < 2:
         raise ContractError(f"need n >= 2, got {n}")
     m = n

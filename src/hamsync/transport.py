@@ -192,14 +192,10 @@ def run_party(party: Party, role: Role, end: TcpEnd) -> PartyRun:
 
 _FRAME_HEADER = struct.Struct(">I")  # payload bit count, big-endian
 
-# Seconds one send or receive may wait on the peer before it fails with
-# TransportError, so a stalled peer cannot hang a run.  Generous on purpose:
-# a receive also waits out the peer's longest step.  Within the package's
-# limits that is listdec's Bob finding a prime to separate a long list, which
-# grows faster than the list's square: 10 s for 8,240 words (n = 181, r = 2)
-# and 61 s for 16,517 (n = 256, r = 2, both with k = n - 1, 2 vCPUs), so a
-# list that long can outlast this wait.  Smith's longest, at its RS budget,
-# is Bob's correction at k = 14, m = 16319, s = 64: about 0.6 s.
+# Seconds one send, or the receipt of one whole frame, may wait on the peer
+# before it fails with TransportError, so a stalled or trickling peer cannot
+# hang a run.  Generous: a receive also waits out the peer's longest step,
+# smith's Bob at its RS budget (k = 14, m = 16319, s = 64), about 0.6 s.
 _IO_TIMEOUT_S = 60.0
 
 
@@ -209,21 +205,26 @@ class TcpEnd:
     bits in the last byte are ignored on receive."""
 
     def __init__(self, sock: socket.socket) -> None:
-        sock.settimeout(_IO_TIMEOUT_S)
         self._sock = sock
+        self._timeout = _IO_TIMEOUT_S
 
     def send_bits(self, w: Word) -> None:
         frame = _FRAME_HEADER.pack(w.n) + w.value.to_bytes((w.n + 7) // 8, "little")
         try:
+            self._sock.settimeout(self._timeout)  # sendall's timeout bounds the whole call
             self._sock.sendall(frame)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
-    def _recv_exact(self, count: int) -> bytes:
+    def _recv_exact(self, count: int, deadline: float) -> bytes:
         chunks = []
         remaining = count
         while remaining:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TransportError(f"no whole frame within {self._timeout:g} s")
             try:
+                self._sock.settimeout(left)
                 chunk = self._sock.recv(remaining)
             except OSError as exc:
                 raise TransportError(f"receive failed: {exc}") from exc
@@ -234,10 +235,11 @@ class TcpEnd:
         return b"".join(chunks)
 
     def recv_bits(self) -> Word:
-        (nbits,) = _FRAME_HEADER.unpack(self._recv_exact(_FRAME_HEADER.size))
+        deadline = time.monotonic() + self._timeout
+        (nbits,) = _FRAME_HEADER.unpack(self._recv_exact(_FRAME_HEADER.size, deadline))
         if not 1 <= nbits <= MAX_WORD_BITS:
             raise TransportError(f"frame of {nbits} bits is outside [1, {MAX_WORD_BITS}]")
-        raw = self._recv_exact((nbits + 7) // 8)
+        raw = self._recv_exact((nbits + 7) // 8, deadline)
         value = int.from_bytes(raw, "little") & ((1 << nbits) - 1)
         return Word(value, nbits)
 

@@ -280,10 +280,10 @@ GOLDEN_CSV_LINES = (
     'protocol,n,alpha,trials,success_rate,mean_bits,max_bits,rounds,lower_bound_bits,entropy_reference_bits,diagnostics',
     'brute,4,1/4,20,1.0,3.0,3,1,2.321928,4.0,"{""check_bits"": 3, ""decode_distance"": 1}"',
     'coloring,10,1/10,20,1.0,4.0,4,1,3.459432,7.219281,"{""color_bits"": 4, ""n_colors"": 16}"',
-    'listdec,14,3/14,20,1.0,20.3,23,3,8.876517,13.793194,"{""list_size"": 2, ""q"": 3, ""set_size"": 2, ""syndrome_bits"": 9}"',
-    'multinba,256,0,20,1.0,58.0,58,2,0.0,0.0,"{""q"": 23, ""s"": 14, ""set_size"": 8}"',
+    'listdec,14,3/14,20,1.0,20.3,23,3,8.876517,13.793194,"{""list_size"": 2, ""q"": 29, ""set_size"": 2, ""syndrome_bits"": 9}"',
+    'multinba,256,0,20,1.0,58.0,58,2,0.0,0.0,"{""q"": 8209, ""s"": 5639, ""set_size"": 8}"',
     'naive,8,1/8,20,1.0,8.0,8,1,3.169925,6.490225,{}',
-    'nba,16,0,20,1.0,18.0,18,2,0.0,0.0,"{""q"": 5, ""set_size"": 4}"',
+    'nba,16,0,20,1.0,18.0,18,2,0.0,0.0,"{""q"": 131, ""set_size"": 4}"',
     'problist,14,3/14,20,1.0,49.0,49,1,8.876517,13.793194,"{""list_size"": 2, ""q"": 85793}"',
     'smith,2048,1/20,3,1.0,1718.0,1718,1,580.291905,960.502976,"{""block_count"": 187, ""matrix_bits"": 55, ""nba_bits"": 0, ""p"": 2053, ""rs_bits"": 704, ""stage1_bits"": 24, ""syndrome_bits"": 935}"',
     'syndrome,7,1/7,20,1.0,3.0,3,1,3.0,6.041844,"{""decoded_difference_weight"": 1, ""syndrome_bits"": 3}"',

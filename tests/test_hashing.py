@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -45,40 +47,109 @@ def test_sieve_matches_trial_division():
 
 
 def test_is_prime_matches_trial_division():
-    for m in range(2000):
+    for m in range(200_000):
         assert is_prime(m) == trial_division(m)
 
 
-def test_find_injective_prime_smallest_case():
-    # 1 and 3 collide mod 2; mod 3 gives residues {1, 2, 0}
-    assert find_injective_prime([1, 2, 3], 4) == 3
+def passes_strong_test(m: int, base: int) -> bool:
+    """m is a strong probable prime to base, written out from the definition."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(base, d, m) == 1 or any(pow(base, d << i, m) == m - 1 for i in range(s))
 
 
-def test_find_injective_prime_is_minimal():
-    # Small sets, then sets whose q crosses several of the doubling sieves.
+# A factor of each psi_j, the least odd composite passing the first j prime bases.
+PSI_FACTORS = (23, 829, 2251, 151, 6763, 1303, 10_670_053, 10_670_053) + (149_491,) * 3
+
+
+def test_is_prime_rejects_each_psi_below_the_last_and_refuses_that_one():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert len(hashing._MR_PSI) == len(bases) == 12
+    for j, (psi, factor) in enumerate(zip(hashing._MR_PSI, PSI_FACTORS), start=1):
+        assert psi % factor == 0 and 1 < factor < psi
+        assert all(passes_strong_test(psi, b) for b in bases[:j])
+        assert not is_prime(psi)
+    # psi_12, the first odd composite that passes all twelve bases.
+    psi_12 = hashing._MR_EXACT_BELOW
+    assert psi_12 == 318_665_857_834_031_151_167_461 == 399_165_290_221 * 798_330_580_441
+    assert all(passes_strong_test(psi_12, b) for b in bases)
+    with pytest.raises(ContractError, match="exact only below"):
+        is_prime(psi_12)
+    # Mersenne numbers on both sides of the limit.
+    assert is_prime((1 << 61) - 1)
+    assert (1 << 67) - 1 == 193_707_721 * 761_838_257_287 and not is_prime((1 << 67) - 1)
+    with pytest.raises(ContractError):
+        is_prime((1 << 89) - 1)
+
+
+def first_separating_prime(vals, n: int) -> int:
+    """The first prime from ceil(k^2 n / 2) up that separates vals, by trial division."""
+    k = len(vals)
+    q = (k * k * n + 1) // 2
+    while not (trial_division(q) and injective(q, vals)):
+        q += 1
+    return q
+
+
+def test_find_injective_prime_is_the_first_from_the_top_half():
+    # Where k^2 n <= 4 the first prime from ceil(k^2 n / 2) is 2, and it
+    # separates one value, or the 1-bit words 0 and 1.
+    for vals, n in ([1], 1), ([1], 2), ([1], 3), ([0], 4), ([0, 1], 1):
+        assert find_injective_prime(vals, n) == 2 == first_separating_prime(vals, n)
+    assert find_injective_prime([1], 5) == 3 == first_separating_prime([1], 5)
     rng = random.Random(21)
-    for n_low, n_high, k_high in [(3, 10, 6)] * 100 + [(8, 16, 60)] * 60:
+    for n_low, n_high, k_high in [(1, 10, 6)] * 100 + [(8, 16, 60)] * 60:
         n = rng.randint(n_low, n_high)
-        k = rng.randint(1, k_high)
+        k = rng.randint(1, min(k_high, 1 << n))
         vals = rng.sample(range(1 << n), k)
-        q_min = find_injective_prime(vals, n)
-        assert find_injective_prime(sorted(vals), n) == q_min  # the order callers use
-        assert q_min <= max(2, k * k * n)
-        assert injective(q_min, vals)
-        for q in sieve_primes(q_min):
-            if q < q_min:
-                assert not injective(q, vals)
+        q = find_injective_prime(vals, n)
+        assert find_injective_prime(sorted(vals), n) == q  # the order callers use
+        assert q <= max(2, k * k * n)
+        assert injective(q, vals)
+        assert q == first_separating_prime(vals, n)
 
 
-def test_injective_prime_sieves_follow_the_prime(monkeypatch):
-    limits = []
-    sieve = hashing.sieve_primes
-    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: limits.append(limit) or sieve(limit))
-    vals = random.Random(7).sample(range(1 << 16), 200)
-    assert find_injective_prime(vals, 16) == 3877
-    # The bound is 200^2 * 16 = 640,000; only powers of two up to 2q are sieved.
-    assert max(limits) <= 4096
-    assert all(limit & (limit - 1) == 0 for limit in limits)
+def test_find_injective_prime_passes_primes_that_collide():
+    # 0 and the product of the first t primes of the top half collide modulo
+    # each of them, so the search passes all t and returns the next one.
+    n, k = 64, 2
+    top = [q for q in range((k * k * n + 1) // 2, k * k * n + 1) if trial_division(q)]
+    t, product = 0, 1
+    while product * top[t] < 1 << n:
+        product, t = product * top[t], t + 1
+    assert t == 8
+    assert find_injective_prime([0, product], n) == top[t]
+
+
+def test_top_half_holds_a_separating_prime_for_every_small_shape():
+    # For k >= 2 values, a prime q separates them unless it divides one of
+    # their C(k, 2) differences.  Each difference is a positive number below
+    # 2^n, so at most t primes >= start divide it, where start^t < 2^n.  If
+    # the top half [start, k^2 n] holds more than C(k, 2) * t primes, one of
+    # them separates any k distinct n-bit values.  Every shape with
+    # k^2 n <= 2^16 is counted; find_injective_prime's docstring covers the
+    # larger ones with Dusart's bounds.
+    limit = 1 << 16
+    primes = sieve_primes(limit)
+    for n in range(1, limit + 1):
+        # k = 1: one prime in [ceil(n / 2), max(2, n)] (Bertrand).
+        assert bisect.bisect_right(primes, max(2, n)) > bisect.bisect_left(primes, (n + 1) // 2)
+    tightest = 1.0
+    for k in range(2, math.isqrt(limit) + 1):
+        for n in range(1, limit // (k * k) + 1):
+            start = (k * k * n + 1) // 2
+            assert start >= k
+            count = bisect.bisect_right(primes, k * k * n) - bisect.bisect_left(primes, start)
+            t = int(n / math.log2(start))
+            while start**t >= 1 << n:
+                t -= 1
+            while start ** (t + 1) < 1 << n:
+                t += 1
+            failing = k * (k - 1) // 2 * t
+            assert count > failing, (k, n)
+            tightest = min(tightest, 1 - failing / count)
+    assert 0.28 < tightest < 0.29  # at k = 48, n = 14: 1,128 of 1,582 primes may fail
 
 
 class _CountedInt(int):
@@ -91,11 +162,11 @@ class _CountedInt(int):
         return int(self) % q
 
 
-def test_injective_prime_scan_meets_collisions_early(monkeypatch):
+def test_injective_prime_takes_few_passes_on_a_long_sorted_list(monkeypatch):
     # listdec at n = 16, alpha = 1/2, code_k = 15 hands the search 19,624
-    # sorted candidates.  A scan in that order passes every value below q
-    # before a repeat: 50,531,729 residues to reach q = 65,407 from the
-    # first prime above k.  The stride order takes 2,478,270.
+    # sorted candidates.  The smallest separating prime, 65,407, took
+    # 2,478,270 residues to reach; from the top half the first prime tried
+    # is above every 16-bit value, so one pass over the list settles it.
     searched = []
     find = hashing.find_injective_prime
     # 65,537 is a prime above every 16-bit value, so injective on any of them.
@@ -106,10 +177,12 @@ def test_injective_prime_scan_meets_collisions_early(monkeypatch):
     cfg = ExperimentConfig("listdec", n=16, alpha=Fraction(1, 2), trials=1, seed=1, params=params)
     run_experiment(cfg)
     (values,) = searched
-    assert len(values) == 19_624 and list(values) == sorted(values)
+    k = len(values)
+    assert k == 19_624 and list(values) == sorted(values)
     _CountedInt.residues = 0
-    assert find([_CountedInt(v) for v in values], 16) == 65_407
-    assert _CountedInt.residues < 3_000_000
+    q = find([_CountedInt(v) for v in values], 16)
+    assert (k * k * 16 + 1) // 2 <= q <= k * k * 16
+    assert _CountedInt.residues <= 3 * k
 
 
 def test_identification_parties_refuse_bad_candidate_sets():

@@ -39,6 +39,7 @@ LIMITS = [
     (syncdet, "_COLORING_SCAN_BUDGET", _ten_to, ["2^n * Vol(2r, n) <= {}"]),
     (harness, "_EXHAUSTIVE_LIMIT", _ten_to, ["2^n * Vol(r, n) <= {}"]),
     (hashing, "_PRIME_POOL_BUDGET", _two_to, ["at most {} primes"]),
+    (hashing, "_MR_EXACT_BELOW", "{:,}".format, ["exact below {}"]),
     (transport, "_IO_TIMEOUT_S", "{:g}".format, ["more than {} seconds"]),
 ]
 

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from hamsync import transport
 from hamsync.bitword import MAX_WORD_BITS, Bounds, Word, pack_fields, random_word_within
 from hamsync.errors import ContractError, ProtocolExecutionError, TransportError
+from hamsync.gf2codes import random_linear_code
 from hamsync.harness import PROTOCOLS, ExperimentConfig
 from hamsync.hashing import _nba_width, multi_nba_alice, nba_alice
 from hamsync.probproto import ProbParams, composite_parties
-from hamsync.syncdet import SyncInstance
+from hamsync.syncdet import SyncInstance, listdec_parties
 from hamsync.transport import (
     RECV,
     ProtocolOutcome,
@@ -517,6 +518,75 @@ def test_stalled_peer_times_out(monkeypatch):
         late.join(timeout=10)
         end.close()
         silent.close()
+
+
+def test_listdec_separates_a_long_list_over_tcp_in_one_frame_wait():
+    # At n = 256, r = 2 and one parity row Bob lists about 16,400 words.
+    # The smallest separating prime took about 61 s to find for such a list;
+    # the first prime of the top half takes milliseconds, well inside
+    # _IO_TIMEOUT_S.  Bits: 1 syndrome bit and two fields of
+    # bit_length(L^2 * 256) = 37 bits.
+    rng = Random(31)
+    code = random_linear_code(256, 255, rng)
+    y = Word(rng.getrandbits(256), 256)
+    instance = SyncInstance(random_word_within(y, 2, rng), y, Bounds(Fraction(2, 256), 256))
+    start = time.monotonic()
+    out = _run_over_tcp(*listdec_parties(code, 2, instance))
+    assert time.monotonic() - start < 2.0
+    assert out.recovered == instance.x
+    assert 16_000 < out.diagnostics["list_size"] < 17_000
+    assert out.transcript.total_bits == 75
+
+
+def test_trickling_peer_times_out_within_one_frame(monkeypatch):
+    # The peer sends a 320-bit frame's header, then one payload byte every
+    # 0.2 s, each inside the 0.3 s timeout.  A timeout per recv call would
+    # accept the frame after about 8 s; the frame's deadline ends it at 0.3 s.
+    monkeypatch.setattr(transport, "_IO_TIMEOUT_S", 0.3)
+    sender, receiver = socket.socketpair()
+    end = TcpEnd(receiver)
+    stop = threading.Event()
+
+    def trickle():
+        try:
+            sender.sendall(struct.pack(">I", 320))
+            for _ in range(40):
+                if stop.wait(0.2):
+                    return
+                sender.sendall(b"\x01")
+        except OSError:
+            pass  # the receiver gave up and closed
+
+    t = threading.Thread(target=trickle)
+    t.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            end.recv_bits()
+        assert time.monotonic() - start < 1.0
+    finally:
+        stop.set()
+        end.close()
+        t.join(timeout=10)
+        sender.close()
+    assert not t.is_alive()
+
+
+def test_send_after_a_short_receive_gets_the_full_timeout(monkeypatch):
+    # A receive leaves the socket's timeout at what was left of its frame's
+    # deadline; the next send starts again from the whole timeout.
+    monkeypatch.setattr(transport, "_IO_TIMEOUT_S", 5.0)
+    left, right = socket.socketpair()
+    a, b = TcpEnd(left), TcpEnd(right)
+    try:
+        b.send_bits(Word(5, 3))
+        assert a.recv_bits() == Word(5, 3)
+        a.send_bits(Word(6, 3))
+        assert left.gettimeout() == 5.0
+        assert b.recv_bits() == Word(6, 3)
+    finally:
+        a.close()
+        b.close()
 
 
 def test_connect_to_a_silent_listener_times_out(monkeypatch):
