@@ -16,14 +16,14 @@ from random import Random
 from typing import Sequence
 
 from .bitword import Word, ball_volume
-from .errors import CapabilityError, ContractError, InvariantError, RetryLimitError
+from .errors import CapabilityError, ContractError, RetryLimitError
 
 _DECODE_ENUM_LIMIT = 24  # codewords() spans at most 2^24 words
 LEADER_MAX_N = 14  # smith's block length: its leader tables walk up to 16,384 words
 WALK_BUDGET = 1 << 16  # the most words one ball table may walk, the zero word included
 # The most parity-check entries, n * (n - k), that random_linear_code draws.
-# Reducing a draw is cubic in n: n = 2,048 at k = 5, just inside, takes
-# 1.2-1.5 s on 2 vCPUs, and n = 20,000 would take about half an hour.
+# Checking a draw's rank is cubic in n: n = 2,048 at k = 5, just inside,
+# takes about 0.36 s on 2 vCPUs, and n = 20,000 would take minutes.
 _RANDOM_CODE_BUDGET = 1 << 22
 
 
@@ -58,8 +58,8 @@ def _rref(masks: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
 class AffineSolver:
     """Prepared solver for H t = b with a fixed H: the row operations that
     reduce H are recorded once and replayed on each right-hand side.  H must
-    have independent rows, which LinearCode checks before it builds one, so
-    every b has a solution."""
+    have independent rows, as a LinearCode's are, so every b has a
+    solution."""
 
     def __init__(self, h: Sequence[int], cols: int) -> None:
         # Augment each row with an identity tag in the high bits; reducing the
@@ -82,23 +82,14 @@ class AffineSolver:
 @dataclass(frozen=True, slots=True)
 class LinearCode:
     """[n, k] binary linear code given by its parity-check rows h, which must
-    be independent; k = n - len(h).
-
-    h is reduced once, into the AffineSolver kept as `solver`.  Its free
-    columns are message_positions, and g_rows[i] = solver.solve(column f of
-    H) | 1 << f with f = message_positions[i] carries a lone 1 in column f
-    among them, so a message embeds at message_positions and the remaining
-    check_positions are determined.  When message_positions == (0..k-1) the
-    generator is systematic in the strict first-k-columns sense.  All of this
-    is derived from h, so equality and hashing cover (n, h) only.
+    be independent; k = n - len(h).  Nothing else is derived when a code is
+    built: a protocol reads the rows, or the columns that parity_columns
+    computes once per code.  Equality and hashing cover (n, h) only.
     """
 
     n: int
     h: tuple[int, ...]
     k: int = field(init=False, compare=False)
-    g_rows: tuple[int, ...] = field(init=False, compare=False)
-    message_positions: tuple[int, ...] = field(init=False, compare=False)
-    solver: AffineSolver = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         h = tuple(self.h)
@@ -107,50 +98,16 @@ class LinearCode:
         limit = 1 << self.n
         if any(not 0 <= row < limit for row in h):
             raise ContractError("parity-check row has bits outside the block length")
-        solver = AffineSolver(h, self.n)
-        if len(solver.pivot_cols) != len(h):
+        if rank(h) != len(h):
             raise ContractError("parity rows are linearly dependent")
-        pivot_set = set(solver.pivot_cols)
-        free_cols = tuple(c for c in range(self.n) if c not in pivot_set)
-        # H (t + e_f) = 0 exactly when H t is column f of H.
-        g_rows = tuple(solver.solve(mat_vec(h, 1 << f)) | 1 << f for f in free_cols)
-        if any(mat_vec(h, w) for w in g_rows):
-            raise InvariantError("generator row is not in the null space")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "k", self.n - len(h))
-        object.__setattr__(self, "g_rows", g_rows)
-        object.__setattr__(self, "message_positions", free_cols)
-        object.__setattr__(self, "solver", solver)
-
-    @property
-    def check_positions(self) -> tuple[int, ...]:
-        msg = set(self.message_positions)
-        return tuple(c for c in range(self.n) if c not in msg)
 
 
-def encode(code: LinearCode, message: Word) -> Word:
-    """Codeword whose message_positions carry the message bits."""
-    if message.n != code.k:
-        raise ContractError(f"message must have {code.k} bits")
-    w = 0
-    for i in range(code.k):
-        if (message.value >> i) & 1:
-            w ^= code.g_rows[i]
-    return Word(w, code.n)
-
-
-def gather_bits(value: int, positions: Sequence[int]) -> int:
-    """Bit i of the result is value's bit at positions[i]."""
-    out = 0
-    for i, pos in enumerate(positions):
-        out |= ((value >> pos) & 1) << i
-    return out
-
-
-def extract_message(code: LinearCode, codeword: Word) -> Word:
-    if codeword.n != code.n:
-        raise ContractError("codeword length mismatch")
-    return Word(gather_bits(codeword.value, code.message_positions), code.k)
+@lru_cache(maxsize=32)
+def parity_columns(code: LinearCode) -> tuple[int, ...]:
+    """Column c of H, as an (n-k)-bit int, for each c < n."""
+    return tuple(mat_vec(code.h, 1 << c) for c in range(code.n))
 
 
 def syndrome(code: LinearCode, x: Word) -> Word:
@@ -187,9 +144,9 @@ def rank(masks: Sequence[int]) -> int:
 
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
     """The code of uniformly random (n-k) x n parity-check rows, resampled
-    until they have full row rank.  Each draw is reduced once, by
-    LinearCode itself, which refuses dependent rows.  A shape over
-    _RANDOM_CODE_BUDGET entries is refused before the first draw."""
+    until they have full row rank.  LinearCode itself checks each draw's
+    rank and refuses dependent rows.  A shape over _RANDOM_CODE_BUDGET
+    entries is refused before the first draw."""
     if not 1 <= k < n:
         raise ContractError("need 1 <= k < n")
     if n * (n - k) > _RANDOM_CODE_BUDGET:
@@ -207,13 +164,19 @@ def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:
 
 @lru_cache(maxsize=128)
 def codewords(code: LinearCode) -> tuple[int, ...]:
-    """All 2^k codeword values in ascending order, enumerated by spanning the
-    generator rows (never by scanning the 2^n cube)."""
+    """All 2^k codeword values in ascending order, enumerated by spanning
+    generator rows (never by scanning the 2^n cube).  Each free column f of
+    a solver for H gives the row t | 1 << f, with t the solution of H t =
+    column f of H."""
     if code.k > _DECODE_ENUM_LIMIT:
         raise CapabilityError(f"enumerating 2^{code.k} codewords is out of budget")
+    solver = AffineSolver(code.h, code.n)
+    pivots = set(solver.pivot_cols)
     words = [0]
-    for g in code.g_rows:
-        words += [w ^ g for w in words]
+    for f in range(code.n):
+        if f not in pivots:
+            g = solver.solve(mat_vec(code.h, 1 << f)) | 1 << f
+            words += [w ^ g for w in words]
     words.sort()
     return tuple(words)
 
@@ -264,16 +227,12 @@ def _walk(n: int, radius: int) -> tuple[tuple[int, int, int], ...]:
 def coset_leaders(columns: Sequence[int], rows: int) -> dict[int, int]:
     """Coset leader of each of the 2^rows syndromes of the parity-check
     matrix with these columns: the first word of the weight walk with that
-    syndrome, i.e. its lightest word, ties toward the smaller one.  Smith,
-    the one caller, keeps its block length n <= LEADER_MAX_N.  Independent
-    rows make some `rows` columns a basis, so every leader weighs at most rows.
-
-    y xor leader[H y] is a codeword nearest to y, and for the pivot-only
-    solution t of H t = d (AffineSolver.solve) the one unique_decode picks:
-    two words of one syndrome differ by a nonzero codeword, whose top bit's
-    column depends on lower ones, so t is 0 there and t ^ c orders like c.
-    The walk stops once every syndrome is reached; if some never is, the
-    rows are dependent.
+    syndrome, i.e. its lightest word, ties toward the smaller one.  So y xor
+    leader[H y] is a codeword nearest to y.  Smith, the one caller, keeps
+    its block length n <= LEADER_MAX_N.  Independent rows make some `rows`
+    columns a basis, so every leader weighs at most rows.  The walk stops
+    once every syndrome is reached; if some never is, the rows are
+    dependent.
     """
     leader = {0: 0}
     syndromes = [0]  # of the words walked so far, by place
@@ -295,16 +254,16 @@ def check_walk_budget(n: int, radius: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def ball_table(code: LinearCode, radius: int) -> dict[int, tuple[int, ...]]:
-    """Each syndrome of a word of weight <= radius, mapped to those words in
-    walk order, the zero word first.  So the words within radius of y with
-    syndrome h are y xor each word listed under h xor H y, and a coset
-    leader is the first word of its list.  Refuses a ball over the budget."""
-    check_walk_budget(code.n, radius)
-    columns = [mat_vec(code.h, 1 << c) for c in range(code.n)]
+def ball_table(columns: tuple[int, ...], radius: int) -> dict[int, tuple[int, ...]]:
+    """Each syndrome, under the parity-check matrix with these columns, of a
+    word of weight <= radius, mapped to those words in walk order, the zero
+    word first.  So the words within radius of y with syndrome h are y xor
+    each word listed under h xor H y, and a coset leader is the first word
+    of its list.  Refuses a ball over the budget."""
+    check_walk_budget(len(columns), radius)
     table: dict[int, list[int]] = {0: [0]}
     syndromes = [0]  # of the words walked so far, by place
-    for word, rest, low in _walk(code.n, radius):
+    for word, rest, low in _walk(len(columns), radius):
         d = syndromes[rest] ^ columns[low]
         syndromes.append(d)
         table.setdefault(d, []).append(word)

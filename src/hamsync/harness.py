@@ -184,10 +184,16 @@ def _build_syndrome(cfg, bounds, params, root):
     return _sync_cases(cfg, bounds, root, lambda inst, sa: syndrome_parties(code, inst))
 
 
-def _build_listdec(cfg, bounds, params, root):
+def _list_code(bounds, params, root):
+    """The list protocols' set-up: the list radius, the promise radius unless
+    given, checked against the walk budget before their code is drawn."""
     radius = bounds.radius if params["radius"] is None else params["radius"]
     check_walk_budget(bounds.n, radius)  # before a wide code is sampled
-    code = random_linear_code(bounds.n, params["code_k"], root)
+    return random_linear_code(bounds.n, params["code_k"], root), radius
+
+
+def _build_listdec(cfg, bounds, params, root):
+    code, radius = _list_code(bounds, params, root)
     return _sync_cases(cfg, bounds, root, lambda inst, sa: listdec_parties(code, radius, inst))
 
 
@@ -215,10 +221,8 @@ def _build_multinba(cfg, bounds, params, root):
 
 
 def _build_problist(cfg, bounds, params, root):
-    radius = bounds.radius if params["radius"] is None else params["radius"]
+    code, radius = _list_code(bounds, params, root)
     oversample, list_cap = params["oversample"], params["list_cap"]
-    check_walk_budget(bounds.n, radius)
-    code = random_linear_code(bounds.n, params["code_k"], root)
 
     def parties(inst, sa):
         return one_round_prob_parties(code, radius, inst, oversample, Random(sa), list_cap=list_cap)

@@ -2,11 +2,12 @@
 
 Alice holds x, Bob holds y, both know the two words differ in at most
 floor(alpha*n) positions, and Bob must finish holding x exactly.  Four
-constructions live here: check-bit transfer over a systematic code, syndrome
-transfer with unique decoding, syndrome transfer with list decoding plus an
-identification finish, and a small-n coloring oracle that realizes the
-one-round lower bound shape by brute force.  The code-based ones look Bob's
-syndrome difference up in the code's ball table, at the promise or list radius.
+constructions live here: syndrome transfer over a code's message columns
+(brute), syndrome transfer with unique decoding, syndrome transfer with list
+decoding plus an identification finish, and a small-n coloring oracle that
+realizes the one-round lower bound shape by brute force.  The code-based ones
+look Bob's syndrome difference up in a ball table, at the promise or list
+radius.
 
 Each protocol's preconditions are checked once, in its ``*_parties``
 function, which returns the (alice, bob) generator pair.  The one-call
@@ -22,13 +23,12 @@ from functools import lru_cache
 from .bitword import Bounds, Word, ball_volume, hamming_distance, unpack_fields
 from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
+    AffineSolver,
     LinearCode,
     _walk,
     ball_table,
-    encode,
-    extract_message,
-    gather_bits,
     mat_vec,
+    parity_columns,
     syndrome,
 )
 from .hashing import nba_alice, nba_bob
@@ -65,7 +65,7 @@ def _unique_radius(code: LinearCode, instance: SyncInstance) -> int:
     which holds exactly at distance > 2r: a nonzero codeword of weight <= 2r
     is the xor of two words of weight <= r that share a syndrome."""
     r = instance.bounds.radius
-    if len(ball_table(code, r)) != ball_volume(r, code.n):
+    if len(ball_table(parity_columns(code), r)) != ball_volume(r, code.n):
         raise ContractError(f"code does not uniquely correct {r} errors")
     return r
 
@@ -77,34 +77,63 @@ def _check_list_radius(code: LinearCode, radius: int, instance: SyncInstance) ->
         raise ContractError("code block length must equal the instance length")
     if radius < instance.bounds.radius:
         raise ContractError("list radius must cover the promise radius")
-    ball_table(code, radius)
+    ball_table(parity_columns(code), radius)
 
 
 # ---------------------------------------------------------------------------
-# check-bit transfer: the file is the message block of a systematic code
+# brute: syndrome transfer over the code's message columns
+
+
+def _column_sum(columns: tuple[int, ...], v: int) -> int:
+    """The syndrome of v under the matrix with these columns: the xor of the
+    columns at v's set bits."""
+    out = 0
+    for c, column in enumerate(columns):
+        if (v >> c) & 1:
+            out ^= column
+    return out
+
+
+@lru_cache(maxsize=16)
+def _message_columns(code: LinearCode) -> tuple[int, ...]:
+    """The columns of H that lie in the span of the columns before them, in
+    order: the free columns of H's row reduction.  One xor-basis pass, as in
+    rank, finds them."""
+    basis: list[int] = []
+    free = []
+    for column in parity_columns(code):
+        v = column
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+        else:
+            free.append(column)
+    return tuple(free)
+
+
+def _lookup_bob(code: LinearCode, columns: tuple[int, ...], radius: int, y: Word, keys):
+    """Bob's half of a syndrome transfer over these columns of the code's H:
+    y xor the first word of weight <= radius that their ball table lists
+    under the difference of Alice's syndrome and his.  The diagnostics carry
+    the message's bits under keys[0] and that word's weight under keys[1]."""
+    msg = yield RECV
+    (h_value,) = unpack_fields(msg, [code.n - code.k])
+    errors = ball_table(columns, radius).get(h_value ^ _column_sum(columns, y.value))
+    if errors is None:  # no word within the radius: the promise is broken
+        return None, {keys[0]: msg.n}
+    return Word(y.value ^ errors[0], y.n), {keys[0]: msg.n, keys[1]: errors[0].bit_count()}
 
 
 def brute_alice(code: LinearCode, x: Word):
-    """Encode the whole file and transmit only the check positions."""
-    cw = encode(code, x)
-    checks = code.check_positions
-    yield Word(gather_bits(cw.value, checks), len(checks))
+    """Send the syndrome of the file under the code's message columns."""
+    yield Word(_column_sum(_message_columns(code), x.value), code.n - code.k)
     return None
 
 
 def brute_bob(code: LinearCode, y: Word, radius: int):
-    msg = yield RECV
-    (checks,) = unpack_fields(msg, [code.n - code.k])
-    composed = 0
-    for i, pos in enumerate(code.message_positions):
-        composed |= ((y.value >> i) & 1) << pos
-    for i, pos in enumerate(code.check_positions):
-        composed |= ((checks >> i) & 1) << pos
-    errors = ball_table(code, radius).get(mat_vec(code.h, composed))
-    if errors is None:  # no word within the radius: the promise is broken
-        return None, {"check_bits": msg.n}
-    diag = {"check_bits": msg.n, "decode_distance": errors[0].bit_count()}
-    return extract_message(code, Word(composed ^ errors[0], code.n)), diag
+    keys = ("check_bits", "decode_distance")
+    return (yield from _lookup_bob(code, _message_columns(code), radius, y, keys))
 
 
 def brute_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:
@@ -119,13 +148,14 @@ def brute_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Part
 
 def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
     """One round of code.n - code.k bits, n/rate - n for the file's n =
-    code.k: Alice's file sits verbatim in the message positions of a
-    codeword, so only the check bits travel.
+    code.k: the file's bits sit on the code's message columns, and Alice
+    sends their syndrome.  That is check-bit transfer over a systematic
+    code up to an invertible map: the check bits of x are H_chk^-1 H_msg x.
 
-    Bob rebuilds a word that differs from Alice's codeword exactly where y
-    differs from x, then removes the one word of weight <= radius that its
-    syndrome lists in the code's ball table.  The caller must supply a code
-    whose guaranteed correction radius covers the promise.
+    The code shortened to its message columns has distance at least the
+    code's, so once the code corrects radius errors, the ball table of
+    those columns lists x xor y alone under the difference of the two
+    syndromes.  The caller must supply such a code.
     """
     return run_protocol(*brute_parties(code, instance))
 
@@ -141,24 +171,20 @@ def syndrome_alice(code: LinearCode, x: Word):
 
 def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
     """Any t with H t = H x + H y; t equals (x xor y) up to a codeword."""
-    return Word(code.solver.solve(h_value ^ mat_vec(code.h, y.value)), code.n)
+    return Word(AffineSolver(code.h, code.n).solve(h_value ^ mat_vec(code.h, y.value)), code.n)
 
 
 def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> list[int]:
     """Sorted values of every word with syndrome h_value within radius of y:
     y xor e for each e of weight <= radius with syndrome h_value xor H y."""
     yv = y.value
-    return sorted(yv ^ e for e in ball_table(code, radius).get(h_value ^ mat_vec(code.h, yv), ()))
+    table = ball_table(parity_columns(code), radius)
+    return sorted(yv ^ e for e in table.get(h_value ^ mat_vec(code.h, yv), ()))
 
 
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
-    h_msg = yield RECV
-    (h_value,) = unpack_fields(h_msg, [code.n - code.k])
-    differences = ball_table(code, radius).get(h_value ^ mat_vec(code.h, y.value))
-    if differences is None:  # no word within the radius: the promise is broken
-        return None, {"syndrome_bits": h_msg.n}
-    diag = {"syndrome_bits": h_msg.n, "decoded_difference_weight": differences[0].bit_count()}
-    return Word(y.value ^ differences[0], code.n), diag
+    keys = ("syndrome_bits", "decoded_difference_weight")
+    return (yield from _lookup_bob(code, parity_columns(code), radius, y, keys))
 
 
 def syndrome_parties(code: LinearCode, instance: SyncInstance) -> tuple[Party, Party]:

@@ -219,13 +219,16 @@ class TcpEnd:
     def _recv_exact(self, count: int, deadline: float) -> bytes:
         chunks = []
         remaining = count
+        expired = f"no whole frame within {self._timeout:g} s"
         while remaining:
             left = deadline - time.monotonic()
             if left <= 0:
-                raise TransportError(f"no whole frame within {self._timeout:g} s")
+                raise TransportError(expired)
             try:
                 self._sock.settimeout(left)
                 chunk = self._sock.recv(remaining)
+            except TimeoutError as exc:  # the deadline passed inside recv
+                raise TransportError(expired) from exc
             except OSError as exc:
                 raise TransportError(f"receive failed: {exc}") from exc
             if not chunk:

@@ -11,7 +11,7 @@ import time
 from collections import defaultdict
 from fractions import Fraction
 
-from hamsync import gf2codes, harness, syncdet
+from hamsync import gf2codes, syncdet
 from hamsync.bitword import (
     Bounds,
     Word,
@@ -114,28 +114,34 @@ def test_criterion_02_brute_exhaustive():
 
 
 def _refuse_the_old_decoders(patch):
-    """Make every name of the solve-and-scan path raise."""
+    """Make every name of the solve-and-scan path raise, the row reduction
+    and the solver's construction included, and drop the cached Hamming
+    code and tables, so that what a protocol builds next is built under the
+    refusal."""
 
     def refuse(*args):
         raise AssertionError("a protocol reached the old decoder")
 
     for module, name in (
+        (gf2codes, "_rref"),
         (gf2codes, "unique_decode"),
         (gf2codes, "codewords"),
         (gf2codes, "list_decode_exhaustive"),
         (syncdet, "coset_representative"),
     ):
         patch.setattr(module, name, refuse)
+    patch.setattr(AffineSolver, "__init__", refuse)
     patch.setattr(AffineSolver, "solve", refuse)
+    for cached in (hamming_7_4, gf2codes.parity_columns, gf2codes.ball_table):
+        cached.cache_clear()
+    syncdet._message_columns.cache_clear()
 
 
 def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
-    # Brute and syndrome decode by the ball table, listdec and problist
-    # list by it, and coloring reads its colors.  A code reduces its rows
-    # when it is built, so the old path raises only once the code exists:
-    # Hamming's now, the list protocols' random codes as the harness builds
-    # them.
-    hamming_7_4()
+    # Brute and syndrome decode by a ball table, listdec and problist list
+    # by one, and coloring reads its colors.  Hamming's code and the list
+    # protocols' random codes are built under the refusal, so no code
+    # reduces its rows either.
     assert not hasattr(syncdet, "unique_decode")
     with monkeypatch.context() as patch:
         _refuse_the_old_decoders(patch)
@@ -143,15 +149,7 @@ def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
         test_criterion_02_brute_exhaustive()
     for protocol in ("brute", "syndrome", "listdec", "problist", "coloring"):
         with monkeypatch.context() as patch:
-
-            def built_then_refused(n, k, rng):
-                code = random_linear_code(n, k, rng)
-                _refuse_the_old_decoders(patch)
-                return code
-
-            patch.setattr(harness, "random_linear_code", built_then_refused)
-            if protocol in ("brute", "syndrome", "coloring"):
-                _refuse_the_old_decoders(patch)
+            _refuse_the_old_decoders(patch)
             (row,) = run_experiment(ExperimentConfig(protocol=protocol, trials=20, seed=20))
             assert (row.trials, row.success_rate) == (20, 1.0), protocol
 

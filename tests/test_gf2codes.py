@@ -19,11 +19,10 @@ from hamsync.gf2codes import (
     check_walk_budget,
     codewords,
     coset_leaders,
-    encode,
-    extract_message,
     hamming_7_4,
     list_decode_exhaustive,
     mat_vec,
+    parity_columns,
     random_linear_code,
     rank,
     syndrome,
@@ -31,7 +30,7 @@ from hamsync.gf2codes import (
 )
 from hamsync.harness import ExperimentConfig, run_experiment
 from hamsync.probproto import ProbParams, sample_inner_code
-from hamsync.syncdet import SyncInstance, brute_sync, syndrome_sync
+from hamsync.syncdet import SyncInstance, _message_columns, brute_sync, syndrome_sync
 
 
 def min_distance(code):
@@ -67,7 +66,7 @@ def test_mat_vec_matches_oracle():
 
 
 def test_rank_matches_span_size():
-    # LinearCode counts pivots: it accepts exactly the full-rank rows.
+    # LinearCode checks the rank: it accepts exactly the full-rank rows.
     rng = random.Random(32)
     seen = set()
     for _ in range(100):
@@ -149,7 +148,29 @@ def _old_code_from_parity(row_masks, n):
     return n - nrows, tuple(g_rows), free_cols
 
 
+def encode(code, message):
+    """The codeword whose message positions, the columns _rref leaves free,
+    carry the message bits: brute's Alice sent its other bits."""
+    _, g_rows, _ = _old_code_from_parity(code.h, code.n)
+    if message.n != code.k:
+        raise ContractError(f"message must have {code.k} bits")
+    w = 0
+    for i, g in enumerate(g_rows):
+        if (message.value >> i) & 1:
+            w ^= g
+    return Word(w, code.n)
+
+
+def extract_message(code, codeword):
+    """The bits of codeword at the message positions, in order."""
+    _, _, positions = _old_code_from_parity(code.h, code.n)
+    return Word(sum(((codeword.value >> pos) & 1) << i for i, pos in enumerate(positions)), code.k)
+
+
 def _assert_same_code(masks, n, enumerate_codewords):
+    """LinearCode refuses what the old constructor refused; otherwise it has
+    the same k, brute's message columns are H's columns at the old message
+    positions, and the codewords are the span of the old generator rows."""
     try:
         old = _old_code_from_parity(masks, n)
     except ContractError:
@@ -157,7 +178,9 @@ def _assert_same_code(masks, n, enumerate_codewords):
             LinearCode(n, masks)
         return False
     code = LinearCode(n, masks)
-    assert (code.k, code.g_rows, code.message_positions) == old
+    k, _, positions = old
+    assert code.k == k
+    assert _message_columns(code) == tuple(mat_vec(masks, 1 << f) for f in positions)
     if enumerate_codewords:
         words = [0]
         for g in old[1]:
@@ -192,8 +215,12 @@ def test_linear_code_matches_the_old_constructor_on_random_rows():
 def test_hamming_7_4_frozen_facts():
     code = hamming_7_4()
     assert (code.n, code.k) == (7, 4)
-    assert code.message_positions == (2, 4, 5, 6)
-    assert code.check_positions == (0, 1, 3)
+    # The message positions are 2, 4, 5 and 6; the check columns at 0, 1
+    # and 3 are the unit vectors in order, so brute's check bits are the
+    # syndrome of its message columns.
+    assert _old_code_from_parity(code.h, 7)[2] == (2, 4, 5, 6)
+    assert _message_columns(code) == (3, 5, 6, 7)
+    assert parity_columns(code) == (1, 2, 3, 4, 5, 6, 7)
     assert min_distance(code) == 3
     for i in range(7):
         # the syndrome of a single flip at position i spells out i+1
@@ -319,9 +346,7 @@ def test_random_linear_code_shape():
         code = random_linear_code(n, k, rng)
         assert (code.n, code.k) == (n, k)
         assert rank_oracle(code.h) == n - k
-        assert len(code.g_rows) == k
-        for g in code.g_rows:
-            assert mat_vec(code.h, g) == 0
+        assert len(_message_columns(code)) == k
 
 
 def test_random_linear_code_refuses_a_wide_shape_before_any_draw(monkeypatch):
@@ -465,22 +490,29 @@ def test_coset_leaders_take_the_smaller_word_with_zero_or_repeated_columns(solve
     assert checked >= 200 and dependent >= 10
 
 
-def test_unique_decoders_share_one_ball_table_per_code():
+def test_unique_decoders_build_each_ball_table_once():
     # Hamming's parity-check column c is c + 1, so syndrome c + 1 lists the
-    # single error in position c alone.  Brute and syndrome both decode at
-    # radius 1 on it, through the one table built for the code.
+    # single error in position c alone.  Syndrome decodes at radius 1
+    # through the code's table, which also checks brute's radius, and brute
+    # through the table of its message columns 3, 5, 6 and 7.  A second run
+    # of each builds nothing.
     code = hamming_7_4()
     ball_table.cache_clear()
     bounds = {n: Bounds(Fraction(1, n), n) for n in (4, 7)}
-    assert brute_sync(code, SyncInstance(Word(5, 4), Word(7, 4), bounds[4])).recovered.value == 5
-    assert syndrome_sync(code, SyncInstance(Word(9, 7), Word(8, 7), bounds[7])).recovered.value == 9
-    info = ball_table.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert ball_table(code, 1) is ball_table(code, 1)
-    assert ball_table(code, 1) == {0: (0,), **{c + 1: (1 << c,) for c in range(7)}}
+    files = SyncInstance(Word(5, 4), Word(7, 4), bounds[4])
+    words = SyncInstance(Word(9, 7), Word(8, 7), bounds[7])
+    for _ in range(2):
+        assert brute_sync(code, files).recovered.value == 5
+        assert syndrome_sync(code, words).recovered.value == 9
+        info = ball_table.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+    columns = parity_columns(code)
+    assert ball_table(columns, 1) is ball_table(columns, 1)
+    assert ball_table(columns, 1) == {0: (0,), **{c + 1: (1 << c,) for c in range(7)}}
+    assert ball_table(_message_columns(code), 1) == {0: (0,), 3: (1,), 5: (2,), 6: (4,), 7: (8,)}
     for n in range(3, 9):
         code = random_linear_code(n, 2, random.Random(n))
-        table = ball_table(code, len(code.h))  # every coset leader is in the ball
+        table = ball_table(parity_columns(code), len(code.h))  # every coset leader is in the ball
         assert {d: es[0] for d, es in table.items()} == _leaders_by_full_decoding(code)
 
 
@@ -505,10 +537,11 @@ def test_ball_table_lists_each_syndrome_in_walk_order():
         for e in [0] + sorted(range(1, 1 << n), key=int.bit_count):
             if e.bit_count() <= radius:
                 expected.setdefault(mat_vec(code.h, e), []).append(e)
-        assert ball_table(code, radius) == {d: tuple(es) for d, es in expected.items()}
+        columns = parity_columns(code)
+        assert columns == tuple(mat_vec(code.h, 1 << c) for c in range(n))
+        assert ball_table(columns, radius) == {d: tuple(es) for d, es in expected.items()}
         if radius >= len(code.h):  # every coset leader is in the ball
-            table = ball_table(code, radius)
-            columns = [mat_vec(code.h, 1 << c) for c in range(n)]
+            table = ball_table(columns, radius)
             assert {d: es[0] for d, es in table.items()} == coset_leaders(columns, len(code.h))
 
 
@@ -521,9 +554,10 @@ def test_ball_table_refuses_one_word_over_the_budget(monkeypatch):
     with pytest.raises(CapabilityError, match="walk budget"):
         check_walk_budget(12, 3)  # from the shape alone, before any code exists
     with pytest.raises(CapabilityError, match="walk budget"):
-        ball_table(random_linear_code(12, 4, rng), 3)
+        ball_table(parity_columns(random_linear_code(12, 4, rng)), 3)
     monkeypatch.setattr(gf2codes, "WALK_BUDGET", ball_volume(3, 12))
-    assert sum(map(len, ball_table(random_linear_code(12, 4, rng), 3).values())) == 299
+    table = ball_table(parity_columns(random_linear_code(12, 4, rng)), 3)
+    assert sum(map(len, table.values())) == 299
 
 
 def test_ball_table_memory_at_the_walk_budget():
@@ -531,11 +565,11 @@ def test_ball_table_memory_at_the_walk_budget():
     # inside the budget, and with 61 parity rows each has its own syndrome,
     # the most entries a table can have.  The walk it caches is counted too.
     assert ball_volume(2, 361) <= WALK_BUDGET < ball_volume(2, 362)
-    code = random_linear_code(361, 300, random.Random(82))
+    columns = parity_columns(random_linear_code(361, 300, random.Random(82)))
     _walk.cache_clear()
     tracemalloc.start()
     try:
-        table = ball_table(code, 2)
+        table = ball_table(columns, 2)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -547,5 +581,5 @@ def test_ball_table_memory_at_the_walk_budget():
 
 def test_walk_and_table_caches_are_bounded():
     # At most 16 walks and 32 tables stay cached, each inside the budget:
-    # room for the 17 tables of the benchmark's round-robin of protocols.
+    # room for the 18 tables of the benchmark's round-robin of protocols.
     assert (_walk.cache_info().maxsize, ball_table.cache_info().maxsize) == (16, 32)

@@ -577,7 +577,7 @@ def test_column_test_matches_min_distance(k, rows):
 
 
 def _assert_top_bits_are_free(code):
-    pivots = set(code.solver.pivot_cols)
+    pivots = set(AffineSolver(code.h, code.n).pivot_cols)
     for c in gf2codes.codewords(code):
         if c:
             assert c.bit_length() - 1 not in pivots
@@ -1120,6 +1120,7 @@ def test_smith_builds_no_code_and_no_solver(monkeypatch, case):
     counting(AffineSolver, "__init__")
     counting(LinearCode, "__post_init__")
     LinearCode(3, (1, 2))
+    AffineSolver((1, 2), 3)
     assert built == {"AffineSolver": 1, "LinearCode": 1}  # the counters count
     built.clear()
     n, alpha, params, _ = _TRANSCRIPT_CASES[case]

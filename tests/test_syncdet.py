@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_gf2codes import min_distance
+from test_gf2codes import _old_code_from_parity, encode, extract_message, min_distance
 
 from hamsync import gf2codes
 from hamsync.bitword import Bounds, Word, ball_volume, hamming_distance, random_word_within
@@ -11,7 +11,6 @@ from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
     AffineSolver,
     LinearCode,
-    extract_message,
     hamming_7_4,
     list_decode_exhaustive,
     mat_vec,
@@ -64,6 +63,19 @@ def test_coset_representative_identity():
         y = Word(rng.getrandbits(n), n)
         t = coset_representative(code, syndrome(code, x).value, y)
         assert mat_vec(code.h, t.value ^ x.value ^ y.value) == 0
+
+
+def test_brute_sends_hammings_check_bits():
+    # Hamming's check columns are the unit vectors in order, so the syndrome
+    # of the message columns is the check-bit message, byte for byte.
+    code = hamming_7_4()
+    sent = [next(brute_alice(code, Word(xv, 4))) for xv in range(16)]
+    assert [w.value for w in sent] == [0, 3, 5, 6, 6, 5, 3, 0, 7, 4, 2, 1, 1, 2, 4, 7]
+    assert {w.n for w in sent} == {3}
+    checks = (0, 1, 3)
+    for xv, w in enumerate(sent):
+        cw = encode(code, Word(xv, 4)).value
+        assert w.value == sum(((cw >> pos) & 1) << i for i, pos in enumerate(checks))
 
 
 def test_brute_exhaustive_hamming():
@@ -292,7 +304,8 @@ def test_coloring_budget_guards():
 
 
 def test_protocols_reuse_the_code_solver(monkeypatch):
-    # A code reduces its rows once; no trial on it builds another solver.
+    # No protocol reduces a code's rows: neither building the code nor any
+    # trial on it builds a solver.
     built = []
     init = AffineSolver.__init__
 
@@ -302,8 +315,8 @@ def test_protocols_reuse_the_code_solver(monkeypatch):
 
     monkeypatch.setattr(AffineSolver, "__init__", counting_init)
     code = LinearCode(7, hamming_7_4().h)
-    assert built == [7]
-    bounds = Bounds(Fraction(1, 7), 7)
+    assert built == []
+    bounds, file_bounds = Bounds(Fraction(1, 7), 7), Bounds(Fraction(1, 4), 4)
     rng = random.Random(64)
     for _ in range(50):
         y = Word(rng.getrandbits(7), 7)
@@ -311,7 +324,11 @@ def test_protocols_reuse_the_code_solver(monkeypatch):
         assert syndrome_sync(code, inst).recovered == inst.x
         assert listdec_sync(code, 1, inst).recovered == inst.x
         assert one_round_prob_sync(code, 1, inst, 16, rng).recovered == inst.x
-    assert built == [7]
+        files = SyncInstance(Word(inst.x.value % 16, 4), Word(inst.y.value % 16, 4), file_bounds)
+        assert brute_sync(code, files).recovered == files.x
+    assert built == []
+    AffineSolver(code.h, code.n)
+    assert built == [7]  # the counter counts
 
 
 def _hamming_code(m):
@@ -386,17 +403,44 @@ def _old_syndrome_bob(code, y, radius, msg):
     return (None if weight > radius else Word(y_prime.value ^ y.value ^ z.value, y.n)), diag
 
 
+def _old_brute_alice(code, x):
+    """Brute's Alice as she was: encode the file, send the check positions."""
+    _, _, positions = _old_code_from_parity(code.h, code.n)
+    checks = [c for c in range(code.n) if c not in positions]
+    cw = encode(code, x).value
+    return Word(sum(((cw >> pos) & 1) << i for i, pos in enumerate(checks)), len(checks))
+
+
 def _old_brute_bob(code, y, radius, msg):
     """Brute's Bob as he was: rebuild the received word, unique-decode it."""
+    _, _, positions = _old_code_from_parity(code.h, code.n)
+    checks = [c for c in range(code.n) if c not in positions]
     composed = 0
-    for i, pos in enumerate(code.message_positions):
+    for i, pos in enumerate(positions):
         composed |= ((y.value >> i) & 1) << pos
-    for i, pos in enumerate(code.check_positions):
+    for i, pos in enumerate(checks):
         composed |= ((msg.value >> i) & 1) << pos
     received = Word(composed, code.n)
     z = unique_decode(code, received)
     diag = {"check_bits": msg.n, "decode_distance": hamming_distance(received, z)}
     return (None if diag["decode_distance"] > radius else extract_message(code, z)), diag
+
+
+def _first_message_column_words(code, radius):
+    """Each syndrome under H's message columns, mapped to the first k-bit
+    word of weight <= radius that has it, lightest first and then smallest:
+    a scan of the 2^k message words."""
+    _, _, positions = _old_code_from_parity(code.h, code.n)
+    columns = [mat_vec(code.h, 1 << f) for f in positions]
+    first = {}
+    for e in sorted(range(1 << code.k), key=lambda e: (e.bit_count(), e)):
+        if e.bit_count() <= radius:
+            d = 0
+            for i, column in enumerate(columns):
+                if (e >> i) & 1:
+                    d ^= column
+            first.setdefault(d, e)
+    return first, columns
 
 
 def _assert_same_result(new, old, weight, radius):
@@ -410,10 +454,17 @@ def _assert_same_result(new, old, weight, radius):
 
 def _assert_bobs_agree(code, pairs):
     """Both Bobs give what their old selves give on these (x, y) pairs of
-    n-bit words, at every distance: syndrome on (x, y), brute on the low k
-    bits of each."""
+    n-bit words: syndrome on (x, y) at every distance, brute on the low k
+    bits of each within the radius, which for brute is at most k.  Past it,
+    brute's Bob returns y xor the first message-column word of weight <=
+    radius with the syndrome difference, or reports failure when there is
+    none.  Returns how often the old brute Bob returned a word where the
+    new one reports failure."""
     radius = (min_distance(code) - 1) // 2
     files = code.k
+    file_radius = min(radius, files)
+    first, columns = _first_message_column_words(code, file_radius)
+    newly_failed = 0
     for xv, yv in pairs:
         x, y = Word(xv, code.n), Word(yv, code.n)
         msg = syndrome(code, x)
@@ -422,23 +473,46 @@ def _assert_bobs_agree(code, pairs):
         _assert_same_result(new, old, "decoded_difference_weight", radius)
         x, y = Word(xv % (1 << files), files), Word(yv % (1 << files), files)
         msg = next(brute_alice(code, x))
-        new = _bob_result(brute_bob(code, y, radius), msg)
-        _assert_same_result(new, _old_brute_bob(code, y, radius, msg), "decode_distance", radius)
+        new = _bob_result(brute_bob(code, y, file_radius), msg)
+        old = _old_brute_bob(code, y, file_radius, _old_brute_alice(code, x))
+        if hamming_distance(x, y) <= file_radius:
+            assert new == old
+            continue
+        difference = 0
+        for i, column in enumerate(columns):
+            if ((x.value ^ y.value) >> i) & 1:
+                difference ^= column
+        e = first.get(difference)
+        if e is None:
+            assert new == (None, {"check_bits": code.n - code.k})
+            newly_failed += old[0] is not None
+        else:
+            diag = {"check_bits": code.n - code.k, "decode_distance": e.bit_count()}
+            assert new == (Word(y.value ^ e, files), diag)
+    return newly_failed
 
 
 def test_leader_bobs_match_the_decoding_bobs_on_every_hamming_pair():
+    # Brute's Bob reports failure on a syndrome difference of 1, 2 or 4: each
+    # is a check column, which no message-column word of weight 1 has.  The
+    # old Bob decoded those pairs to some word.
     code = hamming_7_4()
-    _assert_bobs_agree(code, itertools.product(range(128), repeat=2))
+    pairs = itertools.product(range(128), repeat=2)
+    assert _assert_bobs_agree(code, pairs) == 128 * 128 * 3 // 8
 
 
 def test_leader_bobs_match_the_decoding_bobs_on_random_codes():
+    # Past the promise the new brute Bob can no longer pin a difference on
+    # check bits that Alice sent exactly, so he reports failure on some pairs
+    # where the old Bob returned a word.
     rng = random.Random(65)
-    codes = 0
+    codes = newly_failed = 0
     for n in range(2, 13):
         for k in range(1, n):
             code = random_linear_code(n, k, rng)
             pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(80)]
             pairs += [(yv ^ (1 << rng.randrange(n)), yv) for _, yv in pairs]
-            _assert_bobs_agree(code, pairs)
+            newly_failed += _assert_bobs_agree(code, pairs)
             codes += 1
     assert codes == 66
+    assert newly_failed > 0

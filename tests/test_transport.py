@@ -561,7 +561,7 @@ def test_trickling_peer_times_out_within_one_frame(monkeypatch):
     t.start()
     try:
         start = time.monotonic()
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError, match="no whole frame within 0.3 s"):
             end.recv_bits()
         assert time.monotonic() - start < 1.0
     finally:
