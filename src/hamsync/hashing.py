@@ -17,9 +17,11 @@ find_injective_prime returned, so k distinct values in [0, q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, repeat
 from random import Random
 from typing import Iterable, Sequence
 
@@ -29,16 +31,22 @@ from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 
 @lru_cache(maxsize=None)
-def sieve_primes(limit: int) -> tuple[int, ...]:
-    """All primes up to and including limit, by sieve of Eratosthenes."""
+def sieve_primes(limit: int) -> bytes:
+    """Sieve of Eratosthenes over the odd numbers up to and including limit:
+    byte j is 1 when 2j + 1 is prime, and 0 otherwise.  The one even prime,
+    2, has no byte, so the primes up to limit are 2 and the odd numbers whose
+    byte is set."""
     if limit < 2:
         raise ContractError(f"sieve limit must be >= 2, got {limit}")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return tuple(compress(range(limit + 1), flags))
+    half = (limit + 1) // 2  # the odd numbers 1, 3, ..., up to limit
+    flags = bytearray([1]) * half
+    flags[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # p^2's byte; the odd multiples after it are p bytes apart
+            flags[start::p] = bytes(len(range(start, half, p)))
+    return bytes(flags)
 
 
 # Miller-Rabin bases, and for each the least odd composite that passes it and
@@ -130,19 +138,52 @@ def find_secondary_hash(s_reduced: Iterable[int], v: int, k: int, rng: Random) -
 
 
 # Primes a pool may hold: 18 times problist's default pool (16 * 14 * 16^2);
-# a full one keeps ~53 MB, 42 of them its primes and 11 sieve_primes' cache.
+# a full one keeps ~9.8 MB under tracemalloc, 8.6 of them sieve_primes' cached
+# flags and 1.1 its running counts.
 _PRIME_POOL_BUDGET = 1 << 20
+
+_POOL_BLOCK = 64  # odd numbers per running count of a PrimePool
+
+
+@dataclass(frozen=True, slots=True)
+class PrimePool:
+    """The first `count` primes, held as the sieve's flags over the odd
+    numbers and, for each block of _POOL_BLOCK odd numbers, the count of
+    primes before it (2 included).  `width` is the bit length of the
+    largest prime, the fingerprint width both parties agree on."""
+
+    flags: bytes
+    counts: array
+    count: int
+    width: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "width", self.prime(self.count - 1).bit_length())
+
+    def prime(self, i: int) -> int:
+        """The i-th prime of the pool, from 0: one bisect over the running
+        counts, then a scan of the one block that holds it."""
+        if i == 0:
+            return 2  # the one even prime, which the flags leave out
+        counts, flags = self.counts, self.flags
+        block = bisect_right(counts, i) - 1
+        j = block * _POOL_BLOCK - 1
+        for _ in range(i - counts[block] + 1):
+            j = flags.index(1, j + 1)
+        return 2 * j + 1
 
 
 @lru_cache(maxsize=None)
-def random_prime_pool(n: int, k: int, a: int) -> tuple[int, ...]:
+def random_prime_pool(n: int, k: int, a: int) -> PrimePool:
     """The first a*n*k^2 primes: the pool random_prime_hash draws from.
     Both parties derive it from public parameters, so its largest prime
     fixes the fingerprint width in advance.
 
     The pool's largest prime is the smallest bound A with at least a*n*k^2
     primes below it, so a uniform draw collides on any fixed k-set of n-bit
-    words with probability at most 1/a.
+    words with probability at most 1/a.  No prime is listed: the pool keeps
+    sieve_primes' flags up to Rosser's bound on its largest prime and a
+    running count per block of them, and finds a prime by its index.
     """
     if a < 2:
         raise ContractError(f"oversampling factor must be >= 2, got {a}")
@@ -153,15 +194,21 @@ def random_prime_pool(n: int, k: int, a: int) -> tuple[int, ...]:
         raise CapabilityError(f"a pool of {count} primes is over the {_PRIME_POOL_BUDGET} budget")
     # Rosser's theorem: p_count < count*(ln count + ln ln count) for count >= 6.
     limit = 13 if count < 6 else int(count * (math.log(count) + math.log(math.log(count)))) + 1
-    primes = sieve_primes(limit)
-    if len(primes) < count:
+    flags = sieve_primes(limit)
+    ends = range(_POOL_BLOCK, len(flags) + _POOL_BLOCK, _POOL_BLOCK)
+    per_block = map(flags.count, repeat(1), range(0, len(flags), _POOL_BLOCK), ends)
+    counts = array("I", accumulate(per_block, initial=1))  # 2, then each block's odd primes
+    if counts[-1] < count:
         raise InvariantError(f"sieve up to {limit} holds fewer than {count} primes")
-    return primes[:count]
+    return PrimePool(flags, counts, count)
 
 
 def random_prime_hash(n: int, k: int, a: int, rng: Random) -> int:
-    """A uniform prime from the pool; x -> x mod q is the hash."""
-    return rng.choice(random_prime_pool(n, k, a))
+    """A uniform prime from the pool; x -> x mod q is the hash.  The index is
+    rng.randrange(count), the draw rng.choice makes on a sequence of count
+    primes."""
+    pool = random_prime_pool(n, k, a)
+    return pool.prime(rng.randrange(pool.count))
 
 
 # ---------------------------------------------------------------------------

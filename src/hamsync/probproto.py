@@ -205,7 +205,7 @@ def one_round_prob_alice(code: LinearCode, x: Word, oversample: int, list_cap: i
     """Single message: syndrome, a random prime from the pre-agreed pool,
     and x's residue, all packed."""
     h = syndrome(code, x)
-    width = random_prime_pool(code.n, list_cap, oversample)[-1].bit_length()
+    width = random_prime_pool(code.n, list_cap, oversample).width
     q = random_prime_hash(code.n, list_cap, oversample, rng)
     yield pack_fields([(h.value, h.n), (q, width), (x.value % q, width)])
     return None
@@ -213,7 +213,7 @@ def one_round_prob_alice(code: LinearCode, x: Word, oversample: int, list_cap: i
 
 def one_round_prob_bob(code: LinearCode, radius: int, y: Word, oversample: int, list_cap: int):
     msg = yield RECV
-    width = random_prime_pool(code.n, list_cap, oversample)[-1].bit_length()
+    width = random_prime_pool(code.n, list_cap, oversample).width
     h_val, q, residue = unpack_fields(msg, [code.n - code.k, width, width])
     values = list_candidates(code, h_val, y, radius)
     diag = {"q": q, "list_size": len(values)}

@@ -114,8 +114,9 @@ def _list_decoding(draw, pushed, problist):
     }
     if problist:
         list_cap = _value(draw, pushed, "list_cap", st.integers(1, 8), [0, 1])
-        # A pool just inside the budget keeps about 53 MB and is too slow to
-        # build here; the first oversample over it is cheap to refuse.
+        # A pool just inside the budget keeps about 10 MB and takes about
+        # 0.2 s to build, too long to pay per example; the first oversample
+        # over it is cheap to refuse.
         over_budget = _PRIME_POOL_BUDGET // (n * max(1, list_cap) ** 2) + 1
         params["oversample"] = _value(
             draw, pushed, "oversample", st.integers(2, 20), [1, 2, max(2, over_budget)]

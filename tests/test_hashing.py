@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hamsync.hashing import (
     multi_nba_protocol,
     nba_parties,
     nba_protocol,
+    random_prime_hash,
     random_prime_pool,
     sieve_primes,
 )
@@ -41,9 +43,20 @@ def injective(q: int, vals) -> bool:
     return len({v % q for v in vals}) == len(vals)
 
 
+def sieved(limit: int) -> list[int]:
+    """The primes up to limit, read from sieve_primes' flags over the odd numbers."""
+    flags = sieve_primes(limit)
+    assert len(flags) == (limit + 1) // 2
+    return [2] + [2 * j + 1 for j, flag in enumerate(flags) if flag]
+
+
+def pool_primes(pool) -> list[int]:
+    return [pool.prime(i) for i in range(pool.count)]
+
+
 def test_sieve_matches_trial_division():
-    table = sieve_primes(500)
-    assert set(table) == {m for m in range(501) if trial_division(m)}
+    for limit in (2, 3, 4, 9, 25, 500, 501):
+        assert sieved(limit) == [m for m in range(limit + 1) if trial_division(m)]
 
 
 def test_is_prime_matches_trial_division():
@@ -131,7 +144,7 @@ def test_top_half_holds_a_separating_prime_for_every_small_shape():
     # k^2 n <= 2^16 is counted; find_injective_prime's docstring covers the
     # larger ones with Dusart's bounds.
     limit = 1 << 16
-    primes = sieve_primes(limit)
+    primes = sieved(limit)
     for n in range(1, limit + 1):
         # k = 1: one prime in [ceil(n / 2), max(2, n)] (Bertrand).
         assert bisect.bisect_right(primes, max(2, n)) > bisect.bisect_left(primes, (n + 1) // 2)
@@ -347,22 +360,27 @@ def test_multi_nba_random_sets():
 def test_random_prime_pool_is_prime_prefix():
     # Every pool size up to 1,000 is the first that many primes.  A pool
     # holds a*n*k^2 >= 2 primes, since a >= 2.
-    reference = tuple(m for m in range(7920) if trial_division(m))
+    reference = [m for m in range(7920) if trial_division(m)]
     assert len(reference) == 1000
     build = random_prime_pool.__wrapped__  # past the cache, which would keep 999 pools
     for count in range(2, 1001):
-        assert build(1, 1, count) == reference[:count]
-    assert random_prime_pool(14, 4, 2) == reference[: 2 * 14 * 16]
+        pool = build(1, 1, count)
+        assert pool_primes(pool) == reference[:count]
+        assert pool.width == reference[count - 1].bit_length()
+    assert pool_primes(random_prime_pool(14, 4, 2)) == reference[: 2 * 14 * 16]
     with pytest.raises(ContractError):
         random_prime_pool(14, 4, 1)
 
 
 def test_prime_pool_budget_refuses_before_it_sieves(monkeypatch):
     # 100000 * 14 * 16^2 primes would be a sieve of about 8e9 bytes.
+    # The stub's flags call every odd number prime, so any count fits.
     limits = []
-    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: limits.append(limit) or range(limit))
+    monkeypatch.setattr(
+        hashing, "sieve_primes", lambda limit: limits.append(limit) or b"\x01" * ((limit + 1) // 2)
+    )
     build = random_prime_pool.__wrapped__  # past the cache, which keeps the stub out
-    assert len(build(1, 1, 1 << 20)) == 1 << 20
+    assert build(1, 1, 1 << 20).count == 1 << 20
     assert limits == [17_293_287]  # Rosser's bound on the 2^20-th prime, 16,290,047
     with pytest.raises(CapabilityError):
         build(1, 1, (1 << 20) + 1)
@@ -371,6 +389,75 @@ def test_prime_pool_budget_refuses_before_it_sieves(monkeypatch):
     with pytest.raises(CapabilityError):
         run_experiment(ExperimentConfig(protocol="problist", params={"oversample": 100_000}))
     assert len(limits) == 1
-    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: (2, 3))
+    monkeypatch.setattr(hashing, "sieve_primes", lambda limit: b"\x00\x01")  # 2 and 3
     with pytest.raises(InvariantError):
         build(1, 1, 3)
+
+
+def _first_primes(count: int) -> list[int]:
+    """The first count primes, from a plain sieve over every number."""
+    limit = 64
+    while True:
+        flags = bytearray([1]) * limit
+        flags[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        primes = list(itertools.compress(range(limit), flags))
+        if len(primes) >= count:
+            return primes[:count]
+        limit *= 2
+
+
+def test_default_prime_pool_lookups_and_draws_match_a_list_of_its_primes():
+    # problist's default pool, 16 * 14 * 16^2 primes: every index, and
+    # draws that equal rng.choice over the same primes held in a list.
+    reference = _first_primes(16 * 14 * 16**2)
+    assert reference[-1] == 710_527
+    pool = random_prime_pool(14, 16, 16)
+    assert pool.count == len(reference)
+    assert pool_primes(pool) == reference
+    assert pool.width == 20
+    rng, chooser = random.Random(90), random.Random(90)
+    draws = [random_prime_hash(14, 16, 16, rng) for _ in range(1000)]
+    assert draws == [chooser.choice(reference) for _ in range(1000)]
+    assert reference[-1] in draws  # seed 90 draws the last index, 82nd
+    assert rng.random() == chooser.random()  # both consumed the same bits
+    # At 2^10 primes, an index drawn below count - 1 would take one bit fewer.
+    rng, chooser = random.Random(0), random.Random(0)
+    draws = [random_prime_hash(1, 1, 1 << 10, rng) for _ in range(1000)]
+    assert draws == [chooser.choice(reference[: 1 << 10]) for _ in range(1000)]
+
+
+def test_small_prime_pool_finds_the_first_and_last_prime_of_every_block():
+    # Block b holds the odd numbers between span * b and span * (b + 1),
+    # and the pool's primes from index counts[b] to counts[b + 1] - 1: a
+    # block scan that is off by one goes wrong at these edges first.
+    pool = random_prime_pool(14, 4, 2)
+    reference = _first_primes(pool.count)
+    span = 2 * hashing._POOL_BLOCK
+    assert pool.prime(0) == 2
+    blocks = 0
+    for block, (first, end) in enumerate(zip(pool.counts, pool.counts[1:])):
+        end = min(end, pool.count)
+        if first < end:
+            blocks += 1
+            for i in (first, end - 1):
+                assert pool.prime(i) == reference[i]
+                assert block * span < pool.prime(i) < (block + 1) * span
+    assert blocks == len({p // span for p in reference[1:]})
+
+
+def test_default_prime_pool_holds_little():
+    # What problist's default pool keeps once built, sieve_primes' cached
+    # flags included.  It held 2.91 MB as a tuple of its 57,344 primes.
+    sieve_primes.cache_clear()
+    random_prime_pool.cache_clear()
+    tracemalloc.start()
+    try:
+        pool = random_prime_pool(14, 16, 16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pool.count == 16 * 14 * 16**2
+    assert held <= 1 << 20
