@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitword import Word, ball_volume
 from .errors import CapabilityError, ContractError, RetryLimitError
@@ -120,26 +120,37 @@ def syndrome(code: LinearCode, x: Word) -> Word:
 _FULL_RANK_ATTEMPTS = 1000
 
 
-def rank(masks: Sequence[int]) -> int:
-    """Rank over GF(2) of these bit vectors: the size of an xor basis of them.
+def _residues(masks: Iterable[int]) -> Iterator[int]:
+    """What is left of each vector once the xor basis of the vectors before
+    it reduces it: 0 exactly when it is in their span.
 
     Each vector is reduced by the basis in the order it was built, min(v,
     v ^ b) clearing b's top bit from v.  A basis vector was reduced by every
     earlier one, so it has none of their top bits, and a later xor cannot
     set one again: what is left is 0 exactly when v is in the span, and
-    otherwise has a top bit no basis vector has.  So the basis holds at most
-    as many vectors as the widest mask has bits, and once it does, every
-    later vector is in its span."""
-    width = max(masks, default=0).bit_length()
+    otherwise has a top bit no basis vector has, and joins the basis."""
     basis: list[int] = []
     for v in masks:
         for b in basis:
             v = min(v, v ^ b)
         if v:
             basis.append(v)
-            if len(basis) == width:
+        yield v
+
+
+def rank(masks: Sequence[int]) -> int:
+    """Rank over GF(2) of these bit vectors: the size of an xor basis of
+    them, one vector for each nonzero residue.  The basis holds at most as
+    many vectors as the widest mask has bits, and once it does, every later
+    vector is in its span, so the count stops there."""
+    width = max(masks, default=0).bit_length()
+    count = 0
+    for v in _residues(masks):
+        if v:
+            count += 1
+            if count == width:
                 break
-    return len(basis)
+    return count
 
 
 def random_linear_code(n: int, k: int, rng: Random) -> LinearCode:

@@ -24,10 +24,12 @@ from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
-# Caps (m + s) * s for m blocks and s RS sums, which bounds the lanes of
-# both cached RS tables: the syndrome columns' m * s and the root scan's
-# (floor(s/2) + 1) * m.  At the cap one shape's tables hold about 4 MB
-# (tracemalloc) and take 0.3-0.5 s to build (k = 14, s = 64, 2 vCPUs).
+# Caps (m + s) * s for m blocks and s RS sums.  The product bounds the
+# syndrome columns' m * s lanes, not both cached RS tables: with the root
+# scan's (floor(s/2) + 1) * m they hold m * s + (floor(s/2) + 1) * m lanes,
+# at most 2 m s (18,139 against a product of 16,064 at n = 2048, k = 11,
+# s = 64).  At the cap one shape's tables hold about 4 MB (tracemalloc) and
+# take 0.3-0.5 s to build (k = 14, s = 64, 2 vCPUs).
 _RS_LANE_BUDGET = 1 << 20
 
 
@@ -315,35 +317,6 @@ class ProbParams:
 _INNER_CODE_ATTEMPTS = 500
 
 
-def _matrix_from_columns(columns: Sequence[int], rows: int) -> int:
-    """The rows x k matrix whose column c is columns[c], row r packed in
-    bits [rk, rk + k), for k = len(columns) > rows.
-
-    column * spread puts a copy of the column at every multiple of k - 1,
-    and bit r of the copy at r(k - 1) lands on rk.  Two terms at one place
-    would differ in bit index by a multiple of k - 1, which no two of the
-    rows < k bits do, so nothing carries and a mask keeps bits rk."""
-    k = len(columns)
-    spread, lanes = _repunit(rows, k - 1), _repunit(rows, k)
-    matrix = 0
-    for c, column in enumerate(columns):
-        matrix |= (column * spread & lanes) << c
-    return matrix
-
-
-def _columns_from_matrix(matrix: int, rows: int, k: int) -> list[int]:
-    """The k columns of rows bits of a matrix packed as _matrix_from_columns
-    packs it.
-
-    Column c's bits sit at rk + c.  Times spread, bit r's copy at
-    rk + (rows - 1 - r)(k - 1) lands on (rows - 1)(k - 1) + r; every other
-    copy lands at (r - j)k + j past that with j < rows and r != j, below the
-    window or k or more above it, and none meet, so nothing carries."""
-    spread, lanes = _repunit(rows, k - 1), _repunit(rows, k)
-    low, top = (1 << rows) - 1, (rows - 1) * (k - 1)
-    return [((matrix >> c & lanes) * spread >> top) & low for c in range(k)]
-
-
 def sample_inner_code(k: int, dim: int, rng: Random) -> list[int]:
     """Parity-check columns of a uniformly random full-rank [k, dim] code of
     distance >= 3, so blocks with at most one difference decode exactly.
@@ -399,9 +372,10 @@ def _check_slack(delta: Fraction, alpha: Fraction) -> None:
 
 
 def composite_alice(x: Word, params: ProbParams, rng: Random):
-    """One message, one direction: the fields (a, b, the inner code's rows,
-    all block syndromes, the s RS sums of the blocks), lowest bits first.
-    From the sums (rs_extra_evals) Bob locates the blocks he got wrong."""
+    """One message, one direction: the fields (a, b, the inner code's k
+    parity-check columns, all block syndromes, the s RS sums of the blocks),
+    lowest bits first.  Bob takes the columns as they arrive.  From the
+    sums (rs_extra_evals) Bob locates the blocks he got wrong."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
     p, m, width_p = _composite_shape(x.n, k, s)
@@ -410,11 +384,14 @@ def composite_alice(x: Word, params: ProbParams, rng: Random):
     lanes = _relane(apply_permutation(perm, Word(x.value, p)).value, m, k, _LANE_BITS)
     syns = _block_syndromes(columns, lanes, m)
     sums = rs_extra_evals(field(k), lanes, m, s)
+    matrix = 0
+    for column in reversed(columns):  # column c in bits [c rows, (c + 1) rows)
+        matrix = matrix << rows | column
     yield pack_fields(
         [
             (perm.a, width_p),
             (perm.b, width_p),
-            (_matrix_from_columns(columns, rows), rows * k),
+            (matrix, rows * k),
             (_relane(syns, m, _LANE_BITS, rows), rows * m),
             (_relane(sums, s, _LANE_BITS, k), s * k),
         ]
@@ -439,7 +416,8 @@ def composite_bob(y: Word, params: ProbParams, radius: int):
     )
     perm = AffinePermutation(p, a_val, b_val)
     lanes = _relane(apply_permutation(perm, Word(y.value, p)).value, m, k, _LANE_BITS)
-    columns = _columns_from_matrix(matrix, rows, k)
+    low = (1 << rows) - 1
+    columns = [matrix >> (c * rows) & low for c in range(k)]
     fix = coset_leaders(columns, rows)
     sent = _relane(syns, m, rows, _LANE_BITS)
     diffs = _unpack_lanes(sent ^ _block_syndromes(columns, lanes, m), m)
@@ -497,14 +475,15 @@ def composite_prob_sync(instance: SyncInstance, params: ProbParams, rng: Random)
     one and decode exactly; a block needs >= 2 differences to come out
     wrong, and the RS layer absorbs up to floor(s/2) such blocks.
     Alice sends one message, so the run is one round: the fields a and b of
-    the permutation, the inner code's rows, every block's syndrome and the
-    RS sums, lowest bits first.  Every in-run sampled parameter (permutation,
-    matrix) is paid for in it: 2 bit_length(p - 1) + (k - inner_dim)(k + m)
-    + s k bits, for p the least prime >= n and m = ceil(p/k).  Bob reports
-    failure when no block vector within floor(s/2) of his estimates has
-    Alice's sums, the decoded word has nonzero padding, a corrected block's
-    syndrome is not Alice's, or the word is further from y than the promise
-    allows; a silent wrong answer needs the wrong-block count to exceed
-    floor(s/2) and the result to pass all of these.
+    the permutation, the inner code's k parity-check columns, every block's
+    syndrome and the RS sums, lowest bits first.  Every in-run sampled
+    parameter (permutation, inner code) is paid for in it:
+    2 bit_length(p - 1) + (k - inner_dim)(k + m) + s k bits, for p the
+    least prime >= n and m = ceil(p/k).  Bob reports failure when no block
+    vector within floor(s/2) of his estimates has Alice's sums, the decoded
+    word has nonzero padding, a corrected block's syndrome is not Alice's,
+    or the word is further from y than the promise allows; a silent wrong
+    answer needs the wrong-block count to exceed floor(s/2) and the result
+    to pass all of these.
     """
     return run_protocol(*composite_parties(instance, params, rng))

@@ -25,6 +25,7 @@ from .errors import CapabilityError, ContractError, InvariantError
 from .gf2codes import (
     AffineSolver,
     LinearCode,
+    _residues,
     _walk,
     ball_table,
     mat_vec,
@@ -97,19 +98,9 @@ def _column_sum(columns: tuple[int, ...], v: int) -> int:
 @lru_cache(maxsize=16)
 def _message_columns(code: LinearCode) -> tuple[int, ...]:
     """The columns of H that lie in the span of the columns before them, in
-    order: the free columns of H's row reduction.  One xor-basis pass, as in
-    rank, finds them."""
-    basis: list[int] = []
-    free = []
-    for column in parity_columns(code):
-        v = column
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-        else:
-            free.append(column)
-    return tuple(free)
+    order: the free columns of H's row reduction, those whose _residues are 0."""
+    columns = parity_columns(code)
+    return tuple(column for column, v in zip(columns, _residues(columns)) if not v)
 
 
 def _lookup_bob(code: LinearCode, columns: tuple[int, ...], radius: int, y: Word, keys):

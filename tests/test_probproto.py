@@ -31,9 +31,7 @@ from hamsync.probproto import (
     AffinePermutation,
     ProbParams,
     _block_syndromes,
-    _columns_from_matrix,
     _gather_plan,
-    _matrix_from_columns,
     _relane,
     apply_permutation,
     composite_alice,
@@ -526,22 +524,6 @@ def test_sample_inner_code_support():
     assert chi2 < 839 + 5 * math.sqrt(2 * 839)  # 839 degrees of freedom, 5 sd
 
 
-def test_matrix_packing_matches_the_string_transpose_both_ways():
-    # Every k <= LEADER_MAX_N and rows < k, on columns that may repeat or be 0.
-    rng = random.Random(86)
-    for k in range(2, LEADER_MAX_N + 1):
-        for rows in range(1, k):
-            for columns in (
-                [(1 << rows) - 1] * k,
-                [rng.getrandbits(rows) for _ in range(k)],
-                [rng.getrandbits(rows) for _ in range(k)],
-            ):
-                matrix = _matrix_from_columns(columns, rows)
-                rows_by_string = _transpose(columns, rows)
-                assert matrix == sum(row << (r * k) for r, row in enumerate(rows_by_string))
-                assert _columns_from_matrix(matrix, rows, k) == columns
-
-
 def test_block_syndromes_match_per_block_products():
     rng = random.Random(75)
     for _ in range(200):
@@ -668,7 +650,7 @@ def test_composite_succeeds_when_block_errors_fit_the_budget():
 
 def _packed_message(perm, columns, blocks, params):
     """Smith's one message as pack_fields builds it from per-block fields:
-    the map, the matrix rows, each block's syndrome, the RS sums."""
+    the map, the parity-check columns, each block's syndrome, the RS sums."""
     k, rows = params.k, params.k - params.inner_dim
     width_p = (perm.p - 1).bit_length()
     matrix = _transpose(columns, rows)
@@ -676,7 +658,7 @@ def _packed_message(perm, columns, blocks, params):
     sums = rs_extra_evals(field(k), _pack_lanes(blocks), len(blocks), params.s)
     return pack_fields(
         [(perm.a, width_p), (perm.b, width_p)]
-        + [(row, k) for row in matrix]
+        + [(column, rows) for column in columns]
         + syndromes
         + [(e, k) for e in _unpack_lanes(sums, params.s)]
     )
@@ -707,7 +689,8 @@ def test_alice_messages_equal_pack_fields_of_the_same_fields():
 
 def _three_message_alice(x, params, rng):
     """composite_alice as it was when the round was three messages: the
-    map, then the matrix with the block syndromes, then the RS sums."""
+    map, then the parity-check columns with the block syndromes, then the
+    RS sums."""
     k, s = params.k, params.s
     rows = k - params.inner_dim
     p, m, width_p = probproto._composite_shape(x.n, k, s)
@@ -715,7 +698,7 @@ def _three_message_alice(x, params, rng):
     columns = sample_inner_code(k, params.inner_dim, rng)
     lanes = _relane(apply_permutation(perm, Word(x.value, p)).value, m, k, _LANE_BITS)
     yield pack_fields([(perm.a, width_p), (perm.b, width_p)])
-    matrix = _matrix_from_columns(columns, rows)
+    matrix = sum(column << (c * rows) for c, column in enumerate(columns))
     syns = _relane(_block_syndromes(columns, lanes, m), m, _LANE_BITS, rows)
     yield Word(matrix | syns << (rows * k), rows * (k + m))
     sums = rs_extra_evals(field(k), lanes, m, s)
@@ -756,15 +739,15 @@ def _reference_bob(y, params, message):
     p = next_prime_at_least(y.n)
     width_p = (p - 1).bit_length()
     m = -(-p // k)
-    vals = unpack_fields(message, [width_p] * 2 + [k] * rows + [rows] * m + [k] * s)
+    vals = unpack_fields(message, [width_p] * 2 + [rows] * k + [rows] * m + [k] * s)
     perm = AffinePermutation(p, *vals[:2])
     permuted = apply_permutation(perm, Word(y.value, p)).value
-    inner = LinearCode(k, vals[2 : 2 + rows])
+    inner = LinearCode(k, _transpose(vals[2 : 2 + k], rows))
     fix = _fix_by_full_decoding(inner)
     yblocks = _blocks_by_shifts(permuted, m, k)
-    syndromes = vals[2 + rows : 2 + rows + m]
+    syndromes = vals[2 + k : 2 + k + m]
     estimates = [blk ^ fix[syn ^ mat_vec(inner.h, blk)] for blk, syn in zip(yblocks, syndromes)]
-    sums = vals[2 + rows + m :]
+    sums = vals[2 + k + m :]
     fixed = rs_correct(field(k), _pack_lanes(estimates), _pack_lanes(sums), m, s)
     fixed = None if fixed is None else _unpack_lanes(fixed, m)
     diag = {
@@ -848,15 +831,17 @@ def test_bob_rejects_messages_of_the_wrong_length():
 
 
 def test_bob_rejects_dependent_matrix_rows():
-    # The inner code's rows, k bits each, follow the map's two fields; a
-    # copy of row 0 in place of row 1 keeps the length but not the rank.
+    # The inner code's k columns, k - inner_dim bits each, follow the map's
+    # two fields; clearing every column's top bit keeps the length but
+    # leaves the last parity-check row zero, so the rows are dependent.
     n, params = _SHAPES[2]
-    k = params.k
+    k, rows = params.k, params.k - params.inner_dim
     start = 2 * (next_prime_at_least(n) - 1).bit_length()
     x = Word(random.Random(87).getrandbits(n), n)
     (message,) = composite_alice(x, params, random.Random(88))
-    row0 = message.value >> start & ((1 << k) - 1)
-    value = message.value & ~(((1 << k) - 1) << (start + k)) | row0 << (start + k)
+    top_bits = sum(1 << (c * rows + rows - 1) for c in range(k)) << start
+    assert message.value & top_bits  # the draw has full rank, so some top bit is set
+    value = message.value & ~top_bits
     with pytest.raises(ContractError, match="dependent"):
         _bob(x, params, 0, Word(value, message.n))
 
@@ -999,8 +984,8 @@ _TRANSCRIPT_CASES = {
 @pytest.mark.parametrize(
     "case, expected",
     [
-        ("smith-2048", "e302d2eb7df27031724c02fe3f074d21b8bcd94463568ab7c128469b1be8a806"),
-        ("smith-stress", "220de473a854a27aa6d931c53119194fb94a1fc7fb56a716c5fcf3efa399e153"),
+        ("smith-2048", "842fae473870816f267a734e214188ffed765ac13b8a8c59b7e61ba2426f5739"),
+        ("smith-stress", "f0d8ff684b2ff643e72a964498ff49361bd75d7e9588ec458ce26674ae2a4dd1"),
     ],
     ids=["smith-2048", "smith-stress"],
 )
@@ -1015,7 +1000,13 @@ def test_composite_transcripts_pinned(case, expected):
     # when the round became one message, the three old payloads joined with
     # the first at the low bits: smith-2048 511d582f... -> e302d2eb...,
     # smith-stress fbc5d437... -> 220de473....  Hashing the old runs with
-    # each trial's messages joined gives the new digests.
+    # each trial's messages joined gives the new digests.  Both were
+    # captured again when the inner code's field began carrying its k
+    # parity-check columns, column c in bits [c rows, (c + 1) rows), in
+    # place of its rows, in as many bits: smith-2048 e302d2eb... ->
+    # 842fae47..., smith-stress 220de473... -> f0d8ff68....  Hashing the old
+    # runs with each trial's inner-code field re-packed column by column
+    # gives the new digests.
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES[case], 2026) == expected
 
 
@@ -1154,16 +1145,20 @@ def test_old_sampler_reproduces_the_old_pins(monkeypatch):
     # transcript digests were captured again when the third message became
     # Alice's RS sums, with the same outcomes, and again when the round
     # became one message: smith-2048 6305b49f... -> 6a1d0a2a..., smith-stress
-    # e0468da1... -> f44c5558....
+    # e0468da1... -> f44c5558....  They were captured again, with the same
+    # outcomes, when the inner code's field began carrying its columns:
+    # smith-2048 6a1d0a2a... -> 990afe58..., smith-stress f44c5558... ->
+    # d5bde7cd..., which hashing the old runs with that field re-packed
+    # column by column gives.
     monkeypatch.setattr(probproto, "sample_inner_code", _old_sample_inner_code)
     counts, digest = _composite_outcomes()
     assert counts == {"exact": 169, "reported": 131}
     assert digest == "191b260403c3eee94f2ad2fbd571349fa66bc8dadc21db3b3c20bf96878b3a42"
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-2048"], 2026) == (
-        "6a1d0a2ae2f5c06cb00a3ac5495984bc62d1d86bb6a91e7f39c444bc5d640282"
+        "990afe580503935f0f442d5ba185b0ddb242dc37411132d20425612afea374a5"
     )
     assert _composite_transcript_digest(*_TRANSCRIPT_CASES["smith-stress"], 2026) == (
-        "f44c55582e314dfd21d13d1769622127db1ef2f987e8a1ecdfa5d06c3224f2a2"
+        "d5bde7cdc437c5603cb3921ef94851225091a0c53b3c5b895aaf000a6dda4b0e"
     )
 
 
