@@ -4,10 +4,10 @@ Alice holds x, Bob holds y, both know the two words differ in at most
 floor(alpha*n) positions, and Bob must finish holding x exactly.  Four
 constructions live here: syndrome transfer over a code's message columns
 (brute), syndrome transfer with unique decoding, syndrome transfer with list
-decoding plus an identification finish, and a small-n coloring oracle that
-realizes the one-round lower bound shape by brute force.  The code-based ones
-look Bob's syndrome difference up in a ball table, at the promise or list
-radius.
+decoding plus an identification finish, and a coloring oracle that realizes
+the one-round lower bound shape as syndrome transfer on the lexicode, the
+greedy coloring of the cube.  All four look Bob's syndrome difference up in
+a ball table, at the promise or list radius.
 
 Each protocol's preconditions are checked once, in its ``*_parties``
 function, which returns the (alice, bob) generator pair.  The one-call
@@ -21,22 +21,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitword import Bounds, Word, ball_volume, hamming_distance, unpack_fields
-from .errors import CapabilityError, ContractError, InvariantError
+from .errors import ContractError
 from .gf2codes import (
     AffineSolver,
     LinearCode,
     _residues,
-    _walk,
     ball_table,
+    check_walk_budget,
     mat_vec,
     parity_columns,
     syndrome,
 )
 from .hashing import nba_alice, nba_bob
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
-
-_COLORING_MAX_N = 14
-_COLORING_SCAN_BUDGET = 50_000_000  # vertices times ball volume
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,78 +238,72 @@ def listdec_sync(code: LinearCode, radius: int, instance: SyncInstance) -> Proto
 
 
 # ---------------------------------------------------------------------------
-# greedy-coloring oracle (desk-scale only)
+# greedy-coloring oracle: syndrome transfer on the lexicode
 
 
 @lru_cache(maxsize=16)
 def build_greedy_coloring(n: int, d: int) -> tuple[int, ...]:
-    """Color all 2^n words so that words at distance <= d never share a
-    color, greedily in ascending word order.  Uses at most Vol(d, n) colors:
-    each word sees fewer than Vol(d, n) earlier neighbors."""
-    if n > _COLORING_MAX_N:
-        raise CapabilityError(f"coloring enumerates 2^n words; n <= {_COLORING_MAX_N}")
-    if d < 0:
-        raise ContractError("coloring distance must be nonnegative")
-    if ball_volume(min(d, n), n) << n > _COLORING_SCAN_BUDGET:
-        raise CapabilityError("coloring scan exceeds the enumeration budget")
-    masks = [m for m, _, _ in _walk(n, d)]
-    colors = [0] * (1 << n)
-    for w in range(1 << n):
-        used = {colors[w ^ m] for m in masks if (w ^ m) < w}
-        c = 0
-        while c in used:
-            c += 1
-        colors[w] = c
-    return tuple(colors)
+    """The n parity-check columns of the lexicode of length n and distance
+    d + 1: column j is the least value that is not a xor of at most d - 1
+    earlier columns, so no d or fewer columns xor to 0.  The xor of the
+    columns at a word's set bits is the color that the greedy coloring of
+    the cube, in ascending word order with the least color unused by an
+    earlier word at distance <= d, gives that word: greedy codes are linear
+    (Conway and Sloane, "Lexicographic codes", IEEE Trans. IT 1986).
 
-
-@lru_cache(maxsize=16)
-def _color_count(n: int, d: int) -> int:
-    """Colors build_greedy_coloring(n, d) uses, counted once, not per trial."""
-    return max(build_greedy_coloring(n, d)) + 1
+    For each w < d it keeps the set of xors of at most w columns so far,
+    and a new column updates each set from the one below.  Each set holds
+    the syndromes of words of weight <= d - 1, at most Vol(d - 1, n) values
+    and at most 2^r for the r bits of the largest column."""
+    sums = [{0} for _ in range(d)]  # sums[w]: the xors of at most w columns
+    columns = []
+    for _ in range(n):
+        column = 0
+        while sums and column in sums[-1]:
+            column += 1
+        columns.append(column)
+        for w in range(d - 1, 0, -1):
+            sums[w] |= {s ^ column for s in sums[w - 1]}
+    return tuple(columns)
 
 
 def coloring_alice(n: int, radius: int, x: Word):
-    d = min(2 * radius, n)
-    width = (_color_count(n, d) - 1).bit_length()
+    columns = build_greedy_coloring(n, 2 * radius)
+    width = max(columns).bit_length()
     if width:
-        yield Word(build_greedy_coloring(n, d)[x.value], width)
+        yield Word(_column_sum(columns, x.value), width)
     return None
 
 
 def coloring_bob(n: int, radius: int, y: Word):
-    d = min(2 * radius, n)
-    colors = build_greedy_coloring(n, d)
-    n_colors = _color_count(n, d)
-    width = (n_colors - 1).bit_length()
-    if width:
-        (target,) = unpack_fields((yield RECV), [width])
-    else:
-        target = 0
-    ball = (y.value,) + tuple(y.value ^ m for m, _, _ in _walk(n, radius))
-    matches = [w for w in ball if colors[w] == target]
-    diag = {"n_colors": n_colors, "color_bits": width}
-    if not matches:
+    columns = build_greedy_coloring(n, 2 * radius)
+    width = max(columns).bit_length()
+    target = unpack_fields((yield RECV), [width])[0] if width else 0
+    errors = ball_table(columns, radius).get(target ^ _column_sum(columns, y.value))
+    diag = {"n_colors": 1 << width, "color_bits": width}
+    if errors is None:  # no word within the radius: the promise is broken
         return None, diag
-    if len(matches) > 1:
-        raise InvariantError("two words in one ball share a color")
-    return Word(matches[0], n), diag
+    return Word(y.value ^ errors[0], n), diag
 
 
 def coloring_parties(instance: SyncInstance) -> tuple[Party, Party]:
     """Alice's and Bob's generators for coloring_oracle_sync, after its checks."""
     n, r = instance.n, instance.bounds.radius
-    build_greedy_coloring(n, min(2 * r, n))  # rejects cubes beyond desk scale
+    # The builder's sets hold syndromes of words of weight <= 2r - 1 and
+    # Bob's ball words of weight <= r, so one check covers both.  At r = 0
+    # there is no set and the ball is the zero word.
+    if r:
+        check_walk_budget(n, 2 * r - 1)
     return coloring_alice(n, r, instance.x), coloring_bob(n, r, instance.y)
 
 
 def coloring_oracle_sync(instance: SyncInstance) -> ProtocolOutcome:
-    """One round of ceil(log2(#colors)) bits, none for one color, with
-    #colors the count of build_greedy_coloring(n, min(2*radius, n)): Alice
-    names her word's color.
+    """One round of width bits, none at radius 0, for the bit length width of
+    the largest column of build_greedy_coloring(n, 2*radius): Alice names
+    her word's color, its syndrome under those columns, out of 2^width.
 
     Words at distance <= 2*radius get distinct colors, and everything Bob
     cannot rule out lies within 2*radius of x, so the color is unambiguous
-    inside his ball.  Enumerates the whole cube; desk scale only.
+    inside his ball: its table lists at most one word under each syndrome.
     """
     return run_protocol(*coloring_parties(instance))

@@ -139,7 +139,7 @@ def _refuse_the_old_decoders(patch):
 
 def test_criteria_01_02_reach_no_solve_and_no_codeword_scan(monkeypatch):
     # Brute and syndrome decode by a ball table, listdec and problist list
-    # by one, and coloring reads its colors.  Hamming's code and the list
+    # by one, and coloring decodes by one too.  Hamming's code and the list
     # protocols' random codes are built under the refusal, so no code
     # reduces its rows either.
     assert not hasattr(syncdet, "unique_decode")

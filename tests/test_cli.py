@@ -57,6 +57,15 @@ def test_every_protocol_parameter_has_a_flag():
                 assert run_flags[name].type(str(default)) == default
 
 
+def test_run_coloring_past_the_old_cube_cap(capsys):
+    # n = 23 at r = 3, the Golay shape: 11 bits a trial.
+    rc = main(["run", "--protocol", "coloring", "--n", "23", "--alpha", "3/23", "--trials", "2"])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "success_rate=1.0" in printed
+    assert "max_bits=11 " in printed
+
+
 def test_run_rejects_misdirected_parameter(capsys):
     rc = main(["run", "--protocol", "syndrome", "--k", "4"])
     assert rc == 2

@@ -127,11 +127,12 @@ def _list_decoding(draw, pushed, problist):
 
 @st.composite
 def _coloring(draw, pushed):
-    if pushed == "scan":
-        # n = 14 is inside the cap, but these radii are over the scan
-        # budget; the runs just inside it take far too long for a test.
-        return 14, draw(st.fractions(Fraction(1, 4), HALF, max_denominator=28)), {}
-    n = _value(draw, pushed, "n", st.integers(1, 10), [15])
+    if pushed == "n":
+        # The walk budget's edge at r = 3: n = 24 walks Vol(5, 24) = 55,455
+        # words and runs, n = 25 walks 68,406 and is refused.
+        n = draw(st.sampled_from([24, 25]))
+        return n, Fraction(3, n), {}
+    n = draw(st.integers(1, 10))
     return n, _rate(draw, pushed, n), {}
 
 
@@ -177,7 +178,7 @@ LIMITS = {
     "syndrome": (partial(_hamming_7_4, n_inside=7), ("n", "alpha")),
     "listdec": (partial(_list_decoding, problist=False), _LIST),
     "problist": (partial(_list_decoding, problist=True), _LIST + ("oversample", "list_cap")),
-    "coloring": (_coloring, ("n", "alpha", "scan")),
+    "coloring": (_coloring, ("n", "alpha")),
     "nba": (partial(_identification, multi=False), ("n", "alpha", "k")),
     "multinba": (partial(_identification, multi=True), ("n", "alpha", "k", "l")),
     "smith": (_smith, ("n", "alpha", "k", "inner_dim", "s", "delta")),
@@ -306,9 +307,10 @@ def test_syndrome_sends_its_syndrome_bits(data):
 def test_coloring_sends_the_bits_of_its_color_count(data):
     n = data.draw(st.integers(1, 9))
     instance = _pair(data.draw, n, data.draw(_alpha(n)))
-    colors = max(build_greedy_coloring(n, min(2 * instance.bounds.radius, n))) + 1
+    bits = max(build_greedy_coloring(n, 2 * instance.bounds.radius)).bit_length()
     out = coloring_oracle_sync(instance)
-    assert out.transcript.total_bits == (colors - 1).bit_length()  # ceil(log2(colors))
+    assert out.transcript.total_bits == bits
+    assert out.diagnostics["n_colors"] == 2**bits
 
 
 def _harness_cases(protocol, n, alpha, trials, seed, params=None):
@@ -402,7 +404,7 @@ def test_closed_forms_at_the_benchmark_parameters():
     # The formulas above at the parameters bench/workloads.py pins.
     code = hamming_7_4()
     assert code.n - code.k == 3  # brute at n = 4 and syndrome at n = 7
-    assert max(build_greedy_coloring(10, 2)).bit_length() == 4  # n = 10, radius 1: <= 16 colors
+    assert max(build_greedy_coloring(10, 2)).bit_length() == 4  # n = 10, radius 1: 16 colors
     assert 2 * _nba_width(16, 4) == 18
     assert 2 * _nba_width(256, 8) + 4 * (2 * 8 * 8 - 1).bit_length() == 58
     assert (14 - 5) + 2 * _nth_prime(16 * 14 * 16**2).bit_length() == 49

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hamsync import gf2codes, harness, hashing, probproto, syncdet, transport
+from hamsync import gf2codes, harness, hashing, probproto, transport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,12 +31,15 @@ def _ten_to(value: int) -> str:
 
 
 LIMITS = [
-    (gf2codes, "WALK_BUDGET", "{:,}".format, ["Vol(r, N) <= {}", "Vol(r, n) <= {}"]),
+    (
+        gf2codes,
+        "WALK_BUDGET",
+        "{:,}".format,
+        ["Vol(r, N) <= {}", "Vol(r, n) <= {}", "`coloring` needs Vol(2r - 1, n) <= {}"],
+    ),
     (gf2codes, "LEADER_MAX_N", str, ["2 <= k <= {}"]),
     (gf2codes, "_RANDOM_CODE_BUDGET", _two_to, ["n * (n - k) <= {}"]),
     (probproto, "_RS_LANE_BUDGET", _two_to, ["(m + s) * s <= {}"]),
-    (syncdet, "_COLORING_MAX_N", str, ["`coloring` needs n <= {}"]),
-    (syncdet, "_COLORING_SCAN_BUDGET", _ten_to, ["2^n * Vol(2r, n) <= {}"]),
     (harness, "_EXHAUSTIVE_LIMIT", _ten_to, ["2^n * Vol(r, n) <= {}"]),
     (hashing, "_PRIME_POOL_BUDGET", _two_to, ["at most {} primes"]),
     (hashing, "_MR_EXACT_BELOW", "{:,}".format, ["exact below {}"]),

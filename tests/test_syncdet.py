@@ -11,6 +11,8 @@ from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
     AffineSolver,
     LinearCode,
+    _walk,
+    ball_table,
     hamming_7_4,
     list_decode_exhaustive,
     mat_vec,
@@ -22,12 +24,15 @@ from hamsync.gf2k_rs import field
 from hamsync.probproto import one_round_prob_parties, one_round_prob_sync
 from hamsync.syncdet import (
     SyncInstance,
+    _column_sum,
     brute_alice,
     brute_bob,
     brute_parties,
     brute_sync,
     build_greedy_coloring,
+    coloring_bob,
     coloring_oracle_sync,
+    coloring_parties,
     coset_representative,
     list_candidates,
     listdec_alice,
@@ -262,14 +267,75 @@ def test_list_protocols_refuse_one_word_over_the_walk_budget(monkeypatch):
         assert run_protocol(*parties(code, inst)).recovered == inst.x
 
 
+def _old_greedy_colors(n, d):
+    """The color table coloring built before it built columns: all 2^n
+    words in ascending order, each with the least color unused by an
+    earlier word at distance <= d."""
+    masks = [m for m, _, _ in _walk(n, d)]
+    colors = [0] * (1 << n)
+    for w in range(1 << n):
+        used = {colors[w ^ m] for m in masks if (w ^ m) < w}
+        c = 0
+        while c in used:
+            c += 1
+        colors[w] = c
+    return colors
+
+
+def test_columns_color_every_word_as_the_old_enumeration():
+    # Every shape the old cap and scan budget admitted with d <= n <= 12
+    # and d <= 6, but (12, 5) and (12, 6): those two took 0.9 s of the
+    # 1.5 s the 69 shapes take.  Its color count was 2^width.
+    for n in range(1, 13):
+        for d in range(min(n, 6 if n < 12 else 4) + 1):
+            columns = build_greedy_coloring(n, d)
+            colors = _old_greedy_colors(n, d)
+            assert [_column_sum(columns, w) for w in range(1 << n)] == colors, (n, d)
+            assert max(colors) + 1 == 1 << max(columns).bit_length(), (n, d)
+
+
+def test_coloring_bob_matches_the_old_ball_scan():
+    # For every y and every value Bob can receive, his lookup returns what
+    # the old Bob's scan of his ball for the received color returned.  The
+    # scan never met two words of one color, and the table never lists two
+    # words under one key.
+    for n in range(1, 9):
+        for r in range(n // 2 + 1):
+            columns = build_greedy_coloring(n, 2 * r)
+            width = max(columns).bit_length()
+            colors = _old_greedy_colors(n, 2 * r)
+            assert all(len(words) == 1 for words in ball_table(columns, r).values())
+            for yv in range(1 << n):
+                y = Word(yv, n)
+                scanned = {}
+                for w in (yv,) + tuple(yv ^ m for m, _, _ in _walk(n, r)):
+                    scanned.setdefault(colors[w], []).append(w)
+                assert all(len(words) == 1 for words in scanned.values())
+                diag = {"n_colors": 1 << width, "color_bits": width}
+                for target in range(1 << width):
+                    old = scanned.get(target)
+                    bob = coloring_bob(n, r, y)
+                    try:  # pytest.raises would double this loop's time
+                        if width:
+                            assert next(bob) is RECV
+                            bob.send(Word(target, width))
+                        else:
+                            next(bob)
+                    except StopIteration as stop:
+                        got = stop.value
+                    else:
+                        raise AssertionError("Bob asked for a second message")
+                    assert got == (old and Word(old[0], n), diag), (n, r, yv, target)
+
+
 def test_coloring_is_proper():
     for n, d in [(6, 2), (8, 3), (10, 2)]:
-        colors = build_greedy_coloring(n, d)
+        columns = build_greedy_coloring(n, d)
         masks = [m for m in range(1, 1 << n) if m.bit_count() <= d]
         for w in range(1 << n):
             for m in masks:
-                assert colors[w] != colors[w ^ m]
-        assert max(colors) + 1 <= ball_volume(d, n)
+                assert _column_sum(columns, w) != _column_sum(columns, w ^ m)
+        assert 1 << max(columns).bit_length() <= ball_volume(d, n)
 
 
 def test_coloring_exhaustive_small():
@@ -293,14 +359,42 @@ def test_coloring_zero_radius_sends_nothing():
 
 
 def test_coloring_budget_guards():
-    with pytest.raises(CapabilityError):
-        build_greedy_coloring(15, 1)
-    with pytest.raises(CapabilityError):
-        build_greedy_coloring(14, 8)
-    # the oracle raises the same error before either party starts
-    inst = SyncInstance(Word(0, 15), Word(0, 15), Bounds(Fraction(1, 15), 15))
-    with pytest.raises(CapabilityError):
-        coloring_oracle_sync(inst)
+    # Vol(2r - 1, n) words bound the builder's sets and Bob's ball: n = 24
+    # at r = 3 walks Vol(5, 24) = 55,455 and runs, n = 25 walks 68,406 and
+    # is refused before either party is built.
+    rng = random.Random(36)
+    for n, r in ((15, 1), (24, 3), (25, 3)):
+        y = Word(rng.getrandbits(n), n)
+        inst = SyncInstance(y.flip(rng.sample(range(n), r)), y, Bounds(Fraction(r, n), n))
+        if ball_volume(2 * r - 1, n) > gf2codes.WALK_BUDGET:
+            with pytest.raises(CapabilityError, match="walk budget"):
+                coloring_parties(inst)
+        else:
+            assert coloring_oracle_sync(inst).recovered == inst.x
+    assert (ball_volume(5, 24), ball_volume(5, 25)) == (55_455, 68_406)
+
+
+@pytest.mark.parametrize("n, r, bits", [(23, 3, 11), (64, 2, 13)])
+def test_coloring_reaches_past_the_old_cube_cap(n, r, bits):
+    rng = random.Random(n)
+    bounds = Bounds(Fraction(r, n), n)
+    for distance in range(r + 1):
+        y = Word(rng.getrandbits(n), n)
+        inst = SyncInstance(y.flip(rng.sample(range(n), distance)), y, bounds)
+        out = coloring_oracle_sync(inst)
+        assert out.recovered == inst.x
+        assert out.transcript.total_bits == bits
+        assert out.diagnostics == {"n_colors": 1 << bits, "color_bits": bits}
+
+
+def test_coloring_columns_give_the_lexicode_check_bits():
+    # The check bits r of the lexicode correcting t errors, distance 2t + 1.
+    # At (23, 3) the code is perfect, Golay's parameters: every one of the
+    # 2^11 syndromes has one word of weight <= 3.
+    table = {(7, 1): 3, (15, 2): 8, (15, 3): 10, (23, 3): 11, (31, 3): 15, (63, 2): 13}
+    for (n, t), r in table.items():
+        assert max(build_greedy_coloring(n, 2 * t)).bit_length() == r, (n, t)
+    assert len(ball_table(build_greedy_coloring(23, 6), 3)) == 1 << 11 == ball_volume(3, 23)
 
 
 def test_protocols_reuse_the_code_solver(monkeypatch):
