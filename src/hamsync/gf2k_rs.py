@@ -20,8 +20,11 @@ composite protocol holds its blocks.
 Both parties multiply by one column table cached per size, and the root
 scan by a second (_table_map).  Where a table's 2^k slot masks fit
 _SLOT_MASK_BYTES (small k and few lanes, as at n = 512, s = 2) that product
-is one pass over columns widened to k slots (_slot_map); otherwise (as at
-n = 2048, s = 64) it is k bit-sliced passes (_lane_map).
+is one pass over columns widened to k slots (_slot_map).  Otherwise the
+syndrome table is kept as nibble-group tables where those fit
+_GROUP_TABLE_BYTES (as at n = 2048, s = 64): one table lookup per group of
+4 columns and bit of k (_group_map).  The root scan's table, and a syndrome
+table past both caps, take k bit-sliced passes (_lane_map).
 
 Neither direction checks its arguments.  Its one caller, the composite
 protocol, refuses m + s >= 2^k in composite_parties before a run starts,
@@ -34,9 +37,9 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import and_, xor
-from typing import Iterable, Optional, Sequence
+from itertools import compress, islice
+from operator import and_, getitem, xor
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ContractError
 
@@ -140,18 +143,14 @@ def _lane_map(fld: Field, values: int, columns: Sequence[int], lanes: int) -> in
     Bit b of the values selects the columns xored into a partial sum P_b,
     and _horner joins them; only the k partial sums and k - 1 multiplies
     run as Python steps, each on whole words.  This is the bit-sliced
-    kernel: it pays k passes over the columns whatever the lane count, so
-    _table keeps a cached table for it only where _slot_map's masks would
-    not fit.
-
-    At (k, m, s) the syndromes' table holds m*s lanes and the root scan's
-    (floor(s/2)+1)*m, two bytes each, k times over where _table widens them
-    for _slot_map.  At n=2048 (k=11, m=187, s=64) that is 24 + 12 KB, both
-    bit-sliced.  At n=512 (k=9, m=58, s=2) the syndromes take _slot_map,
-    2.1 KB widened plus 18 KiB of masks; the root scan, whose masks would
-    take 522 KiB, never runs there, since every locator at s=2 has degree
-    1.  Berlekamp-Massey cuts its columns from the syndromes on each call
-    and always takes this kernel.
+    kernel: it pays k passes over the columns whatever the lane count, but
+    xors only the columns whose bit is set, so a mostly zero vector costs it
+    little.  That keeps the root scan here, whose values are Lambda's
+    floor(s/2) + 1 coefficients with all but L + 1 of them 0: on
+    _group_map's tables, which look up one entry per group and bit whatever
+    the values, it took 23.5 against 20 us at n = 2048 and L = 13.
+    Berlekamp-Massey cuts its columns from the syndromes on each call and
+    always takes this kernel.
     """
     raw = values.to_bytes(2 * len(columns), "little")
     partial = [
@@ -176,6 +175,49 @@ def _slot_map(
     return _horner(fld, [total >> (b * width) & slot for b in range(fld.k)], lanes)
 
 
+# _NIBBLES[h] maps a byte to its low (h = 0) or high (h = 1) nibble.
+_NIBBLES = (bytes(v & 15 for v in range(256)), bytes(v >> 4 for v in range(256)))
+
+
+def _group_map(
+    fld: Field,
+    values: int,
+    tables: Sequence[Sequence[int]],
+    swaps: Sequence[tuple[int, int]],
+    lanes: int,
+) -> int:
+    """_lane_map's sums by the method of Four Russians (Arlazarov, Dinic,
+    Kronrod and Faradzev, 1970): a lookup per group of 4 columns and bit
+    of k, not a pass over the columns per bit.  tables holds each group's
+    16 xor-combinations, entry e the xor of the group's columns j with bit j
+    of e set, the groups in column order (padded with zero columns to a
+    multiple of 16) and repeated k times (_group_tables).  swaps are the
+    delta swaps that transpose each 16 x 16 block of bits (_transpose_swaps).
+
+    After the swaps, lane b of each run of 16 values holds their bits b, so
+    bit-plane b of all the values is a string of nibbles, one per group, and
+    P_b is the xor of the entries those nibbles pick.  One map over the k
+    planes' nibbles feeds the k partial sums, and _horner joins them.
+    """
+    for shift, mask in swaps:
+        diff = (values >> shift ^ values) & mask
+        values ^= diff ^ diff << shift
+    k = fld.k
+    groups = len(tables) // k
+    runs = groups // 4
+    # The (runs, 16) matrix of swapped lanes read column by column is the
+    # lanes plane by plane.  The view moves whole two-byte lanes and keeps the
+    # bytes of each, so the little-endian lanes of to_bytes stay little-endian
+    # on any host, as _lane_array's are, with no native-order tobytes to swap.
+    lanes_by_run = memoryview(values.to_bytes(32 * runs, "little")).cast("H", (runs, 16))
+    planes = lanes_by_run.tobytes("F")[: 2 * runs * k]
+    # byte j of a plane holds the bits of groups 2j (low nibble) and 2j + 1
+    low, high = (planes.translate(part) for part in _NIBBLES)
+    nibbles = memoryview(low + high).cast("B", (2, len(planes))).tobytes("F")
+    entries = map(getitem, tables, nibbles)
+    return _horner(fld, [reduce(xor, islice(entries, groups), 0) for _ in range(k)], lanes)
+
+
 def _horner(fld: Field, partial: Sequence[int], lanes: int) -> int:
     """sum_b x^b partial[b] lane-wise, by Horner's rule in x."""
     k = fld.k
@@ -192,12 +234,22 @@ def _horner(fld: Field, partial: Sequence[int], lanes: int) -> int:
 # The most bytes a slot-mask table may take, counted as 2^k masks of
 # k*lanes two-byte lanes.  At n = 512's k = 9, s = 2 that is 18 KiB; at
 # n = 2048's k = 11, s = 64 it would be 2.75 MiB, enough to move a run's
-# peak memory, so that shape stays bit-sliced.
+# peak memory, so that shape takes group tables.
 _SLOT_MASK_BYTES = 1 << 16
 
-# A column table as its kernel takes it (_table): plain columns and None,
-# or widened columns and their slot masks.
-_Table = tuple[tuple[int, ...], Optional[tuple[int, ...]]]
+# The most bytes the syndrome table may take as group tables, counted as 16
+# entries per group of 4 columns, each `lanes` two-byte lanes and
+# _GROUP_ENTRY_BYTES more for the int object and its tuple slot, which is
+# most of an entry at small s.  At n = 2048's k = 11, m = 187, s = 64 that
+# is 123 KiB; at the RS cap's (14, 16319, 64) it would be 10.5 MiB, so that
+# shape keeps its 2 MiB of plain columns and stays bit-sliced.  Under the
+# cap both RS tables hold less than the plain ones hold at the RS cap.
+_GROUP_TABLE_BYTES = 1 << 21
+_GROUP_ENTRY_BYTES = 40
+
+# A column table as _table builds it: its kernel, and what the kernel takes
+# between the values and the lane count.
+_Table = tuple[Callable[..., int], tuple]
 
 
 @lru_cache(maxsize=None)
@@ -213,23 +265,63 @@ def _slot_masks(k: int, lanes: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _table(k: int, lanes: int, columns: Iterable[int]) -> _Table:
+def _group_tables(k: int, columns: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The 16 xor-combinations of each group of 4 columns, the columns
+    padded with zeros to a multiple of 16, repeated k times (_group_map)."""
+    padded = [*columns, *[0] * (-len(columns) % 16)]
+    groups = []
+    for g in range(0, len(padded), 4):
+        entries = [0]
+        for column in padded[g : g + 4]:
+            entries += [entry ^ column for entry in entries]
+        groups.append(tuple(entries))
+    return tuple(groups) * k
+
+
+def _transpose_swaps(runs: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for the delta swaps that transpose each 16 x 16 bit block
+    of `runs` runs of 16 lanes.  The swap at h exchanges bit q of lane i with
+    bit q - h of lane i + h, 15h bits higher, wherever i mod 2h < h <= q mod 2h."""
+    swaps = []
+    for h in (8, 4, 2, 1):
+        row = sum(1 << q for q in range(_LANE_BITS) if q % (2 * h) >= h)
+        rows = _repunit(h, _LANE_BITS) * _repunit(8 * runs // h, 2 * h * _LANE_BITS)
+        swaps.append((15 * h, row * rows))
+    return tuple(swaps)
+
+
+def _table(k: int, lanes: int, columns: Iterable[int], *, grouped: bool) -> _Table:
     """A cached column table in the form its kernel takes: the columns
     widened to k slots and their slot masks for _slot_map when those masks
-    fit _SLOT_MASK_BYTES, and otherwise the columns as they are with None."""
-    if (1 << k) * k * lanes * 2 > _SLOT_MASK_BYTES:
-        return tuple(columns), None
-    repunit = _repunit(k, lanes * _LANE_BITS)  # a column times this fills k slots
-    return tuple(column * repunit for column in columns), _slot_masks(k, lanes)
+    fit _SLOT_MASK_BYTES; else, if grouped, the columns' group tables and
+    transposing swaps for _group_map when the tables fit _GROUP_TABLE_BYTES;
+    and otherwise the columns as they are for _lane_map.
+
+    At (k, m, s) the syndrome table's m columns hold m*s two-byte lanes and
+    the root scan's floor(s/2) + 1 columns (never grouped) hold
+    (floor(s/2)+1)*m; widened, a table holds k times its lanes, and as group
+    tables the syndromes hold 16*ceil(m/4)*s.  At n = 2048 (k = 11, m = 187,
+    s = 64) that is 94 KiB of lanes in groups (123 KiB as _GROUP_TABLE_BYTES
+    counts them) and 12 KB of plain root columns.  At
+    n = 512 (k = 9, m = 58, s = 2) the syndromes take _slot_map, 2.1 KB
+    widened plus 18 KiB of masks; the root scan, whose masks would take
+    522 KiB, never runs there, since every locator at s = 2 has degree 1.
+    """
+    columns = tuple(columns)
+    if (1 << k) * k * lanes * 2 <= _SLOT_MASK_BYTES:
+        repunit = _repunit(k, lanes * _LANE_BITS)  # a column times this fills k slots
+        return _slot_map, (tuple(column * repunit for column in columns), _slot_masks(k, lanes))
+    entry = 2 * lanes + _GROUP_ENTRY_BYTES
+    if grouped and 16 * -(-len(columns) // 4) * entry <= _GROUP_TABLE_BYTES:
+        return _group_map, (_group_tables(k, columns), _transpose_swaps(-(-len(columns) // 16)))
+    return _lane_map, (columns,)
 
 
 def _table_map(fld: Field, values: int, table: _Table, lanes: int) -> int:
     """The product of the lane values with a table from _table, packed as
     _lane_map packs it, by the kernel the table was built for."""
-    columns, masks = table
-    if masks is None:
-        return _lane_map(fld, values, columns, lanes)
-    return _slot_map(fld, values, columns, masks, lanes)
+    kernel, data = table
+    return kernel(fld, values, *data, lanes)
 
 
 def _log_vanishing(fld: Field, npoints: int, xs: Iterable[int]) -> list[int]:
@@ -277,7 +369,7 @@ def _syndrome_columns(k: int, m: int, s: int) -> _Table:
         _pack_lanes([exp[(log[w] + j * log[i ^ (m + s)]) % order] for j in range(s)])
         for i, w in enumerate(_barycentric_weights(k, m + s)[:m])
     )
-    return _table(k, s, columns)
+    return _table(k, s, columns, grouped=True)
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +383,7 @@ def _root_columns(k: int, m: int, s: int) -> _Table:
         _pack_lanes([exp[-t * log[i ^ (m + s)] % order] for i in range(m)])
         for t in range(s // 2 + 1)
     )
-    return _table(k, m, columns)
+    return _table(k, m, columns, grouped=False)
 
 
 # bench/tracer.py binds this name, so it keeps the name of the extra

@@ -27,9 +27,13 @@ from .transport import RECV, Party, ProtocolOutcome, run_protocol
 # Caps (m + s) * s for m blocks and s RS sums.  The product bounds the
 # syndrome columns' m * s lanes, not both cached RS tables: with the root
 # scan's (floor(s/2) + 1) * m they hold m * s + (floor(s/2) + 1) * m lanes,
-# at most 2 m s (18,139 against a product of 16,064 at n = 2048, k = 11,
-# s = 64).  At the cap one shape's tables hold about 4 MB (tracemalloc) and
-# take 0.3-0.5 s to build (k = 14, s = 64, 2 vCPUs).
+# at most 2 m s, as plain columns.  Where the syndrome table fits
+# gf2k_rs._GROUP_TABLE_BYTES as group tables it holds 16 * ceil(m/4) * s
+# lanes instead, about 4 m s (54,299 lanes with the root scan's, against a
+# product of 16,064, at n = 2048, k = 11, s = 64).  At the cap the tables
+# are plain, hold about 4 MB (tracemalloc) and take 0.3-0.5 s to build
+# (k = 14, s = 64, 2 vCPUs); no shape under it holds more, since grouped
+# tables with the root scan's held at most 2.4 MB at k = 14.
 _RS_LANE_BUDGET = 1 << 20
 
 

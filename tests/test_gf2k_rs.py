@@ -15,6 +15,8 @@ from hamsync.gf2k_rs import (
     Field,
     _barycentric_weights,
     _berlekamp_massey,
+    _group_map,
+    _group_tables,
     _lane_map,
     _locate,
     _pack_lanes,
@@ -24,6 +26,7 @@ from hamsync.gf2k_rs import (
     _slot_masks,
     _syndrome_columns,
     _table_map,
+    _transpose_swaps,
     _unpack_lanes,
     field,
     rs_correct,
@@ -60,26 +63,42 @@ def slot_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
     return _unpack_lanes(_slot_map(fld, _pack_lanes(values), wide, masks, lanes), lanes)
 
 
+def group_map(fld: Field, values: list[int], columns, lanes: int) -> list[int]:
+    """The group-table kernel on plain columns, at any shape, its tables
+    built uncached."""
+    tables = _group_tables(fld.k, columns)
+    swaps = _transpose_swaps(len(tables) // fld.k // 4)
+    return _unpack_lanes(_group_map(fld, _pack_lanes(values), tables, swaps, lanes), lanes)
+
+
 def table_map(fld: Field, values: list[int], table, lanes: int) -> list[int]:
     """The product with a cached table, by the kernel its shape selects."""
     return _unpack_lanes(_table_map(fld, _pack_lanes(values), table, lanes), lanes)
 
 
-def plain_columns(table, lanes: int) -> list[int]:
-    """A cached table's columns as _lane_map takes them: a widened column
-    keeps its plain value in the lowest slot."""
-    columns, masks = table
-    low_slot = (1 << lanes * _LANE_BITS) - 1
-    return list(columns) if masks is None else [c & low_slot for c in columns]
+KERNELS = {_lane_map: "bit-sliced", _slot_map: "slot", _group_map: "groups"}
+
+
+def plain_columns(table, lanes: int, count: int) -> list[int]:
+    """A cached table's count columns as _lane_map takes them: a widened
+    column keeps its plain value in the lowest slot, and a group table's
+    entries 1, 2, 4 and 8 are its group's four columns."""
+    kernel, data = table
+    if kernel is _slot_map:
+        low_slot = (1 << lanes * _LANE_BITS) - 1
+        return [c & low_slot for c in data[0]]
+    if kernel is _group_map:
+        return [entries[1 << j] for entries in data[0] for j in range(4)][:count]
+    return list(data[0])
 
 
 def kernels_used(monkeypatch) -> dict[str, int]:
     """Counts of the cached-table products by the kernel they ran."""
-    used = {"slot": 0, "bit-sliced": 0}
+    used = dict.fromkeys(KERNELS.values(), 0)
     inner = gf2k_rs._table_map
 
     def counted(fld, values, table, lanes):
-        used["bit-sliced" if table[1] is None else "slot"] += 1
+        used[KERNELS[table[0]]] += 1
         return inner(fld, values, table, lanes)
 
     monkeypatch.setattr(gf2k_rs, "_table_map", counted)
@@ -268,8 +287,11 @@ def test_rs_correct_matches_brute_force_decoding(monkeypatch):
     # are the given ones, found by scanning every block vector, or None when
     # no block vector is that close.  GF(8) and GF(16) take the slot-mask
     # kernel at every size; GF(256) at s = 17 and 20 has too many lanes for
-    # it and takes the bit-sliced one.
+    # it, so its syndromes take group tables.  Every kernel a shape's tables
+    # select runs: the root scan's only where s >= 4, since below that every
+    # locator has degree 1 or is refused.
     used = kernels_used(monkeypatch)
+    selected = set()
     returned = failed = 0
     for k, m_values, s_values in [
         (3, (1, 2, 3), range(1, 7)),
@@ -282,6 +304,9 @@ def test_rs_correct_matches_brute_force_decoding(monkeypatch):
             for s in s_values:
                 if m + s >= fld.size:
                     continue
+                selected.add(KERNELS[_syndrome_columns(k, m, s)[0]])
+                if s >= 4:
+                    selected.add(KERNELS[_root_columns(k, m, s)[0]])
                 by_sums = _block_vectors_by_sums(fld, m, s)
                 radius = s // 2
                 for kind in ("random", "near", "beyond") * 12:
@@ -307,7 +332,8 @@ def test_rs_correct_matches_brute_force_decoding(monkeypatch):
                     returned += expected is not None and kind != "near"
                     failed += expected is None
     assert returned > 0 and failed > 0
-    assert used["slot"] > 0 and used["bit-sliced"] > 0
+    assert selected == {"slot", "groups"}
+    assert {kernel for kernel, count in used.items() if count} == selected
 
 
 def test_rs_correct_clean():
@@ -481,7 +507,8 @@ def old_rs_correct(fld: Field, values, m: int, s: int):
 
 def _kernel_sizes():
     """(k, m, s): s = 2, full fields (m + s = 2^k - 1) up to k = 8, random
-    sizes, and the composite protocol's default size."""
+    sizes, m = 1, 3 and 15 modulo 16 at k = 2 and 14, where the group tables
+    pad a last run of 16 columns, and the composite protocol's default size."""
     rng = random.Random(90)
     for k in (3, 4, 5, 8, 11):
         size = 1 << k
@@ -493,12 +520,13 @@ def _kernel_sizes():
         for _ in range(3):
             m = rng.randint(1, min(size - 3, 300))
             yield k, m, rng.randint(2, min(size - 1 - m, 80))
+    yield from [(2, 1, 2), (14, 1, 5), (14, 35, 9), (14, 47, 20), (14, 193, 64)]
     yield 11, 187, 64
 
 
 @pytest.mark.parametrize("k, m, s", list(_kernel_sizes()))
 def test_lane_kernels_match_the_loops_they_replace(k, m, s):
-    # Both kernels on both tables, and the product by whichever kernel the
+    # Every kernel on both tables, and the product by whichever kernel the
     # table's shape selects: the sums equal their term-by-term loop over
     # (b || 0), and the root scan the Horner scan at the block points.
     fld = field(k)
@@ -513,9 +541,10 @@ def test_lane_kernels_match_the_loops_they_replace(k, m, s):
         ]
         assert power_sums(fld, blocks, s) == expected[0]
         for (table, lanes), vector, want in zip(tables, (blocks, lam), expected):
-            columns = plain_columns(table, lanes)
+            columns = plain_columns(table, lanes, len(vector))
             assert lane_map(fld, vector, columns, lanes) == want
             assert slot_map(fld, vector, columns, lanes) == want
+            assert group_map(fld, vector, columns, lanes) == want
             assert table_map(fld, vector, table, lanes) == want
 
 
@@ -555,12 +584,21 @@ def test_rs_correct_ends_as_the_old_decoder_refusing_roots_at_extras(k, m, s):
 
 
 @pytest.mark.parametrize(
-    "k, m, s, kernel",
-    [(9, 58, 2, "slot"), (11, 187, 64, "bit-sliced")],  # smith-stress's and smith-2048's shapes
+    "k, m, s, expected",
+    [
+        (9, 58, 2, {"slot": 2}),  # smith-stress's shape
+        (11, 187, 64, {"groups": 2, "bit-sliced": 1}),  # smith-2048's
+        # the first m at s = 64 whose group tables, 16 entries of 64 lanes
+        # and _GROUP_ENTRY_BYTES for each of 781 groups, pass _GROUP_TABLE_BYTES
+        (14, 3121, 64, {"bit-sliced": 3}),
+        (14, 3120, 64, {"groups": 2, "bit-sliced": 1}),
+    ],
+    ids=["9-58-2-slot", "11-187-64-groups", "14-3121-64-bit-sliced", "14-3120-64-groups"],
 )
-def test_each_shape_selects_the_kernel_its_masks_allow(monkeypatch, k, m, s, kernel):
+def test_each_shape_selects_the_kernel_its_masks_allow(monkeypatch, k, m, s, expected):
     # Alice's sums and one correction with s/2 wrong blocks: the syndrome
-    # table twice and, at s = 64, the root scan's table.
+    # table twice and, at s = 64, the root scan's table, which never takes
+    # group tables.
     used = kernels_used(monkeypatch)
     fld = field(k)
     rng = random.Random(k)
@@ -570,8 +608,7 @@ def test_each_shape_selects_the_kernel_its_masks_allow(monkeypatch, k, m, s, ker
     for pos in rng.sample(range(m), s // 2):
         estimates[pos] ^= rng.randrange(1, fld.size)
     assert correct(fld, estimates, sums) == blocks
-    other = "bit-sliced" if kernel == "slot" else "slot"
-    assert used[kernel] == (2 if s == 2 else 3) and used[other] == 0
+    assert used == {**dict.fromkeys(KERNELS.values(), 0), **expected}
 
 
 def test_degree_one_locators_find_their_root_without_a_scan(monkeypatch):
@@ -590,7 +627,7 @@ def test_degree_one_locators_find_their_root_without_a_scan(monkeypatch):
             inside += bool(scan)
             outside += not scan
         assert inside == m and outside == fld.size - m
-    assert used == {"slot": 0, "bit-sliced": 0}
+    assert used == dict.fromkeys(KERNELS.values(), 0)
 
 
 @pytest.mark.parametrize("k, m, s", [(4, 3, 4), (4, 5, 6), (5, 20, 8), (8, 40, 6)])
@@ -635,7 +672,7 @@ def test_a_degree_one_locator_outside_the_points_is_a_decode_failure():
     m, s = 3, 2
     rng = random.Random(62)
     by_sums = _block_vectors_by_sums(fld, m, s)
-    columns = plain_columns(_syndrome_columns(4, m, s), s)
+    columns = plain_columns(_syndrome_columns(4, m, s), s, m)
     where = Counter()
     for _ in range(200):
         estimates = [rng.randrange(fld.size) for _ in range(m)]
