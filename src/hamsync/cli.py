@@ -100,12 +100,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     b = Bounds(args.alpha, args.n)
     n, r = args.n, b.radius
-    d = min(2 * r, n)
     print(f"n={n} alpha={b.alpha} radius={r}")
     print(f"H(alpha)*n   = {binary_entropy(float(b.alpha)) * n:.6f}")
     print(f"H(2*alpha)*n = {binary_entropy(float(2 * b.alpha)) * n:.6f}")
     print(f"log2 Vol({r}, {n}) = {log2_big(ball_volume(r, n)):.6f}")
-    print(f"log2 Vol({d}, {n}) = {log2_big(ball_volume(d, n)):.6f}")
+    print(f"log2 Vol({2 * r}, {n}) = {log2_big(ball_volume(2 * r, n)):.6f}")
     return 0
 
 

@@ -1,11 +1,11 @@
-"""Binary linear codes: parity-check matrices as packed integer rows,
-syndromes, affine solves, random code sampling, and one walk over the light
-words that builds the tables every table decoder reads: ball tables for
-brute, syndrome and the list protocols, and coset leaders for smith's blocks.
+"""Binary linear codes: parity-check matrices as packed integer rows, affine
+solves, random code sampling, and one walk over the light words that builds
+the tables every table decoder reads: ball tables for syndrome transfer, read
+by one lookup (ball_lookup), and coset leaders for smith's blocks.
 
 A matrix is the tuple of its rows, and a row is a Python int whose bit c is
-the entry in column c, matching the Word convention, so a row-times-vector
-product is one AND and a popcount.
+the entry in column c, matching the Word convention.  A syndrome is the xor
+of the columns at a word's set bits (column_sum), as the tables are keyed.
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ class LinearCode:
 def parity_columns(code: LinearCode) -> tuple[int, ...]:
     """Column c of H, as an (n-k)-bit int, for each c < n."""
     return tuple(mat_vec(code.h, 1 << c) for c in range(code.n))
-
-
-def syndrome(code: LinearCode, x: Word) -> Word:
-    """H*x, as an (n-k)-bit word; zero exactly on codewords."""
-    if x.n != code.n:
-        raise ContractError(f"word has {x.n} bits, code length is {code.n}")
-    return Word(mat_vec(code.h, x.value), code.n - code.k)
 
 
 _FULL_RANK_ATTEMPTS = 1000
@@ -268,9 +261,8 @@ def check_walk_budget(n: int, radius: int) -> None:
 def ball_table(columns: tuple[int, ...], radius: int) -> dict[int, tuple[int, ...]]:
     """Each syndrome, under the parity-check matrix with these columns, of a
     word of weight <= radius, mapped to those words in walk order, the zero
-    word first.  So the words within radius of y with syndrome h are y xor
-    each word listed under h xor H y, and a coset leader is the first word
-    of its list.  Refuses a ball over the budget."""
+    word first, so a coset leader is the first word of its list.  Refuses a
+    ball over the budget."""
     check_walk_budget(len(columns), radius)
     table: dict[int, list[int]] = {0: [0]}
     syndromes = [0]  # of the words walked so far, by place
@@ -279,6 +271,24 @@ def ball_table(columns: tuple[int, ...], radius: int) -> dict[int, tuple[int, ..
         syndromes.append(d)
         table.setdefault(d, []).append(word)
     return {d: tuple(words) for d, words in table.items()}
+
+
+def column_sum(columns: Sequence[int], v: int) -> int:
+    """The syndrome of v under the parity-check matrix with these columns:
+    the xor of the columns at v's set bits, one step per set bit."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= columns[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def ball_lookup(columns: tuple[int, ...], radius: int, h: int, y: int) -> tuple[int, ...]:
+    """The words e that ball_table lists under h xor H y, or () when there
+    is none: so y xor e runs over every word within radius of y whose
+    syndrome is h.  Unique decoders take the first e, a coset leader."""
+    return ball_table(columns, radius).get(h ^ column_sum(columns, y), ())
 
 
 @lru_cache(maxsize=1)

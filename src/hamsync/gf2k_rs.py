@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import and_, getitem, xor
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -169,7 +169,7 @@ def _slot_map(
     partial sum P_b in slot b at once, and _horner joins the k slots.
     """
     width = lanes * _LANE_BITS
-    picks = map(masks.__getitem__, _lane_array(values.to_bytes(2 * len(wide), "little")))
+    picks = map(getitem, repeat(masks), _lane_array(values.to_bytes(2 * len(wide), "little")))
     total = reduce(xor, map(and_, wide, picks), 0)
     slot = (1 << width) - 1
     return _horner(fld, [total >> (b * width) & slot for b in range(fld.k)], lanes)
@@ -348,7 +348,7 @@ def _log_vanishing(fld: Field, npoints: int, xs: Iterable[int]) -> list[int]:
     return [sum(q_t[(x ^ c) >> t] for q_t, t, c in blocks) % order for x in xs]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
     """w_i = 1 / prod_{j != i} (a_i - a_j) over the points a = 0..npoints-1.
     Shifting every point by the same c leaves the differences, and so the
@@ -358,7 +358,7 @@ def _barycentric_weights(k: int, npoints: int) -> tuple[int, ...]:
     return tuple(fld.exp[-v % order] for v in _log_vanishing(fld, npoints, range(npoints)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _syndrome_columns(k: int, m: int, s: int) -> _Table:
     """The _table whose column i < m packs w_i X_i^j for j < s: H's block
     columns (module docstring)."""
@@ -372,7 +372,7 @@ def _syndrome_columns(k: int, m: int, s: int) -> _Table:
     return _table(k, s, columns, grouped=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _root_columns(k: int, m: int, s: int) -> _Table:
     """The _table whose column t packs X_i^-t over the block points i < m,
     for t <= floor(s/2)."""

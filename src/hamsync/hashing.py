@@ -30,7 +30,7 @@ from .errors import CapabilityError, ContractError, InvariantError, RetryLimitEr
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def sieve_primes(limit: int) -> bytes:
     """Sieve of Eratosthenes over the odd numbers up to and including limit:
     byte j is 1 when 2j + 1 is prime, and 0 otherwise.  The one even prime,
@@ -173,7 +173,7 @@ class PrimePool:
         return 2 * j + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def random_prime_pool(n: int, k: int, a: int) -> PrimePool:
     """The first a*n*k^2 primes: the pool random_prime_hash draws from.
     Both parties derive it from public parameters, so its largest prime

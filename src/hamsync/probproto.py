@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .bitword import Word, exact_fraction, pack_fields, unpack_fields
 from .errors import CapabilityError, ContractError, RetryLimitError
-from .gf2codes import LEADER_MAX_N, LinearCode, coset_leaders, rank, syndrome
+from .gf2codes import LEADER_MAX_N, LinearCode, column_sum, coset_leaders, parity_columns, rank
 from .gf2k_rs import _LANE_BITS, _pack_lanes, _repunit, _unpack_lanes, field, rs_correct, rs_extra_evals
 from .hashing import is_prime, random_prime_hash, random_prime_pool
 from .syncdet import SyncInstance, _check_list_radius, list_candidates
@@ -210,10 +210,10 @@ def _relane(value: int, count: int, src: int, dst: int) -> int:
 def one_round_prob_alice(code: LinearCode, x: Word, oversample: int, list_cap: int, rng: Random):
     """Single message: syndrome, a random prime from the pre-agreed pool,
     and x's residue, all packed."""
-    h = syndrome(code, x)
+    h = column_sum(parity_columns(code), x.value)
     width = random_prime_pool(code.n, list_cap, oversample).width
     q = random_prime_hash(code.n, list_cap, oversample, rng)
-    yield pack_fields([(h.value, h.n), (q, width), (x.value % q, width)])
+    yield pack_fields([(h, code.n - code.k), (q, width), (x.value % q, width)])
     return None
 
 

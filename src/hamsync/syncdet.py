@@ -6,8 +6,8 @@ constructions live here: syndrome transfer over a code's message columns
 (brute), syndrome transfer with unique decoding, syndrome transfer with list
 decoding plus an identification finish, and a coloring oracle that realizes
 the one-round lower bound shape as syndrome transfer on the lexicode, the
-greedy coloring of the cube.  All four look Bob's syndrome difference up in
-a ball table, at the promise or list radius.
+greedy coloring of the cube.  All four take syndromes by column_sum and look
+Bob's syndrome difference up by ball_lookup, at the promise or list radius.
 
 Each protocol's preconditions are checked once, in its ``*_parties``
 function, which returns the (alice, bob) generator pair.  The one-call
@@ -26,11 +26,12 @@ from .gf2codes import (
     AffineSolver,
     LinearCode,
     _residues,
+    ball_lookup,
     ball_table,
     check_walk_budget,
+    column_sum,
     mat_vec,
     parity_columns,
-    syndrome,
 )
 from .hashing import nba_alice, nba_bob
 from .transport import RECV, Party, ProtocolOutcome, run_protocol
@@ -82,16 +83,6 @@ def _check_list_radius(code: LinearCode, radius: int, instance: SyncInstance) ->
 # brute: syndrome transfer over the code's message columns
 
 
-def _column_sum(columns: tuple[int, ...], v: int) -> int:
-    """The syndrome of v under the matrix with these columns: the xor of the
-    columns at v's set bits."""
-    out = 0
-    for c, column in enumerate(columns):
-        if (v >> c) & 1:
-            out ^= column
-    return out
-
-
 @lru_cache(maxsize=16)
 def _message_columns(code: LinearCode) -> tuple[int, ...]:
     """The columns of H that lie in the span of the columns before them, in
@@ -107,15 +98,15 @@ def _lookup_bob(code: LinearCode, columns: tuple[int, ...], radius: int, y: Word
     the message's bits under keys[0] and that word's weight under keys[1]."""
     msg = yield RECV
     (h_value,) = unpack_fields(msg, [code.n - code.k])
-    errors = ball_table(columns, radius).get(h_value ^ _column_sum(columns, y.value))
-    if errors is None:  # no word within the radius: the promise is broken
+    errors = ball_lookup(columns, radius, h_value, y.value)
+    if not errors:  # no word within the radius: the promise is broken
         return None, {keys[0]: msg.n}
     return Word(y.value ^ errors[0], y.n), {keys[0]: msg.n, keys[1]: errors[0].bit_count()}
 
 
 def brute_alice(code: LinearCode, x: Word):
     """Send the syndrome of the file under the code's message columns."""
-    yield Word(_column_sum(_message_columns(code), x.value), code.n - code.k)
+    yield Word(column_sum(_message_columns(code), x.value), code.n - code.k)
     return None
 
 
@@ -153,7 +144,7 @@ def brute_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
 
 
 def syndrome_alice(code: LinearCode, x: Word):
-    yield syndrome(code, x)
+    yield Word(column_sum(parity_columns(code), x.value), code.n - code.k)
     return None
 
 
@@ -163,11 +154,9 @@ def coset_representative(code: LinearCode, h_value: int, y: Word) -> Word:
 
 
 def list_candidates(code: LinearCode, h_value: int, y: Word, radius: int) -> list[int]:
-    """Sorted values of every word with syndrome h_value within radius of y:
-    y xor e for each e of weight <= radius with syndrome h_value xor H y."""
+    """Sorted values of every word with syndrome h_value within radius of y."""
     yv = y.value
-    table = ball_table(parity_columns(code), radius)
-    return sorted(yv ^ e for e in table.get(h_value ^ mat_vec(code.h, yv), ()))
+    return sorted(yv ^ e for e in ball_lookup(parity_columns(code), radius, h_value, yv))
 
 
 def syndrome_bob(code: LinearCode, y: Word, radius: int):
@@ -198,7 +187,7 @@ def syndrome_sync(code: LinearCode, instance: SyncInstance) -> ProtocolOutcome:
 
 
 def listdec_alice(code: LinearCode, x: Word):
-    yield syndrome(code, x)
+    yield Word(column_sum(parity_columns(code), x.value), code.n - code.k)
     yield from nba_alice(x)
     return None
 
@@ -271,7 +260,7 @@ def coloring_alice(n: int, radius: int, x: Word):
     columns = build_greedy_coloring(n, 2 * radius)
     width = max(columns).bit_length()
     if width:
-        yield Word(_column_sum(columns, x.value), width)
+        yield Word(column_sum(columns, x.value), width)
     return None
 
 
@@ -279,9 +268,9 @@ def coloring_bob(n: int, radius: int, y: Word):
     columns = build_greedy_coloring(n, 2 * radius)
     width = max(columns).bit_length()
     target = unpack_fields((yield RECV), [width])[0] if width else 0
-    errors = ball_table(columns, radius).get(target ^ _column_sum(columns, y.value))
+    errors = ball_lookup(columns, radius, target, y.value)
     diag = {"n_colors": 1 << width, "color_bits": width}
-    if errors is None:  # no word within the radius: the promise is broken
+    if not errors:  # no word within the radius: the promise is broken
         return None, diag
     return Word(y.value ^ errors[0], n), diag
 

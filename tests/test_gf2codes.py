@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hamsync import gf2codes, probproto
+from hamsync import gf2codes, gf2k_rs, hashing, probproto
 from hamsync.bitword import Bounds, Word, ball_volume
 from hamsync.errors import CapabilityError, ContractError
 from hamsync.gf2codes import (
@@ -18,6 +18,7 @@ from hamsync.gf2codes import (
     ball_table,
     check_walk_budget,
     codewords,
+    column_sum,
     coset_leaders,
     hamming_7_4,
     list_decode_exhaustive,
@@ -25,7 +26,6 @@ from hamsync.gf2codes import (
     parity_columns,
     random_linear_code,
     rank,
-    syndrome,
     unique_decode,
 )
 from hamsync.harness import ExperimentConfig, run_experiment
@@ -63,6 +63,17 @@ def test_mat_vec_matches_oracle():
         h = tuple(rng.getrandbits(cols) for _ in range(rows))
         x = rng.getrandbits(cols)
         assert mat_vec(h, x) == mat_vec_oracle(h, cols, x)
+
+
+def test_column_sum_is_the_row_parity_syndrome():
+    # Every protocol takes its syndrome from the columns; the rows define it.
+    rng = random.Random(35)
+    for _ in range(100):
+        n = rng.randint(2, 20)
+        code = random_linear_code(n, rng.randint(1, n - 1), rng)
+        columns = parity_columns(code)
+        for x in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(8))):
+            assert column_sum(columns, x) == mat_vec(code.h, x)
 
 
 def test_rank_matches_span_size():
@@ -224,14 +235,14 @@ def test_hamming_7_4_frozen_facts():
     assert min_distance(code) == 3
     for i in range(7):
         # the syndrome of a single flip at position i spells out i+1
-        assert syndrome(code, Word(1 << i, 7)).value == i + 1
+        assert mat_vec(code.h, 1 << i) == i + 1
 
 
 def test_hamming_corrects_every_single_error():
     code = hamming_7_4()
     for msg in range(16):
         c = encode(code, Word(msg, 4))
-        assert syndrome(code, c).value == 0
+        assert mat_vec(code.h, c.value) == 0
         assert extract_message(code, c) == Word(msg, 4)
         for i in range(7):
             assert unique_decode(code, c.flip([i])) == c
@@ -387,7 +398,7 @@ def test_encode_extract_roundtrip():
         code = random_linear_code(n, k, rng)
         msg = Word(rng.getrandbits(k), k)
         c = encode(code, msg)
-        assert syndrome(code, c).value == 0
+        assert mat_vec(code.h, c.value) == 0
         assert extract_message(code, c) == msg
 
 
@@ -583,3 +594,18 @@ def test_walk_and_table_caches_are_bounded():
     # At most 16 walks and 32 tables stay cached, each inside the budget:
     # room for the 18 tables of the benchmark's round-robin of protocols.
     assert (_walk.cache_info().maxsize, ball_table.cache_info().maxsize) == (16, 32)
+
+
+def test_per_shape_caches_are_bounded():
+    # The RS layer's weights and column tables, about 2.5 MB per k = 14
+    # shape near the RS cap, and the prime pools with their sieves, up to
+    # about 9.8 MB at the pool budget, each keep at most 4 shapes: room for
+    # the one smith shape or problist pool of a benchmark worker.
+    caches = (
+        gf2k_rs._barycentric_weights,
+        gf2k_rs._syndrome_columns,
+        gf2k_rs._root_columns,
+        hashing.sieve_primes,
+        hashing.random_prime_pool,
+    )
+    assert [cache.cache_info().maxsize for cache in caches] == [4] * 5

@@ -13,18 +13,17 @@ from hamsync.gf2codes import (
     LinearCode,
     _walk,
     ball_table,
+    column_sum,
     hamming_7_4,
     list_decode_exhaustive,
     mat_vec,
     random_linear_code,
-    syndrome,
     unique_decode,
 )
 from hamsync.gf2k_rs import field
 from hamsync.probproto import one_round_prob_parties, one_round_prob_sync
 from hamsync.syncdet import (
     SyncInstance,
-    _column_sum,
     brute_alice,
     brute_bob,
     brute_parties,
@@ -66,7 +65,7 @@ def test_coset_representative_identity():
         code = random_linear_code(n, k, rng)
         x = Word(rng.getrandbits(n), n)
         y = Word(rng.getrandbits(n), n)
-        t = coset_representative(code, syndrome(code, x).value, y)
+        t = coset_representative(code, mat_vec(code.h, x.value), y)
         assert mat_vec(code.h, t.value ^ x.value ^ y.value) == 0
 
 
@@ -125,7 +124,7 @@ def test_syndrome_output_always_consistent():
         y = Word(rng.getrandbits(7), 7)
         out = run_protocol(syndrome_alice(code, x), syndrome_bob(code, y, 1))
         if not out.reported_failure:
-            assert syndrome(code, out.recovered) == syndrome(code, x)
+            assert mat_vec(code.h, out.recovered.value) == mat_vec(code.h, x.value)
         assert out.diagnostics["syndrome_bits"] == 3
 
 
@@ -149,7 +148,7 @@ def test_listdec_recovers_and_lists_match_cube_oracle():
         out = listdec_sync(code, radius, inst)
         assert out.recovered == x
         assert out.transcript.rounds == 3
-        h = syndrome(code, x).value
+        h = mat_vec(code.h, x.value)
         expected = sorted(
             u
             for u in range(1 << n)
@@ -290,7 +289,7 @@ def test_columns_color_every_word_as_the_old_enumeration():
         for d in range(min(n, 6 if n < 12 else 4) + 1):
             columns = build_greedy_coloring(n, d)
             colors = _old_greedy_colors(n, d)
-            assert [_column_sum(columns, w) for w in range(1 << n)] == colors, (n, d)
+            assert [column_sum(columns, w) for w in range(1 << n)] == colors, (n, d)
             assert max(colors) + 1 == 1 << max(columns).bit_length(), (n, d)
 
 
@@ -334,7 +333,7 @@ def test_coloring_is_proper():
         masks = [m for m in range(1, 1 << n) if m.bit_count() <= d]
         for w in range(1 << n):
             for m in masks:
-                assert _column_sum(columns, w) != _column_sum(columns, w ^ m)
+                assert column_sum(columns, w) != column_sum(columns, w ^ m)
         assert 1 << max(columns).bit_length() <= ball_volume(d, n)
 
 
@@ -561,7 +560,7 @@ def _assert_bobs_agree(code, pairs):
     newly_failed = 0
     for xv, yv in pairs:
         x, y = Word(xv, code.n), Word(yv, code.n)
-        msg = syndrome(code, x)
+        msg = Word(mat_vec(code.h, xv), code.n - code.k)
         new = _bob_result(syndrome_bob(code, y, radius), msg)
         old = _old_syndrome_bob(code, y, radius, msg)
         _assert_same_result(new, old, "decoded_difference_weight", radius)

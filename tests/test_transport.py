@@ -177,10 +177,8 @@ def test_party_exception_wrapped():
             drive(alice(Word(1, 2)), bob())
 
 
-def _resized(party, index: int, extra_bits: int):
-    """party, with its index-th message one bit longer or one bit shorter.
-    A shorter one loses its top bit, so a small modulus keeps its value and
-    is not refused as below 2 before its length is checked."""
+def _rewritten(party, index: int, rewrite):
+    """party, with its index-th message replaced by rewrite(message)."""
     received, sent = None, 0
     while True:
         try:
@@ -189,9 +187,21 @@ def _resized(party, index: int, extra_bits: int):
             return stop.value
         if isinstance(want, Word):
             if sent == index:
-                want = Word(want.value & ((1 << (want.n + extra_bits)) - 1), want.n + extra_bits)
+                want = rewrite(want)
             sent += 1
         received = yield want
+
+
+def _resized(party, index: int, extra_bits: int):
+    """party, with its index-th message one bit longer or one bit shorter.
+    A shorter one loses its top bit, so a small modulus keeps its value and
+    is not refused as below 2 before its length is checked."""
+
+    def resize(message: Word) -> Word:
+        n = message.n + extra_bits
+        return Word(message.value & ((1 << n) - 1), n)
+
+    return _rewritten(party, index, resize)
 
 
 # (protocol, the party whose message is resized, which of its messages, the
@@ -230,6 +240,32 @@ def test_every_receiver_checks_the_length_of_what_it_gets(protocol, sender, inde
             parties[sender] = _resized(parties[sender], index, extra_bits)
             with pytest.raises(ProtocolExecutionError, match=f"^{receiver.value} raised"):
                 drive(parties[A], parties[B])
+
+
+_HOSTILE_PAYLOADS = 100  # per receipt
+
+
+@pytest.mark.parametrize("protocol, sender, index", [receipt[:3] for receipt in _RECEIPTS])
+def test_random_payloads_end_in_a_word_a_failure_or_a_contract_error(protocol, sender, index):
+    # A hostile peer sends random bits of the length the receiver expects.
+    # The run may end in any word or a reported failure, since the promise
+    # no longer holds, or in a ContractError from either party: a random
+    # prime below 2 makes Alice raise.  Nothing else may escape.
+    spec = PROTOCOLS[protocol]
+    cfg = ExperimentConfig(protocol, trials=_HOSTILE_PAYLOADS)
+    bounds = Bounds(spec.default_alpha, spec.default_n)
+    payloads = Random(f"{protocol}/{sender.value}/{index}")
+    for case in spec.build(cfg, bounds, spec.default_params, Random(0)):
+        parties = {A: case.alice, B: case.bob}
+        parties[sender] = _rewritten(
+            parties[sender], index, lambda w: Word(payloads.getrandbits(w.n), w.n)
+        )
+        try:
+            outcome = run_protocol(parties[A], parties[B])
+        except ProtocolExecutionError as exc:
+            assert isinstance(exc.__cause__, ContractError), exc
+        else:
+            assert outcome.recovered is None or isinstance(outcome.recovered, Word)
 
 
 @pytest.mark.parametrize("q", [0, 1])
